@@ -8,6 +8,8 @@ significant digits and identical inputs produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import csv
+import dataclasses
 import json
 import sys
 
@@ -52,38 +54,29 @@ def _emit_json(payload: dict) -> None:
     print(json.dumps(_round12(payload), indent=2))
 
 
-def _result_csv_row(res: RadiusResult) -> str:
-    return ",".join([
-        res.psi, res.family, str(res.m), str(res.N), res.mode,
-        _fmt(res.r0), _fmt(res.rb), _fmt(res.residual),
-        str(res.iterations), str(res.sharp).lower(),
-    ])
+def _cell(value) -> str:
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return _fmt(value)
+    return str(value)
 
 
-def _result_table(res: RadiusResult) -> str:
-    lines = [
-        f"psi        {res.psi}",
-        f"family     {res.family}",
-        f"m          {res.m}",
-        f"N          {res.N}",
-        f"mode       {res.mode}",
-        f"r0         {_fmt(res.r0)}",
-        f"rb         {_fmt(res.rb)}",
-        f"residual   {_fmt(res.residual)}",
-        f"iterations {res.iterations}",
-        f"sharp      {str(res.sharp).lower()}",
-    ]
-    return "\n".join(lines)
+def _print_csv(results) -> None:
+    print(CSV_HEADER)
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    for res in results:
+        writer.writerow(_cell(v) for v in res.to_json_dict().values())
 
 
 def _print_result(res: RadiusResult, fmt: str) -> None:
     if fmt == "json":
         _emit_json(res.to_json_dict())
     elif fmt == "csv":
-        print(CSV_HEADER)
-        print(_result_csv_row(res))
+        _print_csv([res])
     else:
-        print(_result_table(res))
+        for key, value in res.to_json_dict().items():
+            print(f"{key:10s} {_cell(value)}")
 
 
 def _parse_range(text: str) -> list[int]:
@@ -115,8 +108,14 @@ def _cmd_radius(args) -> int:
         params = spec.params
         if "D" not in params or "E" not in params:
             raise ValueError(f"--method exact needs a Janowski-family psi, got {spec.label}")
-        res = solve_janowski_exact(params["D"], params["E"], m=args.m, N=args.N,
-                                   tol=args.tol, mode=_mode(args))
+        if problem.family == Family.CONVEX:
+            raise ValueError("--method exact solves the starlike Janowski equation only; "
+                             "there is no closed convex equation")
+        res = dataclasses.replace(
+            solve_janowski_exact(params["D"], params["E"], m=args.m, N=args.N,
+                                 tol=args.tol, mode=_mode(args)),
+            psi=spec.label,
+        )
     else:
         res = solve(problem)
     _print_result(res, args.format)
@@ -148,9 +147,7 @@ def _cmd_sweep(args) -> int:
             "results": [res.to_json_dict() for res in swept.results],
         })
     else:
-        print(CSV_HEADER)
-        for res in swept.results:
-            print(_result_csv_row(res))
+        _print_csv(swept.results)
         if args.format == "table":
             print(f"# {swept.axis} sweep monotone nondecreasing: "
                   f"{str(swept.monotone_nondecreasing).lower()}")
@@ -159,6 +156,9 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_verify(args) -> int:
     lemma = "weighted" if args.weighted else args.lemma
+    br_only = [f"--{name}" for name in ("family", "mode", "m") if getattr(args, name) is not None]
+    if br_only and lemma != "br":
+        raise ValueError(f"{', '.join(br_only)}: read only by --lemma br")
     psis = [args.psi] if args.psi else list(oracle.DEFAULT_ORACLE_PSIS)
     n_single = args.N if args.N is not None else 1
     if lemma == "tail":
@@ -176,11 +176,11 @@ def _cmd_verify(args) -> int:
                                            order=args.order)
     elif lemma == "br":
         spec = catalog.parse_psi(psis[0])
-        report = oracle.run_br_suite(psi_label=psis[0],
-                                     family=Family(args.family or spec.default_family),
-                                     m=args.m, N=n_single, trials=args.trials,
-                                     seed=args.seed, degree_max=args.degree_max,
-                                     order=args.order, mode=_mode(args))
+        report = oracle.run_br_suite(psi_label=psis[0], family=_family(args, spec),
+                                     m=1 if args.m is None else args.m, N=n_single,
+                                     trials=args.trials, seed=args.seed,
+                                     degree_max=args.degree_max, order=args.order,
+                                     mode=_mode(args))
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown lemma {lemma!r}")
     _emit_json(report.to_json_dict())
@@ -226,8 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default="bohr-rogosinski")
         p.add_argument("--order", type=int, default=64,
                        help="series truncation order (default 64)")
-        p.add_argument("--tol", type=float, default=1e-10,
-                       help="root bracketing tolerance (default 1e-10)")
         if with_mn:
             p.add_argument("--m", type=int, default=1)
             p.add_argument("--N", type=int, default=1)
@@ -246,6 +244,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--format", choices=["table", "csv", "json"], default="csv")
     p_sweep.set_defaults(func=_cmd_sweep, needs_psi=True)
 
+    for p in (p_radius, p_sweep):
+        p.add_argument("--tol", type=float, default=1e-10,
+                       help="root bracketing tolerance (default 1e-10)")
+
     p_verify = sub.add_parser("verify", help="run a Monte-Carlo verification suite")
     common(p_verify)
     p_verify.add_argument("--lemma", choices=["tail", "bohr-operator", "weighted", "br"],
@@ -257,8 +259,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--degree-max", type=int, default=4, dest="degree_max")
     # For the tail lemma an explicit --N restricts the head-index grid,
-    # which otherwise covers N in {1, 2, 3}.
-    p_verify.set_defaults(func=_cmd_verify, needs_psi=False, N=None)
+    # which otherwise covers N in {1, 2, 3}.  --mode and --m default to None
+    # so that _cmd_verify can tell whether they were given.
+    p_verify.set_defaults(func=_cmd_verify, needs_psi=False, N=None, mode=None, m=None)
 
     p_catalog = sub.add_parser("catalog", help="list catalog entries")
     p_catalog.add_argument("--format", choices=["table", "json"], default="table")

@@ -114,13 +114,13 @@ def koebe_radius_quadrature(psi: PsiSpec, family: str = "starlike") -> float:
     raise ValueError(f"unknown family {family!r}")
 
 
-def koebe_radius(psi: PsiSpec, family: str = "starlike", prefer_closed: bool = True) -> float:
+def koebe_radius(psi: PsiSpec, family: str = "starlike") -> float:
     """Boundary distance, preferring a catalog closed form when present.
 
     Closed forms are only catalogued for the starlike family; the convex
     distance always goes through quadrature.
     """
-    if family == "starlike" and prefer_closed and psi.koebe_closed is not None:
+    if family == "starlike" and psi.koebe_closed is not None:
         return psi.koebe_closed
     return koebe_radius_quadrature(psi, family)
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .catalog import PsiSpec, parse_psi
 from .extremal import ExtremalPair, build_extremal_pair
-from .radius import Family, Mode, RadiusProblem, solve
+from .radius import Family, Mode, RadiusProblem, _family_extremal, solve
 from .series import DEFAULT_ORDER, TruncatedSeries
 
 # Default generators exercised by the verification suites.
@@ -114,14 +114,26 @@ def bohr_tail(f: TruncatedSeries, N: int, r: float) -> float:
     return float(np.dot(tail, r ** np.arange(N, f.order + 1)))
 
 
+def _checked(margin: float, tol: float, report: dict, message: str) -> float:
+    """Return the margin, or raise when it is below -tol.
+
+    The raised report is ``report`` with ``margin`` appended last; the
+    message is ``message`` formatted with the fields of that report.
+    """
+    if margin < -tol:
+        report = {**report, "margin": margin}
+        raise InequalityViolation(message.format(**report), report)
+    return margin
+
+
 def _tail_margin(f: TruncatedSeries, g: TruncatedSeries, sample: SchwarzSample,
                  N: int, r: float, label: str) -> float:
     lhs = bohr_tail(g, N, r)
     rhs = bohr_tail(f, N, r)
-    margin = rhs - lhs
-    tol = 1e-9 * rhs + f.tail_hint + g.tail_hint
-    if margin < -tol:
-        report = {
+    return _checked(
+        rhs - lhs,
+        1e-9 * rhs + f.tail_hint + g.tail_hint,
+        {
             "check": "tail-inequality",
             "psi": label,
             "sample": sample.describe(),
@@ -129,13 +141,9 @@ def _tail_margin(f: TruncatedSeries, g: TruncatedSeries, sample: SchwarzSample,
             "r": r,
             "composed_tail": lhs,
             "majorant_tail": rhs,
-            "margin": margin,
-        }
-        raise InequalityViolation(
-            f"tail inequality violated for {label}: margin {margin:.3e} at N={N}, r={r:g}",
-            report,
-        )
-    return margin
+        },
+        "tail inequality violated for {psi}: margin {margin:.3e} at N={N}, r={r:g}",
+    )
 
 
 def verify_tail_inequality(f: TruncatedSeries, sample: SchwarzSample, N: int,
@@ -205,13 +213,7 @@ def submultiplicativity_counterexample(r: float = 0.25, order: int = 8) -> dict:
     }
 
 
-def verify_weighted(tau: float, f: TruncatedSeries, sample: SchwarzSample,
-                    h: TruncatedSeries, N: int, r: float, label: str = "f") -> float:
-    """Margin tau * M(f, N, r) - M(h * f(omega), N, r) for r <= tau/3.
-
-    The weight h must satisfy the majorant bound sum |h_n| tau^n <= tau,
-    the literal reading of |h| <= tau on |z| < tau.
-    """
+def _check_weighted_claim(tau: float, h: TruncatedSeries, r: float) -> None:
     if not 0.0 < tau <= 1.0:
         raise ValueError(f"tau must lie in (0, 1], got {tau}")
     if r > tau / 3.0:
@@ -219,14 +221,18 @@ def verify_weighted(tau: float, f: TruncatedSeries, sample: SchwarzSample,
     h_majorant = float(np.dot(np.abs(h.coeffs), tau ** np.arange(h.order + 1)))
     if h_majorant > tau * (1.0 + 1e-12):
         raise ValueError("weight violates its bound: sum |h_n| tau^n > tau")
-    omega = schwarz_series(sample, f.order)
-    weighted = h * f.compose(omega)
+
+
+def _weighted_margin(tau: float, f: TruncatedSeries, g: TruncatedSeries,
+                     sample: SchwarzSample, h: TruncatedSeries, N: int, r: float,
+                     label: str) -> float:
+    weighted = h * g
     lhs = bohr_tail(weighted, N, r)
     rhs = tau * bohr_tail(f, N, r)
-    margin = rhs - lhs
-    tol = 1e-9 * rhs + f.tail_hint + weighted.tail_hint
-    if margin < -tol:
-        report = {
+    return _checked(
+        rhs - lhs,
+        1e-9 * rhs + f.tail_hint + weighted.tail_hint,
+        {
             "check": "weighted-tail",
             "psi": label,
             "tau": tau,
@@ -235,13 +241,42 @@ def verify_weighted(tau: float, f: TruncatedSeries, sample: SchwarzSample,
             "r": r,
             "weighted_tail": lhs,
             "scaled_majorant": rhs,
-            "margin": margin,
-        }
-        raise InequalityViolation(
-            f"weighted tail inequality violated for {label}: margin {margin:.3e}",
-            report,
-        )
-    return margin
+        },
+        "weighted tail inequality violated for {psi}: margin {margin:.3e}",
+    )
+
+
+def verify_weighted(tau: float, f: TruncatedSeries, sample: SchwarzSample,
+                    h: TruncatedSeries, N: int, r: float, label: str = "f") -> float:
+    """Margin tau * M(f, N, r) - M(h * f(omega), N, r) for r <= tau/3.
+
+    The weight h must satisfy the majorant bound sum |h_n| tau^n <= tau,
+    the literal reading of |h| <= tau on |z| < tau.
+    """
+    _check_weighted_claim(tau, h, r)
+    g = f.compose(schwarz_series(sample, f.order))
+    return _weighted_margin(tau, f, g, sample, h, N, r, label)
+
+
+def _br_margin(problem: RadiusProblem, pair: ExtremalPair, g: TruncatedSeries,
+               sample: SchwarzSample, r: float) -> float:
+    base, rstar = _family_extremal(problem, pair)
+    n_eff = 1 if problem.mode == Mode.BOHR_LIMIT else problem.N
+    point_bound = 0.0 if problem.mode == Mode.BOHR_LIMIT else g.eval_abs(r**problem.m)
+    return _checked(
+        rstar - point_bound - bohr_tail(g, n_eff, r),
+        1e-9 * max(rstar, 1.0) + base.tail_hint + g.tail_hint,
+        {
+            "check": "bohr-rogosinski",
+            "psi": problem.psi.label,
+            "family": problem.family.value,
+            "sample": sample.describe(),
+            "m": problem.m,
+            "N": n_eff,
+            "r": r,
+        },
+        "radius inequality violated for {psi}: margin {margin:.3e}",
+    )
 
 
 def verify_br_inequality(problem: RadiusProblem, pair: ExtremalPair,
@@ -255,30 +290,9 @@ def verify_br_inequality(problem: RadiusProblem, pair: ExtremalPair,
     """
     if not 0.0 <= r < 1.0:
         raise ValueError(f"radius must lie in [0, 1), got {r}")
-    base = pair.f0 if problem.family == Family.STARLIKE else pair.l0
-    rstar = pair.koebe_starlike if problem.family == Family.STARLIKE else pair.koebe_convex
-    omega = schwarz_series(sample, base.order)
-    g = base.compose(omega)
-    n_eff = 1 if problem.mode == Mode.BOHR_LIMIT else problem.N
-    point_bound = 0.0 if problem.mode == Mode.BOHR_LIMIT else g.eval_abs(r**problem.m)
-    margin = rstar - point_bound - bohr_tail(g, n_eff, r)
-    tol = 1e-9 * max(rstar, 1.0) + base.tail_hint + g.tail_hint
-    if margin < -tol:
-        report = {
-            "check": "bohr-rogosinski",
-            "psi": problem.psi.label,
-            "family": problem.family.value,
-            "sample": sample.describe(),
-            "m": problem.m,
-            "N": n_eff,
-            "r": r,
-            "margin": margin,
-        }
-        raise InequalityViolation(
-            f"radius inequality violated for {problem.psi.label}: margin {margin:.3e}",
-            report,
-        )
-    return margin
+    base, _ = _family_extremal(problem, pair)
+    g = base.compose(schwarz_series(sample, base.order))
+    return _br_margin(problem, pair, g, sample, r)
 
 
 # -- suite runners ------------------------------------------------------
@@ -310,12 +324,51 @@ def _resolve_psis(psi_labels) -> list[PsiSpec]:
     return [parse_psi(p) if isinstance(p, str) else p for p in psi_labels]
 
 
-def _worst_first(collected: list, worst_example, cap: int) -> list:
-    """Reported counterexamples always lead with the worst-margin one."""
-    if worst_example is None:
-        return collected
-    rest = [ce for ce in collected if ce is not worst_example]
-    return [worst_example] + rest[: max(cap - 1, 0)]
+class _Tally:
+    """Violations, worst margin and capped counterexamples of one suite run.
+
+    Kept counterexamples are the first ``cap`` reports, led by the one with
+    the worst margin.
+    """
+
+    def __init__(self, cap: int = 10):
+        self.cap = cap
+        self.violations = 0
+        self.worst = float("inf")
+        self._kept: list[dict] = []
+        self._lead: dict | None = None
+
+    def add(self, margin: float, report: dict | None = None) -> None:
+        """Record one margin; a report marks it as a violation."""
+        self.worst = min(self.worst, margin)
+        if report is None:
+            return
+        self.violations += 1
+        if self._lead is None or margin < self._lead["margin"]:
+            self._lead = report
+        if len(self._kept) < self.cap:
+            self._kept.append(report)
+
+    def check(self, margin_fn, *args) -> None:
+        """Record the margin of one check, or its violation report."""
+        try:
+            self.add(margin_fn(*args))
+        except InequalityViolation as exc:
+            self.add(exc.report["margin"], exc.report)
+
+    def report(self, seed: int, trials: int, config: dict) -> VerificationReport:
+        counterexamples = self._kept
+        if self._lead is not None:
+            rest = [ce for ce in self._kept if ce is not self._lead]
+            counterexamples = [self._lead] + rest[: max(self.cap - 1, 0)]
+        return VerificationReport(
+            seed=seed,
+            trials=trials,
+            violations=self.violations,
+            worst_margin=self.worst,
+            config=config,
+            counterexamples=counterexamples,
+        )
 
 
 def run_tail_suite(psi_labels=DEFAULT_ORACLE_PSIS, trials: int = 200, seed: int = 0,
@@ -326,10 +379,7 @@ def run_tail_suite(psi_labels=DEFAULT_ORACLE_PSIS, trials: int = 200, seed: int 
     specs = _resolve_psis(psi_labels)
     extremals = [(spec.label, build_extremal_pair(spec, order).f0) for spec in specs]
     rng = random.Random(seed)
-    violations = 0
-    worst = float("inf")
-    counterexamples = []
-    worst_example = None
+    tally = _Tally(max_reports)
     for _ in range(trials):
         sample = sample_schwarz(rng, degree_max)
         omega = schwarz_series(sample, order)
@@ -337,32 +387,15 @@ def run_tail_suite(psi_labels=DEFAULT_ORACLE_PSIS, trials: int = 200, seed: int 
             g = f0.compose(omega)
             for n in n_values:
                 for r in r_values:
-                    try:
-                        margin = _tail_margin(f0, g, sample, n, r, label)
-                    except InequalityViolation as exc:
-                        violations += 1
-                        margin = exc.report["margin"]
-                        if worst_example is None or margin < worst:
-                            worst_example = exc.report
-                        if len(counterexamples) < max_reports:
-                            counterexamples.append(exc.report)
-                    worst = min(worst, margin)
-    counterexamples = _worst_first(counterexamples, worst_example, max_reports)
-    return VerificationReport(
-        seed=seed,
-        trials=trials,
-        violations=violations,
-        worst_margin=worst,
-        config={
-            "check": "tail-inequality",
-            "psis": [spec.label for spec in specs],
-            "N": list(n_values),
-            "r": list(r_values),
-            "degree_max": degree_max,
-            "order": order,
-        },
-        counterexamples=counterexamples,
-    )
+                    tally.check(_tail_margin, f0, g, sample, n, r, label)
+    return tally.report(seed, trials, {
+        "check": "tail-inequality",
+        "psis": [spec.label for spec in specs],
+        "N": list(n_values),
+        "r": list(r_values),
+        "degree_max": degree_max,
+        "order": order,
+    })
 
 
 def run_axiom_suite(trials: int = 100, seed: int = 0, order: int = 16,
@@ -370,9 +403,7 @@ def run_axiom_suite(trials: int = 100, seed: int = 0, order: int = 16,
     """Tail-functional axioms on random series pairs, plus the documented
     failure of the product axiom at N = 2."""
     rng = random.Random(seed)
-    violations = 0
-    worst = float("inf")
-    counterexamples = []
+    tally = _Tally()
 
     def random_series() -> TruncatedSeries:
         return TruncatedSeries([rng.uniform(-1.0, 1.0) for _ in range(order + 1)])
@@ -383,28 +414,17 @@ def run_axiom_suite(trials: int = 100, seed: int = 0, order: int = 16,
         for n in n_values:
             margins = verify_bohr_operator_axioms(f, g, alpha, n, r)
             if not margins.pop("definiteness_ok"):
-                violations += 1
+                tally.violations += 1
             for name, value in margins.items():
-                worst = min(worst, value)
-                if value < -_AXIOM_TOL:
-                    violations += 1
-                    if len(counterexamples) < 10:
-                        counterexamples.append({"axiom": name, "N": n, "margin": value})
-    documented = submultiplicativity_counterexample(r=r)
-    return VerificationReport(
-        seed=seed,
-        trials=trials,
-        violations=violations,
-        worst_margin=worst,
-        config={
-            "check": "bohr-operator-axioms",
-            "N": list(n_values),
-            "r": r,
-            "order": order,
-            "documented_counterexample": documented,
-        },
-        counterexamples=counterexamples,
-    )
+                report = {"axiom": name, "N": n, "margin": value}
+                tally.add(value, report if value < -_AXIOM_TOL else None)
+    return tally.report(seed, trials, {
+        "check": "bohr-operator-axioms",
+        "N": list(n_values),
+        "r": r,
+        "order": order,
+        "documented_counterexample": submultiplicativity_counterexample(r=r),
+    })
 
 
 def run_weighted_suite(tau: float = 0.8, trials: int = 200, seed: int = 0,
@@ -418,41 +438,23 @@ def run_weighted_suite(tau: float = 0.8, trials: int = 200, seed: int = 0,
     h_coeffs[1] = tau / 2.0
     h = TruncatedSeries(h_coeffs)
     r = tau / 3.0
+    _check_weighted_claim(tau, h, r)
     rng = random.Random(seed)
-    violations = 0
-    worst = float("inf")
-    counterexamples = []
-    worst_example = None
+    tally = _Tally()
     for _ in range(trials):
         sample = sample_schwarz(rng, degree_max)
+        omega = schwarz_series(sample, order)
         for label, f0 in extremals:
-            try:
-                margin = verify_weighted(tau, f0, sample, h, N, r, label)
-            except InequalityViolation as exc:
-                violations += 1
-                margin = exc.report["margin"]
-                if worst_example is None or margin < worst:
-                    worst_example = exc.report
-                if len(counterexamples) < 10:
-                    counterexamples.append(exc.report)
-            worst = min(worst, margin)
-    counterexamples = _worst_first(counterexamples, worst_example, 10)
-    return VerificationReport(
-        seed=seed,
-        trials=trials,
-        violations=violations,
-        worst_margin=worst,
-        config={
-            "check": "weighted-tail",
-            "tau": tau,
-            "psis": [spec.label for spec in specs],
-            "N": N,
-            "r": r,
-            "degree_max": degree_max,
-            "order": order,
-        },
-        counterexamples=counterexamples,
-    )
+            tally.check(_weighted_margin, tau, f0, f0.compose(omega), sample, h, N, r, label)
+    return tally.report(seed, trials, {
+        "check": "weighted-tail",
+        "tau": tau,
+        "psis": [spec.label for spec in specs],
+        "N": N,
+        "r": r,
+        "degree_max": degree_max,
+        "order": order,
+    })
 
 
 def run_br_suite(psi_label: str = "cardioid", family: Family = Family.STARLIKE,
@@ -471,43 +473,24 @@ def run_br_suite(psi_label: str = "cardioid", family: Family = Family.STARLIKE,
     solved = solve(problem, pair)
     r_cap = min(solved.rb, 1.0 / 3.0)
     r_values = [frac * r_cap for frac in (0.25, 0.5, 0.75, 1.0)]
+    base, _ = _family_extremal(problem, pair)
     rng = random.Random(seed)
-    violations = 0
-    worst = float("inf")
-    counterexamples = []
-    worst_example = None
+    tally = _Tally()
     for _ in range(trials):
         sample = sample_schwarz(rng, degree_max)
+        g = base.compose(schwarz_series(sample, order))
         for r in r_values:
-            try:
-                margin = verify_br_inequality(problem, pair, sample, r)
-            except InequalityViolation as exc:
-                violations += 1
-                margin = exc.report["margin"]
-                if worst_example is None or margin < worst:
-                    worst_example = exc.report
-                if len(counterexamples) < 10:
-                    counterexamples.append(exc.report)
-            worst = min(worst, margin)
-    counterexamples = _worst_first(counterexamples, worst_example, 10)
-    sharp_touch = verify_br_inequality(problem, pair, IDENTITY_SAMPLE, solved.rb)
-    return VerificationReport(
-        seed=seed,
-        trials=trials,
-        violations=violations,
-        worst_margin=worst,
-        config={
-            "check": "bohr-rogosinski",
-            "psi": spec.label,
-            "family": family.value,
-            "m": m,
-            "N": N,
-            "mode": mode.value,
-            "r0": solved.r0,
-            "rb": solved.rb,
-            "identity_margin_at_rb": sharp_touch,
-            "degree_max": degree_max,
-            "order": order,
-        },
-        counterexamples=counterexamples,
-    )
+            tally.check(_br_margin, problem, pair, g, sample, r)
+    return tally.report(seed, trials, {
+        "check": "bohr-rogosinski",
+        "psi": spec.label,
+        "family": family.value,
+        "m": m,
+        "N": N,
+        "mode": mode.value,
+        "r0": solved.r0,
+        "rb": solved.rb,
+        "identity_margin_at_rb": verify_br_inequality(problem, pair, IDENTITY_SAMPLE, solved.rb),
+        "degree_max": degree_max,
+        "order": order,
+    })

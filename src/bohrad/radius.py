@@ -25,7 +25,7 @@ from numpy.polynomial import polynomial as npoly
 
 from .catalog import PsiSpec, janowski, janowski_coeff_bound
 from .extremal import ExtremalPair, build_extremal_pair
-from .series import DEFAULT_ORDER
+from .series import DEFAULT_ORDER, TruncatedSeries
 
 _BRACKET_HI = 1.0 - 1e-9
 _UNIQUENESS_GRID = 64
@@ -94,23 +94,19 @@ class RadiusResult:
         }
 
 
-def _majorant_terms(problem: RadiusProblem, pair: ExtremalPair) -> np.ndarray:
-    series = pair.f0 if problem.family == Family.STARLIKE else pair.l0
-    return np.abs(series.coeffs)
-
-
-def _koebe(problem: RadiusProblem, pair: ExtremalPair) -> float:
+def _family_extremal(problem: RadiusProblem, pair: ExtremalPair) -> tuple[TruncatedSeries, float]:
+    """The family's extremal series (f0 or l0) and its boundary distance r*."""
     if problem.family == Family.STARLIKE:
-        return pair.koebe_starlike
-    return pair.koebe_convex
+        return pair.f0, pair.koebe_starlike
+    return pair.l0, pair.koebe_convex
 
 
 def g_function(problem: RadiusProblem, pair: ExtremalPair, r: float) -> float:
     """Value of the radius equation at r in [0, 1)."""
     if not 0.0 <= r < 1.0:
         raise ValueError(f"radius argument must lie in [0, 1), got {r}")
-    terms = _majorant_terms(problem, pair)
-    rstar = _koebe(problem, pair)
+    series, rstar = _family_extremal(problem, pair)
+    terms = np.abs(series.coeffs)
     fhat_r = float(npoly.polyval(r, terms))
     if problem.mode == Mode.BOHR_LIMIT:
         return fhat_r - rstar
@@ -119,7 +115,6 @@ def g_function(problem: RadiusProblem, pair: ExtremalPair, r: float) -> float:
 
 
 def _bracketed_root(g: Callable[[float], float], tol: float,
-                    check_unique: bool = True,
                     hi: float = _BRACKET_HI) -> tuple[float, tuple[float, float], int, float]:
     lo = 0.0
     g_lo, g_hi = g(lo), g(hi)
@@ -127,16 +122,15 @@ def _bracketed_root(g: Callable[[float], float], tol: float,
         raise BracketError(
             f"no sign change on [{lo}, {hi}]: G(lo)={g_lo:.3e}, G(hi)={g_hi:.3e}"
         )
-    if check_unique:
-        values = [g(lo + (hi - lo) * i / _UNIQUENESS_GRID) for i in range(_UNIQUENESS_GRID + 1)]
-        changes = sum(1 for a, b in zip(values, values[1:]) if (a < 0.0) != (b < 0.0))
-        if changes != 1:
-            warnings.warn(
-                f"radius equation shows {changes} sign changes on the scan grid; "
-                "the reported root is the bisection limit of the outermost bracket",
-                RuntimeWarning,
-                stacklevel=3,
-            )
+    values = [g(lo + (hi - lo) * i / _UNIQUENESS_GRID) for i in range(_UNIQUENESS_GRID + 1)]
+    changes = sum(1 for a, b in zip(values, values[1:]) if (a < 0.0) != (b < 0.0))
+    if changes != 1:
+        warnings.warn(
+            f"radius equation shows {changes} sign changes on the scan grid; "
+            "the reported root is the bisection limit of the outermost bracket",
+            RuntimeWarning,
+            stacklevel=3,
+        )
     iterations = 0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
@@ -176,7 +170,7 @@ def solve(problem: RadiusProblem, pair: ExtremalPair | None = None) -> RadiusRes
         lambda r: g_function(problem, pair, r), problem.tol
     )
     rb = _clamped(r0, problem.psi.exact_bounds)
-    series = pair.f0 if problem.family == Family.STARLIKE else pair.l0
+    series, _ = _family_extremal(problem, pair)
     sharp = bool(rb == r0 and np.all(series.coeffs[1:] > 0.0))
     return RadiusResult(
         psi=problem.psi.label,

@@ -7,6 +7,10 @@ represented operation up to z^K whenever that is well defined (it is for
 sums, Cauchy products, composition with series vanishing at 0, the
 exponential of such series, and the t-weighted integral).
 
+Composition f(w) is one matrix product of f's coefficients with the power
+table [w^0..w^K] of the inner series.  The table is built at most once per
+inner series and is shared by every series composed with it.
+
 Each series carries ``tail_hint``, a heuristic bound on the dropped tail
 evaluated at r = 1/3, computed from the last two stored coefficients.  It
 is reported alongside results but never silently added to a value.
@@ -15,6 +19,7 @@ is reported alongside results but never silently added to a value.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -137,24 +142,29 @@ class TruncatedSeries:
 
     # -- analytic operations ------------------------------------------
 
+    @cached_property
+    def powers(self) -> np.ndarray:
+        """Read-only table whose row n holds the coefficients of self**n."""
+        k = self.order
+        table = np.zeros((k + 1, k + 1))
+        table[0, 0] = 1.0
+        for n in range(1, k + 1):
+            table[n] = _mul_arrays(table[n - 1], self.coeffs, k)
+        table.flags.writeable = False
+        return table
+
     def compose(self, w: "TruncatedSeries") -> "TruncatedSeries":
         """Taylor coefficients of self(w(z)) truncated at the order.
 
         Requires w(0) = 0, which makes the truncated composition exact:
         the coefficient of z^n only sees coefficients of self up to n.
+        The sum c_n w^n is taken against ``w.powers``, so composing many
+        series with one w builds its power table once.
         """
         self._check_order(w)
         if w.coeffs[0] != 0.0:
             raise ValueError("composition requires w(0) = 0")
-        k = self.order
-        wc = w.coeffs
-        # Horner from the top coefficient down.
-        acc = np.zeros(k + 1)
-        acc[0] = self.coeffs[k]
-        for n in range(k - 1, -1, -1):
-            acc = _mul_arrays(acc, wc, k)
-            acc[0] += self.coeffs[n]
-        return TruncatedSeries(acc)
+        return TruncatedSeries(self.coeffs @ w.powers)
 
     def exp(self) -> "TruncatedSeries":
         """exp(self) for a series with zero constant term.

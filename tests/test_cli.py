@@ -1,5 +1,7 @@
 """Command-line interface: exit codes, formats, determinism."""
 
+import csv
+import io
 import json
 
 import pytest
@@ -56,6 +58,23 @@ def test_radius_exact_method_needs_janowski(capsys):
     assert "error" in err
 
 
+def test_radius_exact_method_rejects_convex_family(capsys):
+    for argv in (("--psi", "classical-convex"),
+                 ("--psi", "janowski:D=1,E=-1", "--family", "convex")):
+        code, out, err = run_cli(capsys, "radius", *argv, "--method", "exact")
+        assert code == 2
+        assert out == ""
+        assert "error" in err
+
+
+def test_radius_exact_method_prints_catalog_label(capsys):
+    code, out, _ = run_cli(capsys, "radius", "--psi", "classical-starlike",
+                           "--method", "exact")
+    assert code == 0
+    assert "psi        classical-starlike" in out
+    assert "r0         0.101020514434" in out
+
+
 def test_radius_invalid_psi_exits_2(capsys):
     code, _, err = run_cli(capsys, "radius", "--psi", "heart")
     assert code == 2
@@ -73,6 +92,15 @@ def test_radius_csv_format(capsys):
     assert code == 0
     assert lines[0] == CSV_HEADER
     assert lines[1].startswith("cardioid,starlike,1,1,bohr-rogosinski,")
+
+
+def test_csv_quotes_janowski_labels(capsys):
+    for argv in (("radius", "--format", "csv"), ("sweep", "--N", "1..3")):
+        code, out, _ = run_cli(capsys, *argv, "--psi", "janowski:D=1,E=-1")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == CSV_HEADER.split(",")
+        assert all(len(row) == 10 and row[0] == "janowski:D=1,E=-1" for row in rows[1:])
 
 
 def test_radius_output_deterministic(capsys):
@@ -183,6 +211,32 @@ def test_verify_deterministic(capsys):
     _, first, _ = run_cli(capsys, *args)
     _, second, _ = run_cli(capsys, *args)
     assert first == second
+
+
+def test_verify_rejects_tol():
+    with pytest.raises(SystemExit) as excinfo:
+        main(["verify", "--trials", "10", "--tol", "1e-4"])
+    assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize("lemma_args", [(), ("--weighted",), ("--lemma", "bohr-operator")])
+@pytest.mark.parametrize("flag", [("--family", "convex"), ("--mode", "bohr-limit"),
+                                  ("--m", "2")])
+def test_verify_rejects_br_only_flags_for_other_lemmas(capsys, lemma_args, flag):
+    code, out, err = run_cli(capsys, "verify", "--psi", "cardioid", "--trials", "50",
+                             "--seed", "7", "--N", "1", *lemma_args, *flag)
+    assert code == 2
+    assert out == ""
+    assert flag[0] in err
+
+
+def test_verify_br_reads_family_mode_and_m(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--lemma", "br", "--psi", "cardioid",
+                           "--trials", "10", "--seed", "2", "--family", "convex",
+                           "--mode", "bohr-limit", "--m", "2")
+    assert code == 0
+    config = json.loads(out)["config"]
+    assert (config["family"], config["mode"], config["m"]) == ("convex", "bohr-limit", 2)
 
 
 def test_verify_bad_trials(capsys):

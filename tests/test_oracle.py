@@ -17,6 +17,7 @@ from bohrad.oracle import (
     run_br_suite,
     run_tail_suite,
     run_weighted_suite,
+    _Tally,
     sample_schwarz,
     schwarz_series,
     submultiplicativity_counterexample,
@@ -231,6 +232,23 @@ def test_tail_suite_is_deterministic():
     assert a.to_json_dict() == b.to_json_dict()
 
 
+def test_tally_leads_with_worst_even_past_the_cap():
+    tally = _Tally(cap=2)
+    for margin in (-1.0, 0.5, -2.0, -3.0):
+        tally.add(margin, {"margin": margin} if margin < 0 else None)
+    report = tally.report(seed=0, trials=1, config={})
+    assert report.violations == 3
+    assert report.worst_margin == -3.0
+    assert [ce["margin"] for ce in report.counterexamples] == [-3.0, -1.0]
+
+
+def _margin_or_violation(check, *args):
+    try:
+        return check(*args)
+    except InequalityViolation as exc:
+        return exc.report["margin"]
+
+
 # -- operator axioms -----------------------------------------------------------
 
 
@@ -317,6 +335,20 @@ def test_weighted_suite_clean_at_default_head_index():
     assert report.worst_margin >= -1e-12
 
 
+def test_weighted_suite_worst_margin_matches_public_check():
+    tau, trials, seed, labels = 0.8, 20, 5, ("cardioid", "sine")
+    report = run_weighted_suite(tau=tau, trials=trials, seed=seed, psi_labels=labels, N=2)
+    f0s = [build_extremal_pair(catalog.parse_psi(label)).f0 for label in labels]
+    rng = random.Random(seed)
+    margins = []
+    for _ in range(trials):
+        sample = sample_schwarz(rng, 4)
+        margins += [_margin_or_violation(verify_weighted, tau, f0, sample, _ramp_weight(tau),
+                                         2, tau / 3.0, label)
+                    for label, f0 in zip(labels, f0s)]
+    assert report.worst_margin == min(margins)
+
+
 # -- full radius inequality ---------------------------------------------------------
 
 
@@ -378,3 +410,19 @@ def test_br_sharpness_at_tail_index_equal_to_order():
     assert abs(margin) <= 1e-3
     limit = solve(RadiusProblem(psi=spec, mode=Mode.BOHR_LIMIT), pair).r0
     assert res.r0 == pytest.approx(limit, abs=1e-3)
+
+
+def test_br_suite_worst_margin_matches_public_check():
+    trials, seed = 20, 3
+    spec = catalog.cardioid()
+    report = run_br_suite("cardioid", N=2, trials=trials, seed=seed)
+    pair = build_extremal_pair(spec)
+    prob = RadiusProblem(psi=spec, N=2)
+    r_cap = min(solve(prob, pair).rb, 1.0 / 3.0)
+    rng = random.Random(seed)
+    margins = []
+    for _ in range(trials):
+        sample = sample_schwarz(rng, 4)
+        margins += [_margin_or_violation(verify_br_inequality, prob, pair, sample, frac * r_cap)
+                    for frac in (0.25, 0.5, 0.75, 1.0)]
+    assert report.worst_margin == min(margins)

@@ -148,6 +148,56 @@ def test_compose_monomial_associativity():
     np.testing.assert_allclose(lhs.coeffs, rhs.coeffs, rtol=0, atol=0)
 
 
+def horner_compose(f, w):
+    """Reference composition: Horner's rule with truncated Cauchy products."""
+    k = f.order
+    acc = np.zeros(k + 1)
+    acc[0] = f.coeffs[k]
+    for n in range(k - 1, -1, -1):
+        acc = np.convolve(acc, w.coeffs)[: k + 1]
+        acc[0] += f.coeffs[n]
+    return acc
+
+
+@st.composite
+def compose_operands(draw):
+    order = draw(st.integers(min_value=1, max_value=64))
+    unit = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
+    f = draw(st.lists(unit, min_size=order + 1, max_size=order + 1))
+    w = draw(st.lists(unit, min_size=order, max_size=order))
+    return TruncatedSeries(f), TruncatedSeries([0.0] + w)
+
+
+@settings(deadline=None)
+@given(compose_operands())
+def test_compose_matches_horner_reference(operands):
+    f, w = operands
+    got = f.compose(w).coeffs
+    # Rounding errors of both routes scale with the majorant |f|(|w|).
+    scale = horner_compose(TruncatedSeries(np.abs(f.coeffs)), TruncatedSeries(np.abs(w.coeffs)))
+    assert np.all(np.abs(got - horner_compose(f, w)) <= 1e-12 * scale)
+
+
+def test_powers_table_is_read_only():
+    w = poly(0, 0.5, -0.25)
+    table = w.powers
+    assert table is w.powers
+    np.testing.assert_array_equal(table[2], (w * w).coeffs)
+    with pytest.raises(ValueError):
+        table[1, 1] = 0.0
+    with pytest.raises(AttributeError):
+        w.powers = table
+
+
+def test_shared_inner_series_composes_like_fresh_copies():
+    w = poly(0, 0.6, -0.3, 0.1, order=16)
+    f, h = koebe_series(16), TruncatedSeries(np.linspace(-1.0, 1.0, 17))
+    shared = [f.compose(w).coeffs, h.compose(w).coeffs]
+    fresh = [f.compose(TruncatedSeries(w.coeffs)).coeffs,
+             h.compose(TruncatedSeries(w.coeffs)).coeffs]
+    np.testing.assert_array_equal(shared, fresh)
+
+
 # -- exp ---------------------------------------------------------------
 
 
