@@ -154,32 +154,45 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+# The optional verify flags each lemma reads; a flag given to a lemma that
+# does not read it exits with EXIT_USAGE.
+_VERIFY_OPTIONAL = ("psi", "order", "N", "degree_max", "tau", "family", "mode", "m")
+_VERIFY_READS = {
+    "tail": {"psi", "order", "N", "degree_max"},
+    "weighted": {"psi", "order", "N", "degree_max", "tau"},
+    "br": {"psi", "order", "N", "degree_max", "family", "mode", "m"},
+    "bohr-operator": set(),
+}
+
+
 def _cmd_verify(args) -> int:
     lemma = "weighted" if args.weighted else args.lemma
-    br_only = [f"--{name}" for name in ("family", "mode", "m") if getattr(args, name) is not None]
-    if br_only and lemma != "br":
-        raise ValueError(f"{', '.join(br_only)}: read only by --lemma br")
+    unread = ["--" + name.replace("_", "-") for name in _VERIFY_OPTIONAL
+              if getattr(args, name) is not None and name not in _VERIFY_READS[lemma]]
+    if unread:
+        raise ValueError(f"{', '.join(unread)}: not read by --lemma {lemma}")
     psis = [args.psi] if args.psi else list(oracle.DEFAULT_ORACLE_PSIS)
     n_single = args.N if args.N is not None else 1
+    order = 64 if args.order is None else args.order
+    degree_max = 4 if args.degree_max is None else args.degree_max
     if lemma == "tail":
         n_values = (args.N,) if args.N is not None else (1, 2, 3)
         report = oracle.run_tail_suite(psi_labels=psis, trials=args.trials,
                                        seed=args.seed, n_values=n_values,
-                                       degree_max=args.degree_max,
-                                       order=args.order)
+                                       degree_max=degree_max, order=order)
     elif lemma == "bohr-operator":
         report = oracle.run_axiom_suite(trials=args.trials, seed=args.seed)
     elif lemma == "weighted":
-        report = oracle.run_weighted_suite(tau=args.tau, trials=args.trials,
-                                           seed=args.seed, psi_labels=psis,
-                                           N=n_single, degree_max=args.degree_max,
-                                           order=args.order)
+        report = oracle.run_weighted_suite(tau=0.8 if args.tau is None else args.tau,
+                                           trials=args.trials, seed=args.seed,
+                                           psi_labels=psis, N=n_single,
+                                           degree_max=degree_max, order=order)
     elif lemma == "br":
         spec = catalog.parse_psi(psis[0])
         report = oracle.run_br_suite(psi_label=psis[0], family=_family(args, spec),
                                      m=1 if args.m is None else args.m, N=n_single,
                                      trials=args.trials, seed=args.seed,
-                                     degree_max=args.degree_max, order=args.order,
+                                     degree_max=degree_max, order=order,
                                      mode=_mode(args))
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown lemma {lemma!r}")
@@ -254,14 +267,17 @@ def build_parser() -> argparse.ArgumentParser:
                           default="tail")
     p_verify.add_argument("--weighted", action="store_true",
                           help="shorthand for --lemma weighted")
-    p_verify.add_argument("--tau", type=float, default=0.8)
+    p_verify.add_argument("--tau", type=float, default=None,
+                          help="weight of the weighted lemma (default 0.8)")
     p_verify.add_argument("--trials", type=int, default=200)
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--degree-max", type=int, default=4, dest="degree_max")
+    p_verify.add_argument("--degree-max", type=int, default=None, dest="degree_max",
+                          help="largest Blaschke degree sampled (default 4)")
     # For the tail lemma an explicit --N restricts the head-index grid,
-    # which otherwise covers N in {1, 2, 3}.  --mode and --m default to None
-    # so that _cmd_verify can tell whether they were given.
-    p_verify.set_defaults(func=_cmd_verify, needs_psi=False, N=None, mode=None, m=None)
+    # which otherwise covers N in {1, 2, 3}.  The optional flags default to
+    # None so that _cmd_verify can tell whether they were given.
+    p_verify.set_defaults(func=_cmd_verify, needs_psi=False, N=None, mode=None, m=None,
+                          order=None)
 
     p_catalog = sub.add_parser("catalog", help="list catalog entries")
     p_catalog.add_argument("--format", choices=["table", "json"], default="table")

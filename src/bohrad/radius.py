@@ -8,8 +8,11 @@ boundary distance rs, the solved equation is
 where fhat(r) = sum |a_n| r^n and p(r) removes the head of the second
 sum: p = 0 for N = 1, p = r for N = 2, p = r + sum_{n=2}^{N-1} |a_n| r^n
 for N >= 3.  In the Bohr limit (m -> infinity with N = 1) the fhat(r^m)
-term is dropped.  G is strictly increasing with G(0) < 0 < G(1-), so the
-root is located by bisection and polished with a few guarded Newton steps.
+term is dropped.  Apart from its constant -rs every coefficient of G is a
+modulus, so on [0, 1) G is increasing and convex with exactly one root.
+``solve`` finds it by Newton's method from the right, with chord steps
+from the left, inside a certified bracket.  The closed-form Janowski
+equation is not a polynomial and is solved by bisection.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .catalog import PsiSpec, janowski, janowski_coeff_bound
 from .extremal import ExtremalPair, build_extremal_pair
@@ -75,6 +77,8 @@ class RadiusResult:
     r0: float
     rb: float
     bracket: tuple[float, float]
+    # Evaluations of G for ``solve``; bisection steps for
+    # ``solve_janowski_exact``.
     iterations: int
     residual: float
     sharp: bool
@@ -101,17 +105,95 @@ def _family_extremal(problem: RadiusProblem, pair: ExtremalPair) -> tuple[Trunca
     return pair.l0, pair.koebe_convex
 
 
+def _horner(reversed_coeffs: list[float], x: float) -> tuple[float, float]:
+    """Value and slope of a polynomial, coefficients from the highest down."""
+    value = slope = 0.0
+    for c in reversed_coeffs:
+        slope = slope * x + value
+        value = value * x + c
+    return value, slope
+
+
+def _radius_equation(problem: RadiusProblem,
+                     pair: ExtremalPair) -> Callable[[float], tuple[float, float]]:
+    """G and its slope G' as one function of r, from moduli built once.
+
+    G(r) = P(r^m) + Q(r) - r* with P = fhat (absent in the Bohr limit) and
+    Q = fhat with its terms of index < N removed, so that
+    G'(r) = Q'(r) + m r^(m-1) P'(r^m).  Each polynomial is evaluated by one
+    plain-float Horner pass that carries value and slope together.
+    """
+    series, rstar = _family_extremal(problem, pair)
+    moduli = np.abs(series.coeffs)
+    if problem.mode == Mode.BOHR_LIMIT:
+        p, q = None, moduli
+    else:
+        p, q = moduli[::-1].tolist(), np.where(np.arange(moduli.size) < problem.N, 0.0, moduli)
+    q = q[::-1].tolist()
+    m = problem.m
+
+    def equation(r: float) -> tuple[float, float]:
+        value, slope = _horner(q, r)
+        if p is not None:
+            p_value, p_slope = _horner(p, r**m)
+            value += p_value
+            slope += m * r ** (m - 1) * p_slope
+        return value - rstar, slope
+
+    return equation
+
+
 def g_function(problem: RadiusProblem, pair: ExtremalPair, r: float) -> float:
     """Value of the radius equation at r in [0, 1)."""
     if not 0.0 <= r < 1.0:
         raise ValueError(f"radius argument must lie in [0, 1), got {r}")
-    series, rstar = _family_extremal(problem, pair)
-    terms = np.abs(series.coeffs)
-    fhat_r = float(npoly.polyval(r, terms))
-    if problem.mode == Mode.BOHR_LIMIT:
-        return fhat_r - rstar
-    head = float(npoly.polyval(r, terms[: problem.N])) if problem.N >= 2 else 0.0
-    return float(npoly.polyval(r**problem.m, terms)) + fhat_r - head - rstar
+    return _radius_equation(problem, pair)(r)[0]
+
+
+def _monotone_newton(equation: Callable[[float], tuple[float, float]],
+                     tol: float) -> tuple[float, tuple[float, float], int, float]:
+    """Root of an increasing convex G on [0, 1) with a certified bracket.
+
+    Fourier's condition holds at the right end of the bracket (G > 0 and
+    G'' >= 0 there), so Newton's iterates from it decrease monotonically to
+    the root and each is an upper bound.  The chord through the last lower
+    bound and the current Newton iterate lies above a convex G, so its zero
+    is a lower bound.  Once the two bounds agree within tol/2 they are
+    widened by tol/5 on each side and the signs of G at the new ends are
+    checked.  The root is one more Newton step, kept between the two bounds.
+    Returns the root, the bracket, the number of evaluations of G and the
+    residual G(root).
+    """
+    lo, hi = 0.0, _BRACKET_HI
+    g_lo, _ = equation(lo)
+    g_hi, slope = equation(hi)
+    evaluations = 2
+    if not (g_lo < 0.0 < g_hi):
+        raise BracketError(
+            f"no sign change on [{lo}, {hi}]: G(lo)={g_lo:.3e}, G(hi)={g_hi:.3e}"
+        )
+    while hi - lo > 0.5 * tol:
+        hi -= g_hi / slope
+        g_hi, slope = equation(hi)
+        evaluations += 1
+        if g_hi <= 0.0:  # the Newton iterate met the root at rounding level
+            lo = hi
+            break
+        chord = lo - g_lo * (hi - lo) / (g_hi - g_lo)
+        g_chord, chord_slope = equation(chord)
+        evaluations += 1
+        if g_chord >= 0.0:  # the chord met the root at rounding level
+            lo = hi = chord
+            g_hi, slope = g_chord, chord_slope
+            break
+        lo, g_lo = chord, g_chord
+    root = min(max(hi - g_hi / slope, lo), hi)
+    residual, _ = equation(root)
+    bracket = (lo - 0.2 * tol, hi + 0.2 * tol)
+    evaluations += 3
+    if not equation(bracket[0])[0] < 0.0 < equation(bracket[1])[0]:
+        raise BracketError(f"no sign change on the final bracket {bracket}")
+    return root, bracket, evaluations, residual
 
 
 def _bracketed_root(g: Callable[[float], float], tol: float,
@@ -166,8 +248,8 @@ def solve(problem: RadiusProblem, pair: ExtremalPair | None = None) -> RadiusRes
     """Solve the radius equation for the given problem."""
     if pair is None:
         pair = build_extremal_pair(problem.psi, problem.order)
-    r0, bracket, iterations, residual = _bracketed_root(
-        lambda r: g_function(problem, pair, r), problem.tol
+    r0, bracket, iterations, residual = _monotone_newton(
+        _radius_equation(problem, pair), problem.tol
     )
     rb = _clamped(r0, problem.psi.exact_bounds)
     series, _ = _family_extremal(problem, pair)
@@ -208,8 +290,17 @@ def solve_janowski_exact(d: float, e: float, m: int = 1, N: int = 1,
     N = 2, and J = r + sum_{n=2}^{N-1} D^(n-1)/(n-1)! r^n for N >= 3.
     The infinite tail is summed termwise until the increment drops below
     1e-16.  In Bohr-limit mode the r^m term is dropped and N is 1.
+
+    Only E <= 0 is accepted.  For E > 0 the extremal coefficients change
+    sign, so the radius equation needs the majorant fhat0(r^m), not the
+    signed closed form; ``solve`` handles that case from the series.
+    Every extremal coefficient is positive for E <= 0, so the result is
+    always sharp.
     """
     spec = janowski(d, e)
+    if e > 0.0:
+        raise ValueError(f"the closed Janowski equation needs E <= 0, got E={e:g}; "
+                         "the series path (--method series) solves E > 0")
     if m < 1 or N < 1:
         raise ValueError("m and N must be positive integers")
     if mode == Mode.BOHR_LIMIT:
@@ -249,7 +340,6 @@ def solve_janowski_exact(d: float, e: float, m: int = 1, N: int = 1,
     while g(hi) <= 0.0 and hi < _BRACKET_HI:
         hi = min(1.0 - 0.25 * (1.0 - hi), _BRACKET_HI)
     r0, bracket, iterations, residual = _bracketed_root(g, tol, hi=hi)
-    sharp = _janowski_coeffs_positive(d, e)
     return RadiusResult(
         psi=spec.label,
         family=Family.STARLIKE.value,
@@ -261,15 +351,8 @@ def solve_janowski_exact(d: float, e: float, m: int = 1, N: int = 1,
         bracket=bracket,
         iterations=iterations,
         residual=residual,
-        sharp=sharp,
+        sharp=True,
     )
-
-
-def _janowski_coeffs_positive(d: float, e: float, upto: int = DEFAULT_ORDER) -> bool:
-    # t_n = prod (D - E - Ek)/(k+1); every factor is positive iff E <= 0.
-    if e <= 0.0:
-        return True
-    return all(d - e - e * k > 0.0 for k in range(upto - 1))
 
 
 @dataclass(frozen=True)

@@ -67,6 +67,14 @@ def test_radius_exact_method_rejects_convex_family(capsys):
         assert "error" in err
 
 
+def test_radius_exact_method_rejects_positive_e(capsys):
+    code, out, err = run_cli(capsys, "radius", "--psi", "janowski:D=0.8,E=0.65",
+                             "--m", "1", "--N", "3", "--method", "exact")
+    assert code == 2
+    assert out == ""
+    assert "E <= 0" in err and "series" in err
+
+
 def test_radius_exact_method_prints_catalog_label(capsys):
     code, out, _ = run_cli(capsys, "radius", "--psi", "classical-starlike",
                            "--method", "exact")
@@ -228,6 +236,27 @@ def test_verify_rejects_br_only_flags_for_other_lemmas(capsys, lemma_args, flag)
     assert code == 2
     assert out == ""
     assert flag[0] in err
+
+
+@pytest.mark.parametrize("lemma_args,flag", [
+    *[(("--lemma", "bohr-operator"), flag)
+      for flag in (("--psi", "cardioid"), ("--order", "32"), ("--N", "2"),
+                   ("--degree-max", "2"), ("--tau", "0.5"))],
+    ((), ("--tau", "0.5")),
+    (("--lemma", "br", "--psi", "cardioid"), ("--tau", "0.5")),
+])
+def test_verify_rejects_flags_the_lemma_does_not_read(capsys, lemma_args, flag):
+    code, out, err = run_cli(capsys, "verify", "--trials", "10", "--seed", "1",
+                             *lemma_args, *flag)
+    assert code == 2
+    assert out == ""
+    assert flag[0] in err
+
+
+def test_verify_defaults_when_flags_are_not_given(capsys):
+    _, out, _ = run_cli(capsys, "verify", "--weighted", "--trials", "10", "--seed", "1")
+    config = json.loads(out)["config"]
+    assert (config["tau"], config["degree_max"], config["order"]) == (0.8, 4, 64)
 
 
 def test_verify_br_reads_family_mode_and_m(capsys):

@@ -138,6 +138,58 @@ def test_sine_large_n_value():
     assert not res.sharp  # the extremal series has negative coefficients
 
 
+SOLVER_GRID_LABELS = catalog.named_labels() + [
+    "alpha:0.25", "janowski:D=0.5,E=-0.5", "janowski:D=0.8,E=0.65",
+]
+
+
+def fsum_equation(moduli, rstar, m, N, mode):
+    """G re-assembled term by term with math.fsum, apart from the solver."""
+    head = 1 if mode == Mode.BOHR_LIMIT else N
+
+    def g(r):
+        terms = [moduli[n] * r**n for n in range(head, len(moduli))]
+        if mode != Mode.BOHR_LIMIT:
+            terms += [a * r ** (n * m) for n, a in enumerate(moduli)]
+        return math.fsum(terms + [-rstar])
+
+    return g
+
+
+def bisection_root(g, lo=0.0, hi=1.0):
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        if g(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+
+
+@pytest.mark.parametrize("order", [64, 256])
+@pytest.mark.parametrize("label", SOLVER_GRID_LABELS)
+def test_solver_matches_independent_bisection(label, order):
+    spec = catalog.parse_psi(label)
+    pair = build_extremal_pair(spec, order)
+    for family in Family:
+        series = pair.f0 if family == Family.STARLIKE else pair.l0
+        rstar = pair.koebe_starlike if family == Family.STARLIKE else pair.koebe_convex
+        moduli = [abs(float(c)) for c in series.coeffs]
+        for mode in Mode:
+            for m in (1, 2, 5, 24):
+                for N in (1, 2, 3, 10):
+                    prob = RadiusProblem(psi=spec, family=family, m=m, N=N, mode=mode,
+                                         order=order)
+                    res = solve(prob, pair)
+                    g = fsum_equation(moduli, rstar, m, N, mode)
+                    assert abs(res.r0 - bisection_root(g)) <= 1e-12, prob
+                    lo, hi = res.bracket
+                    assert g_function(prob, pair, lo) < 0.0 < g_function(prob, pair, hi), prob
+                    assert lo < res.r0 < hi and hi - lo <= prob.tol, prob
+                    assert res.iterations <= 48, prob
+
+
 @pytest.mark.parametrize("label,family", CATALOG_PROBLEMS)
 def test_residual_and_bracket_invariants(label, family):
     prob = problem(label, family, m=2, N=2)
@@ -224,6 +276,15 @@ def test_exact_path_never_clamps():
     res = solve_janowski_exact(0.25, 0.0, m=2, N=1)
     assert res.rb == res.r0
     assert res.r0 > 1 / 3
+
+
+def test_exact_path_rejects_positive_e():
+    # For E > 0 the extremal coefficients change sign and the closed
+    # equation, which sums the signed f0(r^m), would give 0.702845.
+    with pytest.raises(ValueError, match="E <= 0"):
+        solve_janowski_exact(0.8, 0.65, m=1, N=3)
+    res = solve(RadiusProblem(psi=catalog.janowski(0.8, 0.65), m=1, N=3))
+    assert res.r0 == pytest.approx(0.682119, abs=1e-6)
 
 
 def test_exact_path_parameter_validation():
