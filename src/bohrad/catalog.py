@@ -3,7 +3,7 @@
 Each entry bundles, for one choice of psi with psi(0) = 1 and psi'(0) > 0:
 
 * a Taylor-coefficient generator (real coefficients),
-* a real closed-form evaluator for psi (used by the quadrature paths),
+* a real closed-form evaluator for psi (floats or ndarrays; used by the quadrature),
 * the closed form of the starlike extremal function f0, where one exists,
 * the boundary-distance constant -f0(-1), where a closed form is known,
 * whether the family comes with exact coefficient bounds (the Janowski
@@ -81,12 +81,16 @@ def _validate_janowski(d: float, e: float) -> None:
 
 @dataclass(frozen=True)
 class PsiSpec:
-    """One catalog entry; immutable and freely shareable."""
+    """One catalog entry; immutable and freely shareable.
+
+    ``psi_eval`` takes a float or an ndarray, which it evaluates
+    elementwise: the Koebe quadrature calls it once on a whole node grid.
+    """
 
     label: str
     params: dict = field(default_factory=dict)
     coeff_fn: Callable[[int], np.ndarray] = None
-    psi_eval: Callable[[float], float] = None
+    psi_eval: Callable[[float | np.ndarray], float | np.ndarray] = None
     f0_closed: Optional[Callable[[float], float]] = None
     koebe_closed: Optional[float] = None
     # True when sharp coefficient bounds back the radius equation, in which
@@ -107,13 +111,6 @@ class PsiSpec:
         if not -1.0 <= r < 1.0:
             raise ValueError(f"closed-form f0 evaluated on [-1, 1), got {r}")
         return self.f0_closed(r)
-
-
-def get_psi(spec: "PsiSpec | str", order: int) -> TruncatedSeries:
-    """Taylor coefficients of psi for a spec or catalog label."""
-    if isinstance(spec, str):
-        spec = parse_psi(spec)
-    return spec.series(order)
 
 
 # -- concrete entries --------------------------------------------------
@@ -219,7 +216,7 @@ def z_exp_z() -> PsiSpec:
     return PsiSpec(
         label="zexpz",
         coeff_fn=coeffs,
-        psi_eval=lambda t: 1.0 + t * math.exp(t),
+        psi_eval=lambda t: 1.0 + t * np.exp(t),
         f0_closed=lambda r: r * math.exp(math.exp(r) - 1.0),
         koebe_closed=math.exp(math.exp(-1.0) - 1.0),
     )
@@ -279,7 +276,7 @@ def sine() -> PsiSpec:
     return PsiSpec(
         label="sine",
         coeff_fn=coeffs,
-        psi_eval=lambda t: 1.0 + math.sin(t),
+        psi_eval=lambda t: 1.0 + np.sin(t),
         f0_closed=lambda r: r * math.exp(si(r)),
         koebe_closed=math.exp(si(-1.0)),
     )

@@ -6,9 +6,9 @@ with c the coefficients of psi.  The convex extremal l0 is linked by the
 Alexander relation z l0'(z) = f0(z), i.e. l_n = t_n / n.
 
 The boundary distance (Koebe radius) is -f0(-1) for the starlike family
-and -l0(-1) for the convex one.  Both are computed by quadrature of the
-integral representation, which stays smooth on [-1, 0] even where the
-series at the boundary does not converge absolutely.
+and -l0(-1) for the convex one.  Both are computed by Gauss-Legendre
+quadrature of the integral representation, which stays smooth on [-1, 0]
+even where the series at the boundary does not converge absolutely.
 """
 
 from __future__ import annotations
@@ -17,21 +17,39 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .catalog import PsiSpec
 from .series import DEFAULT_ORDER, TruncatedSeries
 
-# Accuracy of int_0^x (psi(t)-1)/t dt: series accumulation inside this
-# radius, adaptive quadrature of the closed form beyond it.
-_SERIES_RADIUS = 0.5
-_SERIES_TERMS = 96
-_QUAD_TOL = 1e-13
-_OUTER_QUAD_TOL = 1e-11
+
+def _unit_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-node Gauss-Legendre rule on [0, 1] (Golub-Welsch nodes, via numpy)."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    return 0.5 * (x + 1.0), 0.5 * w
+
+
+def _graded(rule: tuple[np.ndarray, np.ndarray], panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rule copied onto [0, 1/2], [1/2, 3/4], ..., the last panel ending at 1."""
+    edges = np.append(1.0 - 0.5 ** np.arange(panels), 1.0)
+    width = np.diff(edges)[:, None]
+    nodes, weights = rule
+    return (edges[:-1, None] + width * nodes).ravel(), (width * weights).ravel()
+
+
+# A coarse and a fine rule, on 1, 8, 16 and then 32 panels graded toward
+# t = -1: on [-1, 0] only that end lies on the unit circle, so only there
+# can a singularity of psi come close.  The fine value is accepted once the
+# two agree within _REL_TOL.
+_NODES = (48, 96)
+_PANELS = (1, 8, 16, 32)
+_RULES = tuple(map(_unit_rule, _NODES))
+_GRADED_RULES = tuple((panels, tuple(_graded(rule, panels) for rule in _RULES))
+                      for panels in _PANELS)
+_REL_TOL = 1e-13
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested accuracy."""
+    """The quadrature rules gave a non-finite value or did not agree."""
 
 
 @dataclass(frozen=True)
@@ -74,44 +92,40 @@ def build_l0(f0: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(out)
 
 
-def _quad(fn, a: float, b: float, tol: float) -> float:
-    value, abserr = quad(fn, a, b, epsabs=tol, epsrel=tol, limit=200)
-    if not math.isfinite(value) or abserr > max(1e4 * tol, 1e-8):
-        raise QuadratureError(
-            f"quadrature on [{a}, {b}] reported error {abserr:.3e} for value {value:.6e}"
-        )
-    return value
+def _log_growth(psi: PsiSpec, s, nodes: np.ndarray, weights: np.ndarray):
+    """int_0^{-s} (psi(t)-1)/t dt, as int_0^1 (psi(-s u)-1)/u du, for each s."""
+    return ((psi.psi_eval(-np.multiply.outer(s, nodes)) - 1.0) / nodes) @ weights
 
 
-def _log_growth_integral(psi: PsiSpec, x: float) -> float:
-    """int_0^x (psi(t)-1)/t dt for -1 <= x <= 1 - eps.
-
-    Inside |t| <= 1/2 the integrand is summed termwise from the psi
-    coefficients (sum c_n t^n / n), which avoids the cancellation of
-    (psi(t)-1)/t near 0; beyond that the closed form takes over.
-    """
-    c = psi.series(_SERIES_TERMS).coeffs
-    inner_x = max(-_SERIES_RADIUS, min(_SERIES_RADIUS, x))
-    powers = inner_x ** np.arange(1, _SERIES_TERMS + 1)
-    total = float(np.dot(c[1:] / np.arange(1, _SERIES_TERMS + 1), powers))
-    if x < -_SERIES_RADIUS or x > _SERIES_RADIUS:
-        closed = lambda t: (psi.psi_eval(t) - 1.0) / t
-        total += _quad(closed, inner_x, x, _QUAD_TOL)
-    return total
+def _koebe_estimate(psi: PsiSpec, family: str, nodes: np.ndarray, weights: np.ndarray,
+                    panels: int) -> float:
+    if family == "starlike":
+        return float(np.exp(_log_growth(psi, 1.0, nodes, weights)))
+    # The same nodes in s and in u; one outer panel at a time keeps the grid
+    # at most n x (panels n).
+    return float(sum(w @ np.exp(_log_growth(psi, s, nodes, weights))
+                     for s, w in zip(np.split(nodes, panels), np.split(weights, panels))))
 
 
 def koebe_radius_quadrature(psi: PsiSpec, family: str = "starlike") -> float:
     """Boundary distance by quadrature of the integral representation.
 
-    starlike: -f0(-1) = exp(int_0^{-1} (psi(t)-1)/t dt)
-    convex:   -l0(-1) = int_0^1 exp(int_0^{-s} (psi(t)-1)/t dt) ds
+    starlike: -f0(-1) = exp(L(-1))
+    convex:   -l0(-1) = int_0^1 exp(L(-s)) ds
+    with L(x) = int_0^x (psi(t)-1)/t dt = int_0^1 (psi(x u)-1)/u du.
     """
-    if family == "starlike":
-        return math.exp(_log_growth_integral(psi, -1.0))
-    if family == "convex":
-        return _quad(lambda s: math.exp(_log_growth_integral(psi, -s)), 0.0, 1.0,
-                     _OUTER_QUAD_TOL)
-    raise ValueError(f"unknown family {family!r}")
+    if family not in ("starlike", "convex"):
+        raise ValueError(f"unknown family {family!r}")
+    for panels, rules in _GRADED_RULES:
+        coarse, fine = (_koebe_estimate(psi, family, *rule, panels) for rule in rules)
+        if not (math.isfinite(coarse) and math.isfinite(fine)):
+            raise QuadratureError(f"{family} Koebe radius of {psi.label} is not finite: "
+                                  f"{coarse!r}, {fine!r}")
+        if abs(fine - coarse) <= _REL_TOL * abs(fine):
+            return fine
+    raise QuadratureError(f"{family} Koebe radius of {psi.label}: the {_NODES[0]}- and "
+                          f"{_NODES[1]}-node rules differ by {fine - coarse:.3e} "
+                          f"on {panels} graded panels")
 
 
 def koebe_radius(psi: PsiSpec, family: str = "starlike") -> float:

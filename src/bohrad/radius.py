@@ -12,13 +12,12 @@ term is dropped.  Apart from its constant -rs every coefficient of G is a
 modulus, so on [0, 1) G is increasing and convex with exactly one root.
 ``solve`` finds it by Newton's method from the right, with chord steps
 from the left, inside a certified bracket.  The closed-form Janowski
-equation is not a polynomial and is solved by bisection.
+equation (E <= 0) has the same structure and goes through the same solver.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -30,7 +29,6 @@ from .extremal import ExtremalPair, build_extremal_pair
 from .series import DEFAULT_ORDER, TruncatedSeries
 
 _BRACKET_HI = 1.0 - 1e-9
-_UNIQUENESS_GRID = 64
 _EXACT_TAIL_EPS = 1e-16
 
 
@@ -77,8 +75,7 @@ class RadiusResult:
     r0: float
     rb: float
     bracket: tuple[float, float]
-    # Evaluations of G for ``solve``; bisection steps for
-    # ``solve_janowski_exact``.
+    # Evaluations of G made by the solver.
     iterations: int
     residual: float
     sharp: bool
@@ -150,9 +147,9 @@ def g_function(problem: RadiusProblem, pair: ExtremalPair, r: float) -> float:
     return _radius_equation(problem, pair)(r)[0]
 
 
-def _monotone_newton(equation: Callable[[float], tuple[float, float]],
-                     tol: float) -> tuple[float, tuple[float, float], int, float]:
-    """Root of an increasing convex G on [0, 1) with a certified bracket.
+def _monotone_newton(equation: Callable[[float], tuple[float, float]], tol: float,
+                     hi: float = _BRACKET_HI) -> tuple[float, tuple[float, float], int, float]:
+    """Root of an increasing convex G on [0, hi] with a certified bracket.
 
     Fourier's condition holds at the right end of the bracket (G > 0 and
     G'' >= 0 there), so Newton's iterates from it decrease monotonically to
@@ -164,7 +161,7 @@ def _monotone_newton(equation: Callable[[float], tuple[float, float]],
     Returns the root, the bracket, the number of evaluations of G and the
     residual G(root).
     """
-    lo, hi = 0.0, _BRACKET_HI
+    lo = 0.0
     g_lo, _ = equation(lo)
     g_hi, slope = equation(hi)
     evaluations = 2
@@ -194,50 +191,6 @@ def _monotone_newton(equation: Callable[[float], tuple[float, float]],
     if not equation(bracket[0])[0] < 0.0 < equation(bracket[1])[0]:
         raise BracketError(f"no sign change on the final bracket {bracket}")
     return root, bracket, evaluations, residual
-
-
-def _bracketed_root(g: Callable[[float], float], tol: float,
-                    hi: float = _BRACKET_HI) -> tuple[float, tuple[float, float], int, float]:
-    lo = 0.0
-    g_lo, g_hi = g(lo), g(hi)
-    if not (g_lo < 0.0 < g_hi):
-        raise BracketError(
-            f"no sign change on [{lo}, {hi}]: G(lo)={g_lo:.3e}, G(hi)={g_hi:.3e}"
-        )
-    values = [g(lo + (hi - lo) * i / _UNIQUENESS_GRID) for i in range(_UNIQUENESS_GRID + 1)]
-    changes = sum(1 for a, b in zip(values, values[1:]) if (a < 0.0) != (b < 0.0))
-    if changes != 1:
-        warnings.warn(
-            f"radius equation shows {changes} sign changes on the scan grid; "
-            "the reported root is the bisection limit of the outermost bracket",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    iterations = 0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if g(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        iterations += 1
-    root = 0.5 * (lo + hi)
-    # Guarded Newton polish; bisection already guarantees the bracket, the
-    # polish only sharpens the residual (centered finite-difference slope).
-    h = max(1e-7 * max(root, 1e-3), 0.25 * tol)
-    residual = g(root)
-    for _ in range(3):
-        slope = (g(root + h) - g(root - h)) / (2.0 * h)
-        if slope <= 0.0:
-            break
-        candidate = root - residual / slope
-        if not lo < candidate < hi:
-            break
-        cand_residual = g(candidate)
-        if abs(cand_residual) >= abs(residual):
-            break
-        root, residual = candidate, cand_residual
-    return root, (lo, hi), iterations, residual
 
 
 def _clamped(r0: float, exact_bounds: bool) -> float:
@@ -288,14 +241,16 @@ def solve_janowski_exact(d: float, e: float, m: int = 1, N: int = 1,
 
     where J removes the head of the full sum: J = 0 for N = 1, J = r for
     N = 2, and J = r + sum_{n=2}^{N-1} D^(n-1)/(n-1)! r^n for N >= 3.
-    The infinite tail is summed termwise until the increment drops below
-    1e-16.  In Bohr-limit mode the r^m term is dropped and N is 1.
+    The infinite tail and its slope are summed termwise until the
+    increment drops below 1e-16.  In Bohr-limit mode the r^m term is
+    dropped and N is 1.
 
     Only E <= 0 is accepted.  For E > 0 the extremal coefficients change
     sign, so the radius equation needs the majorant fhat0(r^m), not the
     signed closed form; ``solve`` handles that case from the series.
-    Every extremal coefficient is positive for E <= 0, so the result is
-    always sharp.
+    Every extremal coefficient is positive for E <= 0, so G is increasing
+    and convex as in ``solve``, goes through the same Newton solver, and
+    the result is always sharp.
     """
     spec = janowski(d, e)
     if e > 0.0:
@@ -307,39 +262,49 @@ def solve_janowski_exact(d: float, e: float, m: int = 1, N: int = 1,
         N = 1
     p = None if e == 0.0 else (d - e) / e
 
-    def f0_closed(r: float) -> float:
+    def f0_closed(x: float) -> tuple[float, float]:
+        # f0 and f0' = (1 + D x) (1 + E x)^(p-1), or (1 + D x) e^(D x) at E = 0.
         if e == 0.0:
-            return r * math.exp(d * r)
-        return r * (1.0 + e * r) ** p
+            grow = math.exp(d * x)
+            return x * grow, (1.0 + d * x) * grow
+        base = 1.0 + e * x
+        return x * base**p, (1.0 + d * x) * base ** (p - 1.0)
 
     rstar = spec.koebe_closed
 
-    def tail_from(n_start: int, r: float) -> float:
-        # prod_n r^n summed termwise; the coefficient ratio tends to |E| r < 1.
+    def tail_from(n_start: int, r: float) -> tuple[float, float]:
+        # prod_n r^n and its slope n prod_n r^(n-1), summed termwise; the
+        # coefficient ratio tends to |E| r < 1.
         prod = janowski_coeff_bound(d, e, n_start) if n_start >= 2 else 1.0
         term = prod * r**n_start
-        total = 0.0
+        total = slope = 0.0
         n = n_start
         while abs(term) >= _EXACT_TAIL_EPS:
             total += term
+            slope += n * term
             n += 1
             term *= abs(e - d + e * (n - 2)) / (n - 1) * r
             if n > 200000:  # unreachable for r <= _BRACKET_HI
                 raise RuntimeError("tail summation failed to terminate")
-        return total
+        return total, slope / r if r > 0.0 else 0.0
 
-    def g(r: float) -> float:
-        tail = tail_from(max(N, 2), r) + (r if N == 1 else 0.0)
-        if mode == Mode.BOHR_LIMIT:
-            return tail - rstar
-        return f0_closed(r**m) + tail - rstar
+    def equation(r: float) -> tuple[float, float]:
+        value, slope = tail_from(max(N, 2), r)
+        if N == 1:
+            value, slope = value + r, slope + 1.0
+        if mode != Mode.BOHR_LIMIT:
+            point, point_slope = f0_closed(r**m)
+            value += point
+            slope += m * r ** (m - 1) * point_slope
+        return value - rstar, slope
 
     # Termwise tails decay slowly as r -> 1 when |E| is near 1, so expand
     # the bracket top from 0.9 only as far as the sign change requires.
-    hi = 0.9
-    while g(hi) <= 0.0 and hi < _BRACKET_HI:
+    hi, evaluations = 0.9, 1
+    while equation(hi)[0] <= 0.0 and hi < _BRACKET_HI:
         hi = min(1.0 - 0.25 * (1.0 - hi), _BRACKET_HI)
-    r0, bracket, iterations, residual = _bracketed_root(g, tol, hi=hi)
+        evaluations += 1
+    r0, bracket, iterations, residual = _monotone_newton(equation, tol, hi)
     return RadiusResult(
         psi=spec.label,
         family=Family.STARLIKE.value,
@@ -349,7 +314,7 @@ def solve_janowski_exact(d: float, e: float, m: int = 1, N: int = 1,
         r0=r0,
         rb=r0,
         bracket=bracket,
-        iterations=iterations,
+        iterations=evaluations + iterations,
         residual=residual,
         sharp=True,
     )

@@ -3,9 +3,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bohrad
 from bohrad.cli import CSV_HEADER, main
 
 
@@ -50,6 +55,25 @@ def test_radius_janowski_exact_method_agrees(capsys):
     r_series = json.loads(out_series)["r0"]
     r_exact = json.loads(out_exact)["r0"]
     assert abs(r_series - r_exact) <= 1e-8
+
+
+def test_radius_convex_pole_near_minus_one(capsys):
+    # psi has its pole at -1/0.999; the Koebe radius needs the graded panels.
+    code, out, _ = run_cli(capsys, "radius", "--psi", "janowski:D=1,E=0.999",
+                           "--family", "convex")
+    assert code == 0
+    assert "r0         0.499350541385" in out
+
+
+def test_import_leaves_scipy_unloaded():
+    src = str(Path(bohrad.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, bohrad, bohrad.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_radius_exact_method_needs_janowski(capsys):

@@ -7,6 +7,7 @@ import pytest
 
 from bohrad import catalog
 from bohrad.extremal import (
+    QuadratureError,
     build_extremal_pair,
     build_f0,
     build_l0,
@@ -159,3 +160,60 @@ def test_koebe_values_in_unit_interval():
 def test_unknown_family():
     with pytest.raises(ValueError):
         koebe_radius_quadrature(catalog.cardioid(), "circular")
+
+
+def janowski_koebe(d, e, family):
+    """-f0(-1) = (1-E)^((D-E)/E) and -l0(-1) = (1 - (1-E)^(D/E))/D, with
+    their limits e^(-D), (1 - e^(-D))/D at E = 0 and -log(1-E)/E at D = 0."""
+    if family == "starlike":
+        return math.exp(-d) if e == 0.0 else math.exp((d - e) / e * math.log1p(-e))
+    if e == 0.0:
+        return -math.expm1(-d) / d
+    if d == 0.0:
+        return -math.log1p(-e) / e
+    return -math.expm1(d / e * math.log1p(-e)) / d
+
+
+# E near 1 puts the pole of psi at -1/E, next to t = -1; past E = 0.99 the
+# plain rules disagree and the graded panels take over.
+JANOWSKI_KOEBE_GRID = [
+    (d, e)
+    for d in (1.0, 0.5, 0.0, -0.5)
+    for e in (-1.0, -0.5, 0.0, 0.3, 0.6, 0.9, 0.99, 0.999, 0.99999)
+    if e < d
+]
+
+
+@pytest.mark.parametrize("family", ["starlike", "convex"])
+@pytest.mark.parametrize("de", JANOWSKI_KOEBE_GRID, ids=lambda de: "D={:g},E={:g}".format(*de))
+def test_janowski_koebe_radii_against_closed_forms(de, family):
+    got = koebe_radius_quadrature(catalog.janowski(*de), family)
+    assert type(got) is float
+    assert got == pytest.approx(janowski_koebe(*de, family), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("label", catalog.named_labels() + [
+    "alpha:0.25", "janowski:D=0.5,E=-0.5", "janowski:D=0.75,E=0.25", "janowski:D=1,E=0",
+    "booth:k=4",
+])
+def test_psi_eval_on_arrays_matches_scalars(label):
+    psi_eval = catalog.parse_psi(label).psi_eval
+    t = np.linspace(-1.0, 0.9, 15).reshape(3, 5)
+    np.testing.assert_array_equal(psi_eval(t), [[psi_eval(float(x)) for x in row] for row in t])
+
+
+def test_non_finite_integrand_raises():
+    spec = catalog.PsiSpec(label="nan", coeff_fn=lambda order: np.ones(order + 1),
+                           psi_eval=lambda t: t * np.nan)
+    for family in ("starlike", "convex"):
+        with pytest.raises(QuadratureError, match="not finite"):
+            koebe_radius_quadrature(spec, family)
+
+
+def test_divergent_integral_raises():
+    # (psi(t)-1)/t = 2/(1+t) has a pole at t = -1 itself, so the starlike
+    # integral diverges and no panel grading makes the two rules agree.
+    spec = catalog.PsiSpec(label="pole", coeff_fn=lambda order: np.ones(order + 1),
+                           psi_eval=lambda t: 1.0 + 2.0 * t / (1.0 + t))
+    with pytest.raises(QuadratureError, match="differ"):
+        koebe_radius_quadrature(spec, "starlike")

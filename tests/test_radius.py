@@ -294,14 +294,40 @@ def test_exact_path_parameter_validation():
         solve_janowski_exact(1.0, -1.0, m=0)
 
 
-def test_multiple_sign_changes_are_reported():
-    # The scan grid reports non-monotone equations instead of failing.
-    from bohrad.radius import _bracketed_root
+def closed_equation(d, e, m, N, mode):
+    """The closed Janowski G re-assembled with math.fsum, apart from the solver.
 
-    wobble = lambda r: r - 0.4 + 0.25 * math.sin(40.0 * r)
-    with pytest.warns(RuntimeWarning, match="sign changes"):
-        root, _, _, residual = _bracketed_root(wobble, 1e-10)
-    assert abs(wobble(root)) <= 1e-9
+    For E <= 0 every extremal coefficient is positive, so fhat0 = f0 and
+    the tail is f0 minus its head, where the solver sums it termwise.
+    """
+    spec = catalog.janowski(d, e)
+    head = [0.0, 1.0][:N] + [catalog.janowski_coeff_bound(d, e, n) for n in range(2, N)]
+
+    def g(r):
+        terms = [spec.f0_closed_eval(r), -spec.koebe_closed]
+        terms += [-c * r**n for n, c in enumerate(head)]
+        if mode != Mode.BOHR_LIMIT:
+            terms.append(spec.f0_closed_eval(r**m))
+        return math.fsum(terms)
+
+    return g
+
+
+@pytest.mark.parametrize("de", JANOWSKI_GRID + [(0.0, -0.5), (1.0, -0.6)],
+                         ids=lambda de: "D={:g},E={:g}".format(*de))
+def test_exact_solver_matches_independent_bisection(de):
+    d, e = de
+    for mode in Mode:
+        for m in (1, 2, 5, 24):
+            for N in (1, 2, 3, 10):
+                res = solve_janowski_exact(d, e, m=m, N=N, mode=mode)
+                case = (de, m, N, mode)
+                g = closed_equation(d, e, m, res.N, mode)
+                assert abs(res.r0 - bisection_root(g)) <= 1e-12, case
+                lo, hi = res.bracket
+                assert g(lo) < 0.0 < g(hi), case
+                assert lo < res.r0 < hi and hi - lo <= 1e-10, case
+                assert res.iterations <= 32, case
 
 
 def test_inconsistent_problem_raises_bracket_error():
