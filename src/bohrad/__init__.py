@@ -5,42 +5,20 @@ series of its class, the radius module assembles the majorant radius
 equation and solves it by monotone Newton steps inside a certified
 bracket, and the oracle module checks
 the underlying coefficient-tail inequalities on random subordinants.
+
+The package exports the names its callers use; everything else is
+reached through its module (``bohrad.series``, ``bohrad.catalog``,
+``bohrad.extremal``, ``bohrad.radius``, ``bohrad.oracle``).
 """
 
-from .series import DEFAULT_ORDER, OrderMismatchError, TruncatedSeries
-from .catalog import (
-    PsiSpec,
-    UnsupportedClosedFormError,
-    bell_numbers,
-    booth,
-    cardioid,
-    classical_convex,
-    classical_starlike,
-    janowski,
-    janowski_coeff_bound,
-    named_labels,
-    parse_psi,
-    si,
-    sine,
-    starlike_alpha,
-    z_exp_z,
-)
-from .extremal import (
-    ExtremalPair,
-    QuadratureError,
-    build_extremal_pair,
-    build_f0,
-    build_l0,
-    koebe_radius,
-    koebe_radius_quadrature,
-)
+from .series import OrderMismatchError
+from .catalog import cardioid, janowski, named_labels, parse_psi, sine
+from .extremal import QuadratureError, build_extremal_pair, build_f0
 from .radius import (
     BracketError,
     Family,
     Mode,
     RadiusProblem,
-    RadiusResult,
-    Sweep,
     g_function,
     solve,
     solve_janowski_exact,
@@ -51,74 +29,42 @@ from .oracle import (
     IDENTITY_SAMPLE,
     InequalityViolation,
     SchwarzSample,
-    VerificationReport,
-    bohr_tail,
     run_axiom_suite,
     run_br_suite,
     run_tail_suite,
     run_weighted_suite,
-    sample_schwarz,
     schwarz_series,
-    submultiplicativity_counterexample,
-    verify_bohr_operator_axioms,
-    verify_br_inequality,
     verify_tail_inequality,
-    verify_weighted,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_ORDER",
     "DEFAULT_ORACLE_PSIS",
     "IDENTITY_SAMPLE",
     "BracketError",
-    "ExtremalPair",
     "Family",
     "InequalityViolation",
     "Mode",
     "OrderMismatchError",
-    "PsiSpec",
     "QuadratureError",
     "RadiusProblem",
-    "RadiusResult",
     "SchwarzSample",
-    "Sweep",
-    "TruncatedSeries",
-    "UnsupportedClosedFormError",
-    "VerificationReport",
-    "bell_numbers",
-    "bohr_tail",
-    "booth",
     "build_extremal_pair",
     "build_f0",
-    "build_l0",
     "cardioid",
-    "classical_convex",
-    "classical_starlike",
     "g_function",
     "janowski",
-    "janowski_coeff_bound",
-    "koebe_radius",
-    "koebe_radius_quadrature",
     "named_labels",
     "parse_psi",
     "run_axiom_suite",
     "run_br_suite",
     "run_tail_suite",
     "run_weighted_suite",
-    "sample_schwarz",
     "schwarz_series",
-    "si",
     "sine",
     "solve",
     "solve_janowski_exact",
-    "starlike_alpha",
-    "submultiplicativity_counterexample",
     "sweep",
-    "verify_bohr_operator_axioms",
-    "verify_br_inequality",
     "verify_tail_inequality",
-    "verify_weighted",
-    "z_exp_z",
 ]

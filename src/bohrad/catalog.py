@@ -26,10 +26,6 @@ from .series import TruncatedSeries
 SQRT2 = math.sqrt(2.0)
 
 
-class UnsupportedClosedFormError(ValueError):
-    """The requested closed-form evaluator does not exist for this entry."""
-
-
 def si(x: float) -> float:
     """Sine integral Si(x) = int_0^x sin(t)/t dt via its Taylor series.
 
@@ -103,14 +99,6 @@ class PsiSpec:
         if order < 1:
             raise ValueError("order must be at least 1")
         return TruncatedSeries(self.coeff_fn(order))
-
-    def f0_closed_eval(self, r: float) -> float:
-        """Closed-form f0(r) for -1 <= r < 1, when the entry has one."""
-        if self.f0_closed is None:
-            raise UnsupportedClosedFormError(f"{self.label} has no closed-form f0")
-        if not -1.0 <= r < 1.0:
-            raise ValueError(f"closed-form f0 evaluated on [-1, 1), got {r}")
-        return self.f0_closed(r)
 
 
 # -- concrete entries --------------------------------------------------
@@ -230,8 +218,8 @@ def booth(k: float = 1.0 + SQRT2) -> PsiSpec:
     data is c_1 = 1 and c_n = 2/k^(n-1) for n >= 2.  The boundary
     distance is -f0(-1) = e (k/(k+1))^(2k).
     """
-    if k <= 1.0:
-        raise ValueError(f"booth parameter k must exceed 1, got {k}")
+    if not (math.isfinite(k) and k > 1.0):
+        raise ValueError(f"booth parameter k must be finite and exceed 1, got {k}")
 
     def coeffs(order: int) -> np.ndarray:
         c = np.zeros(order + 1)
@@ -292,6 +280,16 @@ _NAMED = {
 }
 
 
+def _label_params(rest: str, keys: tuple[str, ...]) -> dict[str, float]:
+    """The ``key=value`` pairs of a label: each of ``keys`` once, no other key."""
+    pairs = [item.split("=") for item in rest.split(",")]
+    names = [pair[0] for pair in pairs]
+    if sorted(names) != sorted(keys):
+        raise ValueError(f"needs exactly the keys {', '.join(keys)}, each once; "
+                         f"got {', '.join(names)}")
+    return {key: float(value) for key, value in pairs}
+
+
 def parse_psi(label: str) -> PsiSpec:
     """Resolve a catalog label such as ``janowski:D=1,E=-1`` or ``sine``."""
     name, _, rest = label.strip().partition(":")
@@ -300,14 +298,13 @@ def parse_psi(label: str) -> PsiSpec:
         return _NAMED[name]()
     try:
         if name == "janowski":
-            kv = dict(item.split("=") for item in rest.split(","))
-            return janowski(float(kv["D"]), float(kv["E"]))
+            kv = _label_params(rest, ("D", "E"))
+            return janowski(kv["D"], kv["E"])
         if name == "alpha":
             return starlike_alpha(float(rest))
         if name == "booth" and rest:
-            kv = dict(item.split("=") for item in rest.split(","))
-            return booth(float(kv["k"]))
-    except (KeyError, ValueError) as exc:
+            return booth(_label_params(rest, ("k",))["k"])
+    except ValueError as exc:
         raise ValueError(f"cannot parse psi label {label!r}: {exc}") from None
     raise ValueError(f"unknown psi label {label!r}")
 

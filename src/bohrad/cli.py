@@ -94,15 +94,23 @@ def _family(args, spec) -> Family:
     return Family(spec.default_family)
 
 
-def _mode(args) -> Mode:
-    return Mode.BOHR_LIMIT if args.mode == "bohr-limit" else Mode.BOHR_ROGOSINSKI
+def _mode(args, *indices) -> Mode:
+    """The requested mode; the Bohr limit (m -> infinity at N = 1) takes no
+    other m or N, so any of ``indices`` other than 1 is an error."""
+    if args.mode != "bohr-limit":
+        return Mode.BOHR_ROGOSINSKI
+    if any(v not in (None, 1) for v in indices):
+        raise ValueError("--mode bohr-limit is the m -> infinity limit at N = 1; "
+                         "it takes no --N or --m other than 1")
+    return Mode.BOHR_LIMIT
 
 
 def _cmd_radius(args) -> int:
     spec = catalog.parse_psi(args.psi)
+    mode = _mode(args, args.m, args.N)
     problem = RadiusProblem(
         psi=spec, family=_family(args, spec), m=args.m, N=args.N,
-        mode=_mode(args), order=args.order, tol=args.tol,
+        mode=mode, order=args.order, tol=args.tol,
     )
     if args.method == "exact":
         params = spec.params
@@ -113,7 +121,7 @@ def _cmd_radius(args) -> int:
                              "there is no closed convex equation")
         res = dataclasses.replace(
             solve_janowski_exact(params["D"], params["E"], m=args.m, N=args.N,
-                                 tol=args.tol, mode=_mode(args)),
+                                 tol=args.tol, mode=mode),
             psi=spec.label,
         )
     else:
@@ -134,7 +142,7 @@ def _cmd_sweep(args) -> int:
         raise ValueError("empty sweep range")
     problem = RadiusProblem(
         psi=spec, family=_family(args, spec), m=m_range[0], N=n_range[0],
-        mode=_mode(args), order=args.order, tol=args.tol,
+        mode=_mode(args, *n_range, *m_range), order=args.order, tol=args.tol,
     )
     swept = sweep(problem,
                   n_values=n_range if n_is_range else None,
@@ -193,7 +201,7 @@ def _cmd_verify(args) -> int:
                                      m=1 if args.m is None else args.m, N=n_single,
                                      trials=args.trials, seed=args.seed,
                                      degree_max=degree_max, order=order,
-                                     mode=_mode(args))
+                                     mode=_mode(args, args.m, args.N))
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown lemma {lemma!r}")
     _emit_json(report.to_json_dict())
@@ -297,7 +305,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except (ValueError, catalog.UnsupportedClosedFormError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (BracketError, QuadratureError) as exc:

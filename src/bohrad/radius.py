@@ -29,7 +29,6 @@ from .extremal import ExtremalPair, build_extremal_pair
 from .series import DEFAULT_ORDER, TruncatedSeries
 
 _BRACKET_HI = 1.0 - 1e-9
-_EXACT_TAIL_EPS = 1e-16
 
 
 class Family(str, Enum):
@@ -227,30 +226,22 @@ def solve_janowski_exact(d: float, e: float, m: int = 1, N: int = 1,
                          mode: Mode = Mode.BOHR_ROGOSINSKI) -> RadiusResult:
     """Solve the closed-form Janowski radius equation.
 
-    For E != 0 the equation is
+    With f0(z) = z (1 + E z)^((D-E)/E), or z e^(Dz) at E = 0, the equation is
 
-        r^m (1 + E r^m)^((D-E)/E) + A(r)
-            + sum_{n=max(N,2)}^inf prod_{k=0}^{n-2} |E-D+Ek|/(k+1) r^n
-            - (1 - E)^((D-E)/E) = 0,
+        f0(r^m) + f0(r) - H(r) - r* = 0,        r* = -f0(-1),
 
-    with A(r) = r exactly when N = 1 (the tail's n = 1 term, whose
-    coefficient is 1).  For E = 0 the extremal function degenerates to
-    z e^(Dz) and the equation becomes
-
-        r^m e^(D r^m) + r e^(D r) - J(r) - e^(-D) = 0,
-
-    where J removes the head of the full sum: J = 0 for N = 1, J = r for
-    N = 2, and J = r + sum_{n=2}^{N-1} D^(n-1)/(n-1)! r^n for N >= 3.
-    The infinite tail and its slope are summed termwise until the
-    increment drops below 1e-16.  In Bohr-limit mode the r^m term is
-    dropped and N is 1.
+    where H removes the head of the second sum: H = 0 for N = 1, H = r for
+    N = 2, and H = r + sum_{n=2}^{N-1} a_n r^n for N >= 3, with
+    a_n = prod_{k=0}^{n-2} |E-D+Ek|/(k+1).
+    In Bohr-limit mode the f0(r^m) term is dropped and N is 1.
 
     Only E <= 0 is accepted.  For E > 0 the extremal coefficients change
     sign, so the radius equation needs the majorant fhat0(r^m), not the
     signed closed form; ``solve`` handles that case from the series.
-    Every extremal coefficient is positive for E <= 0, so G is increasing
-    and convex as in ``solve``, goes through the same Newton solver, and
-    the result is always sharp.
+    Every extremal coefficient is positive for E <= 0, so f0 is its own
+    majorant, f0(r) - H(r) is the tail sum_{n>=N} a_n r^n, and G is
+    increasing and convex as in ``solve``.  It goes through the same
+    Newton solver, and the result is always sharp.
     """
     spec = janowski(d, e)
     if e > 0.0:
@@ -271,35 +262,22 @@ def solve_janowski_exact(d: float, e: float, m: int = 1, N: int = 1,
         return x * base**p, (1.0 + d * x) * base ** (p - 1.0)
 
     rstar = spec.koebe_closed
-
-    def tail_from(n_start: int, r: float) -> tuple[float, float]:
-        # prod_n r^n and its slope n prod_n r^(n-1), summed termwise; the
-        # coefficient ratio tends to |E| r < 1.
-        prod = janowski_coeff_bound(d, e, n_start) if n_start >= 2 else 1.0
-        term = prod * r**n_start
-        total = slope = 0.0
-        n = n_start
-        while abs(term) >= _EXACT_TAIL_EPS:
-            total += term
-            slope += n * term
-            n += 1
-            term *= abs(e - d + e * (n - 2)) / (n - 1) * r
-            if n > 200000:  # unreachable for r <= _BRACKET_HI
-                raise RuntimeError("tail summation failed to terminate")
-        return total, slope / r if r > 0.0 else 0.0
+    head = ([0.0, 1.0] + [janowski_coeff_bound(d, e, n) for n in range(2, N)])[:N]
+    head.reverse()
 
     def equation(r: float) -> tuple[float, float]:
-        value, slope = tail_from(max(N, 2), r)
-        if N == 1:
-            value, slope = value + r, slope + 1.0
+        value, slope = f0_closed(r)
+        head_value, head_slope = _horner(head, r)
+        value, slope = value - head_value, slope - head_slope
         if mode != Mode.BOHR_LIMIT:
             point, point_slope = f0_closed(r**m)
             value += point
             slope += m * r ** (m - 1) * point_slope
         return value - rstar, slope
 
-    # Termwise tails decay slowly as r -> 1 when |E| is near 1, so expand
-    # the bracket top from 0.9 only as far as the sign change requires.
+    # At E = -1, f0 has its pole at r = 1; Newton from 1 - 1e-9 would spend
+    # about a hundred steps there, so grow the bracket top from 0.9 only as
+    # far as the sign change requires.
     hi, evaluations = 0.9, 1
     while equation(hi)[0] <= 0.0 and hi < _BRACKET_HI:
         hi = min(1.0 - 0.25 * (1.0 - hi), _BRACKET_HI)

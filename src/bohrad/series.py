@@ -57,35 +57,26 @@ def _mul_arrays(a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
 class TruncatedSeries:
     """Real power series truncated at a fixed order.
 
-    ``coeffs`` must hold exactly ``order + 1`` finite entries.  Instances
+    ``coeffs`` holds finite entries c_0..c_K, and ``order`` is K.  Instances
     are immutable (the coefficient array is locked) and safe to share.
     """
 
     coeffs: np.ndarray
-    order: int | None = None
+    order: int = field(init=False)
     tail_hint: float = field(init=False)
 
     def __post_init__(self):
         arr = np.array(self.coeffs, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("coefficients must form a non-empty 1-d sequence")
-        order = arr.size - 1 if self.order is None else int(self.order)
-        if arr.size != order + 1:
-            raise ValueError(
-                f"expected {order + 1} coefficients for order {order}, got {arr.size}"
-            )
         if not np.all(np.isfinite(arr)):
             raise ValueError("coefficients must be finite")
         arr.flags.writeable = False
         object.__setattr__(self, "coeffs", arr)
-        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "order", arr.size - 1)
         object.__setattr__(self, "tail_hint", _tail_hint(arr))
 
     # -- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls, order: int = DEFAULT_ORDER) -> "TruncatedSeries":
-        return cls(np.zeros(order + 1))
 
     @classmethod
     def one(cls, order: int = DEFAULT_ORDER) -> "TruncatedSeries":
@@ -96,14 +87,8 @@ class TruncatedSeries:
     @classmethod
     def identity(cls, order: int = DEFAULT_ORDER) -> "TruncatedSeries":
         """The series z."""
-        return cls.monomial(1, order)
-
-    @classmethod
-    def monomial(cls, degree: int, order: int = DEFAULT_ORDER, scale: float = 1.0) -> "TruncatedSeries":
-        if not 0 <= degree <= order:
-            raise ValueError(f"monomial degree {degree} outside 0..{order}")
         c = np.zeros(order + 1)
-        c[degree] = scale
+        c[1] = 1.0
         return cls(c)
 
     # -- ring operations ----------------------------------------------
@@ -119,15 +104,6 @@ class TruncatedSeries:
             return NotImplemented
         self._check_order(other)
         return TruncatedSeries(self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        self._check_order(other)
-        return TruncatedSeries(self.coeffs - other.coeffs)
-
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(-self.coeffs)
 
     def __mul__(self, other):
         """Cauchy product truncated at the common order; scalars rescale."""
@@ -194,12 +170,6 @@ class TruncatedSeries:
         out[1:] = self.coeffs[1:] / n
         return TruncatedSeries(out)
 
-    def derivative(self) -> "TruncatedSeries":
-        """Coefficientwise derivative by index shift; order is preserved."""
-        out = np.zeros(self.order + 1)
-        out[:-1] = self.coeffs[1:] * np.arange(1, self.order + 1)
-        return TruncatedSeries(out)
-
     def times_z(self) -> "TruncatedSeries":
         """Multiply by z: shift indices up by one, dropping the top term."""
         out = np.zeros(self.order + 1)
@@ -207,12 +177,6 @@ class TruncatedSeries:
         return TruncatedSeries(out)
 
     # -- evaluation ----------------------------------------------------
-
-    def eval(self, r: float) -> float:
-        """Signed evaluation sum c_n r^n for |r| < 1."""
-        if not -1.0 < r < 1.0:
-            raise ValueError(f"evaluation point {r} outside (-1, 1)")
-        return float(npoly.polyval(r, self.coeffs))
 
     def eval_abs(self, r: float) -> float:
         """Majorant evaluation sum |c_n| r^n for 0 <= r < 1."""

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.special
+from numpy.polynomial import polynomial as npoly
 
 from bohrad import catalog
 from bohrad.extremal import build_f0
@@ -54,32 +55,28 @@ def test_psi_series_matches_pointwise_evaluator(label):
     spec = catalog.parse_psi(label)
     f = spec.series(64)
     for t in (-0.4, -0.1, 0.2, 0.45):
-        assert f.eval(t) == pytest.approx(spec.psi_eval(t), rel=1e-13, abs=1e-13)
+        assert npoly.polyval(t, f.coeffs) == pytest.approx(spec.psi_eval(t),
+                                                           rel=1e-13, abs=1e-13)
 
 
 # -- closed-form extremal values -----------------------------------------
 
 
 def test_cardioid_f0_at_minus_one():
-    assert catalog.cardioid().f0_closed_eval(-1.0) == pytest.approx(-math.exp(-1.0))
+    assert catalog.cardioid().f0_closed(-1.0) == pytest.approx(-math.exp(-1.0))
 
 
 def test_janowski_degenerate_f0_at_minus_one():
     for d in (0.25, 0.5, 1.0):
         spec = catalog.janowski(d, 0.0)
-        assert spec.f0_closed_eval(-1.0) == pytest.approx(-math.exp(-d))
+        assert spec.f0_closed(-1.0) == pytest.approx(-math.exp(-d))
         assert spec.koebe_closed == pytest.approx(math.exp(-d))
 
 
 def test_classical_starlike_f0_is_koebe_function():
     spec = catalog.classical_starlike()
-    assert spec.f0_closed_eval(-1.0) == pytest.approx(-0.25)
-    assert spec.f0_closed_eval(0.5) == pytest.approx(0.5 / 0.25)
-
-
-def test_f0_closed_domain():
-    with pytest.raises(ValueError):
-        catalog.cardioid().f0_closed_eval(1.0)
+    assert spec.f0_closed(-1.0) == pytest.approx(-0.25)
+    assert spec.f0_closed(0.5) == pytest.approx(0.5 / 0.25)
 
 
 @pytest.mark.parametrize("label", ALL_LABELS)
@@ -90,8 +87,8 @@ def test_series_f0_matches_closed_form_within_tail_hint(label):
     spec = catalog.parse_psi(label)
     f0 = build_f0(spec, 64)
     for r in (0.1, 0.2, 0.3):
-        closed = spec.f0_closed_eval(r)
-        assert abs(f0.eval(r) - closed) <= f0.tail_hint + 1e-12
+        closed = spec.f0_closed(r)
+        assert abs(npoly.polyval(r, f0.coeffs) - closed) <= f0.tail_hint + 1e-12
 
 
 def test_booth_koebe_constant():
@@ -226,10 +223,9 @@ def test_parse_rejects_unknown():
         catalog.parse_psi("lemniscate")
     with pytest.raises(ValueError):
         catalog.parse_psi("janowski:D=1")
-
-
-def test_unsupported_closed_form_error():
-    spec = catalog.PsiSpec(label="bare", coeff_fn=lambda order: np.ones(order + 1),
-                           psi_eval=lambda t: 1.0)
-    with pytest.raises(catalog.UnsupportedClosedFormError):
-        spec.f0_closed_eval(0.2)
+    # Unknown, repeated and non-finite parameters.
+    for label in ("janowski:D=1,E=-1,X=3", "janowski:D=0.5,E=-1,D=1", "booth:k=2,j=5",
+                  "booth:k=inf", "booth:k=nan", "booth:k=2,k=3", "booth:K=2"):
+        with pytest.raises(ValueError):
+            catalog.parse_psi(label)
+    assert catalog.parse_psi("janowski:E=-0.5,D=0.5").params == {"D": 0.5, "E": -0.5}

@@ -76,6 +76,24 @@ def test_import_leaves_scipy_unloaded():
     assert out.strip() == "[]"
 
 
+PUBLIC_NAMES = [
+    "BracketError", "DEFAULT_ORACLE_PSIS", "Family", "IDENTITY_SAMPLE",
+    "InequalityViolation", "Mode", "OrderMismatchError", "QuadratureError",
+    "RadiusProblem", "SchwarzSample", "build_extremal_pair", "build_f0", "cardioid",
+    "g_function", "janowski", "named_labels", "parse_psi", "run_axiom_suite",
+    "run_br_suite", "run_tail_suite", "run_weighted_suite", "schwarz_series", "sine",
+    "solve", "solve_janowski_exact", "sweep", "verify_tail_inequality",
+]
+
+
+def test_public_surface_is_the_names_callers_use():
+    assert sorted(bohrad.__all__) == PUBLIC_NAMES
+    assert all(getattr(bohrad, name) is not None for name in bohrad.__all__)
+    namespace = {}
+    exec("from bohrad import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == PUBLIC_NAMES
+
+
 def test_radius_exact_method_needs_janowski(capsys):
     code, _, err = run_cli(capsys, "radius", "--psi", "sine", "--method", "exact")
     assert code == 2
@@ -108,9 +126,11 @@ def test_radius_exact_method_prints_catalog_label(capsys):
 
 
 def test_radius_invalid_psi_exits_2(capsys):
-    code, _, err = run_cli(capsys, "radius", "--psi", "heart")
-    assert code == 2
-    assert "error" in err
+    for label in ("heart", "janowski:D=1,E=-1,X=3", "booth:k=inf"):
+        code, out, err = run_cli(capsys, "radius", "--psi", label)
+        assert code == 2
+        assert out == ""
+        assert "error" in err
 
 
 def test_radius_missing_psi_exits_2(capsys):
@@ -284,12 +304,31 @@ def test_verify_defaults_when_flags_are_not_given(capsys):
 
 
 def test_verify_br_reads_family_mode_and_m(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--lemma", "br", "--psi", "cardioid",
-                           "--trials", "10", "--seed", "2", "--family", "convex",
-                           "--mode", "bohr-limit", "--m", "2")
+    args = ("verify", "--lemma", "br", "--psi", "cardioid", "--trials", "10", "--seed", "2")
+    code, out, _ = run_cli(capsys, *args, "--family", "convex", "--m", "2")
     assert code == 0
     config = json.loads(out)["config"]
-    assert (config["family"], config["mode"], config["m"]) == ("convex", "bohr-limit", 2)
+    assert (config["family"], config["mode"], config["m"]) == ("convex", "bohr-rogosinski", 2)
+    code, out, _ = run_cli(capsys, *args, "--family", "convex", "--mode", "bohr-limit")
+    assert code == 0
+    config = json.loads(out)["config"]
+    assert (config["family"], config["mode"], config["m"]) == ("convex", "bohr-limit", 1)
+
+
+@pytest.mark.parametrize("argv", [
+    ("radius", "--psi", "cardioid", "--N", "3", "--m", "4"),
+    ("radius", "--psi", "cardioid", "--m", "2"),
+    ("radius", "--psi", "janowski:D=1,E=0", "--N", "2", "--method", "exact"),
+    ("sweep", "--psi", "cardioid", "--N", "1..3"),
+    ("sweep", "--psi", "cardioid", "--m", "1..3"),
+    ("verify", "--lemma", "br", "--psi", "cardioid", "--trials", "10", "--N", "3",
+     "--m", "2"),
+])
+def test_bohr_limit_rejects_n_and_m_other_than_1(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--mode", "bohr-limit")
+    assert code == 2
+    assert out == ""
+    assert "bohr-limit" in err
 
 
 def test_verify_bad_trials(capsys):

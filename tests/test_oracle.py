@@ -271,7 +271,7 @@ def test_axiom_unit():
 
 
 def test_axiom_definiteness():
-    zero = TruncatedSeries.zero(8)
+    zero = TruncatedSeries(np.zeros(9))
     assert bohr_tail(zero, 0, 0.5) == 0.0
     margins = verify_bohr_operator_axioms(zero, zero, 1.0, 0, 0.5)
     assert margins["definiteness_ok"]

@@ -298,16 +298,16 @@ def closed_equation(d, e, m, N, mode):
     """The closed Janowski G re-assembled with math.fsum, apart from the solver.
 
     For E <= 0 every extremal coefficient is positive, so fhat0 = f0 and
-    the tail is f0 minus its head, where the solver sums it termwise.
+    the tail is f0 minus its head; the sum is taken with math.fsum.
     """
     spec = catalog.janowski(d, e)
     head = [0.0, 1.0][:N] + [catalog.janowski_coeff_bound(d, e, n) for n in range(2, N)]
 
     def g(r):
-        terms = [spec.f0_closed_eval(r), -spec.koebe_closed]
+        terms = [spec.f0_closed(r), -spec.koebe_closed]
         terms += [-c * r**n for n, c in enumerate(head)]
         if mode != Mode.BOHR_LIMIT:
-            terms.append(spec.f0_closed_eval(r**m))
+            terms.append(spec.f0_closed(r**m))
         return math.fsum(terms)
 
     return g

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import sympy as sp
 from hypothesis import example, given, settings, strategies as st
+from numpy.polynomial import polynomial as npoly
 
 from bohrad.series import DEFAULT_ORDER, OrderMismatchError, TruncatedSeries
 
@@ -21,11 +22,6 @@ def koebe_series(order):
 
 
 # -- construction ------------------------------------------------------
-
-
-def test_rejects_wrong_length():
-    with pytest.raises(ValueError):
-        TruncatedSeries([1.0, 2.0], order=5)
 
 
 def test_rejects_non_finite():
@@ -61,7 +57,7 @@ def test_add_cancellation():
 
 def test_add_identity():
     f = poly(3, 1, 4, 1, 5)
-    assert np.array_equal((f + TruncatedSeries.zero(8)).coeffs, f.coeffs)
+    assert np.array_equal((f + poly(0)).coeffs, f.coeffs)
 
 
 def test_add_direct_sum():
@@ -113,7 +109,7 @@ def test_compose_identity_schwarz_is_exact():
 
 def test_compose_monomial_substitution():
     f = poly(0, 1, 1)  # z + z^2
-    w = TruncatedSeries.monomial(2, 8)
+    w = poly(0, 0, 1)  # z^2
     assert np.array_equal(f.compose(w).coeffs, poly(0, 0, 1, 0, 1).coeffs)
 
 
@@ -140,9 +136,9 @@ def test_compose_koebe_with_blaschke_matches_symbolic_expansion():
 
 def test_compose_monomial_associativity():
     f = koebe_series(16)
-    w2 = TruncatedSeries.monomial(2, 16)
-    w3 = TruncatedSeries.monomial(3, 16)
-    w6 = TruncatedSeries.monomial(6, 16)
+    w2 = poly(0, 0, 1, order=16)
+    w3 = poly(0, 0, 0, 1, order=16)
+    w6 = poly(0, 0, 0, 0, 0, 0, 1, order=16)
     lhs = f.compose(w2).compose(w3)
     rhs = f.compose(w6)
     np.testing.assert_allclose(lhs.coeffs, rhs.coeffs, rtol=0, atol=0)
@@ -208,7 +204,7 @@ def test_shared_inner_series_composes_like_fresh_copies():
 
 
 def test_exp_of_zero():
-    e = TruncatedSeries.zero(8).exp()
+    e = poly(0).exp()
     assert np.array_equal(e.coeffs, TruncatedSeries.one(8).coeffs)
 
 
@@ -235,8 +231,8 @@ def test_exp_rejects_nonzero_constant():
 
 
 def test_integrate_zero():
-    out = TruncatedSeries.zero(6).integrate_over_t()
-    assert np.array_equal(out.coeffs, TruncatedSeries.zero(6).coeffs)
+    out = poly(0, order=6).integrate_over_t()
+    assert np.array_equal(out.coeffs, np.zeros(7))
 
 
 def test_integrate_cardioid_generator():
@@ -281,19 +277,8 @@ def test_eval_abs_koebe_at_one_third():
     assert f.eval_abs(1 / 3) == pytest.approx(0.75, abs=1e-15)
 
 
-def test_eval_koebe_negative_point():
-    f = koebe_series(64)
-    assert f.eval(-0.5) == pytest.approx(-2 / 9, abs=1e-15)
-
-
-def test_eval_constant():
-    assert TruncatedSeries.one(8).eval(0.77) == 1.0
-
-
 def test_eval_domain_errors():
     f = poly(1, 1)
-    with pytest.raises(ValueError):
-        f.eval(1.0)
     with pytest.raises(ValueError):
         f.eval_abs(-0.1)
     with pytest.raises(ValueError):
@@ -355,16 +340,17 @@ def test_exp_is_a_homomorphism(a, b):
 @given(zero_constant_lists)
 def test_exp_derivative_identity(a):
     f = TruncatedSeries(a)
-    e = f.exp()
-    lhs = e.derivative()
-    rhs = f.derivative() * e
-    # Derivative drops the top coefficient; compare the shared window.
-    scale = np.maximum(np.abs(lhs.coeffs[:-1]), 1.0)
-    assert np.max(np.abs(lhs.coeffs[:-1] - rhs.coeffs[:-1]) / scale) < 1e-12
+    e = f.exp().coeffs
+    n = np.arange(1, e.size)
+    # e' = f' e, on the window below the top coefficient that e' drops.
+    lhs = n * e[1:]
+    rhs = np.convolve(n * f.coeffs[1:], e)[: lhs.size]
+    scale = np.maximum(np.abs(lhs), 1.0)
+    assert np.max(np.abs(lhs - rhs) / scale) < 1e-12
 
 
 @settings(deadline=None)
 @given(coeff_lists, st.floats(min_value=0.0, max_value=0.99))
 def test_majorant_dominates_signed_evaluation(a, r):
     f = TruncatedSeries(a)
-    assert f.eval_abs(r) >= abs(f.eval(r)) - 1e-12
+    assert f.eval_abs(r) >= abs(npoly.polyval(r, f.coeffs)) - 1e-12
