@@ -70,6 +70,13 @@ def janowski_coeff_bound(d: float, e: float, n: int) -> float:
     return prod
 
 
+def _label_number(x: float) -> str:
+    """A parameter as labels print it: ``:g`` when that reads back as x,
+    else the shortest repr that does."""
+    short = f"{x:g}"
+    return short if float(short) == x else repr(float(x))
+
+
 def _validate_janowski(d: float, e: float) -> None:
     if not (-1.0 <= e < d <= 1.0):
         raise ValueError(f"Janowski parameters need -1 <= E < D <= 1, got D={d}, E={e}")
@@ -128,7 +135,7 @@ def janowski(d: float, e: float, label: str | None = None,
         koebe = (1.0 - e) ** p
 
     return PsiSpec(
-        label=label or f"janowski:D={d:g},E={e:g}",
+        label=label or f"janowski:D={_label_number(d)},E={_label_number(e)}",
         params={"D": d, "E": e},
         coeff_fn=coeffs,
         psi_eval=lambda t: (1.0 + d * t) / (1.0 + e * t),
@@ -154,7 +161,7 @@ def starlike_alpha(alpha: float) -> PsiSpec:
     """Starlike functions of order alpha: Janowski with D = 1-2a, E = -1."""
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
-    spec = janowski(1.0 - 2.0 * alpha, -1.0, label=f"alpha:{alpha:g}")
+    spec = janowski(1.0 - 2.0 * alpha, -1.0, label=f"alpha:{_label_number(alpha)}")
     return PsiSpec(
         label=spec.label,
         params={"alpha": alpha, "D": 1.0 - 2.0 * alpha, "E": -1.0},
@@ -230,7 +237,7 @@ def booth(k: float = 1.0 + SQRT2) -> PsiSpec:
         return c
 
     return PsiSpec(
-        label="booth" if k == 1.0 + SQRT2 else f"booth:k={k:g}",
+        label="booth" if k == 1.0 + SQRT2 else f"booth:k={_label_number(k)}",
         params={"k": k},
         coeff_fn=coeffs,
         psi_eval=lambda t: 1.0 + t * (k + t) / (k - t),

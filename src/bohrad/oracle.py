@@ -15,6 +15,14 @@ margin below the numeric tolerance raises ``InequalityViolation`` carrying
 the full counterexample, so a failure is never swallowed.  The suite
 runners collect margins over seeded sample streams into a serializable
 report.
+
+The public checks and the suites share one kernel per kind of check.  It
+is built once per extremal and holds what does not depend on the
+subordinant: the weights r^j of each tail window, the majorant tails of f
+and the fixed part of the tolerance.  A composed series then costs one
+product per check kind; the tail kernel takes every (N, r) of its grid
+from a single product |g| @ weights.  A counterexample report is built
+only for a margin below its tolerance.
 """
 
 from __future__ import annotations
@@ -23,9 +31,10 @@ import random
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 from .catalog import PsiSpec, parse_psi
-from .extremal import ExtremalPair, build_extremal_pair
+from .extremal import ExtremalPair, build_extremal_pair, build_f0
 from .radius import Family, Mode, RadiusProblem, _family_extremal, solve
 from .series import DEFAULT_ORDER, TruncatedSeries
 
@@ -102,48 +111,86 @@ def schwarz_series(sample: SchwarzSample, order: int = DEFAULT_ORDER) -> Truncat
     return TruncatedSeries(acc)
 
 
-def bohr_tail(f: TruncatedSeries, N: int, r: float) -> float:
-    """Tail functional sum_{n=N}^{K} |c_n| r^n; N = 0 is the full majorant."""
+def _check_window(N: int, r: float, order: int | None = None) -> None:
+    """Reject a tail window from N at radius r; with ``order``, also one
+    that starts past the stored coefficients."""
     if N < 0:
         raise ValueError("N must be nonnegative")
+    if order is not None and N > order:
+        raise ValueError(f"N={N} exceeds the truncation order {order}")
     if not 0.0 <= r < 1.0:
         raise ValueError(f"radius must lie in [0, 1), got {r}")
+
+
+def bohr_tail(f: TruncatedSeries, N: int, r: float) -> float:
+    """Tail functional sum_{n=N}^{K} |c_n| r^n; N = 0 is the full majorant."""
+    _check_window(N, r)
     if N > f.order:
         return 0.0
     tail = np.abs(f.coeffs[N:])
     return float(np.dot(tail, r ** np.arange(N, f.order + 1)))
 
 
-def _checked(margin: float, tol: float, report: dict, message: str) -> float:
-    """Return the margin, or raise when it is below -tol.
+def _reports(margins, limits, fields) -> list[dict]:
+    """Reports of the checks whose margin lies below its limit, in check order.
 
-    The raised report is ``report`` with ``margin`` appended last; the
-    message is ``message`` formatted with the fields of that report.
+    ``fields(i)`` gives the report of check i, to which ``margin`` is
+    appended last; nothing is built for a check that holds.
     """
-    if margin < -tol:
-        report = {**report, "margin": margin}
-        raise InequalityViolation(message.format(**report), report)
-    return margin
+    return [{**fields(i), "margin": float(margins[i])}
+            for i in np.flatnonzero(np.less(margins, limits))]
 
 
-def _tail_margin(f: TruncatedSeries, g: TruncatedSeries, sample: SchwarzSample,
-                 N: int, r: float, label: str) -> float:
-    lhs = bohr_tail(g, N, r)
-    rhs = bohr_tail(f, N, r)
-    return _checked(
-        rhs - lhs,
-        1e-9 * rhs + f.tail_hint + g.tail_hint,
-        {
-            "check": "tail-inequality",
-            "psi": label,
-            "sample": sample.describe(),
-            "N": N,
-            "r": r,
-            "composed_tail": lhs,
-            "majorant_tail": rhs,
-        },
-        "tail inequality violated for {psi}: margin {margin:.3e} at N={N}, r={r:g}",
-    )
+def _checked(margins, reports: list[dict], message: str) -> float:
+    """The margin of a single check, or raise on its violation report.
+
+    The message is ``message`` formatted with the fields of the report.
+    """
+    if reports:
+        raise InequalityViolation(message.format(**reports[0]), reports[0])
+    return float(margins[0])
+
+
+class _TailChecks:
+    """The tail checks of one extremal f at every (N, r) of a grid.
+
+    Column (N, r) of ``weights`` holds r^j for j >= N and 0 below, so
+    |f| @ weights is the majorant tail M(f, N, r) at every grid point.
+    """
+
+    message = "tail inequality violated for {psi}: margin {margin:.3e} at N={N}, r={r:g}"
+
+    def __init__(self, f: TruncatedSeries, label: str, n_values, r_values):
+        self.f = f
+        self.label = label
+        self.grid = [(n, r) for n in n_values for r in r_values]
+        j = np.arange(f.order + 1)
+        columns = []
+        for n, r in self.grid:
+            _check_window(n, r, f.order)
+            columns.append(np.where(j >= n, r ** j, 0.0))
+        self.weights = np.array(columns).reshape(len(self.grid), f.order + 1).T
+        self.majorant = np.abs(f.coeffs) @ self.weights
+        self.tol = 1e-9 * self.majorant + f.tail_hint
+        # As floats, so that the reports at one grid point share one object.
+        self.majorant_tails = self.majorant.tolist()
+
+
+def _tail_margin(checks: _TailChecks, g: TruncatedSeries,
+                 sample: dict) -> tuple[np.ndarray, list[dict]]:
+    """Margins M(f, N, r) - M(g, N, r) over the grid, and the violation
+    reports; ``sample`` is the description of the omega behind g."""
+    composed = np.abs(g.coeffs) @ checks.weights
+    margins = checks.majorant - composed
+    return margins, _reports(margins, -(checks.tol + g.tail_hint), lambda i: {
+        "check": "tail-inequality",
+        "psi": checks.label,
+        "sample": sample,
+        "N": checks.grid[i][0],
+        "r": checks.grid[i][1],
+        "composed_tail": float(composed[i]),
+        "majorant_tail": checks.majorant_tails[i],
+    })
 
 
 def verify_tail_inequality(f: TruncatedSeries, sample: SchwarzSample, N: int,
@@ -164,8 +211,9 @@ def verify_tail_inequality(f: TruncatedSeries, sample: SchwarzSample, N: int,
     """
     if r > 1.0 / 3.0:
         raise ValueError(f"tail inequality is only claimed for r <= 1/3, got {r}")
+    checks = _TailChecks(f, label, (N,), (r,))
     g = f.compose(schwarz_series(sample, f.order))
-    return _tail_margin(f, g, sample, N, r, label)
+    return _checked(*_tail_margin(checks, g, sample.describe()), checks.message)
 
 
 def verify_bohr_operator_axioms(f: TruncatedSeries, g: TruncatedSeries,
@@ -223,27 +271,37 @@ def _check_weighted_claim(tau: float, h: TruncatedSeries, r: float) -> None:
         raise ValueError("weight violates its bound: sum |h_n| tau^n > tau")
 
 
-def _weighted_margin(tau: float, f: TruncatedSeries, g: TruncatedSeries,
-                     sample: SchwarzSample, h: TruncatedSeries, N: int, r: float,
-                     label: str) -> float:
-    weighted = h * g
-    lhs = bohr_tail(weighted, N, r)
-    rhs = tau * bohr_tail(f, N, r)
-    return _checked(
-        rhs - lhs,
-        1e-9 * rhs + f.tail_hint + weighted.tail_hint,
-        {
-            "check": "weighted-tail",
-            "psi": label,
-            "tau": tau,
-            "sample": sample.describe(),
-            "N": N,
-            "r": r,
-            "weighted_tail": lhs,
-            "scaled_majorant": rhs,
-        },
-        "weighted tail inequality violated for {psi}: margin {margin:.3e}",
-    )
+class _WeightedCheck:
+    """The weighted check of one extremal f with weight h at one (N, r)."""
+
+    message = "weighted tail inequality violated for {psi}: margin {margin:.3e}"
+
+    def __init__(self, tau: float, f: TruncatedSeries, h: TruncatedSeries, N: int,
+                 r: float, label: str):
+        _check_weighted_claim(tau, h, r)
+        _check_window(N, r, f.order)
+        self.f, self.h, self.tau, self.N, self.r, self.label = f, h, tau, N, r, label
+        self.weights = r ** np.arange(N, f.order + 1)
+        self.scaled_majorant = tau * bohr_tail(f, N, r)
+        self.tol = 1e-9 * self.scaled_majorant + f.tail_hint
+
+
+def _weighted_margin(check: _WeightedCheck, g: TruncatedSeries,
+                     sample: dict) -> tuple[tuple[float], list[dict]]:
+    """Margin tau M(f, N, r) - M(h g, N, r), and its violation report."""
+    weighted = check.h * g
+    lhs = float(np.dot(np.abs(weighted.coeffs[check.N:]), check.weights))
+    margins = (check.scaled_majorant - lhs,)
+    return margins, _reports(margins, -(check.tol + weighted.tail_hint), lambda i: {
+        "check": "weighted-tail",
+        "psi": check.label,
+        "tau": check.tau,
+        "sample": sample,
+        "N": check.N,
+        "r": check.r,
+        "weighted_tail": lhs,
+        "scaled_majorant": check.scaled_majorant,
+    })
 
 
 def verify_weighted(tau: float, f: TruncatedSeries, sample: SchwarzSample,
@@ -253,30 +311,49 @@ def verify_weighted(tau: float, f: TruncatedSeries, sample: SchwarzSample,
     The weight h must satisfy the majorant bound sum |h_n| tau^n <= tau,
     the literal reading of |h| <= tau on |z| < tau.
     """
-    _check_weighted_claim(tau, h, r)
+    check = _WeightedCheck(tau, f, h, N, r, label)
     g = f.compose(schwarz_series(sample, f.order))
-    return _weighted_margin(tau, f, g, sample, h, N, r, label)
+    return _checked(*_weighted_margin(check, g, sample.describe()), check.message)
 
 
-def _br_margin(problem: RadiusProblem, pair: ExtremalPair, g: TruncatedSeries,
-               sample: SchwarzSample, r: float) -> float:
-    base, rstar = _family_extremal(problem, pair)
-    n_eff = 1 if problem.mode == Mode.BOHR_LIMIT else problem.N
-    point_bound = 0.0 if problem.mode == Mode.BOHR_LIMIT else g.eval_abs(r**problem.m)
-    return _checked(
-        rstar - point_bound - bohr_tail(g, n_eff, r),
-        1e-9 * max(rstar, 1.0) + base.tail_hint + g.tail_hint,
-        {
-            "check": "bohr-rogosinski",
-            "psi": problem.psi.label,
-            "family": problem.family.value,
-            "sample": sample.describe(),
-            "m": problem.m,
-            "N": n_eff,
-            "r": r,
-        },
-        "radius inequality violated for {psi}: margin {margin:.3e}",
-    )
+class _BRChecks:
+    """The radius checks of one problem at every r of a list."""
+
+    message = "radius inequality violated for {psi}: margin {margin:.3e}"
+
+    def __init__(self, problem: RadiusProblem, pair: ExtremalPair, r_values):
+        self.problem = problem
+        self.base, self.rstar = _family_extremal(problem, pair)
+        bohr_limit = problem.mode == Mode.BOHR_LIMIT
+        self.n = 1 if bohr_limit else problem.N
+        self.r_values = list(r_values)
+        for r in self.r_values:
+            _check_window(self.n, r, self.base.order)
+        # The point term |g(z^m)| is bounded by the majorant of g at r^m.
+        self.points = None if bohr_limit else np.array([r**problem.m for r in self.r_values])
+        self.weights = [r ** np.arange(self.n, self.base.order + 1) for r in self.r_values]
+        self.tol = 1e-9 * max(self.rstar, 1.0) + self.base.tail_hint
+
+
+def _br_margin(checks: _BRChecks, g: TruncatedSeries,
+               sample: dict) -> tuple[list[float], list[dict]]:
+    """Margins rstar - |g|(r^m) - M(g, N, r) at each r (no point term in the
+    Bohr limit), and the violation reports."""
+    moduli = np.abs(g.coeffs)
+    points = ([0.0] * len(checks.r_values) if checks.points is None
+              else npoly.polyval(checks.points, moduli))
+    margins = [checks.rstar - float(point) - float(np.dot(moduli[checks.n:], weights))
+               for point, weights in zip(points, checks.weights)]
+    problem = checks.problem
+    return margins, _reports(margins, -(checks.tol + g.tail_hint), lambda i: {
+        "check": "bohr-rogosinski",
+        "psi": problem.psi.label,
+        "family": problem.family.value,
+        "sample": sample,
+        "m": problem.m,
+        "N": checks.n,
+        "r": checks.r_values[i],
+    })
 
 
 def verify_br_inequality(problem: RadiusProblem, pair: ExtremalPair,
@@ -288,11 +365,9 @@ def verify_br_inequality(problem: RadiusProblem, pair: ExtremalPair,
     identity sample and r equal to the solved radius the margin vanishes
     (the extremal function attains the bound).
     """
-    if not 0.0 <= r < 1.0:
-        raise ValueError(f"radius must lie in [0, 1), got {r}")
-    base, _ = _family_extremal(problem, pair)
-    g = base.compose(schwarz_series(sample, base.order))
-    return _br_margin(problem, pair, g, sample, r)
+    checks = _BRChecks(problem, pair, (r,))
+    g = checks.base.compose(schwarz_series(sample, checks.base.order))
+    return _checked(*_br_margin(checks, g, sample.describe()), checks.message)
 
 
 # -- suite runners ------------------------------------------------------
@@ -341,20 +416,22 @@ class _Tally:
     def add(self, margin: float, report: dict | None = None) -> None:
         """Record one margin; a report marks it as a violation."""
         self.worst = min(self.worst, margin)
-        if report is None:
-            return
+        if report is not None:
+            self._keep(report)
+
+    def extend(self, margins, reports: list[dict]) -> None:
+        """Record the margins of several checks and the reports of the
+        violated ones."""
+        self.worst = min(self.worst, float(min(margins, default=self.worst)))
+        for report in reports:
+            self._keep(report)
+
+    def _keep(self, report: dict) -> None:
         self.violations += 1
-        if self._lead is None or margin < self._lead["margin"]:
+        if self._lead is None or report["margin"] < self._lead["margin"]:
             self._lead = report
         if len(self._kept) < self.cap:
             self._kept.append(report)
-
-    def check(self, margin_fn, *args) -> None:
-        """Record the margin of one check, or its violation report."""
-        try:
-            self.add(margin_fn(*args))
-        except InequalityViolation as exc:
-            self.add(exc.report["margin"], exc.report)
 
     def report(self, seed: int, trials: int, config: dict) -> VerificationReport:
         counterexamples = self._kept
@@ -377,17 +454,16 @@ def run_tail_suite(psi_labels=DEFAULT_ORACLE_PSIS, trials: int = 200, seed: int 
                    max_reports: int = 10) -> VerificationReport:
     """Tail inequality over seeded samples crossed with the catalog extremals."""
     specs = _resolve_psis(psi_labels)
-    extremals = [(spec.label, build_extremal_pair(spec, order).f0) for spec in specs]
+    kernels = [_TailChecks(build_f0(spec, order), spec.label, n_values, r_values)
+               for spec in specs]
     rng = random.Random(seed)
     tally = _Tally(max_reports)
     for _ in range(trials):
         sample = sample_schwarz(rng, degree_max)
         omega = schwarz_series(sample, order)
-        for label, f0 in extremals:
-            g = f0.compose(omega)
-            for n in n_values:
-                for r in r_values:
-                    tally.check(_tail_margin, f0, g, sample, n, r, label)
+        described = sample.describe()
+        for checks in kernels:
+            tally.extend(*_tail_margin(checks, checks.f.compose(omega), described))
     return tally.report(seed, trials, {
         "check": "tail-inequality",
         "psis": [spec.label for spec in specs],
@@ -432,20 +508,21 @@ def run_weighted_suite(tau: float = 0.8, trials: int = 200, seed: int = 0,
                        degree_max: int = 4, order: int = DEFAULT_ORDER) -> VerificationReport:
     """Weighted tail inequality with the ramp weight h = tau (1 + z)/2 at r = tau/3."""
     specs = _resolve_psis(psi_labels)
-    extremals = [(spec.label, build_extremal_pair(spec, order).f0) for spec in specs]
     h_coeffs = np.zeros(order + 1)
     h_coeffs[0] = tau / 2.0
     h_coeffs[1] = tau / 2.0
     h = TruncatedSeries(h_coeffs)
     r = tau / 3.0
-    _check_weighted_claim(tau, h, r)
+    kernels = [_WeightedCheck(tau, build_f0(spec, order), h, N, r, spec.label)
+               for spec in specs]
     rng = random.Random(seed)
     tally = _Tally()
     for _ in range(trials):
         sample = sample_schwarz(rng, degree_max)
         omega = schwarz_series(sample, order)
-        for label, f0 in extremals:
-            tally.check(_weighted_margin, tau, f0, f0.compose(omega), sample, h, N, r, label)
+        described = sample.describe()
+        for check in kernels:
+            tally.extend(*_weighted_margin(check, check.f.compose(omega), described))
     return tally.report(seed, trials, {
         "check": "weighted-tail",
         "tau": tau,
@@ -472,15 +549,13 @@ def run_br_suite(psi_label: str = "cardioid", family: Family = Family.STARLIKE,
     pair = build_extremal_pair(spec, order)
     solved = solve(problem, pair)
     r_cap = min(solved.rb, 1.0 / 3.0)
-    r_values = [frac * r_cap for frac in (0.25, 0.5, 0.75, 1.0)]
-    base, _ = _family_extremal(problem, pair)
+    checks = _BRChecks(problem, pair, [frac * r_cap for frac in (0.25, 0.5, 0.75, 1.0)])
     rng = random.Random(seed)
     tally = _Tally()
     for _ in range(trials):
         sample = sample_schwarz(rng, degree_max)
-        g = base.compose(schwarz_series(sample, order))
-        for r in r_values:
-            tally.check(_br_margin, problem, pair, g, sample, r)
+        g = checks.base.compose(schwarz_series(sample, order))
+        tally.extend(*_br_margin(checks, g, sample.describe()))
     return tally.report(seed, trials, {
         "check": "bohr-rogosinski",
         "psi": spec.label,

@@ -9,7 +9,9 @@ exponential of such series, and the t-weighted integral).
 
 Composition f(w) is one matrix product of f's coefficients with the power
 table [w^0..w^K] of the inner series.  The table is built at most once per
-inner series and is shared by every series composed with it.
+inner series and is shared by every series composed with it.  It is built
+by doubling: rows n+1..2n are rows 1..n times row n, one product with the
+Toeplitz matrix of row n, so order K takes ceil(log2 K) products.
 
 Each series carries ``tail_hint``, a heuristic bound on the dropped tail
 evaluated at r = 1/3, computed from the last two stored coefficients.  It
@@ -49,10 +51,6 @@ def _tail_hint(coeffs: np.ndarray) -> float:
     return c_last * r**k / (1.0 - rho * r)
 
 
-def _mul_arrays(a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
-    return np.convolve(a, b)[: order + 1]
-
-
 @dataclass(frozen=True, eq=False)
 class TruncatedSeries:
     """Real power series truncated at a fixed order.
@@ -69,7 +67,7 @@ class TruncatedSeries:
         arr = np.array(self.coeffs, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("coefficients must form a non-empty 1-d sequence")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("coefficients must be finite")
         arr.flags.writeable = False
         object.__setattr__(self, "coeffs", arr)
@@ -109,7 +107,7 @@ class TruncatedSeries:
         """Cauchy product truncated at the common order; scalars rescale."""
         if isinstance(other, TruncatedSeries):
             self._check_order(other)
-            return TruncatedSeries(_mul_arrays(self.coeffs, other.coeffs, self.order))
+            return TruncatedSeries(np.convolve(self.coeffs, other.coeffs)[: self.order + 1])
         if isinstance(other, (int, float)):
             return TruncatedSeries(self.coeffs * float(other))
         return NotImplemented
@@ -120,12 +118,27 @@ class TruncatedSeries:
 
     @cached_property
     def powers(self) -> np.ndarray:
-        """Read-only table whose row n holds the coefficients of self**n."""
+        """Read-only table whose row n holds the coefficients of self**n.
+
+        The table is built by doubling.  Once rows 0..n are known, rows
+        n+1..n+b with b = min(n, K - n) are rows 1..b times row n: one
+        matrix product with the triangular Toeplitz matrix of row n.
+        That is ceil(log2 K) products in place of K convolutions.
+        """
         k = self.order
         table = np.zeros((k + 1, k + 1))
         table[0, 0] = 1.0
-        for n in range(1, k + 1):
-            table[n] = _mul_arrays(table[n - 1], self.coeffs, k)
+        table[1:2] = self.coeffs  # an empty slice at order 0
+        # row[lag] is the Toeplitz matrix of row n: entry (j, i) is row[i - j],
+        # and a negative lag picks one of the k zeros that pad the row.
+        lag = np.arange(k + 1) - np.arange(k + 1)[:, None]
+        row = np.zeros(2 * k + 1)
+        n = 1
+        while n < k:
+            b = min(n, k - n)
+            row[: k + 1] = table[n]
+            table[n + 1 : n + b + 1] = table[1 : b + 1] @ row[lag]
+            n += b
         table.flags.writeable = False
         return table
 

@@ -218,6 +218,16 @@ def test_parse_labels_round_trip():
     assert catalog.parse_psi("classical-convex").default_family == "convex"
 
 
+@pytest.mark.parametrize("label", ["janowski:D=1,E=-0.999999999", "alpha:0.1234567",
+                                   "booth:k=2.50000001"])
+def test_label_keeps_parameters_that_g_format_rounds(label):
+    # ":g" shows 6 significant digits: these would print as E=-1, 0.123457
+    # and k=2.5, naming another generator.
+    spec = catalog.parse_psi(label)
+    assert spec.label == label
+    assert catalog.parse_psi(spec.label).params == spec.params
+
+
 def test_parse_rejects_unknown():
     with pytest.raises(ValueError):
         catalog.parse_psi("lemniscate")

@@ -331,6 +331,20 @@ def test_bohr_limit_rejects_n_and_m_other_than_1(capsys, argv):
     assert "bohr-limit" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("--N", "65"),
+    ("--weighted", "--N", "70"),
+    ("--lemma", "br", "--N", "70"),
+    ("--psi", "sine", "--order", "16", "--N", "17"),
+])
+def test_verify_rejects_n_past_the_order(capsys, argv):
+    # An empty tail window checks nothing; it must not pass as clean.
+    code, out, err = run_cli(capsys, "verify", "--trials", "2", *argv)
+    assert code == 2
+    assert out == ""
+    assert "exceeds the truncation order" in err
+
+
 def test_verify_bad_trials(capsys):
     code, _, err = run_cli(capsys, "verify", "--trials", "0")
     assert code == 2

@@ -232,6 +232,50 @@ def test_tail_suite_is_deterministic():
     assert a.to_json_dict() == b.to_json_dict()
 
 
+def test_tail_suite_matches_public_check():
+    # The suite takes all nine (N, r) margins of a composed series from one
+    # product; the public check sums one window at a time.
+    trials, seed, labels = 40, 11, ("sine", "booth", "cardioid")
+    n_values, r_values = (1, 2, 3), (0.1, 0.25, 1.0 / 3.0)
+    report = run_tail_suite(psi_labels=labels, trials=trials, seed=seed, n_values=n_values,
+                            r_values=r_values, max_reports=10**6)
+    f0s = [build_extremal_pair(catalog.parse_psi(label)).f0 for label in labels]
+    rng = random.Random(seed)
+    margins, violations = [], []
+    for _ in range(trials):
+        sample = sample_schwarz(rng, 4)
+        for label, f0 in zip(labels, f0s):
+            for n in n_values:
+                for r in r_values:
+                    try:
+                        margins.append(verify_tail_inequality(f0, sample, n, r, label))
+                    except InequalityViolation as exc:
+                        margins.append(exc.report["margin"])
+                        violations.append(exc.report)
+    assert violations
+    assert report.violations == len(violations)
+    # The worst report leads; the rest keep the order the checks ran in.
+    lead = min(violations, key=lambda ce: ce["margin"])
+    ordered = [lead] + [ce for ce in violations if ce is not lead]
+    key = ("sample", "psi", "N", "r")
+    assert [[ce[k] for k in key] for ce in report.counterexamples] == \
+        [[ce[k] for k in key] for ce in ordered]
+    for got, want in zip(report.counterexamples, ordered):
+        assert abs(got["margin"] - want["margin"]) <= 1e-13 * want["majorant_tail"]
+    assert abs(report.worst_margin - min(margins)) <= 1e-13 * lead["majorant_tail"]
+
+
+@pytest.mark.parametrize("run", [
+    lambda: run_tail_suite(trials=2, n_values=(65,), order=64),
+    lambda: run_tail_suite(psi_labels=("sine",), trials=2, n_values=(1, 17), order=16),
+    lambda: run_weighted_suite(trials=2, N=70, order=64),
+])
+def test_suites_reject_a_tail_index_past_the_order(run):
+    # The tail window from N > K is empty, so such a run would check nothing.
+    with pytest.raises(ValueError, match="exceeds the truncation order"):
+        run()
+
+
 def test_tally_leads_with_worst_even_past_the_cap():
     tally = _Tally(cap=2)
     for margin in (-1.0, 0.5, -2.0, -3.0):

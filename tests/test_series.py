@@ -191,6 +191,40 @@ def test_powers_table_is_read_only():
         w.powers = table
 
 
+def sequential_powers(w):
+    """Reference power table: row n is row n - 1 convolved with w."""
+    k = w.order
+    table = np.zeros((k + 1, k + 1))
+    table[0, 0] = 1.0
+    for n in range(1, k + 1):
+        table[n] = np.convolve(table[n - 1], w.coeffs)[: k + 1]
+    return table
+
+
+def assert_powers_match_reference(w):
+    got = w.powers
+    assert got.shape == (w.order + 1, w.order + 1)
+    # Rounding errors of both routes scale with the majorant table |w|^n.
+    scale = sequential_powers(TruncatedSeries(np.abs(w.coeffs)))
+    bound = 1e-12 * scale + np.finfo(float).tiny
+    assert np.all(np.abs(got - sequential_powers(w)) <= bound)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 5, 64, 256])
+def test_powers_match_sequential_convolution(order):
+    rng = np.random.default_rng(order)
+    c = rng.uniform(-1.0, 1.0, order + 1)
+    c[0] = 0.0
+    assert_powers_match_reference(TruncatedSeries(c))
+
+
+@settings(deadline=None)
+@given(st.integers(min_value=1, max_value=80).flatmap(lambda k: st.lists(
+    st.floats(min_value=-1.0, max_value=1.0, allow_nan=False), min_size=k, max_size=k)))
+def test_powers_match_sequential_convolution_on_random_series(w):
+    assert_powers_match_reference(TruncatedSeries([0.0] + w))
+
+
 def test_shared_inner_series_composes_like_fresh_copies():
     w = poly(0, 0.6, -0.3, 0.1, order=16)
     f, h = koebe_series(16), TruncatedSeries(np.linspace(-1.0, 1.0, 17))
