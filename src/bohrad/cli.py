@@ -25,6 +25,7 @@ from .radius import (
     solve_janowski_exact,
     sweep,
 )
+from .series import DEFAULT_ORDER
 from . import oracle
 
 EXIT_OK = 0
@@ -108,15 +109,15 @@ def _mode(args, *indices) -> Mode:
 def _cmd_radius(args) -> int:
     spec = catalog.parse_psi(args.psi)
     mode = _mode(args, args.m, args.N)
-    problem = RadiusProblem(
-        psi=spec, family=_family(args, spec), m=args.m, N=args.N,
-        mode=mode, order=args.order, tol=args.tol,
-    )
+    family = _family(args, spec)
     if args.method == "exact":
+        if args.order is not None:
+            raise ValueError("--order: the closed equation of --method exact has no "
+                             "truncation order")
         params = spec.params
         if "D" not in params or "E" not in params:
             raise ValueError(f"--method exact needs a Janowski-family psi, got {spec.label}")
-        if problem.family == Family.CONVEX:
+        if family == Family.CONVEX:
             raise ValueError("--method exact solves the starlike Janowski equation only; "
                              "there is no closed convex equation")
         res = dataclasses.replace(
@@ -125,7 +126,9 @@ def _cmd_radius(args) -> int:
             psi=spec.label,
         )
     else:
-        res = solve(problem)
+        order = DEFAULT_ORDER if args.order is None else args.order
+        res = solve(RadiusProblem(psi=spec, family=family, m=args.m, N=args.N,
+                                  mode=mode, order=order, tol=args.tol))
     _print_result(res, args.format)
     return EXIT_OK
 
@@ -256,7 +259,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_radius.add_argument("--method", choices=["series", "exact"], default="series",
                           help="series path, or the closed Janowski equation")
     p_radius.add_argument("--format", choices=["table", "csv", "json"], default="table")
-    p_radius.set_defaults(func=_cmd_radius, needs_psi=True)
+    # --order defaults to None so that --method exact, which has no
+    # truncation order, can reject it; the series path applies 64.
+    p_radius.set_defaults(func=_cmd_radius, needs_psi=True, order=None)
 
     p_sweep = sub.add_parser("sweep", help="solve over a range of N or m")
     common(p_sweep, with_mn=False)

@@ -10,9 +10,12 @@ sum: p = 0 for N = 1, p = r for N = 2, p = r + sum_{n=2}^{N-1} |a_n| r^n
 for N >= 3.  In the Bohr limit (m -> infinity with N = 1) the fhat(r^m)
 term is dropped.  Apart from its constant -rs every coefficient of G is a
 modulus, so on [0, 1) G is increasing and convex with exactly one root.
-``solve`` finds it by Newton's method from the right, with chord steps
-from the left, inside a certified bracket.  The closed-form Janowski
-equation (E <= 0) has the same structure and goes through the same solver.
+Since a_1 = 1, G(r) >= r^m + |a_N| r^N - rs (r - rs in the Bohr limit), so
+the root lies below min(rs^(1/m), (rs/|a_N|)^(1/N)).  ``solve`` starts
+Newton's method there, from the right, with chord steps from the left,
+inside a certified bracket.  The closed-form Janowski equation (E <= 0)
+has the same structure and goes through the same solver from the same
+start.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 
 from .catalog import PsiSpec, janowski, janowski_coeff_bound
 from .extremal import ExtremalPair, build_extremal_pair
-from .series import DEFAULT_ORDER, TruncatedSeries
+from .series import DEFAULT_ORDER, OrderMismatchError, TruncatedSeries
 
 _BRACKET_HI = 1.0 - 1e-9
 
@@ -45,6 +48,13 @@ class BracketError(RuntimeError):
     """The radius equation did not change sign on the search bracket."""
 
 
+def _check_indices_and_tol(m: int, N: int, tol: float) -> None:
+    if m < 1 or N < 1:
+        raise ValueError("m and N must be positive integers")
+    if not 0.0 < tol < 1e-3:
+        raise ValueError(f"tol must lie in (0, 1e-3), got {tol}")
+
+
 @dataclass(frozen=True)
 class RadiusProblem:
     psi: PsiSpec
@@ -56,10 +66,7 @@ class RadiusProblem:
     tol: float = 1e-10
 
     def __post_init__(self):
-        if self.m < 1 or self.N < 1:
-            raise ValueError("m and N must be positive integers")
-        if not 0.0 < self.tol < 1e-3:
-            raise ValueError(f"tol must lie in (0, 1e-3), got {self.tol}")
+        _check_indices_and_tol(self.m, self.N, self.tol)
         if self.N > self.order:
             raise ValueError(f"N={self.N} exceeds the truncation order {self.order}")
 
@@ -110,53 +117,71 @@ def _horner(reversed_coeffs: list[float], x: float) -> tuple[float, float]:
     return value, slope
 
 
-def _radius_equation(problem: RadiusProblem,
-                     pair: ExtremalPair) -> Callable[[float], tuple[float, float]]:
+def _radius_equation(problem: RadiusProblem, pair: ExtremalPair
+                     ) -> tuple[Callable[[float], tuple[float, float]], float]:
     """G and its slope G' as one function of r, from moduli built once.
 
     G(r) = P(r^m) + Q(r) - r* with P = fhat (absent in the Bohr limit) and
     Q = fhat with its terms of index < N removed, so that
     G'(r) = Q'(r) + m r^(m-1) P'(r^m).  Each polynomial is evaluated by one
-    plain-float Horner pass that carries value and slope together.
+    plain-float Horner pass that carries value and slope together; at m = 1
+    P and Q share their argument and are summed into one polynomial.
+    Also returns the certified Newton start (see ``_certified_top``).
     """
     series, rstar = _family_extremal(problem, pair)
-    moduli = np.abs(series.coeffs)
+    moduli = np.abs(series.coeffs).tolist()
+    m, N = problem.m, problem.N
     if problem.mode == Mode.BOHR_LIMIT:
-        p, q = None, moduli
+        p, q = [], moduli
+        hi = _certified_top(rstar, [(moduli[1], 1)])
     else:
-        p, q = moduli[::-1].tolist(), np.where(np.arange(moduli.size) < problem.N, 0.0, moduli)
-    q = q[::-1].tolist()
-    m = problem.m
+        p, q = moduli, [0.0] * N + moduli[N:]
+        hi = _certified_top(rstar, [(moduli[1], m), (moduli[N], N)])
+        if m == 1:
+            p, q = [], [a + b for a, b in zip(p, q)]
+    p, q = p[::-1], q[::-1]
 
     def equation(r: float) -> tuple[float, float]:
         value, slope = _horner(q, r)
-        if p is not None:
+        if p:
             p_value, p_slope = _horner(p, r**m)
             value += p_value
             slope += m * r ** (m - 1) * p_slope
         return value - rstar, slope
 
-    return equation
+    return equation, hi
+
+
+def _certified_top(rstar: float, terms: list[tuple[float, int]]) -> float:
+    """Newton start: an upper bound on the root of G from terms a r^k of G + r*.
+
+    Every coefficient of G + r* is nonnegative, so at the root each listed
+    term a r^k is at most r*, and the root is at most (r*/a)^(1/k).  Terms
+    with a = 0 bound nothing.
+    """
+    return min([_BRACKET_HI] + [(rstar / a) ** (1.0 / k) for a, k in terms if a > 0.0])
 
 
 def g_function(problem: RadiusProblem, pair: ExtremalPair, r: float) -> float:
     """Value of the radius equation at r in [0, 1)."""
     if not 0.0 <= r < 1.0:
         raise ValueError(f"radius argument must lie in [0, 1), got {r}")
-    return _radius_equation(problem, pair)(r)[0]
+    return _radius_equation(problem, pair)[0](r)[0]
 
 
 def _monotone_newton(equation: Callable[[float], tuple[float, float]], tol: float,
-                     hi: float = _BRACKET_HI) -> tuple[float, tuple[float, float], int, float]:
+                     hi: float) -> tuple[float, tuple[float, float], int, float]:
     """Root of an increasing convex G on [0, hi] with a certified bracket.
 
-    Fourier's condition holds at the right end of the bracket (G > 0 and
-    G'' >= 0 there), so Newton's iterates from it decrease monotonically to
-    the root and each is an upper bound.  The chord through the last lower
-    bound and the current Newton iterate lies above a convex G, so its zero
-    is a lower bound.  Once the two bounds agree within tol/2 they are
-    widened by tol/5 on each side and the signs of G at the new ends are
-    checked.  The root is one more Newton step, kept between the two bounds.
+    ``hi`` is the certified start from ``_certified_top``.  Fourier's
+    condition holds there (G'' >= 0) whenever G(hi) > 0; if rounding leaves
+    G(hi) <= 0 the start falls back to 1 - 1e-9.  Newton's iterates from
+    the start decrease monotonically to the root and each is an upper
+    bound.  The chord through the last lower bound and the current Newton
+    iterate lies above a convex G, so its zero is a lower bound.  Once the
+    two bounds agree within tol/2 they are widened by tol/5 on each side
+    and the signs of G at the new ends are checked.  The root is one more
+    Newton step, kept between the two bounds.
     Returns the root, the bracket, the number of evaluations of G and the
     residual G(root).
     """
@@ -164,6 +189,10 @@ def _monotone_newton(equation: Callable[[float], tuple[float, float]], tol: floa
     g_lo, _ = equation(lo)
     g_hi, slope = equation(hi)
     evaluations = 2
+    if g_hi <= 0.0 and hi < _BRACKET_HI:
+        hi = _BRACKET_HI
+        g_hi, slope = equation(hi)
+        evaluations += 1
     if not (g_lo < 0.0 < g_hi):
         raise BracketError(
             f"no sign change on [{lo}, {hi}]: G(lo)={g_lo:.3e}, G(hi)={g_hi:.3e}"
@@ -197,12 +226,17 @@ def _clamped(r0: float, exact_bounds: bool) -> float:
 
 
 def solve(problem: RadiusProblem, pair: ExtremalPair | None = None) -> RadiusResult:
-    """Solve the radius equation for the given problem."""
+    """Solve the radius equation for the given problem.
+
+    A given ``pair`` must be built at ``problem.order``.
+    """
     if pair is None:
         pair = build_extremal_pair(problem.psi, problem.order)
-    r0, bracket, iterations, residual = _monotone_newton(
-        _radius_equation(problem, pair), problem.tol
-    )
+    elif pair.f0.order != problem.order:
+        raise OrderMismatchError(f"order mismatch: the pair has order {pair.f0.order}, "
+                                 f"the problem {problem.order}")
+    equation, hi = _radius_equation(problem, pair)
+    r0, bracket, iterations, residual = _monotone_newton(equation, problem.tol, hi)
     rb = _clamped(r0, problem.psi.exact_bounds)
     series, _ = _family_extremal(problem, pair)
     sharp = bool(rb == r0 and np.all(series.coeffs[1:] > 0.0))
@@ -241,14 +275,14 @@ def solve_janowski_exact(d: float, e: float, m: int = 1, N: int = 1,
     Every extremal coefficient is positive for E <= 0, so f0 is its own
     majorant, f0(r) - H(r) is the tail sum_{n>=N} a_n r^n, and G is
     increasing and convex as in ``solve``.  It goes through the same
-    Newton solver, and the result is always sharp.
+    Newton solver from the same certified start, with a_1 = 1 and
+    a_N = ``janowski_coeff_bound``, and the result is always sharp.
     """
     spec = janowski(d, e)
     if e > 0.0:
         raise ValueError(f"the closed Janowski equation needs E <= 0, got E={e:g}; "
                          "the series path (--method series) solves E > 0")
-    if m < 1 or N < 1:
-        raise ValueError("m and N must be positive integers")
+    _check_indices_and_tol(m, N, tol)
     if mode == Mode.BOHR_LIMIT:
         N = 1
     p = None if e == 0.0 else (d - e) / e
@@ -262,8 +296,12 @@ def solve_janowski_exact(d: float, e: float, m: int = 1, N: int = 1,
         return x * base**p, (1.0 + d * x) * base ** (p - 1.0)
 
     rstar = spec.koebe_closed
-    head = ([0.0, 1.0] + [janowski_coeff_bound(d, e, n) for n in range(2, N)])[:N]
-    head.reverse()
+    coeffs = [0.0, 1.0] + [janowski_coeff_bound(d, e, n) for n in range(2, N + 1)]
+    head = coeffs[:N][::-1]
+    if mode == Mode.BOHR_LIMIT:
+        hi = _certified_top(rstar, [(1.0, 1)])
+    else:
+        hi = _certified_top(rstar, [(1.0, m), (coeffs[N], N)])
 
     def equation(r: float) -> tuple[float, float]:
         value, slope = f0_closed(r)
@@ -275,13 +313,6 @@ def solve_janowski_exact(d: float, e: float, m: int = 1, N: int = 1,
             slope += m * r ** (m - 1) * point_slope
         return value - rstar, slope
 
-    # At E = -1, f0 has its pole at r = 1; Newton from 1 - 1e-9 would spend
-    # about a hundred steps there, so grow the bracket top from 0.9 only as
-    # far as the sign change requires.
-    hi, evaluations = 0.9, 1
-    while equation(hi)[0] <= 0.0 and hi < _BRACKET_HI:
-        hi = min(1.0 - 0.25 * (1.0 - hi), _BRACKET_HI)
-        evaluations += 1
     r0, bracket, iterations, residual = _monotone_newton(equation, tol, hi)
     return RadiusResult(
         psi=spec.label,
@@ -292,7 +323,7 @@ def solve_janowski_exact(d: float, e: float, m: int = 1, N: int = 1,
         r0=r0,
         rb=r0,
         bracket=bracket,
-        iterations=evaluations + iterations,
+        iterations=iterations,
         residual=residual,
         sharp=True,
     )

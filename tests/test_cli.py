@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -123,6 +124,28 @@ def test_radius_exact_method_prints_catalog_label(capsys):
     assert code == 0
     assert "psi        classical-starlike" in out
     assert "r0         0.101020514434" in out
+
+
+def test_radius_exact_method_rejects_order(capsys):
+    # The closed equation has no truncation order to honour.
+    code, out, err = run_cli(capsys, "radius", "--psi", "janowski:D=1,E=0",
+                             "--method", "exact", "--order", "256")
+    assert code == 2
+    assert out == ""
+    assert "--order" in err
+
+
+def test_radius_exact_method_takes_n_past_the_series_order(capsys):
+    # At N = 100 the tail of z e^z is below rounding, so the root is the
+    # Lambert value r e^r = e^-1 of the point term alone.
+    code, out, _ = run_cli(capsys, "radius", "--psi", "janowski:D=1,E=0", "--N", "100",
+                           "--method", "exact", "--format", "json")
+    assert code == 0
+    r0 = json.loads(out)["r0"]
+    assert abs(r0 * math.exp(r0) - math.exp(-1.0)) <= 1e-11
+    code, _, err = run_cli(capsys, "radius", "--psi", "janowski:D=1,E=0", "--N", "100")
+    assert code == 2
+    assert "exceeds the truncation order 64" in err
 
 
 def test_radius_invalid_psi_exits_2(capsys):

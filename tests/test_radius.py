@@ -7,7 +7,7 @@ import pytest
 import scipy.optimize
 import scipy.special
 
-from bohrad import catalog
+from bohrad import catalog, radius
 from bohrad.extremal import build_extremal_pair
 from bohrad.radius import (
     Family,
@@ -18,6 +18,7 @@ from bohrad.radius import (
     solve_janowski_exact,
     sweep,
 )
+from bohrad.series import OrderMismatchError
 
 CATALOG_PROBLEMS = [
     ("classical-starlike", Family.STARLIKE),
@@ -167,6 +168,12 @@ def bisection_root(g, lo=0.0, hi=1.0):
             hi = mid
 
 
+def assert_plain_floats(res):
+    # An np.float64 in the Newton loop makes every Horner pass slower.
+    assert type(res.r0) is float and type(res.residual) is float
+    assert [type(end) for end in res.bracket] == [float, float]
+
+
 @pytest.mark.parametrize("order", [64, 256])
 @pytest.mark.parametrize("label", SOLVER_GRID_LABELS)
 def test_solver_matches_independent_bisection(label, order):
@@ -187,7 +194,66 @@ def test_solver_matches_independent_bisection(label, order):
                     lo, hi = res.bracket
                     assert g_function(prob, pair, lo) < 0.0 < g_function(prob, pair, hi), prob
                     assert lo < res.r0 < hi and hi - lo <= prob.tol, prob
-                    assert res.iterations <= 48, prob
+                    assert res.iterations <= 24, prob
+                    assert_plain_floats(res)
+
+
+@pytest.fixture
+def newton_runs(monkeypatch):
+    """Spy on the root solver: its start, G there, and the calls to G."""
+    runs = []
+    newton = radius._monotone_newton
+
+    def spy(equation, tol, hi):
+        run = {"hi": hi, "g_hi": equation(hi)[0], "calls": 0}
+        runs.append(run)
+
+        def counted(r):
+            run["calls"] += 1
+            return equation(r)
+
+        return newton(counted, tol, hi)
+
+    monkeypatch.setattr(radius, "_monotone_newton", spy)
+    return runs
+
+
+def expected_start(rstar, terms):
+    """min(1 - 1e-9, (r*/a)^(1/k) over the terms a r^k with a > 0)."""
+    return min([1.0 - 1e-9] + [(rstar / a) ** (1.0 / k) for a, k in terms if a > 0.0])
+
+
+@pytest.mark.parametrize("order", [64, 256])
+@pytest.mark.parametrize("label", SOLVER_GRID_LABELS)
+def test_series_solver_starts_at_the_certified_bound(label, order, newton_runs):
+    spec = catalog.parse_psi(label)
+    pair = build_extremal_pair(spec, order)
+    for family in Family:
+        series = pair.f0 if family == Family.STARLIKE else pair.l0
+        rstar = pair.koebe_starlike if family == Family.STARLIKE else pair.koebe_convex
+        moduli = [abs(float(c)) for c in series.coeffs]
+        assert moduli[1] == 1.0
+        for mode in Mode:
+            for m in (1, 2, 5, 24):
+                for N in (1, 2, 3, 10):
+                    prob = RadiusProblem(psi=spec, family=family, m=m, N=N, mode=mode,
+                                         order=order)
+                    res = solve(prob, pair)
+                    run = newton_runs.pop()
+                    terms = ([(1.0, 1)] if mode == Mode.BOHR_LIMIT
+                             else [(1.0, m), (moduli[N], N)])
+                    assert run["hi"] == expected_start(rstar, terms), prob
+                    assert run["g_hi"] > 0.0 and res.r0 < run["hi"], prob
+                    assert res.iterations == run["calls"], prob
+
+
+def test_solve_rejects_a_pair_of_another_order():
+    # An order-8 pair has no coefficient 20, so the tail sum of an order-64
+    # problem at N = 20 would be empty and the root that of another equation.
+    prob = problem("cardioid", N=20)
+    pair = build_extremal_pair(prob.psi, 8)
+    with pytest.raises(OrderMismatchError, match="order"):
+        solve(prob, pair)
 
 
 @pytest.mark.parametrize("label,family", CATALOG_PROBLEMS)
@@ -292,6 +358,8 @@ def test_exact_path_parameter_validation():
         solve_janowski_exact(0.5, 0.75)
     with pytest.raises(ValueError):
         solve_janowski_exact(1.0, -1.0, m=0)
+    with pytest.raises(ValueError, match="tol"):
+        solve_janowski_exact(1.0, -1.0, tol=1e-2)
 
 
 def closed_equation(d, e, m, N, mode):
@@ -313,8 +381,14 @@ def closed_equation(d, e, m, N, mode):
     return g
 
 
-@pytest.mark.parametrize("de", JANOWSKI_GRID + [(0.0, -0.5), (1.0, -0.6)],
-                         ids=lambda de: "D={:g},E={:g}".format(*de))
+EXACT_SOLVER_GRID = JANOWSKI_GRID + [(0.0, -0.5), (1.0, -0.6)]
+
+
+def de_id(de):
+    return "D={:g},E={:g}".format(*de)
+
+
+@pytest.mark.parametrize("de", EXACT_SOLVER_GRID, ids=de_id)
 def test_exact_solver_matches_independent_bisection(de):
     d, e = de
     for mode in Mode:
@@ -327,7 +401,28 @@ def test_exact_solver_matches_independent_bisection(de):
                 lo, hi = res.bracket
                 assert g(lo) < 0.0 < g(hi), case
                 assert lo < res.r0 < hi and hi - lo <= 1e-10, case
-                assert res.iterations <= 32, case
+                assert res.iterations <= 20, case
+                assert_plain_floats(res)
+
+
+@pytest.mark.parametrize("de", EXACT_SOLVER_GRID, ids=de_id)
+def test_exact_solver_starts_at_the_certified_bound(de, newton_runs):
+    d, e = de
+    rstar = catalog.janowski(d, e).koebe_closed
+    for mode in Mode:
+        for m in (1, 2, 5, 24):
+            for N in (1, 2, 3, 10):
+                res = solve_janowski_exact(d, e, m=m, N=N, mode=mode)
+                run = newton_runs.pop()
+                case = (de, m, N, mode)
+                if mode == Mode.BOHR_LIMIT:
+                    terms = [(1.0, 1)]
+                else:
+                    a_n = 1.0 if N == 1 else catalog.janowski_coeff_bound(d, e, N)
+                    terms = [(1.0, m), (a_n, N)]
+                assert run["hi"] == expected_start(rstar, terms), case
+                assert run["g_hi"] > 0.0 and res.r0 < run["hi"], case
+                assert res.iterations == run["calls"], case
 
 
 def test_inconsistent_problem_raises_bracket_error():
