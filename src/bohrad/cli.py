@@ -177,7 +177,9 @@ _VERIFY_READS = {
 
 
 def _cmd_verify(args) -> int:
-    lemma = "weighted" if args.weighted else args.lemma
+    if args.weighted and args.lemma not in (None, "weighted"):
+        raise ValueError(f"--weighted is --lemma weighted; it contradicts --lemma {args.lemma}")
+    lemma = "weighted" if args.weighted else args.lemma or "tail"
     unread = ["--" + name.replace("_", "-") for name in _VERIFY_OPTIONAL
               if getattr(args, name) is not None and name not in _VERIFY_READS[lemma]]
     if unread:
@@ -277,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a Monte-Carlo verification suite")
     common(p_verify)
     p_verify.add_argument("--lemma", choices=["tail", "bohr-operator", "weighted", "br"],
-                          default="tail")
+                          default=None, help="lemma to check (default: tail)")
     p_verify.add_argument("--weighted", action="store_true",
                           help="shorthand for --lemma weighted")
     p_verify.add_argument("--tau", type=float, default=None,

@@ -12,30 +12,37 @@ unimodular edge case.
 
 Checks return a signed margin (claimed bound minus tested quantity); a
 margin below the numeric tolerance raises ``InequalityViolation`` carrying
-the full counterexample, so a failure is never swallowed.  The suite
-runners collect margins over seeded sample streams into a serializable
-report.
+the full counterexample, so a failure is never swallowed.
 
-The public checks and the suites share one kernel per kind of check.  It
-is built once per extremal and holds what does not depend on the
-subordinant: the weights r^j of each tail window, the majorant tails of f
-and the fixed part of the tolerance.  A composed series then costs one
-product per check kind; the tail kernel takes every (N, r) of its grid
-from a single product |g| @ weights.  A counterexample report is built
-only for a margin below its tolerance.
+Each sum has one definition.  The tail window (``_tail_window``) holds r^j
+for j >= N and 0 below, so M(f, N, r) = |f| @ window in the tail
+functional and the tail and weighted kernels alike.  The Bohr-Rogosinski
+margin of g at r is -G_g(r): the solver's radius equation
+(``radius._radius_equation``) built from |g| in place of the extremal's
+moduli.
+
+The public checks and the suites share one kernel per kind of check, built
+once per extremal from what does not depend on the subordinant: the tail
+windows, the majorant tails of f and the fixed part of the tolerance.  A
+composed series then costs one product per check kind; the tail kernel
+takes every (N, r) of its grid from one product |g| @ weights.  The suites
+draw omega from one seeded stream (``_samples``) and collect all margins
+through ``_Tally.extend`` into a serializable report; a counterexample
+report is built only for a margin below its tolerance.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from itertools import repeat
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .catalog import PsiSpec, parse_psi
 from .extremal import ExtremalPair, build_extremal_pair, build_f0
-from .radius import Family, Mode, RadiusProblem, _family_extremal, solve
+from .radius import (Family, Mode, RadiusProblem, _check_radius, _family_extremal,
+                     _radius_equation, solve)
 from .series import DEFAULT_ORDER, TruncatedSeries
 
 # Default generators exercised by the verification suites.
@@ -111,24 +118,19 @@ def schwarz_series(sample: SchwarzSample, order: int = DEFAULT_ORDER) -> Truncat
     return TruncatedSeries(acc)
 
 
-def _check_window(N: int, r: float, order: int | None = None) -> None:
-    """Reject a tail window from N at radius r; with ``order``, also one
-    that starts past the stored coefficients."""
+def _tail_window(N: int, r: float, order: int) -> np.ndarray:
+    """Weights r^j for j >= N and 0 below, at the indices j = 0..order."""
     if N < 0:
         raise ValueError("N must be nonnegative")
-    if order is not None and N > order:
-        raise ValueError(f"N={N} exceeds the truncation order {order}")
-    if not 0.0 <= r < 1.0:
-        raise ValueError(f"radius must lie in [0, 1), got {r}")
+    _check_radius(r)
+    window = np.zeros(order + 1)
+    np.power(r, np.arange(N, order + 1), out=window[N:])
+    return window
 
 
 def bohr_tail(f: TruncatedSeries, N: int, r: float) -> float:
     """Tail functional sum_{n=N}^{K} |c_n| r^n; N = 0 is the full majorant."""
-    _check_window(N, r)
-    if N > f.order:
-        return 0.0
-    tail = np.abs(f.coeffs[N:])
-    return float(np.dot(tail, r ** np.arange(N, f.order + 1)))
+    return float(np.dot(np.abs(f.coeffs), _tail_window(N, r, f.order)))
 
 
 def _reports(margins, limits, fields) -> list[dict]:
@@ -141,20 +143,20 @@ def _reports(margins, limits, fields) -> list[dict]:
             for i in np.flatnonzero(np.less(margins, limits))]
 
 
-def _checked(margins, reports: list[dict], message: str) -> float:
-    """The margin of a single check, or raise on its violation report.
-
-    The message is ``message`` formatted with the fields of the report.
-    """
+def _checked(margin, checks, base: TruncatedSeries, sample: SchwarzSample) -> float:
+    """The margin of a single check of base(omega) for the sampled omega, or
+    raise on its violation report with ``checks.message`` formatted by it."""
+    margins, reports = margin(checks, base.compose(schwarz_series(sample, base.order)),
+                              sample.describe())
     if reports:
-        raise InequalityViolation(message.format(**reports[0]), reports[0])
+        raise InequalityViolation(checks.message.format(**reports[0]), reports[0])
     return float(margins[0])
 
 
 class _TailChecks:
     """The tail checks of one extremal f at every (N, r) of a grid.
 
-    Column (N, r) of ``weights`` holds r^j for j >= N and 0 below, so
+    Column (N, r) of ``weights`` is the tail window from N at r, so
     |f| @ weights is the majorant tail M(f, N, r) at every grid point.
     """
 
@@ -164,11 +166,10 @@ class _TailChecks:
         self.f = f
         self.label = label
         self.grid = [(n, r) for n in n_values for r in r_values]
-        j = np.arange(f.order + 1)
-        columns = []
-        for n, r in self.grid:
-            _check_window(n, r, f.order)
-            columns.append(np.where(j >= n, r ** j, 0.0))
+        for n in n_values:
+            if n > f.order:  # the window would be empty and check nothing
+                raise ValueError(f"N={n} exceeds the truncation order {f.order}")
+        columns = [_tail_window(n, r, f.order) for n, r in self.grid]
         self.weights = np.array(columns).reshape(len(self.grid), f.order + 1).T
         self.majorant = np.abs(f.coeffs) @ self.weights
         self.tol = 1e-9 * self.majorant + f.tail_hint
@@ -211,9 +212,7 @@ def verify_tail_inequality(f: TruncatedSeries, sample: SchwarzSample, N: int,
     """
     if r > 1.0 / 3.0:
         raise ValueError(f"tail inequality is only claimed for r <= 1/3, got {r}")
-    checks = _TailChecks(f, label, (N,), (r,))
-    g = f.compose(schwarz_series(sample, f.order))
-    return _checked(*_tail_margin(checks, g, sample.describe()), checks.message)
+    return _checked(_tail_margin, _TailChecks(f, label, (N,), (r,)), f, sample)
 
 
 def verify_bohr_operator_axioms(f: TruncatedSeries, g: TruncatedSeries,
@@ -231,7 +230,7 @@ def verify_bohr_operator_axioms(f: TruncatedSeries, g: TruncatedSeries,
     """
     m_f = bohr_tail(f, N, r)
     m_g = bohr_tail(g, N, r)
-    window_zero = bool(np.all(f.coeffs[min(N, f.order + 1):] == 0.0))
+    window_zero = not f.coeffs[N:].any()
     margins = {
         "nonnegativity": m_f,
         "definiteness_ok": (m_f == 0.0) == window_zero or r == 0.0,
@@ -272,17 +271,18 @@ def _check_weighted_claim(tau: float, h: TruncatedSeries, r: float) -> None:
 
 
 class _WeightedCheck:
-    """The weighted check of one extremal f with weight h at one (N, r)."""
+    """The weighted check of one extremal f with weight h at one (N, r);
+    its window and majorant tail are those of the tail kernel at (N, r)."""
 
     message = "weighted tail inequality violated for {psi}: margin {margin:.3e}"
 
     def __init__(self, tau: float, f: TruncatedSeries, h: TruncatedSeries, N: int,
                  r: float, label: str):
         _check_weighted_claim(tau, h, r)
-        _check_window(N, r, f.order)
+        tail = _TailChecks(f, label, (N,), (r,))
         self.f, self.h, self.tau, self.N, self.r, self.label = f, h, tau, N, r, label
-        self.weights = r ** np.arange(N, f.order + 1)
-        self.scaled_majorant = tau * bohr_tail(f, N, r)
+        self.weights = tail.weights[:, 0]
+        self.scaled_majorant = tau * tail.majorant_tails[0]
         self.tol = 1e-9 * self.scaled_majorant + f.tail_hint
 
 
@@ -290,7 +290,7 @@ def _weighted_margin(check: _WeightedCheck, g: TruncatedSeries,
                      sample: dict) -> tuple[tuple[float], list[dict]]:
     """Margin tau M(f, N, r) - M(h g, N, r), and its violation report."""
     weighted = check.h * g
-    lhs = float(np.dot(np.abs(weighted.coeffs[check.N:]), check.weights))
+    lhs = float(np.abs(weighted.coeffs) @ check.weights)
     margins = (check.scaled_majorant - lhs,)
     return margins, _reports(margins, -(check.tol + weighted.tail_hint), lambda i: {
         "check": "weighted-tail",
@@ -311,9 +311,7 @@ def verify_weighted(tau: float, f: TruncatedSeries, sample: SchwarzSample,
     The weight h must satisfy the majorant bound sum |h_n| tau^n <= tau,
     the literal reading of |h| <= tau on |z| < tau.
     """
-    check = _WeightedCheck(tau, f, h, N, r, label)
-    g = f.compose(schwarz_series(sample, f.order))
-    return _checked(*_weighted_margin(check, g, sample.describe()), check.message)
+    return _checked(_weighted_margin, _WeightedCheck(tau, f, h, N, r, label), f, sample)
 
 
 class _BRChecks:
@@ -324,26 +322,21 @@ class _BRChecks:
     def __init__(self, problem: RadiusProblem, pair: ExtremalPair, r_values):
         self.problem = problem
         self.base, self.rstar = _family_extremal(problem, pair)
-        bohr_limit = problem.mode == Mode.BOHR_LIMIT
-        self.n = 1 if bohr_limit else problem.N
         self.r_values = list(r_values)
         for r in self.r_values:
-            _check_window(self.n, r, self.base.order)
-        # The point term |g(z^m)| is bounded by the majorant of g at r^m.
-        self.points = None if bohr_limit else np.array([r**problem.m for r in self.r_values])
-        self.weights = [r ** np.arange(self.n, self.base.order + 1) for r in self.r_values]
+            _check_radius(r)
         self.tol = 1e-9 * max(self.rstar, 1.0) + self.base.tail_hint
 
 
 def _br_margin(checks: _BRChecks, g: TruncatedSeries,
                sample: dict) -> tuple[list[float], list[dict]]:
-    """Margins rstar - |g|(r^m) - M(g, N, r) at each r (no point term in the
-    Bohr limit), and the violation reports."""
-    moduli = np.abs(g.coeffs)
-    points = ([0.0] * len(checks.r_values) if checks.points is None
-              else npoly.polyval(checks.points, moduli))
-    margins = [checks.rstar - float(point) - float(np.dot(moduli[checks.n:], weights))
-               for point, weights in zip(points, checks.weights)]
+    """Margins -G_g(r) at each r, where G_g is the radius equation of the
+    problem built from the moduli of g, and the violation reports.
+
+    ``0.0 - G`` rather than ``-G``, so that a zero G gives the margin +0.0.
+    """
+    equation, _ = _radius_equation(checks.problem, g, checks.rstar)
+    margins = [0.0 - equation(r)[0] for r in checks.r_values]
     problem = checks.problem
     return margins, _reports(margins, -(checks.tol + g.tail_hint), lambda i: {
         "check": "bohr-rogosinski",
@@ -351,23 +344,23 @@ def _br_margin(checks: _BRChecks, g: TruncatedSeries,
         "family": problem.family.value,
         "sample": sample,
         "m": problem.m,
-        "N": checks.n,
+        "N": 1 if problem.mode == Mode.BOHR_LIMIT else problem.N,
         "r": checks.r_values[i],
     })
 
 
 def verify_br_inequality(problem: RadiusProblem, pair: ExtremalPair,
                          sample: SchwarzSample, r: float) -> float:
-    """Margin rstar - |g(z^m)|-bound - M(g, N, r) for g = extremal(omega).
+    """Margin -G_g(r) = r* - ghat(r^m) - M(g, N, r) for g = extremal(omega).
 
-    |g(z^m)| is dominated by the majorant of the composed series at r^m,
-    matching the chain of bounds the radius equation is built from.  At the
-    identity sample and r equal to the solved radius the margin vanishes
-    (the extremal function attains the bound).
+    G_g is the solver's radius equation built from the moduli of g: |g(z^m)|
+    is dominated by the majorant ghat at r^m, and the Bohr limit drops that
+    term and takes N = 1.  At the identity sample and r equal to the solved
+    radius the margin is minus the solver's residual (the extremal attains
+    the bound).  The pair must be built at ``problem.order``.
     """
     checks = _BRChecks(problem, pair, (r,))
-    g = checks.base.compose(schwarz_series(sample, checks.base.order))
-    return _checked(*_br_margin(checks, g, sample.describe()), checks.message)
+    return _checked(_br_margin, checks, checks.base, sample)
 
 
 # -- suite runners ------------------------------------------------------
@@ -385,18 +378,20 @@ class VerificationReport:
     counterexamples: list = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "trials": self.trials,
-            "violations": self.violations,
-            "worst_margin": self.worst_margin,
-            "config": self.config,
-            "counterexamples": self.counterexamples,
-        }
+        return asdict(self)
 
 
 def _resolve_psis(psi_labels) -> list[PsiSpec]:
     return [parse_psi(p) if isinstance(p, str) else p for p in psi_labels]
+
+
+def _samples(seed: int, trials: int, degree_max: int, order: int):
+    """The seeded stream of the suites: per trial, omega as a series and
+    the description of its sample."""
+    rng = random.Random(seed)
+    for _ in range(trials):
+        sample = sample_schwarz(rng, degree_max)
+        yield schwarz_series(sample, order), sample.describe()
 
 
 class _Tally:
@@ -413,25 +408,16 @@ class _Tally:
         self._kept: list[dict] = []
         self._lead: dict | None = None
 
-    def add(self, margin: float, report: dict | None = None) -> None:
-        """Record one margin; a report marks it as a violation."""
-        self.worst = min(self.worst, margin)
-        if report is not None:
-            self._keep(report)
-
     def extend(self, margins, reports: list[dict]) -> None:
         """Record the margins of several checks and the reports of the
         violated ones."""
         self.worst = min(self.worst, float(min(margins, default=self.worst)))
         for report in reports:
-            self._keep(report)
-
-    def _keep(self, report: dict) -> None:
-        self.violations += 1
-        if self._lead is None or report["margin"] < self._lead["margin"]:
-            self._lead = report
-        if len(self._kept) < self.cap:
-            self._kept.append(report)
+            self.violations += 1
+            if self._lead is None or report["margin"] < self._lead["margin"]:
+                self._lead = report
+            if len(self._kept) < self.cap:
+                self._kept.append(report)
 
     def report(self, seed: int, trials: int, config: dict) -> VerificationReport:
         counterexamples = self._kept
@@ -456,12 +442,8 @@ def run_tail_suite(psi_labels=DEFAULT_ORACLE_PSIS, trials: int = 200, seed: int 
     specs = _resolve_psis(psi_labels)
     kernels = [_TailChecks(build_f0(spec, order), spec.label, n_values, r_values)
                for spec in specs]
-    rng = random.Random(seed)
     tally = _Tally(max_reports)
-    for _ in range(trials):
-        sample = sample_schwarz(rng, degree_max)
-        omega = schwarz_series(sample, order)
-        described = sample.describe()
+    for omega, described in _samples(seed, trials, degree_max, order):
         for checks in kernels:
             tally.extend(*_tail_margin(checks, checks.f.compose(omega), described))
     return tally.report(seed, trials, {
@@ -484,16 +466,18 @@ def run_axiom_suite(trials: int = 100, seed: int = 0, order: int = 16,
     def random_series() -> TruncatedSeries:
         return TruncatedSeries([rng.uniform(-1.0, 1.0) for _ in range(order + 1)])
 
+    margins, keys = [], []
     for _ in range(trials):
         f, g = random_series(), random_series()
         alpha = rng.uniform(-2.0, 2.0)
         for n in n_values:
-            margins = verify_bohr_operator_axioms(f, g, alpha, n, r)
-            if not margins.pop("definiteness_ok"):
+            checked = verify_bohr_operator_axioms(f, g, alpha, n, r)
+            if not checked.pop("definiteness_ok"):
                 tally.violations += 1
-            for name, value in margins.items():
-                report = {"axiom": name, "N": n, "margin": value}
-                tally.add(value, report if value < -_AXIOM_TOL else None)
+            margins += checked.values()
+            keys += zip(checked, repeat(n))
+    tally.extend(margins, _reports(margins, -_AXIOM_TOL,
+                                   lambda i: {"axiom": keys[i][0], "N": keys[i][1]}))
     return tally.report(seed, trials, {
         "check": "bohr-operator-axioms",
         "N": list(n_values),
@@ -515,12 +499,8 @@ def run_weighted_suite(tau: float = 0.8, trials: int = 200, seed: int = 0,
     r = tau / 3.0
     kernels = [_WeightedCheck(tau, build_f0(spec, order), h, N, r, spec.label)
                for spec in specs]
-    rng = random.Random(seed)
     tally = _Tally()
-    for _ in range(trials):
-        sample = sample_schwarz(rng, degree_max)
-        omega = schwarz_series(sample, order)
-        described = sample.describe()
+    for omega, described in _samples(seed, trials, degree_max, order):
         for check in kernels:
             tally.extend(*_weighted_margin(check, check.f.compose(omega), described))
     return tally.report(seed, trials, {
@@ -550,12 +530,9 @@ def run_br_suite(psi_label: str = "cardioid", family: Family = Family.STARLIKE,
     solved = solve(problem, pair)
     r_cap = min(solved.rb, 1.0 / 3.0)
     checks = _BRChecks(problem, pair, [frac * r_cap for frac in (0.25, 0.5, 0.75, 1.0)])
-    rng = random.Random(seed)
     tally = _Tally()
-    for _ in range(trials):
-        sample = sample_schwarz(rng, degree_max)
-        g = checks.base.compose(schwarz_series(sample, order))
-        tally.extend(*_br_margin(checks, g, sample.describe()))
+    for omega, described in _samples(seed, trials, degree_max, order):
+        tally.extend(*_br_margin(checks, checks.base.compose(omega), described))
     return tally.report(seed, trials, {
         "check": "bohr-rogosinski",
         "psi": spec.label,

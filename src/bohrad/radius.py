@@ -20,6 +20,7 @@ start.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -80,29 +81,25 @@ class RadiusResult:
     mode: str
     r0: float
     rb: float
-    bracket: tuple[float, float]
+    residual: float
     # Evaluations of G made by the solver.
     iterations: int
-    residual: float
     sharp: bool
+    bracket: tuple[float, float]
 
     def to_json_dict(self) -> dict:
-        return {
-            "psi": self.psi,
-            "family": self.family,
-            "m": self.m,
-            "N": self.N,
-            "mode": self.mode,
-            "r0": self.r0,
-            "rb": self.rb,
-            "residual": self.residual,
-            "iterations": self.iterations,
-            "sharp": self.sharp,
-        }
+        """The fields in output order, without the bracket."""
+        out = dataclasses.asdict(self)
+        del out["bracket"]
+        return out
 
 
 def _family_extremal(problem: RadiusProblem, pair: ExtremalPair) -> tuple[TruncatedSeries, float]:
-    """The family's extremal series (f0 or l0) and its boundary distance r*."""
+    """The family's extremal series (f0 or l0) and its boundary distance r*,
+    from a pair built at ``problem.order``; another order gives another G."""
+    if pair.f0.order != problem.order:
+        raise OrderMismatchError(f"order mismatch: the pair has order {pair.f0.order}, "
+                                 f"the problem {problem.order}")
     if problem.family == Family.STARLIKE:
         return pair.f0, pair.koebe_starlike
     return pair.l0, pair.koebe_convex
@@ -117,18 +114,19 @@ def _horner(reversed_coeffs: list[float], x: float) -> tuple[float, float]:
     return value, slope
 
 
-def _radius_equation(problem: RadiusProblem, pair: ExtremalPair
+def _radius_equation(problem: RadiusProblem, series: TruncatedSeries, rstar: float
                      ) -> tuple[Callable[[float], tuple[float, float]], float]:
-    """G and its slope G' as one function of r, from moduli built once.
+    """G and its slope G' as one function of r, from the moduli of ``series``.
 
     G(r) = P(r^m) + Q(r) - r* with P = fhat (absent in the Bohr limit) and
-    Q = fhat with its terms of index < N removed, so that
-    G'(r) = Q'(r) + m r^(m-1) P'(r^m).  Each polynomial is evaluated by one
-    plain-float Horner pass that carries value and slope together; at m = 1
-    P and Q share their argument and are summed into one polynomial.
-    Also returns the certified Newton start (see ``_certified_top``).
+    Q = fhat with its terms of index < N removed (all of fhat in the Bohr
+    limit), so that G'(r) = Q'(r) + m r^(m-1) P'(r^m).  Each polynomial is
+    evaluated by one plain-float Horner pass that carries value and slope
+    together; at m = 1 P and Q share their argument and are summed into one
+    polynomial.  Also returns the certified Newton start (see
+    ``_certified_top``).  ``solve`` passes the family extremal; built from a
+    subordinant g instead, -G(r) is the Bohr-Rogosinski margin of g at r.
     """
-    series, rstar = _family_extremal(problem, pair)
     moduli = np.abs(series.coeffs).tolist()
     m, N = problem.m, problem.N
     if problem.mode == Mode.BOHR_LIMIT:
@@ -162,11 +160,15 @@ def _certified_top(rstar: float, terms: list[tuple[float, int]]) -> float:
     return min([_BRACKET_HI] + [(rstar / a) ** (1.0 / k) for a, k in terms if a > 0.0])
 
 
+def _check_radius(r: float) -> None:
+    if not 0.0 <= r < 1.0:
+        raise ValueError(f"radius must lie in [0, 1), got {r}")
+
+
 def g_function(problem: RadiusProblem, pair: ExtremalPair, r: float) -> float:
     """Value of the radius equation at r in [0, 1)."""
-    if not 0.0 <= r < 1.0:
-        raise ValueError(f"radius argument must lie in [0, 1), got {r}")
-    return _radius_equation(problem, pair)[0](r)[0]
+    _check_radius(r)
+    return _radius_equation(problem, *_family_extremal(problem, pair))[0](r)[0]
 
 
 def _monotone_newton(equation: Callable[[float], tuple[float, float]], tol: float,
@@ -232,13 +234,10 @@ def solve(problem: RadiusProblem, pair: ExtremalPair | None = None) -> RadiusRes
     """
     if pair is None:
         pair = build_extremal_pair(problem.psi, problem.order)
-    elif pair.f0.order != problem.order:
-        raise OrderMismatchError(f"order mismatch: the pair has order {pair.f0.order}, "
-                                 f"the problem {problem.order}")
-    equation, hi = _radius_equation(problem, pair)
+    series, rstar = _family_extremal(problem, pair)
+    equation, hi = _radius_equation(problem, series, rstar)
     r0, bracket, iterations, residual = _monotone_newton(equation, problem.tol, hi)
     rb = _clamped(r0, problem.psi.exact_bounds)
-    series, _ = _family_extremal(problem, pair)
     sharp = bool(rb == r0 and np.all(series.coeffs[1:] > 0.0))
     return RadiusResult(
         psi=problem.psi.label,
@@ -248,10 +247,10 @@ def solve(problem: RadiusProblem, pair: ExtremalPair | None = None) -> RadiusRes
         mode=problem.mode.value,
         r0=r0,
         rb=rb,
-        bracket=bracket,
-        iterations=iterations,
         residual=residual,
+        iterations=iterations,
         sharp=sharp,
+        bracket=bracket,
     )
 
 
@@ -267,7 +266,8 @@ def solve_janowski_exact(d: float, e: float, m: int = 1, N: int = 1,
     where H removes the head of the second sum: H = 0 for N = 1, H = r for
     N = 2, and H = r + sum_{n=2}^{N-1} a_n r^n for N >= 3, with
     a_n = prod_{k=0}^{n-2} |E-D+Ek|/(k+1).
-    In Bohr-limit mode the f0(r^m) term is dropped and N is 1.
+    In Bohr-limit mode the f0(r^m) term is dropped and the head is that of
+    N = 1; the result echoes the given N, as ``solve`` does.
 
     Only E <= 0 is accepted.  For E > 0 the extremal coefficients change
     sign, so the radius equation needs the majorant fhat0(r^m), not the
@@ -283,8 +283,7 @@ def solve_janowski_exact(d: float, e: float, m: int = 1, N: int = 1,
         raise ValueError(f"the closed Janowski equation needs E <= 0, got E={e:g}; "
                          "the series path (--method series) solves E > 0")
     _check_indices_and_tol(m, N, tol)
-    if mode == Mode.BOHR_LIMIT:
-        N = 1
+    n = 1 if mode == Mode.BOHR_LIMIT else N
     p = None if e == 0.0 else (d - e) / e
 
     def f0_closed(x: float) -> tuple[float, float]:
@@ -296,12 +295,10 @@ def solve_janowski_exact(d: float, e: float, m: int = 1, N: int = 1,
         return x * base**p, (1.0 + d * x) * base ** (p - 1.0)
 
     rstar = spec.koebe_closed
-    coeffs = [0.0, 1.0] + [janowski_coeff_bound(d, e, n) for n in range(2, N + 1)]
-    head = coeffs[:N][::-1]
-    if mode == Mode.BOHR_LIMIT:
-        hi = _certified_top(rstar, [(1.0, 1)])
-    else:
-        hi = _certified_top(rstar, [(1.0, m), (coeffs[N], N)])
+    coeffs = [0.0, 1.0] + [janowski_coeff_bound(d, e, k) for k in range(2, n + 1)]
+    head = coeffs[:n][::-1]
+    terms = [(coeffs[n], n)] if mode == Mode.BOHR_LIMIT else [(1.0, m), (coeffs[n], n)]
+    hi = _certified_top(rstar, terms)
 
     def equation(r: float) -> tuple[float, float]:
         value, slope = f0_closed(r)
@@ -322,10 +319,10 @@ def solve_janowski_exact(d: float, e: float, m: int = 1, N: int = 1,
         mode=mode.value,
         r0=r0,
         rb=r0,
-        bracket=bracket,
-        iterations=iterations,
         residual=residual,
+        iterations=iterations,
         sharp=True,
+        bracket=bracket,
     )
 
 
@@ -350,15 +347,7 @@ def sweep(problem: RadiusProblem, n_values=None, m_values=None) -> Sweep:
     if not values:
         raise ValueError(f"empty sweep range for {axis}")
     pair = build_extremal_pair(problem.psi, problem.order)
-    results = []
-    for v in values:
-        kwargs = {"N": v} if axis == "N" else {"m": v}
-        sub = RadiusProblem(
-            psi=problem.psi, family=problem.family,
-            m=kwargs.get("m", problem.m), N=kwargs.get("N", problem.N),
-            mode=problem.mode, order=problem.order, tol=problem.tol,
-        )
-        results.append(solve(sub, pair))
+    results = [solve(dataclasses.replace(problem, **{axis: v}), pair) for v in values]
     radii = [res.r0 for res in results]
     monotone = all(b >= a - 1e-12 for a, b in zip(radii, radii[1:]))
     return Sweep(axis=axis, values=values, results=tuple(results),

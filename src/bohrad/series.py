@@ -13,6 +13,10 @@ inner series and is shared by every series composed with it.  It is built
 by doubling: rows n+1..2n are rows 1..n times row n, one product with the
 Toeplitz matrix of row n, so order K takes ceil(log2 K) products.
 
+Majorant sums sum |c_n| r^n are taken where they are used: in the radius
+equation and in the tail functional ``oracle.bohr_tail`` (N = 0 is the
+full majorant).
+
 Each series carries ``tail_hint``, a heuristic bound on the dropped tail
 evaluated at r = 1/3, computed from the last two stored coefficients.  It
 is reported alongside results but never silently added to a value.
@@ -24,7 +28,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 DEFAULT_ORDER = 64
 
@@ -188,14 +191,6 @@ class TruncatedSeries:
         out = np.zeros(self.order + 1)
         out[1:] = self.coeffs[:-1]
         return TruncatedSeries(out)
-
-    # -- evaluation ----------------------------------------------------
-
-    def eval_abs(self, r: float) -> float:
-        """Majorant evaluation sum |c_n| r^n for 0 <= r < 1."""
-        if not 0.0 <= r < 1.0:
-            raise ValueError(f"majorant evaluation point {r} outside [0, 1)")
-        return float(npoly.polyval(r, np.abs(self.coeffs)))
 
     def __repr__(self) -> str:
         head = np.array2string(self.coeffs[: min(5, self.order + 1)], precision=6)

@@ -272,6 +272,25 @@ def test_verify_weighted_flag(capsys):
     assert payload["config"]["tau"] == 0.8
 
 
+@pytest.mark.parametrize("lemma", ["tail", "bohr-operator", "br"])
+def test_verify_weighted_flag_rejects_another_lemma(capsys, lemma):
+    code, out, err = run_cli(capsys, "verify", "--weighted", "--lemma", lemma,
+                             "--trials", "10")
+    assert code == 2
+    assert out == ""
+    assert "--weighted" in err and lemma in err
+
+
+def test_verify_weighted_flag_is_the_weighted_lemma(capsys):
+    args = ("verify", "--trials", "10", "--seed", "1")
+    runs = [run_cli(capsys, *args, *flags)
+            for flags in (("--weighted",), ("--lemma", "weighted"),
+                          ("--weighted", "--lemma", "weighted"))]
+    assert [code for code, _, _ in runs] == [0, 0, 0]
+    assert runs[0][1] == runs[1][1] == runs[2][1]
+    assert json.loads(runs[0][1])["config"]["check"] == "weighted-tail"
+
+
 def test_verify_br(capsys):
     code, out, _ = run_cli(capsys, "verify", "--lemma", "br", "--psi", "cardioid",
                            "--trials", "50", "--seed", "2")

@@ -27,7 +27,7 @@ from bohrad.oracle import (
     verify_weighted,
 )
 from bohrad.radius import Family, Mode, RadiusProblem, solve
-from bohrad.series import TruncatedSeries
+from bohrad.series import OrderMismatchError, TruncatedSeries
 
 
 def koebe_series(order=64):
@@ -87,7 +87,7 @@ def test_schwarz_series_zero_at_origin_and_bounded():
         w = schwarz_series(s, 64)
         assert w.coeffs[0] == 0.0
         # |omega| < 1 on the disk forces the majorant at small r below 1.
-        assert w.eval_abs(0.5) < 3.0
+        assert bohr_tail(w, 0, 0.5) < 3.0
 
 
 def test_power_coefficients_obey_unit_bound():
@@ -279,7 +279,7 @@ def test_suites_reject_a_tail_index_past_the_order(run):
 def test_tally_leads_with_worst_even_past_the_cap():
     tally = _Tally(cap=2)
     for margin in (-1.0, 0.5, -2.0, -3.0):
-        tally.add(margin, {"margin": margin} if margin < 0 else None)
+        tally.extend([margin], [{"margin": margin}] if margin < 0 else [])
     report = tally.report(seed=0, trials=1, config={})
     assert report.violations == 3
     assert report.worst_margin == -3.0
@@ -470,3 +470,37 @@ def test_br_suite_worst_margin_matches_public_check():
         margins += [_margin_or_violation(verify_br_inequality, prob, pair, sample, frac * r_cap)
                     for frac in (0.25, 0.5, 0.75, 1.0)]
     assert report.worst_margin == min(margins)
+
+
+def test_br_check_rejects_a_pair_of_another_order():
+    # The moduli of an order-8 pair would check another equation: the
+    # margin at the solved radius comes out 1.65e-7 instead of -9.5e-18.
+    spec = catalog.cardioid()
+    prob = RadiusProblem(psi=spec, N=5)
+    pair = build_extremal_pair(spec, 8)
+    with pytest.raises(OrderMismatchError, match="order"):
+        verify_br_inequality(prob, pair, IDENTITY_SAMPLE, 0.2)
+
+
+@pytest.mark.parametrize("label", catalog.named_labels()
+                         + ["alpha:0.25", "janowski:D=0.5,E=-0.5", "janowski:D=1,E=0"])
+def test_identity_margin_at_rb_is_minus_the_residual(label):
+    # The check evaluates the solver's own equation with the moduli of g,
+    # and g = f0 at the identity sample, so at an unclamped rb the margin
+    # is the solver's residual with its sign flipped, bit for bit.
+    spec = catalog.parse_psi(label)
+    pair = build_extremal_pair(spec)
+    cases = [(Mode.BOHR_ROGOSINSKI, m, N) for m in (1, 2, 5) for N in (1, 2, 3, 10)]
+    cases.append((Mode.BOHR_LIMIT, 1, 1))
+    checked = 0
+    for family in Family:
+        for mode, m, N in cases:
+            res = solve(RadiusProblem(psi=spec, family=family, m=m, N=N, mode=mode), pair)
+            if res.rb != res.r0:
+                continue
+            margin = run_br_suite(label, family, m, N, trials=1, mode=mode
+                                  ).config["identity_margin_at_rb"]
+            assert margin == -res.residual, (family, mode, m, N)
+            assert math.copysign(1.0, margin) == 1.0 or margin != 0.0
+            checked += 1
+    assert checked > 0

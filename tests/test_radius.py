@@ -256,6 +256,15 @@ def test_solve_rejects_a_pair_of_another_order():
         solve(prob, pair)
 
 
+def test_g_function_rejects_a_pair_of_another_order():
+    # Read with the moduli of an order-8 pair, the cardioid equation at
+    # N = 5 is off by 1.65e-7 at the radius solved at order 64.
+    prob = problem("cardioid", N=5)
+    pair = build_extremal_pair(prob.psi, 8)
+    with pytest.raises(OrderMismatchError, match="order"):
+        g_function(prob, pair, 0.2)
+
+
 @pytest.mark.parametrize("label,family", CATALOG_PROBLEMS)
 def test_residual_and_bracket_invariants(label, family):
     prob = problem(label, family, m=2, N=2)
@@ -302,6 +311,17 @@ def test_series_and_exact_paths_agree(de, m, N):
     r_series = solve(RadiusProblem(psi=catalog.janowski(d, e), m=m, N=N)).r0
     r_exact = solve_janowski_exact(d, e, m=m, N=N).r0
     assert r_series == pytest.approx(r_exact, abs=1e-8)
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_series_and_exact_paths_echo_the_same_indices(mode):
+    # In the Bohr limit both paths solve the N = 1 equation and echo the
+    # given N, so a result reads the same whichever path made it.
+    for m, N in ((3, 5), (1, 1), (2, 3)):
+        series = solve(RadiusProblem(psi=catalog.janowski(1.0, 0.0), m=m, N=N, mode=mode))
+        exact = solve_janowski_exact(1.0, 0.0, m=m, N=N, mode=mode)
+        assert (series.m, series.N) == (exact.m, exact.N) == (m, N)
+        assert series.r0 == pytest.approx(exact.r0, abs=1e-8)
 
 
 def test_exact_degenerate_bohr_limit_is_lambert_value():
@@ -396,7 +416,7 @@ def test_exact_solver_matches_independent_bisection(de):
             for N in (1, 2, 3, 10):
                 res = solve_janowski_exact(d, e, m=m, N=N, mode=mode)
                 case = (de, m, N, mode)
-                g = closed_equation(d, e, m, res.N, mode)
+                g = closed_equation(d, e, m, 1 if mode == Mode.BOHR_LIMIT else N, mode)
                 assert abs(res.r0 - bisection_root(g)) <= 1e-12, case
                 lo, hi = res.bracket
                 assert g(lo) < 0.0 < g(hi), case

@@ -8,6 +8,7 @@ import sympy as sp
 from hypothesis import example, given, settings, strategies as st
 from numpy.polynomial import polynomial as npoly
 
+from bohrad.oracle import bohr_tail
 from bohrad.series import DEFAULT_ORDER, OrderMismatchError, TruncatedSeries
 
 
@@ -295,28 +296,29 @@ def test_integrate_z_exp_z_reproduces_bell_coefficients():
 
 
 # -- evaluation ----------------------------------------------------------
+# The full majorant sum |c_n| r^n is the tail functional from N = 0.
 
 
 def test_eval_abs_mixed_signs():
-    assert poly(0, 1, -1).eval_abs(0.5) == pytest.approx(0.75)
+    assert bohr_tail(poly(0, 1, -1), 0, 0.5) == pytest.approx(0.75)
 
 
 def test_eval_abs_at_zero():
-    assert poly(0, 1, 4 / 3).eval_abs(0.0) == 0.0
+    assert bohr_tail(poly(0, 1, 4 / 3), 0, 0.0) == 0.0
 
 
 def test_eval_abs_koebe_at_one_third():
     # sum n (1/3)^n = (1/3) / (1 - 1/3)^2 = 3/4; order 64 tail < 1e-28.
     f = koebe_series(64)
-    assert f.eval_abs(1 / 3) == pytest.approx(0.75, abs=1e-15)
+    assert bohr_tail(f, 0, 1 / 3) == pytest.approx(0.75, abs=1e-15)
 
 
 def test_eval_domain_errors():
     f = poly(1, 1)
     with pytest.raises(ValueError):
-        f.eval_abs(-0.1)
+        bohr_tail(f, 0, -0.1)
     with pytest.raises(ValueError):
-        f.eval_abs(1.0)
+        bohr_tail(f, 0, 1.0)
 
 
 # -- properties ----------------------------------------------------------
@@ -387,4 +389,4 @@ def test_exp_derivative_identity(a):
 @given(coeff_lists, st.floats(min_value=0.0, max_value=0.99))
 def test_majorant_dominates_signed_evaluation(a, r):
     f = TruncatedSeries(a)
-    assert f.eval_abs(r) >= abs(npoly.polyval(r, f.coeffs)) - 1e-12
+    assert bohr_tail(f, 0, r) >= abs(npoly.polyval(r, f.coeffs)) - 1e-12
