@@ -12,10 +12,13 @@ term is dropped.  Apart from its constant -rs every coefficient of G is a
 modulus, so on [0, 1) G is increasing and convex with exactly one root.
 Since a_1 = 1, G(r) >= r^m + |a_N| r^N - rs (r - rs in the Bohr limit), so
 the root lies below min(rs^(1/m), (rs/|a_N|)^(1/N)).  ``solve`` starts
-Newton's method there, from the right, with chord steps from the left,
-inside a certified bracket.  The closed-form Janowski equation (E <= 0)
-has the same structure and goes through the same solver from the same
-start.
+Newton's method there, from the right; by convexity the zero of the
+secant through (0, G(0)) and each Newton iterate is a lower bound, so the
+bracket costs one evaluation of G per step and ends certified by two
+more.  The closed-form Janowski equation (E <= 0) has the same structure
+and goes through the same solver from the same start.  ``sweep`` solves
+its values from the largest down: G falls as N or m grows, so each
+result's upper bracket end is a certified start for the next.
 """
 
 from __future__ import annotations
@@ -175,15 +178,17 @@ def _monotone_newton(equation: Callable[[float], tuple[float, float]], tol: floa
                      hi: float) -> tuple[float, tuple[float, float], int, float]:
     """Root of an increasing convex G on [0, hi] with a certified bracket.
 
-    ``hi`` is the certified start from ``_certified_top``.  Fourier's
-    condition holds there (G'' >= 0) whenever G(hi) > 0; if rounding leaves
-    G(hi) <= 0 the start falls back to 1 - 1e-9.  Newton's iterates from
-    the start decrease monotonically to the root and each is an upper
-    bound.  The chord through the last lower bound and the current Newton
-    iterate lies above a convex G, so its zero is a lower bound.  Once the
-    two bounds agree within tol/2 they are widened by tol/5 on each side
-    and the signs of G at the new ends are checked.  The root is one more
-    Newton step, kept between the two bounds.
+    ``hi`` is a certified upper bound on the root: the start from
+    ``_certified_top``, or a tighter one from ``_solve_below`` along a sweep.
+    Fourier's condition holds there (G'' >= 0) whenever G(hi) > 0; if
+    rounding leaves G(hi) <= 0 the start falls back to 1 - 1e-9.  Newton's
+    iterates from the start decrease monotonically to the root and each is
+    an upper bound.  The secant through (0, G(0)) and the current iterate
+    lies above a convex G on [0, hi], so its zero -G(0) hi / (G(hi) - G(0))
+    is a lower bound, and each pass costs one evaluation of G.  Once the two
+    bounds agree within tol/2 they are widened by tol/5 on each side and the
+    signs of G at the new ends are checked.  The root is one more Newton
+    step, kept between the two bounds.
     Returns the root, the bracket, the number of evaluations of G and the
     residual G(root).
     """
@@ -206,14 +211,7 @@ def _monotone_newton(equation: Callable[[float], tuple[float, float]], tol: floa
         if g_hi <= 0.0:  # the Newton iterate met the root at rounding level
             lo = hi
             break
-        chord = lo - g_lo * (hi - lo) / (g_hi - g_lo)
-        g_chord, chord_slope = equation(chord)
-        evaluations += 1
-        if g_chord >= 0.0:  # the chord met the root at rounding level
-            lo = hi = chord
-            g_hi, slope = g_chord, chord_slope
-            break
-        lo, g_lo = chord, g_chord
+        lo = g_lo * hi / (g_lo - g_hi)
     root = min(max(hi - g_hi / slope, lo), hi)
     residual, _ = equation(root)
     bracket = (lo - 0.2 * tol, hi + 0.2 * tol)
@@ -234,9 +232,19 @@ def solve(problem: RadiusProblem, pair: ExtremalPair | None = None) -> RadiusRes
     """
     if pair is None:
         pair = build_extremal_pair(problem.psi, problem.order)
+    return _solve_below(problem, pair, 1.0)
+
+
+def _solve_below(problem: RadiusProblem, pair: ExtremalPair, bound: float) -> RadiusResult:
+    """``solve`` with Newton started at min(certified top, ``bound``).
+
+    ``bound`` must be an upper bound on the root with G(bound) > 0; any
+    bound >= 1 leaves the certified top.
+    """
     series, rstar = _family_extremal(problem, pair)
     equation, hi = _radius_equation(problem, series, rstar)
-    r0, bracket, iterations, residual = _monotone_newton(equation, problem.tol, hi)
+    r0, bracket, iterations, residual = _monotone_newton(equation, problem.tol,
+                                                         min(hi, bound))
     rb = _clamped(r0, problem.psi.exact_bounds)
     sharp = bool(rb == r0 and np.all(series.coeffs[1:] > 0.0))
     return RadiusResult(
@@ -337,8 +345,13 @@ class Sweep:
 def sweep(problem: RadiusProblem, n_values=None, m_values=None) -> Sweep:
     """Solve over a grid in N or in m; the extremal pair is built once.
 
-    Whether the solved radii are nondecreasing along the grid is reported
-    as a diagnostic, not asserted.
+    The distinct values are solved from the largest down, each Newton run
+    starting at min(certified top, the previous result's upper bracket
+    end).  That end is a certified upper bound with G > 0 for the next
+    equation too: G_N - G_(N+1) = |a_N| r^N >= 0, and P(r^m) decreases as m
+    grows (the Bohr limit does not depend on either).  Results come back in
+    the given order.  Whether the solved radii are nondecreasing along the
+    grid is reported as a diagnostic, not asserted.
     """
     if (n_values is None) == (m_values is None):
         raise ValueError("exactly one of n_values and m_values must be given")
@@ -347,8 +360,12 @@ def sweep(problem: RadiusProblem, n_values=None, m_values=None) -> Sweep:
     if not values:
         raise ValueError(f"empty sweep range for {axis}")
     pair = build_extremal_pair(problem.psi, problem.order)
-    results = [solve(dataclasses.replace(problem, **{axis: v}), pair) for v in values]
+    solved, bound = {}, 1.0
+    for v in sorted(set(values), reverse=True):
+        solved[v] = _solve_below(dataclasses.replace(problem, **{axis: v}), pair, bound)
+        bound = solved[v].bracket[1]
+    results = tuple(solved[v] for v in values)
     radii = [res.r0 for res in results]
     monotone = all(b >= a - 1e-12 for a, b in zip(radii, radii[1:]))
-    return Sweep(axis=axis, values=values, results=tuple(results),
+    return Sweep(axis=axis, values=values, results=results,
                  monotone_nondecreasing=monotone)

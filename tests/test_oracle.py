@@ -321,6 +321,37 @@ def test_axiom_definiteness():
     assert margins["definiteness_ok"]
 
 
+def reference_axiom_margins(f, g, alpha, N, r):
+    """The axiom margins written out with bohr_tail, one window per sum."""
+    m_f = bohr_tail(f, N, r)
+    return {
+        "nonnegativity": m_f,
+        "definiteness_ok": (m_f == 0.0) == (not f.coeffs[N:].any()) or r == 0.0,
+        "subadditivity": m_f + bohr_tail(g, N, r) - bohr_tail(f + g, N, r),
+        "homogeneity": -abs(bohr_tail(alpha * f, N, r) - abs(alpha) * m_f),
+        "submultiplicativity_n0": bohr_tail(f, 0, r) * bohr_tail(g, 0, r)
+        - bohr_tail(f * g, 0, r),
+        "unit": -abs(bohr_tail(TruncatedSeries.one(f.order), 0, r) - 1.0),
+    }
+
+
+def test_axiom_margins_match_their_definitions_bitwise():
+    rng = random.Random(11)
+    for order in (0, 1, 4, 16):
+        for _ in range(10):
+            f, g = (TruncatedSeries([rng.uniform(-1.0, 1.0) for _ in range(order + 1)])
+                    for _ in range(2))
+            alpha = rng.uniform(-2.0, 2.0)
+            for N in range(order + 2):
+                for r in (0.0, 0.2, 0.5, 0.9):
+                    margins = verify_bohr_operator_axioms(f, g, alpha, N, r)
+                    expected = reference_axiom_margins(f, g, alpha, N, r)
+                    assert list(margins) == list(expected)
+                    for key, value in expected.items():
+                        assert type(margins[key]) is type(value), (key, order, N, r)
+                        assert repr(margins[key]) == repr(value), (key, order, N, r)
+
+
 def test_axiom_suite_clean():
     report = run_axiom_suite(trials=200, seed=1)
     assert report.violations == 0
@@ -480,6 +511,18 @@ def test_br_check_rejects_a_pair_of_another_order():
     pair = build_extremal_pair(spec, 8)
     with pytest.raises(OrderMismatchError, match="order"):
         verify_br_inequality(prob, pair, IDENTITY_SAMPLE, 0.2)
+
+
+def test_identity_margin_at_a_clamped_rb_is_the_identity_check():
+    # Below r0 the margin is no residual; it is still that of g = f0.
+    spec = catalog.cardioid()
+    pair = build_extremal_pair(spec)
+    for m, N in ((2, 2), (3, 3), (5, 10)):
+        prob = RadiusProblem(psi=spec, m=m, N=N)
+        config = run_br_suite("cardioid", Family.STARLIKE, m, N, trials=1).config
+        assert config["rb"] == 1 / 3 < config["r0"]
+        margin = verify_br_inequality(prob, pair, IDENTITY_SAMPLE, config["rb"])
+        assert config["identity_margin_at_rb"] == margin > 0.0
 
 
 @pytest.mark.parametrize("label", catalog.named_labels()

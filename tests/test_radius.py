@@ -1,5 +1,6 @@
 """Radius equations, solvers, sweeps, and path consistency."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -194,7 +195,7 @@ def test_solver_matches_independent_bisection(label, order):
                     lo, hi = res.bracket
                     assert g_function(prob, pair, lo) < 0.0 < g_function(prob, pair, hi), prob
                     assert lo < res.r0 < hi and hi - lo <= prob.tol, prob
-                    assert res.iterations <= 24, prob
+                    assert res.iterations <= 16, prob
                     assert_plain_floats(res)
 
 
@@ -492,6 +493,68 @@ def test_cardioid_m_sweep_at_n1_never_clamps():
     swept = sweep(problem("cardioid", N=1), m_values=range(1, 6))
     assert swept.monotone_nondecreasing
     assert all(res.rb == res.r0 < 1 / 3 for res in swept.results)
+
+
+SWEEP_AXES = [("N", "n_values"), ("m", "m_values")]
+
+
+def family_extremal(pair, family):
+    if family == Family.STARLIKE:
+        return pair.f0, pair.koebe_starlike
+    return pair.l0, pair.koebe_convex
+
+
+@pytest.mark.parametrize("label", SOLVER_GRID_LABELS)
+def test_sweep_warm_starts_are_certified(label, newton_runs):
+    # The distinct values are solved from the largest down, each from
+    # min(certified top, the previous upper bracket end).
+    spec = catalog.parse_psi(label)
+    pair = build_extremal_pair(spec, 64)
+    for family in Family:
+        series, rstar = family_extremal(pair, family)
+        moduli = [abs(float(c)) for c in series.coeffs]
+        for mode in Mode:
+            for axis, keyword in SWEEP_AXES:
+                base = RadiusProblem(psi=spec, family=family, mode=mode)
+                swept = sweep(base, **{keyword: [5, 1, 24, 3, 3]})
+                by_value = dict(zip(swept.values, swept.results))
+                runs = newton_runs[:]
+                newton_runs.clear()
+                assert len(runs) == 4
+                bound = 1.0
+                for v, run in zip((24, 5, 3, 1), runs):
+                    res = by_value[v]
+                    m, N = (1, v) if axis == "N" else (v, 1)
+                    terms = ([(1.0, 1)] if mode == Mode.BOHR_LIMIT
+                             else [(1.0, m), (moduli[N], N)])
+                    top = expected_start(rstar, terms)
+                    case = (family, mode, axis, v)
+                    assert run["hi"] == min(top, bound) <= top, case
+                    assert run["g_hi"] > 0.0 and res.r0 < run["hi"], case
+                    assert res.iterations == run["calls"], case
+                    bound = res.bracket[1]
+
+
+@pytest.mark.parametrize("order", [64, 256])
+@pytest.mark.parametrize("label", SOLVER_GRID_LABELS)
+def test_sweep_matches_solve_in_the_given_order(label, order):
+    spec = catalog.parse_psi(label)
+    pair = build_extremal_pair(spec, order)
+    values = [5, 1, 24, 3, 3]
+    for family in Family:
+        for mode in Mode:
+            for axis, keyword in SWEEP_AXES:
+                base = RadiusProblem(psi=spec, family=family, mode=mode, order=order)
+                swept = sweep(base, **{keyword: values})
+                assert swept.values == tuple(values)
+                for v, res in zip(values, swept.results):
+                    prob = dataclasses.replace(base, **{axis: v})
+                    assert (res.m, res.N) == (prob.m, prob.N), prob
+                    alone = solve(prob, pair)
+                    assert abs(res.r0 - alone.r0) <= 1e-15, prob
+                    lo, hi = res.bracket
+                    assert g_function(prob, pair, lo) < 0.0 < g_function(prob, pair, hi), prob
+                    assert lo < res.r0 < hi and hi - lo <= prob.tol, prob
 
 
 def test_sweep_rejects_bad_ranges():
