@@ -223,7 +223,9 @@ def booth(k: float = 1.0 + SQRT2) -> PsiSpec:
     The generator consistent with that extremal function through the
     integral representation is psi(z) = 1 + z(k+z)/(k-z); its Taylor
     data is c_1 = 1 and c_n = 2/k^(n-1) for n >= 2.  The boundary
-    distance is -f0(-1) = e (k/(k+1))^(2k).
+    distance is -f0(-1) = e (k/(k+1))^(2k).  Re psi > 0 on the disk only
+    for k >~ 1.5036, where the numerical minimum of Re psi on |z| = 1
+    crosses 0 (it is -0.46 at k = 1.1); the check below admits every k > 1.
     """
     if not (math.isfinite(k) and k > 1.0):
         raise ValueError(f"booth parameter k must be finite and exceed 1, got {k}")

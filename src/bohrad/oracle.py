@@ -14,6 +14,13 @@ Checks return a signed margin (claimed bound minus tested quantity); a
 margin below the numeric tolerance raises ``InequalityViolation`` carrying
 the full counterexample, so a failure is never swallowed.
 
+Only K coefficients are stored.  Truncation moves the tail margin by
+drop_f - drop_g and the weighted one by tau drop_f - drop_hg, and g's
+dropped |b_k| only lower the Bohr-Rogosinski margin -G_g.  So a tolerance
+of 1e-9 times the claimed bound plus f's dropped tail (``_dropped_tail``;
+none for -G_g) makes every reported violation genuine.  Each kernel fixes
+its tolerance when it is built.
+
 Each sum has one definition.  The tail window (``_tail_window``) holds r^j
 for j >= N and 0 below, so M(f, N, r) = |f| @ window in the tail
 functional and the tail and weighted kernels alike.  The Bohr-Rogosinski
@@ -137,6 +144,13 @@ def bohr_tail(f: TruncatedSeries, N: int, r: float) -> float:
     return _windowed(f, _tail_window(N, r, f.order))
 
 
+def _dropped_tail(f: TruncatedSeries, r: float) -> float:
+    """|a_1| sum_{n>K} n r^n for f of order K, which bounds f's dropped tail
+    sum_{n>K} |a_n| r^n when f is univalent (|a_n| <= n |a_1|)."""
+    k = f.order
+    return abs(float(f.coeffs[1])) * r ** (k + 1) * ((k + 1) - k * r) / (1.0 - r) ** 2
+
+
 def _reports(margins, limits, fields) -> list[dict]:
     """Reports of the checks whose margin lies below its limit, in check order.
 
@@ -158,7 +172,7 @@ def _checked(margin, checks, base: TruncatedSeries, sample: SchwarzSample) -> fl
 
 
 class _TailChecks:
-    """The tail checks of one extremal f at every (N, r) of a grid.
+    """The tail checks of one extremal f at every (N, r) of a grid, r <= 1/3.
 
     Column (N, r) of ``weights`` is the tail window from N at r, so
     |f| @ weights is the majorant tail M(f, N, r) at every grid point.
@@ -170,13 +184,15 @@ class _TailChecks:
         self.f = f
         self.label = label
         self.grid = [(n, r) for n in n_values for r in r_values]
-        for n in n_values:
+        for n, r in self.grid:
             if n > f.order:  # the window would be empty and check nothing
                 raise ValueError(f"N={n} exceeds the truncation order {f.order}")
+            if r > 1.0 / 3.0:
+                raise ValueError(f"tail inequality is only claimed for r <= 1/3, got {r}")
         columns = [_tail_window(n, r, f.order) for n, r in self.grid]
         self.weights = np.array(columns).reshape(len(self.grid), f.order + 1).T
         self.majorant = np.abs(f.coeffs) @ self.weights
-        self.tol = 1e-9 * self.majorant + f.tail_hint
+        self.tol = 1e-9 * self.majorant + [_dropped_tail(f, r) for _, r in self.grid]
         # As floats, so that the reports at one grid point share one object.
         self.majorant_tails = self.majorant.tolist()
 
@@ -187,7 +203,7 @@ def _tail_margin(checks: _TailChecks, g: TruncatedSeries,
     reports; ``sample`` is the description of the omega behind g."""
     composed = np.abs(g.coeffs) @ checks.weights
     margins = checks.majorant - composed
-    return margins, _reports(margins, -(checks.tol + g.tail_hint), lambda i: {
+    return margins, _reports(margins, -checks.tol, lambda i: {
         "check": "tail-inequality",
         "psi": checks.label,
         "sample": sample,
@@ -209,13 +225,12 @@ def verify_tail_inequality(f: TruncatedSeries, sample: SchwarzSample, N: int,
     (t_3 = 1/2) a single Blaschke zero near sqrt(2/3) gives a negative
     margin at N = 3.
 
-    Raises ``InequalityViolation`` when the margin is below the numeric
-    tolerance 1e-9 * M(f, N, r) plus the truncation hints; such a report is
-    a genuine counterexample, not a numerical artifact (``bohrad verify``
-    exits 4 when it finds one).
+    Raises ``InequalityViolation`` when the margin is below the tolerance
+    1e-9 * M(f, N, r) plus the bound on f's dropped tail, the only
+    truncation term that can lift the margin (f univalent; g's dropped tail
+    only lowers it).  Such a report is a genuine counterexample, not a
+    numerical artifact (``bohrad verify`` exits 4 when it finds one).
     """
-    if r > 1.0 / 3.0:
-        raise ValueError(f"tail inequality is only claimed for r <= 1/3, got {r}")
     return _checked(_tail_margin, _TailChecks(f, label, (N,), (r,)), f, sample)
 
 
@@ -277,8 +292,8 @@ def _check_weighted_claim(tau: float, h: TruncatedSeries, r: float) -> None:
 
 
 class _WeightedCheck:
-    """The weighted check of one extremal f with weight h at one (N, r);
-    its window and majorant tail are those of the tail kernel at (N, r)."""
+    """The weighted check of one extremal f with weight h at one (N, r): the
+    tail kernel's window there, and its majorant tail and tolerance times tau."""
 
     message = "weighted tail inequality violated for {psi}: margin {margin:.3e}"
 
@@ -289,7 +304,7 @@ class _WeightedCheck:
         self.f, self.h, self.tau, self.N, self.r, self.label = f, h, tau, N, r, label
         self.weights = tail.weights[:, 0]
         self.scaled_majorant = tau * tail.majorant_tails[0]
-        self.tol = 1e-9 * self.scaled_majorant + f.tail_hint
+        self.tol = tau * float(tail.tol[0])
 
 
 def _weighted_margin(check: _WeightedCheck, g: TruncatedSeries,
@@ -298,7 +313,7 @@ def _weighted_margin(check: _WeightedCheck, g: TruncatedSeries,
     weighted = check.h * g
     lhs = float(np.abs(weighted.coeffs) @ check.weights)
     margins = (check.scaled_majorant - lhs,)
-    return margins, _reports(margins, -(check.tol + weighted.tail_hint), lambda i: {
+    return margins, _reports(margins, -check.tol, lambda i: {
         "check": "weighted-tail",
         "psi": check.label,
         "tau": check.tau,
@@ -331,7 +346,7 @@ class _BRChecks:
         self.r_values = list(r_values)
         for r in self.r_values:
             _check_radius(r)
-        self.tol = 1e-9 * max(self.rstar, 1.0) + self.base.tail_hint
+        self.tol = 1e-9 * max(self.rstar, 1.0)
 
 
 def _br_margin(checks: _BRChecks, g: TruncatedSeries,
@@ -344,7 +359,7 @@ def _br_margin(checks: _BRChecks, g: TruncatedSeries,
     equation, _ = _radius_equation(checks.problem, g, checks.rstar)
     margins = [0.0 - equation(r)[0] for r in checks.r_values]
     problem = checks.problem
-    return margins, _reports(margins, -(checks.tol + g.tail_hint), lambda i: {
+    return margins, _reports(margins, -checks.tol, lambda i: {
         "check": "bohr-rogosinski",
         "psi": problem.psi.label,
         "family": problem.family.value,
@@ -364,6 +379,9 @@ def verify_br_inequality(problem: RadiusProblem, pair: ExtremalPair,
     term and takes N = 1.  At the identity sample and r equal to the solved
     radius the margin is minus the solver's residual (the extremal attains
     the bound).  The pair must be built at ``problem.order``.
+
+    Raises ``InequalityViolation`` when the margin is below 1e-9 * max(r*, 1),
+    with no truncation term at any r: g's dropped terms only add to G_g.
     """
     checks = _BRChecks(problem, pair, (r,))
     return _checked(_br_margin, checks, checks.base, sample)
@@ -497,6 +515,8 @@ def run_weighted_suite(tau: float = 0.8, trials: int = 200, seed: int = 0,
                        psi_labels=DEFAULT_ORACLE_PSIS, N: int = 1,
                        degree_max: int = 4, order: int = DEFAULT_ORDER) -> VerificationReport:
     """Weighted tail inequality with the ramp weight h = tau (1 + z)/2 at r = tau/3."""
+    if order < 1:
+        raise ValueError("order must be at least 1")
     specs = _resolve_psis(psi_labels)
     h_coeffs = np.zeros(order + 1)
     h_coeffs[0] = tau / 2.0

@@ -16,10 +16,6 @@ Toeplitz matrix of row n, so order K takes ceil(log2 K) products.
 Majorant sums sum |c_n| r^n are taken where they are used: in the radius
 equation and in the tail functional ``oracle.bohr_tail`` (N = 0 is the
 full majorant).
-
-Each series carries ``tail_hint``, a heuristic bound on the dropped tail
-evaluated at r = 1/3, computed from the last two stored coefficients.  It
-is reported alongside results but never silently added to a value.
 """
 
 from __future__ import annotations
@@ -31,27 +27,9 @@ import numpy as np
 
 DEFAULT_ORDER = 64
 
-# tail_hint is a geometric extrapolation |c_K| r^K / (1 - rho*r) at this radius,
-# with rho = |c_K / c_{K-1}| clamped to [0, 2].
-TAIL_REFERENCE_RADIUS = 1.0 / 3.0
-_TAIL_RATIO_CLAMP = 2.0
-
 
 class OrderMismatchError(ValueError):
     """Operands of a binary series operation have different orders."""
-
-
-def _tail_hint(coeffs: np.ndarray) -> float:
-    k = coeffs.size - 1
-    if k == 0:
-        return 0.0
-    c_last = abs(float(coeffs[-1]))
-    if c_last == 0.0:
-        return 0.0
-    c_prev = abs(float(coeffs[-2]))
-    rho = _TAIL_RATIO_CLAMP if c_prev == 0.0 else min(c_last / c_prev, _TAIL_RATIO_CLAMP)
-    r = TAIL_REFERENCE_RADIUS
-    return c_last * r**k / (1.0 - rho * r)
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,7 +42,6 @@ class TruncatedSeries:
 
     coeffs: np.ndarray
     order: int = field(init=False)
-    tail_hint: float = field(init=False)
 
     def __post_init__(self):
         arr = np.array(self.coeffs, dtype=float)
@@ -75,7 +52,6 @@ class TruncatedSeries:
         arr.flags.writeable = False
         object.__setattr__(self, "coeffs", arr)
         object.__setattr__(self, "order", arr.size - 1)
-        object.__setattr__(self, "tail_hint", _tail_hint(arr))
 
     # -- constructors -------------------------------------------------
 

@@ -9,6 +9,7 @@ from numpy.polynomial import polynomial as npoly
 
 from bohrad import catalog
 from bohrad.extremal import build_f0
+from bohrad.oracle import _dropped_tail
 
 ALL_LABELS = [
     "classical-starlike",
@@ -80,15 +81,15 @@ def test_classical_starlike_f0_is_koebe_function():
 
 
 @pytest.mark.parametrize("label", ALL_LABELS)
-def test_series_f0_matches_closed_form_within_tail_hint(label):
+def test_series_f0_matches_closed_form_within_the_dropped_tail_bound(label):
     # Cross-check: the recurrence-built series against the closed form on a
-    # small grid.  tail_hint can sit below machine epsilon, so a rounding
-    # cushion is added.
+    # small grid.  The bound on the dropped tail sits far below machine
+    # epsilon here, so a rounding cushion is added.
     spec = catalog.parse_psi(label)
     f0 = build_f0(spec, 64)
     for r in (0.1, 0.2, 0.3):
         closed = spec.f0_closed(r)
-        assert abs(npoly.polyval(r, f0.coeffs) - closed) <= f0.tail_hint + 1e-12
+        assert abs(npoly.polyval(r, f0.coeffs) - closed) <= _dropped_tail(f0, r) + 1e-12
 
 
 def test_booth_koebe_constant():

@@ -387,6 +387,15 @@ def test_verify_rejects_n_past_the_order(capsys, argv):
     assert "exceeds the truncation order" in err
 
 
+@pytest.mark.parametrize("lemma_args", [(), ("--weighted",)])
+@pytest.mark.parametrize("order", ["0", "-3"])
+def test_verify_rejects_an_order_below_1(capsys, lemma_args, order):
+    code, out, err = run_cli(capsys, "verify", "--trials", "2", *lemma_args, "--order", order)
+    assert code == 2
+    assert out == ""
+    assert "order must be at least 1" in err
+
+
 def test_verify_bad_trials(capsys):
     code, _, err = run_cli(capsys, "verify", "--trials", "0")
     assert code == 2

@@ -1,5 +1,6 @@
 """Schwarz sampling, tail functional, and the verification checks."""
 
+import functools
 import math
 import random
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from bohrad import catalog
-from bohrad.extremal import build_extremal_pair
+from bohrad.extremal import build_extremal_pair, build_f0
 from bohrad.oracle import (
     IDENTITY_SAMPLE,
     InequalityViolation,
@@ -25,6 +26,7 @@ from bohrad.oracle import (
     verify_br_inequality,
     verify_tail_inequality,
     verify_weighted,
+    _dropped_tail,
 )
 from bohrad.radius import Family, Mode, RadiusProblem, solve
 from bohrad.series import OrderMismatchError, TruncatedSeries
@@ -154,6 +156,13 @@ def test_tail_inequality_rejects_radius_beyond_one_third():
         verify_tail_inequality(f, IDENTITY_SAMPLE, 1, 0.4)
 
 
+def test_tail_suite_rejects_radius_beyond_one_third():
+    # The lemma makes no claim past 1/3, so a suite must not report
+    # "violations" there.
+    with pytest.raises(ValueError, match="only claimed for r <= 1/3"):
+        run_tail_suite(trials=2, r_values=(0.25, 0.5))
+
+
 def test_tail_inequality_counterexample_for_small_coefficient_extremal():
     # The N >= 2 claim is genuinely false once the extremal's tail
     # coefficients are small: for the sine extremal (t_3 = 1/2) a single
@@ -200,6 +209,70 @@ def test_counterexample_margin_confirmed_by_high_precision_recomposition():
     got = excinfo.value.report["margin"]
     assert got == pytest.approx(expected, rel=1e-8)
     assert got < -1e-4
+
+
+@functools.lru_cache(maxsize=None)
+def _recomposed(label, zeros, sign, order=256):
+    f = build_f0(catalog.parse_psi(label), order)
+    omega = SchwarzSample(len(zeros), zeros, sign)
+    return f, f.compose(schwarz_series(omega, order))
+
+
+def _recomposed_margin(report):
+    """The margin of a tail or weighted report, recomputed from f0 and omega
+    at order 256, where the dropped tails at r <= 1/3 are negligible."""
+    sample = report["sample"]
+    f, g = _recomposed(report["psi"], tuple(sample["zeros"]), sample["sign"])
+    n, r = report["N"], report["r"]
+    if report["check"] == "tail-inequality":
+        return bohr_tail(f, n, r) - bohr_tail(g, n, r)
+    tau = report["tau"]
+    return tau * bohr_tail(f, n, r) - bohr_tail(_ramp_weight(tau, f.order) * g, n, r)
+
+
+def test_low_order_counterexample_at_a_small_radius_is_reported():
+    # At order 8 the true margin -2.75e-4 sits far beyond the bound on f's
+    # dropped tail at r = 0.1 (about 1e-8), so it must be reported.
+    f0 = build_f0(catalog.sine(), 8)
+    sample = SchwarzSample(degree=3, zeros=(0.5363754797863709, 0.4752668736778709,
+                                            -0.041737785271399486), sign=-1)
+    with pytest.raises(InequalityViolation) as excinfo:
+        verify_tail_inequality(f0, sample, 3, 0.1, label="sine")
+    report = excinfo.value.report
+    assert report["margin"] < -2e-4
+    assert abs(report["margin"] - _recomposed_margin(report)) <= 1e-6
+
+
+@pytest.mark.parametrize("order", [1, 8, 64])
+@pytest.mark.parametrize("r", [0.1, 1.0 / 3.0, 0.7])
+def test_dropped_tail_is_the_koebe_tail(order, r):
+    # The Koebe function attains |a_n| = n |a_1|, so its dropped tail is the bound.
+    tail = math.fsum(n * r**n for n in range(order + 1, 4001))
+    assert _dropped_tail(koebe_series(order), r) == pytest.approx(tail, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("label", catalog.named_labels() + [
+    "alpha:0.25", "janowski:D=0.5,E=-0.5", "janowski:D=0.75,E=0.25",
+    "booth:k=1.5", "booth:k=2", "booth:k=4"])
+def test_extremal_coefficients_obey_the_de_branges_bound(label):
+    # _dropped_tail rests on |a_n| <= n |a_1| for the extremal f.
+    coeffs = np.abs(build_f0(catalog.parse_psi(label), 256).coeffs)
+    assert np.all(coeffs <= np.arange(257) * coeffs[1] * (1.0 + 1e-12))
+
+
+@pytest.mark.parametrize("order", [3, 8])
+def test_low_order_tail_reports_are_genuine(order):
+    # Without f's dropped tail in the tolerance, order 3 reports 21 margins
+    # that are positive at order 256.
+    report = run_tail_suite(order=order, seed=7, trials=150, max_reports=10**6)
+    assert len(report.counterexamples) == report.violations > 0
+    assert all(_recomposed_margin(ce) < 0.0 for ce in report.counterexamples)
+
+
+def test_order_8_weighted_reports_are_genuine():
+    report = run_weighted_suite(order=8, N=2, tau=0.5, seed=7, trials=200)
+    assert report.counterexamples
+    assert all(_recomposed_margin(ce) < 0.0 for ce in report.counterexamples)
 
 
 def test_tail_suite_runs_clean_on_dominant_coefficient_entries():

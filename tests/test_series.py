@@ -38,16 +38,6 @@ def test_coeffs_are_locked():
         f.coeffs[0] = 5.0
 
 
-def test_tail_hint_zero_for_polynomials():
-    assert poly(1, 2, 3, order=8).tail_hint == 0.0
-
-
-def test_tail_hint_geometric_extrapolation():
-    # c = (1, 1, ..., 1): rho = 1, hint = (1/3)^K / (1 - 1/3)
-    f = TruncatedSeries(np.ones(9))
-    assert f.tail_hint == pytest.approx((1 / 3) ** 8 / (1 - 1 / 3))
-
-
 # -- add / mul ---------------------------------------------------------
 
 
