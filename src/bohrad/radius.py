@@ -1,7 +1,7 @@
 """Radius equations and their bracketed root solvers.
 
-For a family extremal series with coefficient moduli a_n (a_1 = 1) and
-boundary distance rs, the solved equation is
+For a family extremal series with coefficient moduli a_n (a_0 = 0,
+a_1 = 1) and boundary distance rs, the solved equation is
 
     G(r) = fhat(r^m) + fhat(r) - p(r) - rs = 0,
 
@@ -9,16 +9,18 @@ where fhat(r) = sum |a_n| r^n and p(r) removes the head of the second
 sum: p = 0 for N = 1, p = r for N = 2, p = r + sum_{n=2}^{N-1} |a_n| r^n
 for N >= 3.  In the Bohr limit (m -> infinity with N = 1) the fhat(r^m)
 term is dropped.  Apart from its constant -rs every coefficient of G is a
-modulus, so on [0, 1) G is increasing and convex with exactly one root.
-Since a_1 = 1, G(r) >= r^m + |a_N| r^N - rs (r - rs in the Bohr limit), so
-the root lies below min(rs^(1/m), (rs/|a_N|)^(1/N)).  ``solve`` starts
+modulus, so on [0, 1) G is increasing and convex with exactly one root;
+G(0) = -rs exactly, so the solvers take it without evaluating G.  Since
+a_1 = 1, G(r) >= r^m + |a_N| r^N - rs (r - rs in the Bohr limit), so the
+root lies below min(rs^(1/m), (rs/|a_N|)^(1/N)).  ``solve`` starts
 Newton's method there, from the right; by convexity the zero of the
 secant through (0, G(0)) and each Newton iterate is a lower bound, so the
 bracket costs one evaluation of G per step and ends certified by two
 more.  The closed-form Janowski equation (E <= 0) has the same structure
-and goes through the same solver from the same start.  ``sweep`` solves
-its values from the largest down: G falls as N or m grows, so each
-result's upper bracket end is a certified start for the next.
+and goes through the same solver from the same start.  ``sweep`` runs the
+same steps on all of its equations at once: one lockstep Newton pass
+evaluates G on every row whose bracket is still open, as one array
+product, and each row keeps its own certificates and evaluation count.
 """
 
 from __future__ import annotations
@@ -36,6 +38,9 @@ from .extremal import ExtremalPair, build_extremal_pair
 from .series import DEFAULT_ORDER, OrderMismatchError, TruncatedSeries
 
 _BRACKET_HI = 1.0 - 1e-9
+
+# G and G' of the equations in ``rows`` at the radii ``r``, as arrays.
+_RowEquations = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
 class Family(str, Enum):
@@ -163,6 +168,68 @@ def _certified_top(rstar: float, terms: list[tuple[float, int]]) -> float:
     return min([_BRACKET_HI] + [(rstar / a) ** (1.0 / k) for a, k in terms if a > 0.0])
 
 
+def _powers(x: np.ndarray, order: int) -> np.ndarray:
+    """The table x_i^k for k = 0..order, one row per x_i, by running products.
+
+    A power table of tiny x (r^m at large m) is mostly subnormal and zero,
+    which ``np.power`` computes slowly term by term; a running product
+    passes through the subnormals in a step or two.
+    """
+    table = np.empty((x.size, order + 1))
+    table[:, 0] = 1.0
+    table[:, 1:] = x[:, None]
+    return np.cumprod(table, axis=1, out=table)
+
+
+def _slope_coeffs(coeffs: np.ndarray) -> np.ndarray:
+    """Coefficients of the derivative, padded to the same length."""
+    out = np.zeros_like(coeffs)
+    out[..., :-1] = coeffs[..., 1:] * np.arange(1, coeffs.shape[-1])
+    return out
+
+
+def _sweep_equations(problems: list[RadiusProblem], series: TruncatedSeries,
+                     rstar: float) -> tuple[_RowEquations, list[float]]:
+    """The radius equations of problems that differ only in m or N, as one
+    evaluator over rows, and each row's certified start.
+
+    Row v holds G_v(r) = P(r^(m_v)) + Q_v(r) - r*, the equation of
+    ``_radius_equation``: Q_v is fhat with its terms of index < N_v zeroed
+    (all of fhat in the Bohr limit, where P is absent), and when every m
+    is 1, P is summed into Q_v.  An evaluation builds the power tables of
+    the radii asked for and takes G and G' of each row from one row-wise
+    product with the coefficient and slope rows, plus one product with P
+    for the r^m term.
+    """
+    moduli = np.abs(series.coeffs)
+    a = moduli.tolist()
+    order = moduli.size - 1
+    ms = np.array([prob.m for prob in problems])
+    if problems[0].mode == Mode.BOHR_LIMIT:
+        q, p = np.broadcast_to(moduli, (len(problems), order + 1)), None
+        tops = [_certified_top(rstar, [(a[1], 1)])] * len(problems)
+    else:
+        ns = np.array([prob.N for prob in problems])
+        q, p = np.where(np.arange(order + 1) < ns[:, None], 0.0, moduli), moduli
+        tops = [_certified_top(rstar, [(a[1], prob.m), (a[prob.N], prob.N)])
+                for prob in problems]
+        if np.all(ms == 1):
+            q, p = q + moduli, None
+    q_rows = np.stack([q, _slope_coeffs(q)], axis=1)
+    p_cols = None if p is None else np.stack([p, _slope_coeffs(p)], axis=1)
+
+    def evaluate(rows: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        value, slope = np.einsum("ijk,ik->ji", q_rows[rows], _powers(r, order))
+        if p_cols is not None:
+            m = ms[rows]
+            point, point_slope = (_powers(r**m, order) @ p_cols).T
+            value = value + point
+            slope = slope + m * r ** (m - 1) * point_slope
+        return value - rstar, slope
+
+    return evaluate, tops
+
+
 def _check_radius(r: float) -> None:
     if not 0.0 <= r < 1.0:
         raise ValueError(f"radius must lie in [0, 1), got {r}")
@@ -175,11 +242,12 @@ def g_function(problem: RadiusProblem, pair: ExtremalPair, r: float) -> float:
 
 
 def _monotone_newton(equation: Callable[[float], tuple[float, float]], tol: float,
-                     hi: float) -> tuple[float, tuple[float, float], int, float]:
+                     hi: float, g_lo: float) -> tuple[float, tuple[float, float], int, float]:
     """Root of an increasing convex G on [0, hi] with a certified bracket.
 
-    ``hi`` is a certified upper bound on the root: the start from
-    ``_certified_top``, or a tighter one from ``_solve_below`` along a sweep.
+    ``hi`` is a certified upper bound on the root, the start from
+    ``_certified_top``, and ``g_lo`` is G(0) = -r*, which every caller's G
+    takes exactly, so it is not evaluated.
     Fourier's condition holds there (G'' >= 0) whenever G(hi) > 0; if
     rounding leaves G(hi) <= 0 the start falls back to 1 - 1e-9.  Newton's
     iterates from the start decrease monotonically to the root and each is
@@ -193,9 +261,8 @@ def _monotone_newton(equation: Callable[[float], tuple[float, float]], tol: floa
     residual G(root).
     """
     lo = 0.0
-    g_lo, _ = equation(lo)
     g_hi, slope = equation(hi)
-    evaluations = 2
+    evaluations = 1
     if g_hi <= 0.0 and hi < _BRACKET_HI:
         hi = _BRACKET_HI
         g_hi, slope = equation(hi)
@@ -221,32 +288,67 @@ def _monotone_newton(equation: Callable[[float], tuple[float, float]], tol: floa
     return root, bracket, evaluations, residual
 
 
+def _lockstep_newton(evaluate: _RowEquations, tol: float, hi: list[float], g_lo: float
+                     ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], np.ndarray, np.ndarray]:
+    """``_monotone_newton`` on many equations at once, one row each.
+
+    ``evaluate(rows, r)`` returns G and G' of the equations ``rows`` at the
+    radii ``r``; a row may appear more than once.  ``hi`` holds each row's
+    certified start, and ``g_lo`` = G(0) is shared by every row.
+    Each pass takes a Newton step on the rows whose bracket is still open,
+    and only on those, with the scalar solver's arithmetic and certificates
+    row by row: the fallback start, the sign check at both ends, the secant
+    lower bound, the stop at rounding level or at width tol/2, the final
+    clamped step and the two sign checks of the widened bracket.  The
+    residuals and both bracket ends of every row come from one last call.
+    Returns the roots, the bracket ends, each row's number of evaluations of
+    G and the residuals, as arrays.
+    """
+    hi = np.array(hi, dtype=float)
+    rows = np.arange(hi.size)
+    lo = np.zeros_like(hi)
+    g_hi, slope = evaluate(rows, hi)
+    evaluations = np.ones(hi.size, dtype=int)
+    restart = np.flatnonzero((g_hi <= 0.0) & (hi < _BRACKET_HI))
+    if restart.size:
+        hi[restart] = _BRACKET_HI
+        g_hi[restart], slope[restart] = evaluate(restart, hi[restart])
+        evaluations[restart] += 1
+    if not (g_lo < 0.0 and np.all(g_hi > 0.0)):
+        v = np.argmin(g_hi)
+        raise BracketError(
+            f"no sign change on [0.0, {hi[v]}]: G(lo)={g_lo:.3e}, G(hi)={g_hi[v]:.3e}"
+        )
+    open_rows = rows[hi - lo > 0.5 * tol]
+    while open_rows.size:
+        step = hi[open_rows] - g_hi[open_rows] / slope[open_rows]
+        g_step, slope[open_rows] = evaluate(open_rows, step)
+        evaluations[open_rows] += 1
+        hi[open_rows], g_hi[open_rows] = step, g_step
+        # A step that met the root at rounding level closes its bracket.
+        lo[open_rows] = np.where(g_step <= 0.0, step, g_lo * step / (g_lo - g_step))
+        open_rows = open_rows[step - lo[open_rows] > 0.5 * tol]
+    root = np.minimum(np.maximum(hi - g_hi / slope, lo), hi)
+    lo, hi = lo - 0.2 * tol, hi + 0.2 * tol
+    values, _ = evaluate(np.tile(rows, 3), np.concatenate([root, lo, hi]))
+    residual, g_lo_end, g_hi_end = values.reshape(3, -1)
+    evaluations += 3
+    signed = (g_lo_end < 0.0) & (0.0 < g_hi_end)
+    if not np.all(signed):
+        v = np.argmin(signed)
+        raise BracketError(f"no sign change on the final bracket {(lo[v], hi[v])}")
+    return root, (lo, hi), evaluations, residual
+
+
 def _clamped(r0: float, exact_bounds: bool) -> float:
     return r0 if exact_bounds else min(r0, 1.0 / 3.0)
 
 
-def solve(problem: RadiusProblem, pair: ExtremalPair | None = None) -> RadiusResult:
-    """Solve the radius equation for the given problem.
-
-    A given ``pair`` must be built at ``problem.order``.
-    """
-    if pair is None:
-        pair = build_extremal_pair(problem.psi, problem.order)
-    return _solve_below(problem, pair, 1.0)
-
-
-def _solve_below(problem: RadiusProblem, pair: ExtremalPair, bound: float) -> RadiusResult:
-    """``solve`` with Newton started at min(certified top, ``bound``).
-
-    ``bound`` must be an upper bound on the root with G(bound) > 0; any
-    bound >= 1 leaves the certified top.
-    """
-    series, rstar = _family_extremal(problem, pair)
-    equation, hi = _radius_equation(problem, series, rstar)
-    r0, bracket, iterations, residual = _monotone_newton(equation, problem.tol,
-                                                         min(hi, bound))
+def _result(problem: RadiusProblem, r0: float, bracket: tuple[float, float],
+            iterations: int, residual: float, positive: bool) -> RadiusResult:
+    """The result of a solved problem; ``positive`` says whether every
+    extremal coefficient past a_0 is positive, which sharpness needs."""
     rb = _clamped(r0, problem.psi.exact_bounds)
-    sharp = bool(rb == r0 and np.all(series.coeffs[1:] > 0.0))
     return RadiusResult(
         psi=problem.psi.label,
         family=problem.family.value,
@@ -257,9 +359,26 @@ def _solve_below(problem: RadiusProblem, pair: ExtremalPair, bound: float) -> Ra
         rb=rb,
         residual=residual,
         iterations=iterations,
-        sharp=sharp,
+        sharp=rb == r0 and positive,
         bracket=bracket,
     )
+
+
+def _coefficients_positive(series: TruncatedSeries) -> bool:
+    return bool(np.all(series.coeffs[1:] > 0.0))
+
+
+def solve(problem: RadiusProblem, pair: ExtremalPair | None = None) -> RadiusResult:
+    """Solve the radius equation for the given problem.
+
+    A given ``pair`` must be built at ``problem.order``.
+    """
+    if pair is None:
+        pair = build_extremal_pair(problem.psi, problem.order)
+    series, rstar = _family_extremal(problem, pair)
+    equation, hi = _radius_equation(problem, series, rstar)
+    r0, bracket, iterations, residual = _monotone_newton(equation, problem.tol, hi, -rstar)
+    return _result(problem, r0, bracket, iterations, residual, _coefficients_positive(series))
 
 
 def solve_janowski_exact(d: float, e: float, m: int = 1, N: int = 1,
@@ -318,7 +437,7 @@ def solve_janowski_exact(d: float, e: float, m: int = 1, N: int = 1,
             slope += m * r ** (m - 1) * point_slope
         return value - rstar, slope
 
-    r0, bracket, iterations, residual = _monotone_newton(equation, tol, hi)
+    r0, bracket, iterations, residual = _monotone_newton(equation, tol, hi, -rstar)
     return RadiusResult(
         psi=spec.label,
         family=Family.STARLIKE.value,
@@ -345,13 +464,13 @@ class Sweep:
 def sweep(problem: RadiusProblem, n_values=None, m_values=None) -> Sweep:
     """Solve over a grid in N or in m; the extremal pair is built once.
 
-    The distinct values are solved from the largest down, each Newton run
-    starting at min(certified top, the previous result's upper bracket
-    end).  That end is a certified upper bound with G > 0 for the next
-    equation too: G_N - G_(N+1) = |a_N| r^N >= 0, and P(r^m) decreases as m
-    grows (the Bohr limit does not depend on either).  Results come back in
-    the given order.  Whether the solved radii are nondecreasing along the
-    grid is reported as a diagnostic, not asserted.
+    Every value is checked before anything is solved.  The distinct values
+    are then solved together, by one lockstep Newton run over their
+    equations (``_lockstep_newton``): each pass evaluates G on the rows whose
+    bracket is still open, and each result's ``iterations`` counts its own
+    row's evaluations of G.  Results come back in the given order.  Whether
+    the solved radii are nondecreasing along the grid is reported as a
+    diagnostic, not asserted.
     """
     if (n_values is None) == (m_values is None):
         raise ValueError("exactly one of n_values and m_values must be given")
@@ -359,11 +478,19 @@ def sweep(problem: RadiusProblem, n_values=None, m_values=None) -> Sweep:
     values = tuple(int(v) for v in values)
     if not values:
         raise ValueError(f"empty sweep range for {axis}")
+    problems = {v: dataclasses.replace(problem, **{axis: v}) for v in dict.fromkeys(values)}
     pair = build_extremal_pair(problem.psi, problem.order)
-    solved, bound = {}, 1.0
-    for v in sorted(set(values), reverse=True):
-        solved[v] = _solve_below(dataclasses.replace(problem, **{axis: v}), pair, bound)
-        bound = solved[v].bracket[1]
+    series, rstar = _family_extremal(problem, pair)
+    evaluate, tops = _sweep_equations(list(problems.values()), series, rstar)
+    roots, (los, his), evaluations, residuals = _lockstep_newton(evaluate, problem.tol,
+                                                                 tops, -rstar)
+    positive = _coefficients_positive(series)
+    solved = {
+        v: _result(prob, r0, (lo, hi), iterations, residual, positive)
+        for (v, prob), r0, lo, hi, iterations, residual in zip(
+            problems.items(), roots.tolist(), los.tolist(), his.tolist(),
+            evaluations.tolist(), residuals.tolist())
+    }
     results = tuple(solved[v] for v in values)
     radii = [res.r0 for res in results]
     monotone = all(b >= a - 1e-12 for a, b in zip(radii, radii[1:]))

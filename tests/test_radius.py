@@ -201,11 +201,16 @@ def test_solver_matches_independent_bisection(label, order):
 
 @pytest.fixture
 def newton_runs(monkeypatch):
-    """Spy on the root solver: its start, G there, and the calls to G."""
+    """Spy on the root solver: its start, G there, and the calls to G.
+
+    The solver is handed G(0) instead of evaluating it; the spy checks that
+    the value handed over is G(0) bitwise.
+    """
     runs = []
     newton = radius._monotone_newton
 
-    def spy(equation, tol, hi):
+    def spy(equation, tol, hi, g_lo):
+        assert equation(0.0)[0] == g_lo
         run = {"hi": hi, "g_hi": equation(hi)[0], "calls": 0}
         runs.append(run)
 
@@ -213,7 +218,7 @@ def newton_runs(monkeypatch):
             run["calls"] += 1
             return equation(r)
 
-        return newton(counted, tol, hi)
+        return newton(counted, tol, hi, g_lo)
 
     monkeypatch.setattr(radius, "_monotone_newton", spy)
     return runs
@@ -462,6 +467,8 @@ def test_inconsistent_problem_raises_bracket_error():
                      psi_eval=lambda t: 1.0 + 0.01 * t, koebe_closed=10.0)
     with pytest.raises(BracketError):
         solve(RadiusProblem(psi=broken))
+    with pytest.raises(BracketError):
+        sweep(RadiusProblem(psi=broken), n_values=[1, 2, 3])
 
 
 # -- sweeps --------------------------------------------------------------------
@@ -504,10 +511,62 @@ def family_extremal(pair, family):
     return pair.l0, pair.koebe_convex
 
 
+def test_lockstep_newton_takes_the_scalar_steps_row_by_row():
+    # Fed the scalar equations themselves, the batch kernel reproduces the
+    # scalar solver bitwise on every row, the fallback start included.
+    pair = build_extremal_pair(catalog.cardioid(), 64)
+    rstar = pair.koebe_starlike
+    equations, tops = [], []
+    for m, N in ((1, 1), (2, 3), (5, 2), (24, 10)):
+        prob = problem("cardioid", m=m, N=N)
+        equation, hi = radius._radius_equation(prob, pair.f0, rstar)
+        equations.append(equation)
+        tops.append(hi)
+    equations.append(equations[0])
+    tops.append(0.01)  # G(0.01) < 0: the start falls back to 1 - 1e-9
+
+    def evaluate(rows, r):
+        values = [equations[v](x) for v, x in zip(rows.tolist(), r.tolist())]
+        return tuple(np.array(column) for column in zip(*values))
+
+    roots, (los, his), evaluations, residuals = radius._lockstep_newton(
+        evaluate, 1e-10, tops, -rstar)
+    for v, (equation, hi) in enumerate(zip(equations, tops)):
+        root, bracket, iterations, residual = radius._monotone_newton(
+            equation, 1e-10, hi, -rstar)
+        assert (roots[v], los[v], his[v], evaluations[v], residuals[v]) == (
+            root, *bracket, iterations, residual), v
+    assert evaluations[-1] > evaluations[0]
+
+
+@pytest.fixture
+def lockstep_runs(monkeypatch):
+    """Spy on the sweep's batch solver: each row's start, G there, and the
+    evaluations of G made for each row."""
+    runs = []
+    newton = radius._lockstep_newton
+
+    def spy(evaluate, tol, hi, g_lo):
+        rows = np.arange(len(hi))
+        assert np.all(evaluate(rows, np.zeros(len(hi)))[0] == g_lo)
+        run = {"hi": list(hi), "g_hi": evaluate(rows, np.array(hi))[0].tolist(),
+               "calls": np.zeros(len(hi), dtype=int)}
+        runs.append(run)
+
+        def counted(rows, r):
+            np.add.at(run["calls"], rows, 1)
+            return evaluate(rows, r)
+
+        return newton(counted, tol, hi, g_lo)
+
+    monkeypatch.setattr(radius, "_lockstep_newton", spy)
+    return runs
+
+
 @pytest.mark.parametrize("label", SOLVER_GRID_LABELS)
-def test_sweep_warm_starts_are_certified(label, newton_runs):
-    # The distinct values are solved from the largest down, each from
-    # min(certified top, the previous upper bracket end).
+def test_sweep_rows_start_at_the_certified_bound(label, lockstep_runs):
+    # The distinct values are the rows of one lockstep run, in the order
+    # they first appear; each row starts at its own certified top.
     spec = catalog.parse_psi(label)
     pair = build_extremal_pair(spec, 64)
     for family in Family:
@@ -518,21 +577,18 @@ def test_sweep_warm_starts_are_certified(label, newton_runs):
                 base = RadiusProblem(psi=spec, family=family, mode=mode)
                 swept = sweep(base, **{keyword: [5, 1, 24, 3, 3]})
                 by_value = dict(zip(swept.values, swept.results))
-                runs = newton_runs[:]
-                newton_runs.clear()
-                assert len(runs) == 4
-                bound = 1.0
-                for v, run in zip((24, 5, 3, 1), runs):
+                (run,) = lockstep_runs
+                lockstep_runs.clear()
+                assert len(run["hi"]) == 4
+                for row, v in enumerate((5, 1, 24, 3)):
                     res = by_value[v]
                     m, N = (1, v) if axis == "N" else (v, 1)
                     terms = ([(1.0, 1)] if mode == Mode.BOHR_LIMIT
                              else [(1.0, m), (moduli[N], N)])
-                    top = expected_start(rstar, terms)
                     case = (family, mode, axis, v)
-                    assert run["hi"] == min(top, bound) <= top, case
-                    assert run["g_hi"] > 0.0 and res.r0 < run["hi"], case
-                    assert res.iterations == run["calls"], case
-                    bound = res.bracket[1]
+                    assert run["hi"][row] == expected_start(rstar, terms), case
+                    assert run["g_hi"][row] > 0.0 and res.r0 < run["hi"][row], case
+                    assert res.iterations == run["calls"][row], case
 
 
 @pytest.mark.parametrize("order", [64, 256])
@@ -555,6 +611,40 @@ def test_sweep_matches_solve_in_the_given_order(label, order):
                     lo, hi = res.bracket
                     assert g_function(prob, pair, lo) < 0.0 < g_function(prob, pair, hi), prob
                     assert lo < res.r0 < hi and hi - lo <= prob.tol, prob
+                    assert_plain_floats(res)
+
+
+@pytest.mark.parametrize("order", [64, 256])
+@pytest.mark.parametrize("label", ["classical-starlike", "cardioid", "sine",
+                                   "janowski:D=0.8,E=0.65"])
+def test_long_sweeps_match_solve(label, order):
+    # N runs up to the order, and m up to 50, where the power tables of
+    # r^m are mostly subnormal and zero.
+    spec = catalog.parse_psi(label)
+    pair = build_extremal_pair(spec, order)
+    for family in Family:
+        base = RadiusProblem(psi=spec, family=family, order=order)
+        for axis, values in (("N", range(1, order + 1)), ("m", range(1, 51))):
+            swept = sweep(base, **{"n_values" if axis == "N" else "m_values": values})
+            for v, res in zip(values, swept.results):
+                prob = dataclasses.replace(base, **{axis: v})
+                assert abs(res.r0 - solve(prob, pair).r0) <= 1e-15, prob
+                lo, hi = res.bracket
+                assert g_function(prob, pair, lo) < 0.0 < g_function(prob, pair, hi), prob
+                assert lo < res.r0 < hi and hi - lo <= prob.tol, prob
+
+
+@pytest.mark.parametrize("values", [[65, 1, 2], [1, 65, 2], [1, 2, 65]])
+def test_sweep_checks_every_value_before_solving(values, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("a sweep solved before it checked every value")
+
+    monkeypatch.setattr(radius, "build_extremal_pair", unreachable)
+    monkeypatch.setattr(radius, "_lockstep_newton", unreachable)
+    with pytest.raises(ValueError, match="exceeds the truncation order"):
+        sweep(problem("cardioid", order=64), n_values=values)
+    with pytest.raises(ValueError, match="positive"):
+        sweep(problem("cardioid", order=64), m_values=[v % 65 for v in values])
 
 
 def test_sweep_rejects_bad_ranges():
