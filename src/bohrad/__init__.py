@@ -3,9 +3,9 @@
 The pipeline: a generator psi from the catalog produces the extremal
 series of its class, the radius module assembles the majorant radius
 equation and solves it by monotone Newton steps inside a certified
-bracket (the lower end a convexity secant; a sweep's equations in one
-lockstep run), and the oracle module checks the underlying
-coefficient-tail inequalities on random subordinants.
+bracket (the lower end a convexity secant; one solver loop for a lone
+equation and a sweep's rows alike), and the oracle module checks the
+underlying coefficient-tail inequalities on random subordinants.
 
 The package exports the names its callers use; everything else is
 reached through its module (``bohrad.series``, ``bohrad.catalog``,

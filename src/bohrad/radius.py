@@ -12,15 +12,16 @@ term is dropped.  Apart from its constant -rs every coefficient of G is a
 modulus, so on [0, 1) G is increasing and convex with exactly one root;
 G(0) = -rs exactly, so the solvers take it without evaluating G.  Since
 a_1 = 1, G(r) >= r^m + |a_N| r^N - rs (r - rs in the Bohr limit), so the
-root lies below min(rs^(1/m), (rs/|a_N|)^(1/N)).  ``solve`` starts
-Newton's method there, from the right; by convexity the zero of the
-secant through (0, G(0)) and each Newton iterate is a lower bound, so the
-bracket costs one evaluation of G per step and ends certified by two
-more.  The closed-form Janowski equation (E <= 0) has the same structure
-and goes through the same solver from the same start.  ``sweep`` runs the
-same steps on all of its equations at once: one lockstep Newton pass
-evaluates G on every row whose bracket is still open, as one array
-product, and each row keeps its own certificates and evaluation count.
+root lies below min(rs^(1/m), (rs/|a_N|)^(1/N)).  One solver, ``_newton``,
+starts Newton's method there, from the right; by convexity the zero of
+the secant through (0, G(0)) and each Newton iterate is a lower bound, so
+the bracket costs one evaluation of G per step and ends certified by two
+more.  It solves a batch of equations, one row each, with one call to G
+per pass on the rows still open.  A lone ``solve`` hands it one row and a
+plain-float Horner evaluator; the closed-form Janowski equation (E <= 0)
+has the same structure and goes through it from the same start; ``sweep``
+hands it one row per value and an evaluator that takes every row in one
+array product.
 """
 
 from __future__ import annotations
@@ -34,13 +35,13 @@ from typing import Callable
 import numpy as np
 
 from .catalog import PsiSpec, janowski, janowski_coeff_bound
-from .extremal import ExtremalPair, build_extremal_pair
+from .extremal import ExtremalPair, build_f0, build_l0, koebe_radius
 from .series import DEFAULT_ORDER, OrderMismatchError, TruncatedSeries
 
 _BRACKET_HI = 1.0 - 1e-9
 
-# G and G' of the equations in ``rows`` at the radii ``r``, as arrays.
-_RowEquations = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
+# The pairs (G, G') of the equations ``rows`` at the radii ``r``.
+_RowEquations = Callable[[list[int], list[float]], list[tuple[float, float]]]
 
 
 class Family(str, Enum):
@@ -60,8 +61,10 @@ class BracketError(RuntimeError):
 def _check_indices_and_tol(m: int, N: int, tol: float) -> None:
     if m < 1 or N < 1:
         raise ValueError("m and N must be positive integers")
-    if not 0.0 < tol < 1e-3:
-        raise ValueError(f"tol must lie in (0, 1e-3), got {tol}")
+    # Below 1e-15 the tol/5 widening of a bracket can be less than one ulp
+    # of r, and the widened ends collapse onto the bounds they widen.
+    if not 1e-15 <= tol < 1e-3:
+        raise ValueError(f"tol must lie in [1e-15, 1e-3), got {tol}")
 
 
 @dataclass(frozen=True)
@@ -102,9 +105,18 @@ class RadiusResult:
         return out
 
 
-def _family_extremal(problem: RadiusProblem, pair: ExtremalPair) -> tuple[TruncatedSeries, float]:
-    """The family's extremal series (f0 or l0) and its boundary distance r*,
-    from a pair built at ``problem.order``; another order gives another G."""
+def _family_extremal(problem: RadiusProblem, pair: ExtremalPair | None = None
+                     ) -> tuple[TruncatedSeries, float]:
+    """The family's extremal series (f0 or l0) and its boundary distance r*.
+
+    They come from ``pair`` when one is given, which must be built at
+    ``problem.order`` (another order gives another G); else only the
+    family's own series and Koebe radius are built.
+    """
+    if pair is None:
+        f0 = build_f0(problem.psi, problem.order)
+        series = f0 if problem.family == Family.STARLIKE else build_l0(f0)
+        return series, koebe_radius(problem.psi, problem.family.value)
     if pair.f0.order != problem.order:
         raise OrderMismatchError(f"order mismatch: the pair has order {pair.f0.order}, "
                                  f"the problem {problem.order}")
@@ -218,14 +230,15 @@ def _sweep_equations(problems: list[RadiusProblem], series: TruncatedSeries,
     q_rows = np.stack([q, _slope_coeffs(q)], axis=1)
     p_cols = None if p is None else np.stack([p, _slope_coeffs(p)], axis=1)
 
-    def evaluate(rows: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def evaluate(rows: list[int], r: list[float]) -> list[tuple[float, float]]:
+        rows, r = np.asarray(rows), np.asarray(r)
         value, slope = np.einsum("ijk,ik->ji", q_rows[rows], _powers(r, order))
         if p_cols is not None:
             m = ms[rows]
             point, point_slope = (_powers(r**m, order) @ p_cols).T
             value = value + point
             slope = slope + m * r ** (m - 1) * point_slope
-        return value - rstar, slope
+        return list(zip((value - rstar).tolist(), slope.tolist()))
 
     return evaluate, tops
 
@@ -241,103 +254,81 @@ def g_function(problem: RadiusProblem, pair: ExtremalPair, r: float) -> float:
     return _radius_equation(problem, *_family_extremal(problem, pair))[0](r)[0]
 
 
-def _monotone_newton(equation: Callable[[float], tuple[float, float]], tol: float,
-                     hi: float, g_lo: float) -> tuple[float, tuple[float, float], int, float]:
-    """Root of an increasing convex G on [0, hi] with a certified bracket.
+def _pointwise(equation: Callable[[float], tuple[float, float]]) -> _RowEquations:
+    """One scalar equation as a row evaluator: G and G' at each radius asked for."""
+    return lambda rows, r: list(map(equation, r))
 
-    ``hi`` is a certified upper bound on the root, the start from
-    ``_certified_top``, and ``g_lo`` is G(0) = -r*, which every caller's G
-    takes exactly, so it is not evaluated.
-    Fourier's condition holds there (G'' >= 0) whenever G(hi) > 0; if
+
+def _newton(evaluate: _RowEquations, tol: float, tops: list[float], g_lo: float
+            ) -> list[tuple[float, tuple[float, float], int, float]]:
+    """Roots of increasing convex equations G_v on [0, tops[v]], one per row,
+    each with a certified bracket.
+
+    ``evaluate(rows, r)`` returns the pairs (G, G') of the equations
+    ``rows`` at the radii ``r``; a row may appear more than once.  Each
+    ``tops[v]`` is a certified upper bound on row v's root, the start from
+    ``_certified_top``, and ``g_lo`` is G(0) = -r*, which every row takes
+    exactly, so it is not evaluated.
+    Fourier's condition holds at the start (G'' >= 0) whenever G(hi) > 0; if
     rounding leaves G(hi) <= 0 the start falls back to 1 - 1e-9.  Newton's
     iterates from the start decrease monotonically to the root and each is
     an upper bound.  The secant through (0, G(0)) and the current iterate
     lies above a convex G on [0, hi], so its zero -G(0) hi / (G(hi) - G(0))
-    is a lower bound, and each pass costs one evaluation of G.  Once the two
-    bounds agree within tol/2 they are widened by tol/5 on each side and the
-    signs of G at the new ends are checked.  The root is one more Newton
-    step, kept between the two bounds.
-    Returns the root, the bracket, the number of evaluations of G and the
-    residual G(root).
+    is a lower bound, and each pass costs one evaluation of G per open row.
+    A Newton step too small to lower hi by rounding bisects [lo, hi]
+    instead, and the sign of G at the midpoint says which end it replaces.
+    Once the two bounds agree within tol/2 they are widened by tol/5 on
+    each side and the signs of G at the new ends are checked.  The root is
+    one more Newton step, kept between the two bounds.
+    Every pass makes one call to ``evaluate``, on the rows still open.
+    Returns, per row, the root, the bracket, the number of evaluations of G
+    and the residual G(root).
     """
-    lo = 0.0
-    g_hi, slope = equation(hi)
-    evaluations = 1
-    if g_hi <= 0.0 and hi < _BRACKET_HI:
-        hi = _BRACKET_HI
-        g_hi, slope = equation(hi)
-        evaluations += 1
-    if not (g_lo < 0.0 < g_hi):
-        raise BracketError(
-            f"no sign change on [{lo}, {hi}]: G(lo)={g_lo:.3e}, G(hi)={g_hi:.3e}"
-        )
-    while hi - lo > 0.5 * tol:
-        hi -= g_hi / slope
-        g_hi, slope = equation(hi)
-        evaluations += 1
-        if g_hi <= 0.0:  # the Newton iterate met the root at rounding level
-            lo = hi
-            break
-        lo = g_lo * hi / (g_lo - g_hi)
-    root = min(max(hi - g_hi / slope, lo), hi)
-    residual, _ = equation(root)
-    bracket = (lo - 0.2 * tol, hi + 0.2 * tol)
-    evaluations += 3
-    if not equation(bracket[0])[0] < 0.0 < equation(bracket[1])[0]:
-        raise BracketError(f"no sign change on the final bracket {bracket}")
-    return root, bracket, evaluations, residual
-
-
-def _lockstep_newton(evaluate: _RowEquations, tol: float, hi: list[float], g_lo: float
-                     ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], np.ndarray, np.ndarray]:
-    """``_monotone_newton`` on many equations at once, one row each.
-
-    ``evaluate(rows, r)`` returns G and G' of the equations ``rows`` at the
-    radii ``r``; a row may appear more than once.  ``hi`` holds each row's
-    certified start, and ``g_lo`` = G(0) is shared by every row.
-    Each pass takes a Newton step on the rows whose bracket is still open,
-    and only on those, with the scalar solver's arithmetic and certificates
-    row by row: the fallback start, the sign check at both ends, the secant
-    lower bound, the stop at rounding level or at width tol/2, the final
-    clamped step and the two sign checks of the widened bracket.  The
-    residuals and both bracket ends of every row come from one last call.
-    Returns the roots, the bracket ends, each row's number of evaluations of
-    G and the residuals, as arrays.
-    """
-    hi = np.array(hi, dtype=float)
-    rows = np.arange(hi.size)
-    lo = np.zeros_like(hi)
-    g_hi, slope = evaluate(rows, hi)
-    evaluations = np.ones(hi.size, dtype=int)
-    restart = np.flatnonzero((g_hi <= 0.0) & (hi < _BRACKET_HI))
-    if restart.size:
-        hi[restart] = _BRACKET_HI
-        g_hi[restart], slope[restart] = evaluate(restart, hi[restart])
-        evaluations[restart] += 1
-    if not (g_lo < 0.0 and np.all(g_hi > 0.0)):
-        v = np.argmin(g_hi)
-        raise BracketError(
-            f"no sign change on [0.0, {hi[v]}]: G(lo)={g_lo:.3e}, G(hi)={g_hi[v]:.3e}"
-        )
-    open_rows = rows[hi - lo > 0.5 * tol]
-    while open_rows.size:
-        step = hi[open_rows] - g_hi[open_rows] / slope[open_rows]
-        g_step, slope[open_rows] = evaluate(open_rows, step)
-        evaluations[open_rows] += 1
-        hi[open_rows], g_hi[open_rows] = step, g_step
-        # A step that met the root at rounding level closes its bracket.
-        lo[open_rows] = np.where(g_step <= 0.0, step, g_lo * step / (g_lo - g_step))
-        open_rows = open_rows[step - lo[open_rows] > 0.5 * tol]
-    root = np.minimum(np.maximum(hi - g_hi / slope, lo), hi)
-    lo, hi = lo - 0.2 * tol, hi + 0.2 * tol
-    values, _ = evaluate(np.tile(rows, 3), np.concatenate([root, lo, hi]))
-    residual, g_lo_end, g_hi_end = values.reshape(3, -1)
-    evaluations += 3
-    signed = (g_lo_end < 0.0) & (0.0 < g_hi_end)
-    if not np.all(signed):
-        v = np.argmin(signed)
-        raise BracketError(f"no sign change on the final bracket {(lo[v], hi[v])}")
-    return root, (lo, hi), evaluations, residual
+    hi = list(tops)
+    rows = range(len(hi))
+    at_hi = evaluate(rows, hi)
+    evaluations = [1] * len(hi)
+    restart = [v for v in rows if at_hi[v][0] <= 0.0 and hi[v] < _BRACKET_HI]
+    if restart:
+        for v, at_top in zip(restart, evaluate(restart, [_BRACKET_HI] * len(restart))):
+            hi[v], at_hi[v] = _BRACKET_HI, at_top
+            evaluations[v] += 1
+    for v in rows:
+        if not g_lo < 0.0 < at_hi[v][0]:
+            raise BracketError(
+                f"no sign change on [0.0, {hi[v]}]: G(lo)={g_lo:.3e}, G(hi)={at_hi[v][0]:.3e}"
+            )
+    lo = [0.0] * len(hi)
+    bisect = [False] * len(hi)
+    open_rows = [v for v in rows if hi[v] > 0.5 * tol]
+    while open_rows:
+        steps = []
+        for v in open_rows:
+            g, s = at_hi[v]
+            r = hi[v] - g / s
+            # A Newton step too small to lower hi by rounding bisects [lo, hi].
+            bisect[v] = not r < hi[v]
+            steps.append(0.5 * (lo[v] + hi[v]) if bisect[v] else r)
+        still_open = []
+        for v, r, at_r in zip(open_rows, steps, evaluate(open_rows, steps)):
+            evaluations[v] += 1
+            g = at_r[0]
+            if g > 0.0 or not bisect[v]:
+                hi[v], at_hi[v] = r, at_r
+            # G(r) <= 0 puts r below the root; after a Newton step only by
+            # rounding, which closes the bracket.
+            lo[v] = r if g <= 0.0 else g_lo * r / (g_lo - g)
+            if hi[v] - lo[v] > 0.5 * tol:
+                still_open.append(v)
+        open_rows = still_open
+    roots = [min(max(h - g / s, lo_v), h) for lo_v, h, (g, s) in zip(lo, hi, at_hi)]
+    ends = [lo_v - 0.2 * tol for lo_v in lo] + [h + 0.2 * tol for h in hi]
+    values = [g for g, _ in evaluate(list(rows) * 3, roots + ends)]
+    n = len(roots)
+    for v in rows:
+        if not values[n + v] < 0.0 < values[2 * n + v]:
+            raise BracketError(f"no sign change on the final bracket {(ends[v], ends[n + v])}")
+    return [(roots[v], (ends[v], ends[n + v]), evaluations[v] + 3, values[v]) for v in rows]
 
 
 def _clamped(r0: float, exact_bounds: bool) -> float:
@@ -373,12 +364,10 @@ def solve(problem: RadiusProblem, pair: ExtremalPair | None = None) -> RadiusRes
 
     A given ``pair`` must be built at ``problem.order``.
     """
-    if pair is None:
-        pair = build_extremal_pair(problem.psi, problem.order)
     series, rstar = _family_extremal(problem, pair)
     equation, hi = _radius_equation(problem, series, rstar)
-    r0, bracket, iterations, residual = _monotone_newton(equation, problem.tol, hi, -rstar)
-    return _result(problem, r0, bracket, iterations, residual, _coefficients_positive(series))
+    (solved,) = _newton(_pointwise(equation), problem.tol, [hi], -rstar)
+    return _result(problem, *solved, _coefficients_positive(series))
 
 
 def solve_janowski_exact(d: float, e: float, m: int = 1, N: int = 1,
@@ -437,7 +426,7 @@ def solve_janowski_exact(d: float, e: float, m: int = 1, N: int = 1,
             slope += m * r ** (m - 1) * point_slope
         return value - rstar, slope
 
-    r0, bracket, iterations, residual = _monotone_newton(equation, tol, hi, -rstar)
+    ((r0, bracket, iterations, residual),) = _newton(_pointwise(equation), tol, [hi], -rstar)
     return RadiusResult(
         psi=spec.label,
         family=Family.STARLIKE.value,
@@ -462,13 +451,15 @@ class Sweep:
 
 
 def sweep(problem: RadiusProblem, n_values=None, m_values=None) -> Sweep:
-    """Solve over a grid in N or in m; the extremal pair is built once.
+    """Solve over a grid in N or in m; the family's extremal is built once.
 
     Every value is checked before anything is solved.  The distinct values
-    are then solved together, by one lockstep Newton run over their
-    equations (``_lockstep_newton``): each pass evaluates G on the rows whose
-    bracket is still open, and each result's ``iterations`` counts its own
-    row's evaluations of G.  Results come back in the given order.  Whether
+    are then solved together by the solver of a lone ``solve``
+    (``_newton``), one row per value: each pass evaluates G on the rows
+    whose bracket is still open, by one array product, and each result's
+    ``iterations`` counts its own row's evaluations of G.  In the Bohr limit
+    every value has the same equation, so one row is solved and each result
+    echoes its own value.  Results come back in the given order.  Whether
     the solved radii are nondecreasing along the grid is reported as a
     diagnostic, not asserted.
     """
@@ -479,18 +470,17 @@ def sweep(problem: RadiusProblem, n_values=None, m_values=None) -> Sweep:
     if not values:
         raise ValueError(f"empty sweep range for {axis}")
     problems = {v: dataclasses.replace(problem, **{axis: v}) for v in dict.fromkeys(values)}
-    pair = build_extremal_pair(problem.psi, problem.order)
-    series, rstar = _family_extremal(problem, pair)
-    evaluate, tops = _sweep_equations(list(problems.values()), series, rstar)
-    roots, (los, his), evaluations, residuals = _lockstep_newton(evaluate, problem.tol,
-                                                                 tops, -rstar)
+    series, rstar = _family_extremal(problem)
+    bohr_limit = problem.mode == Mode.BOHR_LIMIT
+    # In the Bohr limit G depends on neither m nor N: one row serves every value.
+    rows = list(problems.values())[:1] if bohr_limit else list(problems.values())
+    evaluate, tops = _sweep_equations(rows, series, rstar)
+    roots = _newton(evaluate, problem.tol, tops, -rstar)
+    if bohr_limit:
+        roots *= len(problems)
     positive = _coefficients_positive(series)
-    solved = {
-        v: _result(prob, r0, (lo, hi), iterations, residual, positive)
-        for (v, prob), r0, lo, hi, iterations, residual in zip(
-            problems.items(), roots.tolist(), los.tolist(), his.tolist(),
-            evaluations.tolist(), residuals.tolist())
-    }
+    solved = {v: _result(prob, *root, positive)
+              for (v, prob), root in zip(problems.items(), roots)}
     results = tuple(solved[v] for v in values)
     radii = [res.r0 for res in results]
     monotone = all(b >= a - 1e-12 for a, b in zip(radii, radii[1:]))

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, formats, determinism."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -228,6 +229,58 @@ def test_sweep_deterministic(capsys):
     _, first, _ = run_cli(capsys, *args)
     _, second, _ = run_cli(capsys, *args)
     assert first == second
+
+
+# In each, a Newton step falls below half an ulp of hi while the secant
+# bound is still more than tol/2 below it, so the solve ends by bisection.
+ONCE_STALLED = [
+    ("radius", "--psi", "cardioid", "--m", "1000000", "--N", "10"),
+    ("sweep", "--psi", "cardioid", "--m", "1000000", "--N", "9..10"),
+    ("radius", "--psi", "sine", "--m", "24", "--N", "10", "--tol", "1e-15"),
+]
+
+
+@pytest.mark.parametrize("argv", ONCE_STALLED, ids=lambda argv: " ".join(argv[:5]))
+def test_stalled_newton_steps_return_a_certified_bracket(argv):
+    src = str(Path(bohrad.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "bohrad.cli", *argv, "--format", "json"],
+                          env=env, capture_output=True, text=True, timeout=30)
+    assert done.returncode == 0, done.stderr
+    # It returns, so the same solves can be checked in-process.
+    opts = dict(zip(argv[1::2], argv[2::2]))
+    tol = float(opts.get("--tol", 1e-10))
+    spec = bohrad.parse_psi(opts["--psi"])
+    pair = bohrad.build_extremal_pair(spec, 64)
+    base = bohrad.RadiusProblem(psi=spec, m=int(opts["--m"]), tol=tol)
+    if argv[0] == "radius":
+        problems = [dataclasses.replace(base, N=int(opts["--N"]))]
+        results = [bohrad.solve(problems[0], pair)]
+        assert json.loads(done.stdout)["r0"] == float(f"{results[0].r0:.12g}")
+    else:
+        problems = [dataclasses.replace(base, N=n) for n in (9, 10)]
+        results = bohrad.sweep(base, n_values=(9, 10)).results
+        assert [row["r0"] for row in json.loads(done.stdout)["results"]] == [
+            float(f"{res.r0:.12g}") for res in results]
+    for prob, res in zip(problems, results):
+        lo, hi = res.bracket
+        assert lo < res.r0 < hi and hi - lo <= tol
+        assert bohrad.g_function(prob, pair, lo) < 0.0 < bohrad.g_function(prob, pair, hi)
+
+
+@pytest.mark.parametrize("argv", [
+    ("radius", "--psi", "janowski:D=0.5,E=-0.5", "--m", "3", "--N", "5"),
+    ("radius", "--psi", "janowski:D=0.5,E=-0.5", "--m", "3", "--N", "5", "--method", "exact"),
+    ("sweep", "--psi", "cardioid", "--N", "1..5"),
+], ids=["radius", "exact", "sweep"])
+def test_tol_below_1e_15_exits_2(capsys, argv):
+    # Past r = 1/2 a tol/5 widening of 2e-17 is below half an ulp, so the
+    # widened bracket would collapse to a point.
+    code, out, err = run_cli(capsys, *argv, "--tol", "1e-16")
+    assert code == 2
+    assert out == ""
+    assert "tol" in err
 
 
 # -- verify -----------------------------------------------------------------

@@ -49,6 +49,10 @@ def test_problem_validation():
         RadiusProblem(psi=spec, N=0)
     with pytest.raises(ValueError):
         RadiusProblem(psi=spec, tol=1e-2)
+    # Past r = 1/2 a tol/5 widening of 1e-16/5 is below half an ulp.
+    with pytest.raises(ValueError, match="tol"):
+        RadiusProblem(psi=spec, tol=1e-16)
+    RadiusProblem(psi=spec, tol=1e-15)
     with pytest.raises(ValueError):
         RadiusProblem(psi=spec, N=100, order=64)
 
@@ -175,9 +179,7 @@ def assert_plain_floats(res):
     assert [type(end) for end in res.bracket] == [float, float]
 
 
-@pytest.mark.parametrize("order", [64, 256])
-@pytest.mark.parametrize("label", SOLVER_GRID_LABELS)
-def test_solver_matches_independent_bisection(label, order):
+def assert_solver_grid_matches_bisection(label, order, tol):
     spec = catalog.parse_psi(label)
     pair = build_extremal_pair(spec, order)
     for family in Family:
@@ -188,7 +190,7 @@ def test_solver_matches_independent_bisection(label, order):
             for m in (1, 2, 5, 24):
                 for N in (1, 2, 3, 10):
                     prob = RadiusProblem(psi=spec, family=family, m=m, N=N, mode=mode,
-                                         order=order)
+                                         order=order, tol=tol)
                     res = solve(prob, pair)
                     g = fsum_equation(moduli, rstar, m, N, mode)
                     assert abs(res.r0 - bisection_root(g)) <= 1e-12, prob
@@ -199,29 +201,54 @@ def test_solver_matches_independent_bisection(label, order):
                     assert_plain_floats(res)
 
 
+@pytest.mark.parametrize("order", [64, 256])
+@pytest.mark.parametrize("label", SOLVER_GRID_LABELS)
+def test_solver_matches_independent_bisection(label, order):
+    assert_solver_grid_matches_bisection(label, order, 1e-10)
+
+
+@pytest.mark.parametrize("order", [64, 256])
+@pytest.mark.parametrize("label", SOLVER_GRID_LABELS)
+def test_solver_grid_solves_at_the_smallest_tol(label, order):
+    # At tol = 1e-15, 12 of these solves reach a Newton step too small to
+    # move hi and end by bisection.
+    assert_solver_grid_matches_bisection(label, order, 1e-15)
+
+
 @pytest.fixture
 def newton_runs(monkeypatch):
-    """Spy on the root solver: its start, G there, and the calls to G.
+    """Spy on the root solver: each row's start, G there, and the
+    evaluations of G made for each row.
 
     The solver is handed G(0) instead of evaluating it; the spy checks that
-    the value handed over is G(0) bitwise.
+    the value handed over is G(0) bitwise on every row.
     """
     runs = []
-    newton = radius._monotone_newton
+    newton = radius._newton
 
-    def spy(equation, tol, hi, g_lo):
-        assert equation(0.0)[0] == g_lo
-        run = {"hi": hi, "g_hi": equation(hi)[0], "calls": 0}
+    def spy(evaluate, tol, tops, g_lo):
+        rows = list(range(len(tops)))
+        assert [g for g, _ in evaluate(rows, [0.0] * len(tops))] == [g_lo] * len(tops)
+        run = {"hi": list(tops), "g_hi": [g for g, _ in evaluate(rows, list(tops))],
+               "calls": [0] * len(tops)}
         runs.append(run)
 
-        def counted(r):
-            run["calls"] += 1
-            return equation(r)
+        def counted(rows, r):
+            for v in rows:
+                run["calls"][v] += 1
+            return evaluate(rows, r)
 
-        return newton(counted, tol, hi, g_lo)
+        return newton(counted, tol, tops, g_lo)
 
-    monkeypatch.setattr(radius, "_monotone_newton", spy)
+    monkeypatch.setattr(radius, "_newton", spy)
     return runs
+
+
+def lone_run(runs):
+    """The start, G there and the calls of the last run, a one-row run."""
+    run = runs.pop()
+    (hi,), (g_hi,), (calls,) = run["hi"], run["g_hi"], run["calls"]
+    return {"hi": hi, "g_hi": g_hi, "calls": calls}
 
 
 def expected_start(rstar, terms):
@@ -245,7 +272,7 @@ def test_series_solver_starts_at_the_certified_bound(label, order, newton_runs):
                     prob = RadiusProblem(psi=spec, family=family, m=m, N=N, mode=mode,
                                          order=order)
                     res = solve(prob, pair)
-                    run = newton_runs.pop()
+                    run = lone_run(newton_runs)
                     terms = ([(1.0, 1)] if mode == Mode.BOHR_LIMIT
                              else [(1.0, m), (moduli[N], N)])
                     assert run["hi"] == expected_start(rstar, terms), prob
@@ -439,7 +466,7 @@ def test_exact_solver_starts_at_the_certified_bound(de, newton_runs):
         for m in (1, 2, 5, 24):
             for N in (1, 2, 3, 10):
                 res = solve_janowski_exact(d, e, m=m, N=N, mode=mode)
-                run = newton_runs.pop()
+                run = lone_run(newton_runs)
                 case = (de, m, N, mode)
                 if mode == Mode.BOHR_LIMIT:
                     terms = [(1.0, 1)]
@@ -511,13 +538,14 @@ def family_extremal(pair, family):
     return pair.l0, pair.koebe_convex
 
 
-def test_lockstep_newton_takes_the_scalar_steps_row_by_row():
-    # Fed the scalar equations themselves, the batch kernel reproduces the
-    # scalar solver bitwise on every row, the fallback start included.
+def test_newton_rows_are_independent():
+    # A row solved among others takes the steps it takes alone, bitwise:
+    # the fallback start, a row that bisects once its Newton steps stall,
+    # and rows closing on different passes included.
     pair = build_extremal_pair(catalog.cardioid(), 64)
     rstar = pair.koebe_starlike
     equations, tops = [], []
-    for m, N in ((1, 1), (2, 3), (5, 2), (24, 10)):
+    for m, N in ((1, 1), (2, 3), (5, 2), (24, 10), (1_000_000, 10)):
         prob = problem("cardioid", m=m, N=N)
         equation, hi = radius._radius_equation(prob, pair.f0, rstar)
         equations.append(equation)
@@ -525,48 +553,23 @@ def test_lockstep_newton_takes_the_scalar_steps_row_by_row():
     equations.append(equations[0])
     tops.append(0.01)  # G(0.01) < 0: the start falls back to 1 - 1e-9
 
-    def evaluate(rows, r):
-        values = [equations[v](x) for v, x in zip(rows.tolist(), r.tolist())]
-        return tuple(np.array(column) for column in zip(*values))
+    def rows_of(chosen):
+        return lambda rows, r: [chosen[v](x) for v, x in zip(rows, r)]
 
-    roots, (los, his), evaluations, residuals = radius._lockstep_newton(
-        evaluate, 1e-10, tops, -rstar)
+    together = radius._newton(rows_of(equations), 1e-10, tops, -rstar)
     for v, (equation, hi) in enumerate(zip(equations, tops)):
-        root, bracket, iterations, residual = radius._monotone_newton(
-            equation, 1e-10, hi, -rstar)
-        assert (roots[v], los[v], his[v], evaluations[v], residuals[v]) == (
-            root, *bracket, iterations, residual), v
-    assert evaluations[-1] > evaluations[0]
-
-
-@pytest.fixture
-def lockstep_runs(monkeypatch):
-    """Spy on the sweep's batch solver: each row's start, G there, and the
-    evaluations of G made for each row."""
-    runs = []
-    newton = radius._lockstep_newton
-
-    def spy(evaluate, tol, hi, g_lo):
-        rows = np.arange(len(hi))
-        assert np.all(evaluate(rows, np.zeros(len(hi)))[0] == g_lo)
-        run = {"hi": list(hi), "g_hi": evaluate(rows, np.array(hi))[0].tolist(),
-               "calls": np.zeros(len(hi), dtype=int)}
-        runs.append(run)
-
-        def counted(rows, r):
-            np.add.at(run["calls"], rows, 1)
-            return evaluate(rows, r)
-
-        return newton(counted, tol, hi, g_lo)
-
-    monkeypatch.setattr(radius, "_lockstep_newton", spy)
-    return runs
+        alone = radius._newton(rows_of([equation]), 1e-10, [hi], -rstar)
+        assert repr(alone) == repr([together[v]]), v
+    iterations = [row[2] for row in together]
+    assert iterations[-1] > iterations[0]
+    assert len(set(iterations)) > 2
 
 
 @pytest.mark.parametrize("label", SOLVER_GRID_LABELS)
-def test_sweep_rows_start_at_the_certified_bound(label, lockstep_runs):
-    # The distinct values are the rows of one lockstep run, in the order
-    # they first appear; each row starts at its own certified top.
+def test_sweep_rows_start_at_the_certified_bound(label, newton_runs):
+    # The distinct values are the rows of one solver run, in the order
+    # they first appear; each row starts at its own certified top.  In the
+    # Bohr limit every value has the same equation, solved as one row.
     spec = catalog.parse_psi(label)
     pair = build_extremal_pair(spec, 64)
     for family in Family:
@@ -577,12 +580,14 @@ def test_sweep_rows_start_at_the_certified_bound(label, lockstep_runs):
                 base = RadiusProblem(psi=spec, family=family, mode=mode)
                 swept = sweep(base, **{keyword: [5, 1, 24, 3, 3]})
                 by_value = dict(zip(swept.values, swept.results))
-                (run,) = lockstep_runs
-                lockstep_runs.clear()
-                assert len(run["hi"]) == 4
-                for row, v in enumerate((5, 1, 24, 3)):
-                    res = by_value[v]
-                    m, N = (1, v) if axis == "N" else (v, 1)
+                (run,) = newton_runs
+                newton_runs.clear()
+                rows = (5, 1, 24, 3) if mode == Mode.BOHR_ROGOSINSKI else (5,)
+                assert len(run["hi"]) == len(rows)
+                for v, res in by_value.items():
+                    row = rows.index(v) if mode == Mode.BOHR_ROGOSINSKI else 0
+                    assert (res.m, res.N) == ((1, v) if axis == "N" else (v, 1))
+                    m, N = res.m, res.N
                     terms = ([(1.0, 1)] if mode == Mode.BOHR_LIMIT
                              else [(1.0, m), (moduli[N], N)])
                     case = (family, mode, axis, v)
@@ -639,8 +644,8 @@ def test_sweep_checks_every_value_before_solving(values, monkeypatch):
     def unreachable(*args):
         raise AssertionError("a sweep solved before it checked every value")
 
-    monkeypatch.setattr(radius, "build_extremal_pair", unreachable)
-    monkeypatch.setattr(radius, "_lockstep_newton", unreachable)
+    for name in ("build_f0", "koebe_radius", "_newton"):
+        monkeypatch.setattr(radius, name, unreachable)
     with pytest.raises(ValueError, match="exceeds the truncation order"):
         sweep(problem("cardioid", order=64), n_values=values)
     with pytest.raises(ValueError, match="positive"):
