@@ -186,7 +186,7 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"{', '.join(unread)}: not read by --lemma {lemma}")
     psis = [args.psi] if args.psi else list(oracle.DEFAULT_ORACLE_PSIS)
     n_single = args.N if args.N is not None else 1
-    order = 64 if args.order is None else args.order
+    order = DEFAULT_ORDER if args.order is None else args.order
     degree_max = 4 if args.degree_max is None else args.degree_max
     if lemma == "tail":
         n_values = (args.N,) if args.N is not None else (1, 2, 3)
@@ -250,8 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="starlike or convex (default: the entry's natural family)")
         p.add_argument("--mode", choices=[m.value for m in Mode],
                        default="bohr-rogosinski")
-        p.add_argument("--order", type=int, default=64,
-                       help="series truncation order (default 64)")
+        p.add_argument("--order", type=int, default=DEFAULT_ORDER,
+                       help=f"series truncation order (default {DEFAULT_ORDER})")
         if with_mn:
             p.add_argument("--m", type=int, default=1)
             p.add_argument("--N", type=int, default=1)
@@ -262,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="series path, or the closed Janowski equation")
     p_radius.add_argument("--format", choices=["table", "csv", "json"], default="table")
     # --order defaults to None so that --method exact, which has no
-    # truncation order, can reject it; the series path applies 64.
+    # truncation order, can reject it; the series path applies DEFAULT_ORDER.
     p_radius.set_defaults(func=_cmd_radius, needs_psi=True, order=None)
 
     p_sweep = sub.add_parser("sweep", help="solve over a range of N or m")

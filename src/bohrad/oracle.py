@@ -24,8 +24,8 @@ its tolerance when it is built.
 Each sum has one definition.  The tail window (``_tail_window``) holds r^j
 for j >= N and 0 below, so M(f, N, r) = |f| @ window in the tail
 functional and the tail and weighted kernels alike.  The Bohr-Rogosinski
-margin of g at r is -G_g(r): the solver's radius equation
-(``radius._radius_equation``) built from |g| in place of the extremal's
+margin of g at r is -G_g(r): the solver's radius equation, one row of
+``radius._radius_equations``, built from |g| in place of the extremal's
 moduli.
 
 The public checks and the suites share one kernel per kind of check, built
@@ -49,7 +49,7 @@ import numpy as np
 from .catalog import PsiSpec, parse_psi
 from .extremal import ExtremalPair, build_extremal_pair, build_f0
 from .radius import (Family, Mode, RadiusProblem, _check_radius, _family_extremal,
-                     _radius_equation, solve)
+                     _radius_equations, g_function, solve)
 from .series import DEFAULT_ORDER, TruncatedSeries
 
 # Default generators exercised by the verification suites.
@@ -356,8 +356,9 @@ def _br_margin(checks: _BRChecks, g: TruncatedSeries,
 
     ``0.0 - G`` rather than ``-G``, so that a zero G gives the margin +0.0.
     """
-    equation, _ = _radius_equation(checks.problem, g, checks.rstar)
-    margins = [0.0 - equation(r)[0] for r in checks.r_values]
+    evaluate, _ = _radius_equations([checks.problem], g, checks.rstar)
+    r_values = checks.r_values
+    margins = [0.0 - value for value, _ in evaluate([0] * len(r_values), r_values)]
     problem = checks.problem
     return margins, _reports(margins, -checks.tol, lambda i: {
         "check": "bohr-rogosinski",
@@ -557,9 +558,6 @@ def run_br_suite(psi_label: str = "cardioid", family: Family = Family.STARLIKE,
     solved = solve(problem, pair)
     r_cap = min(solved.rb, 1.0 / 3.0)
     checks = _BRChecks(problem, pair, [frac * r_cap for frac in (0.25, 0.5, 0.75, 1.0)])
-    # At the identity sample g is the extremal bitwise, so its margin at rb
-    # is -G(rb) of the solver's own equation (-residual when rb = r0).
-    equation, _ = _radius_equation(problem, checks.base, checks.rstar)
     tally = _Tally()
     for omega, described in _samples(seed, trials, degree_max, order):
         tally.extend(*_br_margin(checks, checks.base.compose(omega), described))
@@ -572,7 +570,9 @@ def run_br_suite(psi_label: str = "cardioid", family: Family = Family.STARLIKE,
         "mode": mode.value,
         "r0": solved.r0,
         "rb": solved.rb,
-        "identity_margin_at_rb": 0.0 - equation(solved.rb)[0],
+        # At the identity sample g is the extremal bitwise, so its margin at
+        # rb is -G(rb) of the solver's own equation (-residual when rb = r0).
+        "identity_margin_at_rb": 0.0 - g_function(problem, pair, solved.rb),
         "degree_max": degree_max,
         "order": order,
     })

@@ -3,25 +3,25 @@
 For a family extremal series with coefficient moduli a_n (a_0 = 0,
 a_1 = 1) and boundary distance rs, the solved equation is
 
-    G(r) = fhat(r^m) + fhat(r) - p(r) - rs = 0,
+    G(r) = P(r^m) + Q(r) - rs = 0,
 
-where fhat(r) = sum |a_n| r^n and p(r) removes the head of the second
-sum: p = 0 for N = 1, p = r for N = 2, p = r + sum_{n=2}^{N-1} |a_n| r^n
-for N >= 3.  In the Bohr limit (m -> infinity with N = 1) the fhat(r^m)
-term is dropped.  Apart from its constant -rs every coefficient of G is a
-modulus, so on [0, 1) G is increasing and convex with exactly one root;
-G(0) = -rs exactly, so the solvers take it without evaluating G.  Since
-a_1 = 1, G(r) >= r^m + |a_N| r^N - rs (r - rs in the Bohr limit), so the
-root lies below min(rs^(1/m), (rs/|a_N|)^(1/N)).  One solver, ``_newton``,
-starts Newton's method there, from the right; by convexity the zero of
-the secant through (0, G(0)) and each Newton iterate is a lower bound, so
-the bracket costs one evaluation of G per step and ends certified by two
-more.  It solves a batch of equations, one row each, with one call to G
-per pass on the rows still open.  A lone ``solve`` hands it one row and a
-plain-float Horner evaluator; the closed-form Janowski equation (E <= 0)
-has the same structure and goes through it from the same start; ``sweep``
-hands it one row per value and an evaluator that takes every row in one
-array product.
+where P = fhat, fhat(r) = sum |a_n| r^n, and Q is fhat with its terms of
+index < N removed.  In the Bohr limit (m -> infinity with N = 1) the
+P(r^m) term is dropped and Q = fhat.  Apart from its constant -rs every
+coefficient of G is a modulus, so on [0, 1) G is increasing and convex
+with exactly one root; G(0) = -rs exactly, so the solvers take it without
+evaluating G.  Since a_1 = 1, G(r) >= r^m + |a_N| r^N - rs (r - rs in the
+Bohr limit), so the root lies below min(rs^(1/m), (rs/|a_N|)^(1/N))
+(``_certified_top``).  One solver, ``_newton``, starts Newton's method
+there, from the right; by convexity the zero of the secant through
+(0, G(0)) and each Newton iterate is a lower bound, so the bracket costs
+one evaluation of G per step and ends certified by two more.  It solves a
+batch of equations, one row each, with one call to G per pass on the rows
+still open.  One builder, ``_radius_equations``, makes the rows of a
+``solve`` or a ``sweep`` with their starts; one row is evaluated by
+plain-float Horner passes, several by one array product.  The one-row
+evaluator also serves the closed-form Janowski equation (E <= 0), with P
+and Q in closed form.
 """
 
 from __future__ import annotations
@@ -42,6 +42,8 @@ _BRACKET_HI = 1.0 - 1e-9
 
 # The pairs (G, G') of the equations ``rows`` at the radii ``r``.
 _RowEquations = Callable[[list[int], list[float]], list[tuple[float, float]]]
+# A polynomial's (or power series') value and slope at one point.
+_ValueSlope = Callable[[float], tuple[float, float]]
 
 
 class Family(str, Enum):
@@ -125,59 +127,56 @@ def _family_extremal(problem: RadiusProblem, pair: ExtremalPair | None = None
     return pair.l0, pair.koebe_convex
 
 
-def _horner(reversed_coeffs: list[float], x: float) -> tuple[float, float]:
-    """Value and slope of a polynomial, coefficients from the highest down."""
-    value = slope = 0.0
-    for c in reversed_coeffs:
-        slope = slope * x + value
-        value = value * x + c
-    return value, slope
+def _polynomial(coeffs: list[float]) -> _ValueSlope:
+    """Value and slope of the polynomial sum c_k x^k, by one plain-float
+    Horner pass that carries both."""
+    reversed_coeffs = coeffs[::-1]
+
+    def value_slope(x: float) -> tuple[float, float]:
+        value = slope = 0.0
+        for c in reversed_coeffs:
+            slope = slope * x + value
+            value = value * x + c
+        return value, slope
+
+    return value_slope
 
 
-def _radius_equation(problem: RadiusProblem, series: TruncatedSeries, rstar: float
-                     ) -> tuple[Callable[[float], tuple[float, float]], float]:
-    """G and its slope G' as one function of r, from the moduli of ``series``.
+def _certified_top(rstar: float, a: list[float], m: int, N: int, bohr_limit: bool
+                   ) -> float:
+    """Newton start: an upper bound on the root of G from its terms a_1 r^m
+    and a_N r^N (a_1 r in the Bohr limit).
 
-    G(r) = P(r^m) + Q(r) - r* with P = fhat (absent in the Bohr limit) and
-    Q = fhat with its terms of index < N removed (all of fhat in the Bohr
-    limit), so that G'(r) = Q'(r) + m r^(m-1) P'(r^m).  Each polynomial is
-    evaluated by one plain-float Horner pass that carries value and slope
-    together; at m = 1 P and Q share their argument and are summed into one
-    polynomial.  Also returns the certified Newton start (see
-    ``_certified_top``).  ``solve`` passes the family extremal; built from a
-    subordinant g instead, -G(r) is the Bohr-Rogosinski margin of g at r.
+    Every coefficient of G + r* is nonnegative, so at the root each of these
+    terms a r^k is at most r*, and the root is at most (r*/a)^(1/k).  Terms
+    with a = 0 bound nothing.  A bound of 1 or more is replaced by
+    1 - 1e-9; one below 1 is kept even above 1 - 1e-9, where the root of a
+    large m can lie.
     """
-    moduli = np.abs(series.coeffs).tolist()
-    m, N = problem.m, problem.N
-    if problem.mode == Mode.BOHR_LIMIT:
-        p, q = [], moduli
-        hi = _certified_top(rstar, [(moduli[1], 1)])
-    else:
-        p, q = moduli, [0.0] * N + moduli[N:]
-        hi = _certified_top(rstar, [(moduli[1], m), (moduli[N], N)])
-        if m == 1:
-            p, q = [], [a + b for a, b in zip(p, q)]
-    p, q = p[::-1], q[::-1]
-
-    def equation(r: float) -> tuple[float, float]:
-        value, slope = _horner(q, r)
-        if p:
-            p_value, p_slope = _horner(p, r**m)
-            value += p_value
-            slope += m * r ** (m - 1) * p_slope
-        return value - rstar, slope
-
-    return equation, hi
+    terms = [(a[1], 1)] if bohr_limit else [(a[1], m), (a[N], N)]
+    top = min([math.inf] + [(rstar / c) ** (1.0 / k) for c, k in terms if c > 0.0])
+    return top if top < 1.0 else _BRACKET_HI
 
 
-def _certified_top(rstar: float, terms: list[tuple[float, int]]) -> float:
-    """Newton start: an upper bound on the root of G from terms a r^k of G + r*.
-
-    Every coefficient of G + r* is nonnegative, so at the root each listed
-    term a r^k is at most r*, and the root is at most (r*/a)^(1/k).  Terms
-    with a = 0 bound nothing.
+def _equation_row(p: _ValueSlope | None, q: _ValueSlope, m: int, rstar: float
+                  ) -> _RowEquations:
+    """G(r) = P(r^m) + Q(r) - r* and G'(r) = Q'(r) + m r^(m-1) P'(r^m) as a
+    one-row evaluator, from the values and slopes of P (None when G has no
+    r^m term) and Q; the rows asked for are all that one row.
     """
-    return min([_BRACKET_HI] + [(rstar / a) ** (1.0 / k) for a, k in terms if a > 0.0])
+
+    def evaluate(rows: list[int], radii: list[float]) -> list[tuple[float, float]]:
+        out = []
+        for r in radii:
+            value, slope = q(r)
+            if p is not None:
+                point, point_slope = p(r**m)
+                value += point
+                slope += m * r ** (m - 1) * point_slope
+            out.append((value - rstar, slope))
+        return out
+
+    return evaluate
 
 
 def _powers(x: np.ndarray, order: int) -> np.ndarray:
@@ -200,35 +199,47 @@ def _slope_coeffs(coeffs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sweep_equations(problems: list[RadiusProblem], series: TruncatedSeries,
-                     rstar: float) -> tuple[_RowEquations, list[float]]:
-    """The radius equations of problems that differ only in m or N, as one
-    evaluator over rows, and each row's certified start.
+def _radius_equations(problems: list[RadiusProblem], series: TruncatedSeries,
+                      rstar: float) -> tuple[_RowEquations, list[float]]:
+    """The radius equations of problems that differ only in m or N, one row
+    each, as one evaluator over rows, and each row's certified start.
 
-    Row v holds G_v(r) = P(r^(m_v)) + Q_v(r) - r*, the equation of
-    ``_radius_equation``: Q_v is fhat with its terms of index < N_v zeroed
-    (all of fhat in the Bohr limit, where P is absent), and when every m
-    is 1, P is summed into Q_v.  An evaluation builds the power tables of
-    the radii asked for and takes G and G' of each row from one row-wise
-    product with the coefficient and slope rows, plus one product with P
-    for the r^m term.
+    Row v holds G_v(r) = P(r^(m_v)) + Q_v(r) - r* from the moduli fhat of
+    ``series``: P = fhat and Q_v is fhat with its terms of index < N_v
+    zeroed; in the Bohr limit P is absent and Q_v = fhat, and when every m
+    is 1, P is summed into each Q_v.  One row is evaluated by plain-float
+    Horner passes that carry value and slope together.  Several rows are
+    evaluated together: the power tables of the radii asked for give G and
+    G' of each row by one row-wise product with the coefficient and slope
+    rows, plus one product with P for the r^m term.  ``solve`` and ``sweep``
+    pass the family extremal; built from a subordinant g instead, -G(r) is
+    the Bohr-Rogosinski margin of g at r.
     """
     moduli = np.abs(series.coeffs)
     a = moduli.tolist()
+    bohr_limit = problems[0].mode == Mode.BOHR_LIMIT
+    # One loop, not three comprehensions: a lone solve pays for each.
+    tops, ms, heads = [], [], []
+    for prob in problems:
+        tops.append(_certified_top(rstar, a, prob.m, prob.N, bohr_limit))
+        ms.append(prob.m)
+        heads.append(0 if bohr_limit else prob.N)
+    fold = not bohr_limit and max(ms) == 1
+    separate_p = not (bohr_limit or fold)
+    if len(problems) == 1:
+        q = [0.0] * heads[0] + a[heads[0]:]
+        if fold:
+            q = [x + y for x, y in zip(a, q)]
+        p = _polynomial(a) if separate_p else None
+        return _equation_row(p, _polynomial(q), ms[0], rstar), tops
+
     order = moduli.size - 1
-    ms = np.array([prob.m for prob in problems])
-    if problems[0].mode == Mode.BOHR_LIMIT:
-        q, p = np.broadcast_to(moduli, (len(problems), order + 1)), None
-        tops = [_certified_top(rstar, [(a[1], 1)])] * len(problems)
-    else:
-        ns = np.array([prob.N for prob in problems])
-        q, p = np.where(np.arange(order + 1) < ns[:, None], 0.0, moduli), moduli
-        tops = [_certified_top(rstar, [(a[1], prob.m), (a[prob.N], prob.N)])
-                for prob in problems]
-        if np.all(ms == 1):
-            q, p = q + moduli, None
+    q = np.where(np.arange(order + 1) < np.array(heads)[:, None], 0.0, moduli)
+    if fold:
+        q = q + moduli
     q_rows = np.stack([q, _slope_coeffs(q)], axis=1)
-    p_cols = None if p is None else np.stack([p, _slope_coeffs(p)], axis=1)
+    p_cols = np.stack([moduli, _slope_coeffs(moduli)], axis=1) if separate_p else None
+    ms = np.array(ms)
 
     def evaluate(rows: list[int], r: list[float]) -> list[tuple[float, float]]:
         rows, r = np.asarray(rows), np.asarray(r)
@@ -251,12 +262,8 @@ def _check_radius(r: float) -> None:
 def g_function(problem: RadiusProblem, pair: ExtremalPair, r: float) -> float:
     """Value of the radius equation at r in [0, 1)."""
     _check_radius(r)
-    return _radius_equation(problem, *_family_extremal(problem, pair))[0](r)[0]
-
-
-def _pointwise(equation: Callable[[float], tuple[float, float]]) -> _RowEquations:
-    """One scalar equation as a row evaluator: G and G' at each radius asked for."""
-    return lambda rows, r: list(map(equation, r))
+    evaluate, _ = _radius_equations([problem], *_family_extremal(problem, pair))
+    return evaluate([0], [r])[0][0]
 
 
 def _newton(evaluate: _RowEquations, tol: float, tops: list[float], g_lo: float
@@ -270,9 +277,9 @@ def _newton(evaluate: _RowEquations, tol: float, tops: list[float], g_lo: float
     ``_certified_top``, and ``g_lo`` is G(0) = -r*, which every row takes
     exactly, so it is not evaluated.
     Fourier's condition holds at the start (G'' >= 0) whenever G(hi) > 0; if
-    rounding leaves G(hi) <= 0 the start falls back to 1 - 1e-9.  Newton's
-    iterates from the start decrease monotonically to the root and each is
-    an upper bound.  The secant through (0, G(0)) and the current iterate
+    rounding leaves G(hi) <= 0 at a start below 1 - 1e-9, the start falls
+    back to 1 - 1e-9.  Newton's iterates from the start decrease
+    monotonically to the root and each is an upper bound.  The secant through (0, G(0)) and the current iterate
     lies above a convex G on [0, hi], so its zero -G(0) hi / (G(hi) - G(0))
     is a lower bound, and each pass costs one evaluation of G per open row.
     A Newton step too small to lower hi by rounding bisects [lo, hi]
@@ -331,21 +338,20 @@ def _newton(evaluate: _RowEquations, tol: float, tops: list[float], g_lo: float
     return [(roots[v], (ends[v], ends[n + v]), evaluations[v] + 3, values[v]) for v in rows]
 
 
-def _clamped(r0: float, exact_bounds: bool) -> float:
-    return r0 if exact_bounds else min(r0, 1.0 / 3.0)
-
-
-def _result(problem: RadiusProblem, r0: float, bracket: tuple[float, float],
-            iterations: int, residual: float, positive: bool) -> RadiusResult:
-    """The result of a solved problem; ``positive`` says whether every
-    extremal coefficient past a_0 is positive, which sharpness needs."""
-    rb = _clamped(r0, problem.psi.exact_bounds)
+def _result(spec: PsiSpec, family: Family, mode: Mode, m: int, N: int,
+            solved: tuple[float, tuple[float, float], int, float],
+            positive: bool) -> RadiusResult:
+    """The result of a solved equation, from a row of ``_newton``;
+    ``positive`` says whether every extremal coefficient past a_0 is
+    positive, which sharpness needs."""
+    r0, bracket, iterations, residual = solved
+    rb = r0 if spec.exact_bounds else min(r0, 1.0 / 3.0)
     return RadiusResult(
-        psi=problem.psi.label,
-        family=problem.family.value,
-        m=problem.m,
-        N=problem.N,
-        mode=problem.mode.value,
+        psi=spec.label,
+        family=family.value,
+        m=m,
+        N=N,
+        mode=mode.value,
         r0=r0,
         rb=rb,
         residual=residual,
@@ -365,9 +371,10 @@ def solve(problem: RadiusProblem, pair: ExtremalPair | None = None) -> RadiusRes
     A given ``pair`` must be built at ``problem.order``.
     """
     series, rstar = _family_extremal(problem, pair)
-    equation, hi = _radius_equation(problem, series, rstar)
-    (solved,) = _newton(_pointwise(equation), problem.tol, [hi], -rstar)
-    return _result(problem, *solved, _coefficients_positive(series))
+    evaluate, tops = _radius_equations([problem], series, rstar)
+    (solved,) = _newton(evaluate, problem.tol, tops, -rstar)
+    return _result(problem.psi, problem.family, problem.mode, problem.m, problem.N,
+                   solved, _coefficients_positive(series))
 
 
 def solve_janowski_exact(d: float, e: float, m: int = 1, N: int = 1,
@@ -390,16 +397,19 @@ def solve_janowski_exact(d: float, e: float, m: int = 1, N: int = 1,
     signed closed form; ``solve`` handles that case from the series.
     Every extremal coefficient is positive for E <= 0, so f0 is its own
     majorant, f0(r) - H(r) is the tail sum_{n>=N} a_n r^n, and G is
-    increasing and convex as in ``solve``.  It goes through the same
-    Newton solver from the same certified start, with a_1 = 1 and
-    a_N = ``janowski_coeff_bound``, and the result is always sharp.
+    increasing and convex as in ``solve``.  It is G = P(r^m) + Q(r) - r*
+    with P = f0 and Q = f0 - H, evaluated by the one-row evaluator of
+    ``solve`` and solved by the same Newton solver from the same certified
+    start, with a_1 = 1 and a_N = ``janowski_coeff_bound``; the result is
+    always sharp.
     """
     spec = janowski(d, e)
     if e > 0.0:
         raise ValueError(f"the closed Janowski equation needs E <= 0, got E={e:g}; "
                          "the series path (--method series) solves E > 0")
     _check_indices_and_tol(m, N, tol)
-    n = 1 if mode == Mode.BOHR_LIMIT else N
+    bohr_limit = mode == Mode.BOHR_LIMIT
+    n = 1 if bohr_limit else N
     p = None if e == 0.0 else (d - e) / e
 
     def f0_closed(x: float) -> tuple[float, float]:
@@ -410,36 +420,20 @@ def solve_janowski_exact(d: float, e: float, m: int = 1, N: int = 1,
         base = 1.0 + e * x
         return x * base**p, (1.0 + d * x) * base ** (p - 1.0)
 
-    rstar = spec.koebe_closed
     coeffs = [0.0, 1.0] + [janowski_coeff_bound(d, e, k) for k in range(2, n + 1)]
-    head = coeffs[:n][::-1]
-    terms = [(coeffs[n], n)] if mode == Mode.BOHR_LIMIT else [(1.0, m), (coeffs[n], n)]
-    hi = _certified_top(rstar, terms)
+    head = _polynomial(coeffs[:n])
 
-    def equation(r: float) -> tuple[float, float]:
+    def tail(r: float) -> tuple[float, float]:
+        # Q = f0 - H, the sum of a_k r^k over k >= n.
         value, slope = f0_closed(r)
-        head_value, head_slope = _horner(head, r)
-        value, slope = value - head_value, slope - head_slope
-        if mode != Mode.BOHR_LIMIT:
-            point, point_slope = f0_closed(r**m)
-            value += point
-            slope += m * r ** (m - 1) * point_slope
-        return value - rstar, slope
+        head_value, head_slope = head(r)
+        return value - head_value, slope - head_slope
 
-    ((r0, bracket, iterations, residual),) = _newton(_pointwise(equation), tol, [hi], -rstar)
-    return RadiusResult(
-        psi=spec.label,
-        family=Family.STARLIKE.value,
-        m=m,
-        N=N,
-        mode=mode.value,
-        r0=r0,
-        rb=r0,
-        residual=residual,
-        iterations=iterations,
-        sharp=True,
-        bracket=bracket,
-    )
+    rstar = spec.koebe_closed
+    evaluate = _equation_row(None if bohr_limit else f0_closed, tail, m, rstar)
+    top = _certified_top(rstar, coeffs, m, n, bohr_limit)
+    (solved,) = _newton(evaluate, tol, [top], -rstar)
+    return _result(spec, Family.STARLIKE, mode, m, N, solved, True)
 
 
 @dataclass(frozen=True)
@@ -454,14 +448,14 @@ def sweep(problem: RadiusProblem, n_values=None, m_values=None) -> Sweep:
     """Solve over a grid in N or in m; the family's extremal is built once.
 
     Every value is checked before anything is solved.  The distinct values
-    are then solved together by the solver of a lone ``solve``
-    (``_newton``), one row per value: each pass evaluates G on the rows
-    whose bracket is still open, by one array product, and each result's
-    ``iterations`` counts its own row's evaluations of G.  In the Bohr limit
-    every value has the same equation, so one row is solved and each result
-    echoes its own value.  Results come back in the given order.  Whether
-    the solved radii are nondecreasing along the grid is reported as a
-    diagnostic, not asserted.
+    are then solved together by the builder and solver of a lone ``solve``
+    (``_radius_equations``, ``_newton``), one row per value, and each
+    result's ``iterations`` counts its own row's evaluations of G.  In the
+    Bohr limit every value has the same equation, so one row is solved and
+    each result echoes its own value.  A sweep of one row returns what
+    ``solve`` returns, bitwise.  Results come back in the given order.
+    Whether the solved radii are nondecreasing along the grid is reported
+    as a diagnostic, not asserted.
     """
     if (n_values is None) == (m_values is None):
         raise ValueError("exactly one of n_values and m_values must be given")
@@ -474,12 +468,12 @@ def sweep(problem: RadiusProblem, n_values=None, m_values=None) -> Sweep:
     bohr_limit = problem.mode == Mode.BOHR_LIMIT
     # In the Bohr limit G depends on neither m nor N: one row serves every value.
     rows = list(problems.values())[:1] if bohr_limit else list(problems.values())
-    evaluate, tops = _sweep_equations(rows, series, rstar)
+    evaluate, tops = _radius_equations(rows, series, rstar)
     roots = _newton(evaluate, problem.tol, tops, -rstar)
     if bohr_limit:
         roots *= len(problems)
     positive = _coefficients_positive(series)
-    solved = {v: _result(prob, *root, positive)
+    solved = {v: _result(prob.psi, prob.family, prob.mode, prob.m, prob.N, root, positive)
               for (v, prob), root in zip(problems.items(), roots)}
     results = tuple(solved[v] for v in values)
     radii = [res.r0 for res in results]

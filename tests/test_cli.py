@@ -270,6 +270,30 @@ def test_stalled_newton_steps_return_a_certified_bracket(argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ("radius", "--psi", "cardioid", "--family", "convex", "--m", "1000000000", "--N", "10"),
+    ("sweep", "--psi", "cardioid", "--family", "convex", "--m", "999999999..1000000000",
+     "--N", "10"),
+], ids=["radius", "sweep"])
+def test_root_above_one_minus_1e_9_is_solved(capsys, argv):
+    # At m = 10^9 the root lies above 1 - 1e-9.  The certified start
+    # (r*)^(1/m) is below 1, so it is kept, not capped below the root.
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0, err
+    payload = json.loads(out)
+    rows = payload["results"] if argv[0] == "sweep" else [payload]
+    spec = bohrad.parse_psi("cardioid")
+    pair = bohrad.build_extremal_pair(spec, 64)
+    for row in rows:
+        assert 1.0 - 1e-9 < row["r0"] < 1.0
+        prob = bohrad.RadiusProblem(psi=spec, family=bohrad.Family.CONVEX, m=row["m"], N=10)
+        res = bohrad.solve(prob, pair)
+        assert row["r0"] == float(f"{res.r0:.12g}")
+        lo, hi = res.bracket
+        assert lo < res.r0 < hi < 1.0 and hi - lo <= prob.tol
+        assert bohrad.g_function(prob, pair, lo) < 0.0 < bohrad.g_function(prob, pair, hi)
+
+
+@pytest.mark.parametrize("argv", [
     ("radius", "--psi", "janowski:D=0.5,E=-0.5", "--m", "3", "--N", "5"),
     ("radius", "--psi", "janowski:D=0.5,E=-0.5", "--m", "3", "--N", "5", "--method", "exact"),
     ("sweep", "--psi", "cardioid", "--N", "1..5"),

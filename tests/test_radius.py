@@ -252,8 +252,10 @@ def lone_run(runs):
 
 
 def expected_start(rstar, terms):
-    """min(1 - 1e-9, (r*/a)^(1/k) over the terms a r^k with a > 0)."""
-    return min([1.0 - 1e-9] + [(rstar / a) ** (1.0 / k) for a, k in terms if a > 0.0])
+    """The least (r*/a)^(1/k) over the terms a r^k with a > 0, or 1 - 1e-9
+    when that is not below 1."""
+    top = min([math.inf] + [(rstar / a) ** (1.0 / k) for a, k in terms if a > 0.0])
+    return top if top < 1.0 else 1.0 - 1e-9
 
 
 @pytest.mark.parametrize("order", [64, 256])
@@ -478,6 +480,23 @@ def test_exact_solver_starts_at_the_certified_bound(de, newton_runs):
                 assert res.iterations == run["calls"], case
 
 
+@pytest.mark.parametrize("label", SOLVER_GRID_LABELS + ["booth:k=3"])
+def test_large_m_roots_get_certified_brackets(label):
+    # At m = 10^8 and 10^9 many roots lie above 1 - 1e-9, below a start
+    # (r*)^(1/m) < 1 that is kept rather than capped at 1 - 1e-9.
+    spec = catalog.parse_psi(label)
+    pair = build_extremal_pair(spec, 64)
+    for family in Family:
+        for m in (10**8, 10**9):
+            for N in (1, 2, 3, 10, 40):
+                for tol in (1e-10, 1e-15):
+                    prob = RadiusProblem(psi=spec, family=family, m=m, N=N, tol=tol)
+                    res = solve(prob, pair)
+                    lo, hi = res.bracket
+                    assert lo < res.r0 < hi < 1.0 and hi - lo <= tol, prob
+                    assert g_function(prob, pair, lo) < 0.0 < g_function(prob, pair, hi), prob
+
+
 def test_inconsistent_problem_raises_bracket_error():
     # A boundary distance no majorant value can reach leaves the equation
     # single-signed on the whole bracket.
@@ -547,14 +566,15 @@ def test_newton_rows_are_independent():
     equations, tops = [], []
     for m, N in ((1, 1), (2, 3), (5, 2), (24, 10), (1_000_000, 10)):
         prob = problem("cardioid", m=m, N=N)
-        equation, hi = radius._radius_equation(prob, pair.f0, rstar)
-        equations.append(equation)
+        evaluate, (hi,) = radius._radius_equations([prob], pair.f0, rstar)
+        equations.append(evaluate)
         tops.append(hi)
     equations.append(equations[0])
     tops.append(0.01)  # G(0.01) < 0: the start falls back to 1 - 1e-9
 
     def rows_of(chosen):
-        return lambda rows, r: [chosen[v](x) for v, x in zip(rows, r)]
+        # Row v of the batch is the one row of the evaluator chosen[v].
+        return lambda rows, r: [chosen[v]([0], [x])[0] for v, x in zip(rows, r)]
 
     together = radius._newton(rows_of(equations), 1e-10, tops, -rstar)
     for v, (equation, hi) in enumerate(zip(equations, tops)):
@@ -594,6 +614,28 @@ def test_sweep_rows_start_at_the_certified_bound(label, newton_runs):
                     assert run["hi"][row] == expected_start(rstar, terms), case
                     assert run["g_hi"][row] > 0.0 and res.r0 < run["hi"][row], case
                     assert res.iterations == run["calls"][row], case
+
+
+@pytest.mark.parametrize("order", [64, 256])
+@pytest.mark.parametrize("label", SOLVER_GRID_LABELS + ["booth:k=3"])
+def test_one_row_sweeps_equal_lone_solves(label, order):
+    # A sweep of one distinct value, and every Bohr-limit sweep, solves one
+    # row, evaluated as a lone solve evaluates it: the results are equal
+    # bitwise, bracket and iterations included.
+    spec = catalog.parse_psi(label)
+    for family in Family:
+        bohr_limit = RadiusProblem(psi=spec, family=family, mode=Mode.BOHR_LIMIT, order=order)
+        cases = [bohr_limit] + [RadiusProblem(psi=spec, family=family, m=2, N=N, order=order)
+                                for N in (1, 3, 10)]
+        for prob in cases:
+            alone = repr(solve(prob))
+            assert repr(sweep(prob, n_values=[prob.N]).results[0]) == alone, prob
+            assert repr(sweep(prob, m_values=[prob.m]).results[0]) == alone, prob
+        for axis, keyword in SWEEP_AXES:
+            swept = sweep(bohr_limit, **{keyword: [5, 1, 3, 3]})
+            for v, res in zip(swept.values, swept.results):
+                prob = dataclasses.replace(bohr_limit, **{axis: v})
+                assert repr(res) == repr(solve(prob)), prob
 
 
 @pytest.mark.parametrize("order", [64, 256])
