@@ -235,7 +235,15 @@ def booth(k: float = 1.0 + SQRT2) -> PsiSpec:
         c[0] = 1.0
         c[1] = 1.0
         if order >= 2:
-            c[2:] = 2.0 / k ** np.arange(1, order)
+            n = np.arange(1, order)
+            with np.errstate(over="ignore"):
+                power = k ** n
+            c[2:] = 2.0 / power
+            # k^n overflows past n of about 709 / log k; those terms are
+            # taken in logs, where they fall to subnormals or 0.
+            if np.isinf(power[-1]):
+                big = np.isinf(power)
+                c[2:][big] = np.exp(math.log(2.0) - n[big] * math.log(k))
         return c
 
     return PsiSpec(

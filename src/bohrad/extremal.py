@@ -13,6 +13,7 @@ even where the series at the boundary does not converge absolutely.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -42,10 +43,16 @@ def _graded(rule: tuple[np.ndarray, np.ndarray], panels: int) -> tuple[np.ndarra
 # two agree within _REL_TOL.
 _NODES = (48, 96)
 _PANELS = (1, 8, 16, 32)
-_RULES = tuple(map(_unit_rule, _NODES))
-_GRADED_RULES = tuple((panels, tuple(_graded(rule, panels) for rule in _RULES))
-                      for panels in _PANELS)
 _REL_TOL = 1e-13
+
+
+@functools.cache
+def _graded_rules() -> tuple:
+    """(panels, (coarse, fine)) for each panel count, built on first use:
+    only a Koebe radius by quadrature needs them, and a caller that never
+    computes one (the oracle suites) skips their eigen-solves."""
+    rules = tuple(map(_unit_rule, _NODES))
+    return tuple((panels, tuple(_graded(rule, panels) for rule in rules)) for panels in _PANELS)
 
 
 class QuadratureError(RuntimeError):
@@ -116,7 +123,7 @@ def koebe_radius_quadrature(psi: PsiSpec, family: str = "starlike") -> float:
     """
     if family not in ("starlike", "convex"):
         raise ValueError(f"unknown family {family!r}")
-    for panels, rules in _GRADED_RULES:
+    for panels, rules in _graded_rules():
         coarse, fine = (_koebe_estimate(psi, family, *rule, panels) for rule in rules)
         if not (math.isfinite(coarse) and math.isfinite(fine)):
             raise QuadratureError(f"{family} Koebe radius of {psi.label} is not finite: "

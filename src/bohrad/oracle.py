@@ -29,18 +29,28 @@ margin of g at r is -G_g(r): the solver's radius equation, one row of
 moduli.
 
 The public checks and the suites share one kernel per kind of check, built
-once per extremal from what does not depend on the subordinant: the tail
-windows, the majorant tails of f and the fixed part of the tolerance.  A
-composed series then costs one product per check kind; the tail kernel
-takes every (N, r) of its grid from one product |g| @ weights.  The suites
-draw omega from one seeded stream (``_samples``) and collect all margins
-through ``_Tally.extend`` into a serializable report; a counterexample
-report is built only for a margin below its tolerance.
+once from what does not depend on the subordinant: the tail windows (one
+matrix serves every extremal), the majorant tails of each f and the fixed
+part of the tolerance.  The suites take the seeded stream of samples
+(``_samples``) a chunk at a time, in trial order, with the chunk sized by
+bytes (``_CHUNK_BYTES``).  A chunk's omegas are built as one stack
+(``_schwarz_chunk``), their power tables by one stacked doubling, and the
+stack of extremals is composed with every omega by one product.  The tail
+kernel then takes every (N, r) margin of the chunk from one product
+|g| @ weights, the weighted kernel applies h by one Toeplitz product, and
+the Bohr-Rogosinski kernel evaluates one radius equation per composed row.
+Margins run (sample, extremal, check); one scan over them yields the
+violation reports in that order, each built only when read, and
+``_Tally.extend`` collects them into a serializable report.  Every product
+is taken a row at a time (``series._rowwise``), so a margin does not depend
+on the chunk it came in, and the public checks run the same kernels on a
+chunk of one.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
 from itertools import repeat
 
@@ -50,7 +60,7 @@ from .catalog import PsiSpec, parse_psi
 from .extremal import ExtremalPair, build_extremal_pair, build_f0
 from .radius import (Family, Mode, RadiusProblem, _check_radius, _family_extremal,
                      _radius_equations, g_function, solve)
-from .series import DEFAULT_ORDER, TruncatedSeries
+from .series import DEFAULT_ORDER, TruncatedSeries, _rowwise, _toeplitz
 
 # Default generators exercised by the verification suites.
 DEFAULT_ORACLE_PSIS = (
@@ -64,6 +74,9 @@ DEFAULT_ORACLE_PSIS = (
 
 _ZERO_RANGE = 0.95
 _AXIOM_TOL = 1e-12
+# Bytes of power tables and Toeplitz blocks that one chunk of samples may
+# hold (``_chunk_size``).
+_CHUNK_BYTES = 1 << 19
 
 
 class InequalityViolation(Exception):
@@ -105,24 +118,44 @@ def sample_schwarz(rng: "random.Random | int", degree_max: int = 4) -> SchwarzSa
     if isinstance(rng, int):
         rng = random.Random(rng)
     degree = rng.randint(0, degree_max)
-    zeros = tuple(rng.uniform(-_ZERO_RANGE, _ZERO_RANGE) for _ in range(degree))
+    # tuple() of a list, not of a generator: that one resizes its tuple
+    # outside CPython's tuple free list, and a long suite then grows the
+    # free list, and its peak memory, with every trial.
+    zeros = tuple([rng.uniform(-_ZERO_RANGE, _ZERO_RANGE) for _ in range(degree)])
     sign = rng.choice((-1, 1))
     return SchwarzSample(degree=degree, zeros=zeros, sign=sign)
 
 
-def schwarz_series(sample: SchwarzSample, order: int = DEFAULT_ORDER) -> TruncatedSeries:
-    """Taylor coefficients of the sampled Schwarz function.
+def _schwarz_chunk(samples: list[SchwarzSample], order: int) -> TruncatedSeries:
+    """Taylor coefficients of sampled Schwarz functions, stacked one row each.
 
-    Each factor expands as (z - a)/(1 - az) = -a + sum_{i>=1} a^(i-1)(1 - a^2) z^i.
+    Each factor expands as (z - a)/(1 - az) = -a + sum_{i>=1} a^(i-1)(1 - a^2) z^i,
+    whose terms from z on are one running product.  All factor rows are
+    built at once, and a sample with fewer zeros than the chunk's most takes
+    the factor 1 in their place.  sign * z times the first factor is that
+    factor shifted; each further factor is one Toeplitz product per row.
     """
-    acc = np.zeros(order + 1)
-    acc[1] = float(sample.sign)
-    for a in sample.zeros:
-        factor = np.empty(order + 1)
-        factor[0] = -a
-        factor[1:] = (1.0 - a * a) * a ** np.arange(order)
-        acc = np.convolve(acc, factor)[: order + 1]
-    return TruncatedSeries(acc)
+    degrees = [sample.degree for sample in samples]
+    degree = max([1] + degrees)
+    zeros = np.array([sample.zeros + (0.0,) * (degree - sample.degree) for sample in samples])
+    zeros = zeros.reshape(len(samples), degree, 1)
+    factors = np.empty((len(samples), degree, order + 1))
+    factors[..., :1] = -zeros
+    factors[..., 1:2] = 1.0 - zeros * zeros
+    factors[..., 2:] = zeros
+    np.cumprod(factors[..., 1:], axis=-1, out=factors[..., 1:])
+    factors[np.arange(degree) >= np.array(degrees)[:, None]] = np.eye(1, order + 1)
+    rows = np.zeros((len(samples), order + 1))
+    rows[:, 1:] = np.array([[sample.sign] for sample in samples]) * factors[:, 0, :-1]
+    for j in range(1, degree):
+        rows = _rowwise(rows, _toeplitz(factors[:, j]))
+    return TruncatedSeries(rows)
+
+
+def schwarz_series(sample: SchwarzSample, order: int = DEFAULT_ORDER) -> TruncatedSeries:
+    """Taylor coefficients of the sampled Schwarz function: the one row of
+    its chunk (``_schwarz_chunk``), so a suite's omega is this one bitwise."""
+    return TruncatedSeries(_schwarz_chunk([sample], order).coeffs[0])
 
 
 def _tail_window(N: int, r: float, order: int) -> np.ndarray:
@@ -151,67 +184,86 @@ def _dropped_tail(f: TruncatedSeries, r: float) -> float:
     return abs(float(f.coeffs[1])) * r ** (k + 1) * ((k + 1) - k * r) / (1.0 - r) ** 2
 
 
-def _reports(margins, limits, fields) -> list[dict]:
-    """Reports of the checks whose margin lies below its limit, in check order.
+def _reports(margins, limits, fields):
+    """Reports of the checks whose margin lies below its limit, in check order:
+    the order of the flattened margins, whose axes run (sample, extremal,
+    check) in the kernels.
 
-    ``fields(i)`` gives the report of check i, to which ``margin`` is
-    appended last; nothing is built for a check that holds.
+    ``fields(i)`` gives the report of flat check i, to which ``margin`` is
+    appended last.  The reports are built one at a time as they are read,
+    and none for a check that holds, so a reader that keeps few of them
+    holds few at once however many checks a chunk has.
     """
-    return [{**fields(i), "margin": float(margins[i])}
-            for i in np.flatnonzero(np.less(margins, limits))]
+    margins = np.asarray(margins)
+    return ({**fields(int(i)), "margin": float(margins.flat[i])}
+            for i in np.flatnonzero(np.less(margins, limits)))
 
 
-def _checked(margin, checks, base: TruncatedSeries, sample: SchwarzSample) -> float:
-    """The margin of a single check of base(omega) for the sampled omega, or
-    raise on its violation report with ``checks.message`` formatted by it."""
-    margins, reports = margin(checks, base.compose(schwarz_series(sample, base.order)),
-                              sample.describe())
-    if reports:
-        raise InequalityViolation(checks.message.format(**reports[0]), reports[0])
-    return float(margins[0])
+def _checked(margin, checks, sample: SchwarzSample) -> float:
+    """The margin of a single check of the kernel's extremal composed with
+    the sampled omega, as a chunk of one, or raise on its violation report
+    with ``checks.message`` formatted by it."""
+    omega = _schwarz_chunk([sample], checks.f.order)
+    margins, reports = margin(checks, checks.f.compose(omega), [sample.describe()])
+    report = next(reports, None)
+    if report is not None:
+        raise InequalityViolation(checks.message.format(**report), report)
+    return float(margins.flat[0])
 
 
 class _TailChecks:
-    """The tail checks of one extremal f at every (N, r) of a grid, r <= 1/3.
+    """The tail checks of extremals f (one row of ``f`` each) at every
+    (N, r) of a grid, r <= 1/3.
 
     Column (N, r) of ``weights`` is the tail window from N at r, so
-    |f| @ weights is the majorant tail M(f, N, r) at every grid point.
+    |f| @ weights is the majorant tail M(f, N, r) at every grid point.  The
+    windows depend only on (N, r, K), so one matrix serves every extremal.
     """
 
     message = "tail inequality violated for {psi}: margin {margin:.3e} at N={N}, r={r:g}"
 
-    def __init__(self, f: TruncatedSeries, label: str, n_values, r_values):
-        self.f = f
-        self.label = label
+    def __init__(self, fs: list[TruncatedSeries], labels: list[str], n_values, r_values):
+        self.f = TruncatedSeries([f.coeffs for f in fs])
+        self.labels = labels
+        order = self.f.order
         self.grid = [(n, r) for n in n_values for r in r_values]
         for n, r in self.grid:
-            if n > f.order:  # the window would be empty and check nothing
-                raise ValueError(f"N={n} exceeds the truncation order {f.order}")
+            if n > order:  # the window would be empty and check nothing
+                raise ValueError(f"N={n} exceeds the truncation order {order}")
             if r > 1.0 / 3.0:
                 raise ValueError(f"tail inequality is only claimed for r <= 1/3, got {r}")
-        columns = [_tail_window(n, r, f.order) for n, r in self.grid]
-        self.weights = np.array(columns).reshape(len(self.grid), f.order + 1).T
-        self.majorant = np.abs(f.coeffs) @ self.weights
-        self.tol = 1e-9 * self.majorant + [_dropped_tail(f, r) for _, r in self.grid]
+        columns = [_tail_window(n, r, order) for n, r in self.grid]
+        self.weights = np.array(columns).reshape(len(self.grid), order + 1).T
+        self.majorant = _rowwise(np.abs(self.f.coeffs), self.weights)
+        self.tol = 1e-9 * self.majorant + [[_dropped_tail(f, r) for _, r in self.grid]
+                                           for f in fs]
         # As floats, so that the reports at one grid point share one object.
         self.majorant_tails = self.majorant.tolist()
 
 
 def _tail_margin(checks: _TailChecks, g: TruncatedSeries,
-                 sample: dict) -> tuple[np.ndarray, list[dict]]:
-    """Margins M(f, N, r) - M(g, N, r) over the grid, and the violation
-    reports; ``sample`` is the description of the omega behind g."""
-    composed = np.abs(g.coeffs) @ checks.weights
+                 samples: list[dict]) -> tuple[np.ndarray, Iterator[dict]]:
+    """Margins M(f, N, r) - M(g, N, r) over the grid for the (sample,
+    extremal) stack g, and the violation reports; ``samples`` describes the
+    omega behind each row of g."""
+    composed = _rowwise(np.abs(g.coeffs), checks.weights)
     margins = checks.majorant - composed
-    return margins, _reports(margins, -checks.tol, lambda i: {
-        "check": "tail-inequality",
-        "psi": checks.label,
-        "sample": sample,
-        "N": checks.grid[i][0],
-        "r": checks.grid[i][1],
-        "composed_tail": float(composed[i]),
-        "majorant_tail": checks.majorant_tails[i],
-    })
+    per_sample, per_f = margins[0].size, len(checks.grid)
+
+    def fields(i: int) -> dict:
+        t, rest = divmod(i, per_sample)
+        s, p = divmod(rest, per_f)
+        return {
+            "check": "tail-inequality",
+            "psi": checks.labels[s],
+            "sample": samples[t],
+            "N": checks.grid[p][0],
+            "r": checks.grid[p][1],
+            "composed_tail": float(composed[t, s, p]),
+            "majorant_tail": checks.majorant_tails[s][p],
+        }
+
+    return margins, _reports(margins, -checks.tol, fields)
 
 
 def verify_tail_inequality(f: TruncatedSeries, sample: SchwarzSample, N: int,
@@ -231,7 +283,7 @@ def verify_tail_inequality(f: TruncatedSeries, sample: SchwarzSample, N: int,
     only lowers it).  Such a report is a genuine counterexample, not a
     numerical artifact (``bohrad verify`` exits 4 when it finds one).
     """
-    return _checked(_tail_margin, _TailChecks(f, label, (N,), (r,)), f, sample)
+    return _checked(_tail_margin, _TailChecks([f], [label], (N,), (r,)), sample)
 
 
 def verify_bohr_operator_axioms(f: TruncatedSeries, g: TruncatedSeries,
@@ -292,37 +344,45 @@ def _check_weighted_claim(tau: float, h: TruncatedSeries, r: float) -> None:
 
 
 class _WeightedCheck:
-    """The weighted check of one extremal f with weight h at one (N, r): the
-    tail kernel's window there, and its majorant tail and tolerance times tau."""
+    """The weighted checks of extremals f (one row of ``f`` each) with weight
+    h at one (N, r): the tail kernel's window there, the majorant tails and
+    tolerances times tau, and the Toeplitz matrix by which h multiplies."""
 
     message = "weighted tail inequality violated for {psi}: margin {margin:.3e}"
 
-    def __init__(self, tau: float, f: TruncatedSeries, h: TruncatedSeries, N: int,
-                 r: float, label: str):
+    def __init__(self, tau: float, fs: list[TruncatedSeries], labels: list[str],
+                 h: TruncatedSeries, N: int, r: float):
         _check_weighted_claim(tau, h, r)
-        tail = _TailChecks(f, label, (N,), (r,))
-        self.f, self.h, self.tau, self.N, self.r, self.label = f, h, tau, N, r, label
-        self.weights = tail.weights[:, 0]
-        self.scaled_majorant = tau * tail.majorant_tails[0]
-        self.tol = tau * float(tail.tol[0])
+        tail = _TailChecks(fs, labels, (N,), (r,))
+        self.f, self.labels, self.tau, self.N, self.r = tail.f, labels, tau, N, r
+        self.h_matrix = _toeplitz(h.coeffs)
+        self.weights = tail.weights
+        self.scaled_majorant = tau * tail.majorant[:, 0]
+        self.scaled_majorants = self.scaled_majorant.tolist()
+        self.tol = tau * tail.tol[:, 0]
 
 
 def _weighted_margin(check: _WeightedCheck, g: TruncatedSeries,
-                     sample: dict) -> tuple[tuple[float], list[dict]]:
-    """Margin tau M(f, N, r) - M(h g, N, r), and its violation report."""
-    weighted = check.h * g
-    lhs = float(np.abs(weighted.coeffs) @ check.weights)
-    margins = (check.scaled_majorant - lhs,)
-    return margins, _reports(margins, -check.tol, lambda i: {
-        "check": "weighted-tail",
-        "psi": check.label,
-        "tau": check.tau,
-        "sample": sample,
-        "N": check.N,
-        "r": check.r,
-        "weighted_tail": lhs,
-        "scaled_majorant": check.scaled_majorant,
-    })
+                     samples: list[dict]) -> tuple[np.ndarray, Iterator[dict]]:
+    """Margins tau M(f, N, r) - M(h g, N, r) for the (sample, extremal)
+    stack g, and the violation reports."""
+    weighted = _rowwise(np.abs(_rowwise(g.coeffs, check.h_matrix)), check.weights)[..., 0]
+    margins = check.scaled_majorant - weighted
+
+    def fields(i: int) -> dict:
+        t, s = divmod(i, len(check.labels))
+        return {
+            "check": "weighted-tail",
+            "psi": check.labels[s],
+            "tau": check.tau,
+            "sample": samples[t],
+            "N": check.N,
+            "r": check.r,
+            "weighted_tail": float(weighted[t, s]),
+            "scaled_majorant": check.scaled_majorants[s],
+        }
+
+    return margins, _reports(margins, -check.tol, fields)
 
 
 def verify_weighted(tau: float, f: TruncatedSeries, sample: SchwarzSample,
@@ -332,7 +392,7 @@ def verify_weighted(tau: float, f: TruncatedSeries, sample: SchwarzSample,
     The weight h must satisfy the majorant bound sum |h_n| tau^n <= tau,
     the literal reading of |h| <= tau on |z| < tau.
     """
-    return _checked(_weighted_margin, _WeightedCheck(tau, f, h, N, r, label), f, sample)
+    return _checked(_weighted_margin, _WeightedCheck(tau, [f], [label], h, N, r), sample)
 
 
 class _BRChecks:
@@ -342,7 +402,7 @@ class _BRChecks:
 
     def __init__(self, problem: RadiusProblem, pair: ExtremalPair, r_values):
         self.problem = problem
-        self.base, self.rstar = _family_extremal(problem, pair)
+        self.f, self.rstar = _family_extremal(problem, pair)
         self.r_values = list(r_values)
         for r in self.r_values:
             _check_radius(r)
@@ -350,25 +410,33 @@ class _BRChecks:
 
 
 def _br_margin(checks: _BRChecks, g: TruncatedSeries,
-               sample: dict) -> tuple[list[float], list[dict]]:
-    """Margins -G_g(r) at each r, where G_g is the radius equation of the
-    problem built from the moduli of g, and the violation reports.
+               samples: list[dict]) -> tuple[np.ndarray, Iterator[dict]]:
+    """Margins -G_g(r) at each r for each row g of the stack, where G_g is
+    the radius equation of the problem built from the moduli of g, and the
+    violation reports.
 
     ``0.0 - G`` rather than ``-G``, so that a zero G gives the margin +0.0.
     """
-    evaluate, _ = _radius_equations([checks.problem], g, checks.rstar)
-    r_values = checks.r_values
-    margins = [0.0 - value for value, _ in evaluate([0] * len(r_values), r_values)]
-    problem = checks.problem
-    return margins, _reports(margins, -checks.tol, lambda i: {
-        "check": "bohr-rogosinski",
-        "psi": problem.psi.label,
-        "family": problem.family.value,
-        "sample": sample,
-        "m": problem.m,
-        "N": 1 if problem.mode == Mode.BOHR_LIMIT else problem.N,
-        "r": checks.r_values[i],
-    })
+    problem, r_values = checks.problem, checks.r_values
+    margins = []
+    for row in g.coeffs:
+        evaluate, _ = _radius_equations([problem], TruncatedSeries(row), checks.rstar)
+        margins.append([0.0 - value for value, _ in evaluate([0] * len(r_values), r_values)])
+    margins = np.array(margins)
+
+    def fields(i: int) -> dict:
+        t, k = divmod(i, len(r_values))
+        return {
+            "check": "bohr-rogosinski",
+            "psi": problem.psi.label,
+            "family": problem.family.value,
+            "sample": samples[t],
+            "m": problem.m,
+            "N": 1 if problem.mode == Mode.BOHR_LIMIT else problem.N,
+            "r": r_values[k],
+        }
+
+    return margins, _reports(margins, -checks.tol, fields)
 
 
 def verify_br_inequality(problem: RadiusProblem, pair: ExtremalPair,
@@ -384,8 +452,7 @@ def verify_br_inequality(problem: RadiusProblem, pair: ExtremalPair,
     Raises ``InequalityViolation`` when the margin is below 1e-9 * max(r*, 1),
     with no truncation term at any r: g's dropped terms only add to G_g.
     """
-    checks = _BRChecks(problem, pair, (r,))
-    return _checked(_br_margin, checks, checks.base, sample)
+    return _checked(_br_margin, _BRChecks(problem, pair, (r,)), sample)
 
 
 # -- suite runners ------------------------------------------------------
@@ -410,13 +477,21 @@ def _resolve_psis(psi_labels) -> list[PsiSpec]:
     return [parse_psi(p) if isinstance(p, str) else p for p in psi_labels]
 
 
+def _chunk_size(order: int) -> int:
+    """Samples per chunk at the order: as many as ``_CHUNK_BYTES`` holds, each
+    with a power table and a Toeplitz block of (K + 1)^2 floats, at least one."""
+    return max(1, _CHUNK_BYTES // (2 * 8 * (order + 1) ** 2))
+
+
 def _samples(seed: int, trials: int, degree_max: int, order: int):
-    """The seeded stream of the suites: per trial, omega as a series and
-    the description of its sample."""
+    """The seeded stream of the suites, in chunks that fit ``_CHUNK_BYTES``:
+    per chunk, its omegas as one stacked series and the descriptions of
+    their samples.  The samples are drawn in trial order."""
     rng = random.Random(seed)
-    for _ in range(trials):
-        sample = sample_schwarz(rng, degree_max)
-        yield schwarz_series(sample, order), sample.describe()
+    size = _chunk_size(order)
+    for start in range(0, trials, size):
+        chunk = [sample_schwarz(rng, degree_max) for _ in range(min(size, trials - start))]
+        yield _schwarz_chunk(chunk, order), [sample.describe() for sample in chunk]
 
 
 class _Tally:
@@ -433,10 +508,10 @@ class _Tally:
         self._kept: list[dict] = []
         self._lead: dict | None = None
 
-    def extend(self, margins, reports: list[dict]) -> None:
+    def extend(self, margins, reports) -> None:
         """Record the margins of several checks and the reports of the
-        violated ones."""
-        self.worst = min(self.worst, float(min(margins, default=self.worst)))
+        violated ones, an iterable read once."""
+        self.worst = float(np.min(margins, initial=self.worst))
         for report in reports:
             self.violations += 1
             if self._lead is None or report["margin"] < self._lead["margin"]:
@@ -465,12 +540,11 @@ def run_tail_suite(psi_labels=DEFAULT_ORACLE_PSIS, trials: int = 200, seed: int 
                    max_reports: int = 10) -> VerificationReport:
     """Tail inequality over seeded samples crossed with the catalog extremals."""
     specs = _resolve_psis(psi_labels)
-    kernels = [_TailChecks(build_f0(spec, order), spec.label, n_values, r_values)
-               for spec in specs]
+    checks = _TailChecks([build_f0(spec, order) for spec in specs],
+                         [spec.label for spec in specs], n_values, r_values)
     tally = _Tally(max_reports)
-    for omega, described in _samples(seed, trials, degree_max, order):
-        for checks in kernels:
-            tally.extend(*_tail_margin(checks, checks.f.compose(omega), described))
+    for omegas, described in _samples(seed, trials, degree_max, order):
+        tally.extend(*_tail_margin(checks, checks.f.compose(omegas), described))
     return tally.report(seed, trials, {
         "check": "tail-inequality",
         "psis": [spec.label for spec in specs],
@@ -524,12 +598,11 @@ def run_weighted_suite(tau: float = 0.8, trials: int = 200, seed: int = 0,
     h_coeffs[1] = tau / 2.0
     h = TruncatedSeries(h_coeffs)
     r = tau / 3.0
-    kernels = [_WeightedCheck(tau, build_f0(spec, order), h, N, r, spec.label)
-               for spec in specs]
+    check = _WeightedCheck(tau, [build_f0(spec, order) for spec in specs],
+                           [spec.label for spec in specs], h, N, r)
     tally = _Tally()
-    for omega, described in _samples(seed, trials, degree_max, order):
-        for check in kernels:
-            tally.extend(*_weighted_margin(check, check.f.compose(omega), described))
+    for omegas, described in _samples(seed, trials, degree_max, order):
+        tally.extend(*_weighted_margin(check, check.f.compose(omegas), described))
     return tally.report(seed, trials, {
         "check": "weighted-tail",
         "tau": tau,
@@ -559,8 +632,8 @@ def run_br_suite(psi_label: str = "cardioid", family: Family = Family.STARLIKE,
     r_cap = min(solved.rb, 1.0 / 3.0)
     checks = _BRChecks(problem, pair, [frac * r_cap for frac in (0.25, 0.5, 0.75, 1.0)])
     tally = _Tally()
-    for omega, described in _samples(seed, trials, degree_max, order):
-        tally.extend(*_br_margin(checks, checks.base.compose(omega), described))
+    for omegas, described in _samples(seed, trials, degree_max, order):
+        tally.extend(*_br_margin(checks, checks.f.compose(omegas), described))
     return tally.report(seed, trials, {
         "check": "bohr-rogosinski",
         "psi": spec.label,

@@ -7,11 +7,20 @@ represented operation up to z^K whenever that is well defined (it is for
 sums, Cauchy products, composition with series vanishing at 0, the
 exponential of such series, and the t-weighted integral).
 
+A ``TruncatedSeries`` may also hold a stack of series of one order, with
+leading axes in front of the coefficient axis.  Composition and power
+tables work on stacks; every other operation takes a single series.
+
 Composition f(w) is one matrix product of f's coefficients with the power
 table [w^0..w^K] of the inner series.  The table is built at most once per
 inner series and is shared by every series composed with it.  It is built
 by doubling: rows n+1..2n are rows 1..n times row n, one product with the
-Toeplitz matrix of row n, so order K takes ceil(log2 K) products.
+Toeplitz matrix of row n, so order K takes ceil(log2 K) products, each
+over the whole stack.  Row n vanishes below index n, so each product skips
+that zero triangle.  Composing a stack of S series with a stack of T inner
+series gives a (T, S) stack in one product, taken one row at a time
+(``_rowwise``): BLAS rounds a row the same however many rows come with it,
+so a composed row does not depend on the stack it was composed in.
 
 Majorant sums sum |c_n| r^n are taken where they are used: in the radius
 equation and in the tail functional ``oracle.bohr_tail`` (N = 0 is the
@@ -32,11 +41,37 @@ class OrderMismatchError(ValueError):
     """Operands of a binary series operation have different orders."""
 
 
+def _rowwise(rows: np.ndarray, matrices: np.ndarray) -> np.ndarray:
+    """rows @ matrices taken one row at a time, stacks broadcast.
+
+    Each row is its own vector-matrix product, which BLAS rounds alike
+    whatever the rows around it, where a matrix-matrix product may round a
+    row otherwise than alone.
+    """
+    return (rows[..., None, :] @ matrices)[..., 0, :]
+
+
+def _toeplitz(rows: np.ndarray) -> np.ndarray:
+    """The upper-triangular Toeplitz matrix of each row along the last axis:
+    entry (j, i) is row[i - j], and 0 below the diagonal, so that
+    x @ _toeplitz(row) is the Cauchy product of x and row truncated at
+    their length.  Copied from a strided view of the zero-padded rows.
+    """
+    m = rows.shape[-1]
+    padded = np.zeros(rows.shape[:-1] + (2 * m - 1,))
+    padded[..., m - 1:] = rows
+    # Entry (j, i) sits at padded[m - 1 - j + i]: one step back per row.
+    step = padded.itemsize
+    return np.ndarray(rows.shape[:-1] + (m, m), buffer=padded, offset=(m - 1) * step,
+                      strides=padded.strides[:-1] + (-step, step)).copy()
+
+
 @dataclass(frozen=True, eq=False)
 class TruncatedSeries:
     """Real power series truncated at a fixed order.
 
-    ``coeffs`` holds finite entries c_0..c_K, and ``order`` is K.  Instances
+    ``coeffs`` holds finite entries c_0..c_K along its last axis, and
+    ``order`` is K; leading axes, if any, hold a stack of series.  Instances
     are immutable (the coefficient array is locked) and safe to share.
     """
 
@@ -45,13 +80,17 @@ class TruncatedSeries:
 
     def __post_init__(self):
         arr = np.array(self.coeffs, dtype=float)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("coefficients must form a non-empty 1-d sequence")
+        if arr.ndim == 0 or arr.shape[-1] == 0:
+            raise ValueError("coefficients must form non-empty sequences")
         if not np.isfinite(arr).all():
             raise ValueError("coefficients must be finite")
         arr.flags.writeable = False
         object.__setattr__(self, "coeffs", arr)
-        object.__setattr__(self, "order", arr.size - 1)
+        object.__setattr__(self, "order", arr.shape[-1] - 1)
+
+    def _check_single(self) -> None:
+        if self.coeffs.ndim != 1:
+            raise ValueError("this operation takes a single series, not a stack")
 
     # -- constructors -------------------------------------------------
 
@@ -79,12 +118,16 @@ class TruncatedSeries:
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
+        self._check_single()
+        other._check_single()
         self._check_order(other)
         return TruncatedSeries(self.coeffs + other.coeffs)
 
     def __mul__(self, other):
         """Cauchy product truncated at the common order; scalars rescale."""
+        self._check_single()
         if isinstance(other, TruncatedSeries):
+            other._check_single()
             self._check_order(other)
             return TruncatedSeries(np.convolve(self.coeffs, other.coeffs)[: self.order + 1])
         if isinstance(other, (int, float)):
@@ -97,26 +140,28 @@ class TruncatedSeries:
 
     @cached_property
     def powers(self) -> np.ndarray:
-        """Read-only table whose row n holds the coefficients of self**n.
+        """Read-only table whose row n holds the coefficients of self**n,
+        for a series vanishing at 0; a stack gets one table per series.
 
         The table is built by doubling.  Once rows 0..n are known, rows
         n+1..n+b with b = min(n, K - n) are rows 1..b times row n: one
         matrix product with the triangular Toeplitz matrix of row n.
-        That is ceil(log2 K) products in place of K convolutions.
+        That is ceil(log2 K) products in place of K convolutions.  Row n
+        is zero below index n, so the product takes columns 0..K-n of rows
+        1..b against the Toeplitz matrix of row n from index n on, and
+        writes columns n..K.
         """
+        if np.any(self.coeffs[..., 0] != 0.0):
+            raise ValueError("a power table requires w(0) = 0")
         k = self.order
-        table = np.zeros((k + 1, k + 1))
-        table[0, 0] = 1.0
-        table[1:2] = self.coeffs  # an empty slice at order 0
-        # row[lag] is the Toeplitz matrix of row n: entry (j, i) is row[i - j],
-        # and a negative lag picks one of the k zeros that pad the row.
-        lag = np.arange(k + 1) - np.arange(k + 1)[:, None]
-        row = np.zeros(2 * k + 1)
+        table = np.zeros(self.coeffs.shape[:-1] + (k + 1, k + 1))
+        table[..., 0, 0] = 1.0
+        table[..., 1:2, :] = self.coeffs[..., None, :]  # an empty slice at order 0
         n = 1
         while n < k:
             b = min(n, k - n)
-            row[: k + 1] = table[n]
-            table[n + 1 : n + b + 1] = table[1 : b + 1] @ row[lag]
+            table[..., n + 1 : n + b + 1, n:] = (
+                table[..., 1 : b + 1, : k - n + 1] @ _toeplitz(table[..., n, n:]))
             n += b
         table.flags.writeable = False
         return table
@@ -127,12 +172,17 @@ class TruncatedSeries:
         Requires w(0) = 0, which makes the truncated composition exact:
         the coefficient of z^n only sees coefficients of self up to n.
         The sum c_n w^n is taken against ``w.powers``, so composing many
-        series with one w builds its power table once.
+        series with one w builds its power table once.  For stacks, the
+        result's axes are w's stack axes, then self's: a stack of S series
+        composed with a stack of T inner series is a (T, S) stack.
         """
         self._check_order(w)
-        if w.coeffs[0] != 0.0:
+        if np.any(w.coeffs[..., 0] != 0.0):
             raise ValueError("composition requires w(0) = 0")
-        return TruncatedSeries(self.coeffs @ w.powers)
+        # w's stack axes, then one axis for each of self's, then the table.
+        tables = w.powers.reshape(w.coeffs.shape[:-1] + (1,) * (self.coeffs.ndim - 1)
+                                  + w.powers.shape[-2:])
+        return TruncatedSeries(_rowwise(self.coeffs, tables))
 
     def exp(self) -> "TruncatedSeries":
         """exp(self) for a series with zero constant term.
@@ -140,6 +190,7 @@ class TruncatedSeries:
         Uses the recurrence from (exp g)' = g' exp g:
         e_0 = 1, e_n = (1/n) sum_{m=1}^{n} m g_m e_{n-m}.
         """
+        self._check_single()
         if self.coeffs[0] != 0.0:
             raise ValueError("exp requires zero constant term")
         k = self.order
@@ -155,6 +206,7 @@ class TruncatedSeries:
 
         Requires a zero constant term so the integrand has no pole.
         """
+        self._check_single()
         if self.coeffs[0] != 0.0:
             raise ValueError("integrate_over_t requires zero constant term")
         out = np.zeros(self.order + 1)
@@ -164,10 +216,11 @@ class TruncatedSeries:
 
     def times_z(self) -> "TruncatedSeries":
         """Multiply by z: shift indices up by one, dropping the top term."""
+        self._check_single()
         out = np.zeros(self.order + 1)
         out[1:] = self.coeffs[:-1]
         return TruncatedSeries(out)
 
     def __repr__(self) -> str:
-        head = np.array2string(self.coeffs[: min(5, self.order + 1)], precision=6)
+        head = np.array2string(self.coeffs[..., :5], precision=6)
         return f"TruncatedSeries(order={self.order}, coeffs={head}...)"

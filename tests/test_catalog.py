@@ -1,6 +1,7 @@
 """Catalog entries: coefficients, closed forms, special functions."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -202,6 +203,25 @@ def test_alpha_parameter_range():
         catalog.starlike_alpha(1.0)
     with pytest.raises(ValueError):
         catalog.starlike_alpha(-0.1)
+
+
+@pytest.mark.parametrize("k", [1.0 + math.sqrt(2.0), 4.0])
+def test_booth_builds_at_high_order_without_overflow(k):
+    # k^n overflows near n = 709 / log k (n = 805 at the default k); the
+    # coefficients that stay finite there keep the plain formula bitwise.
+    spec = catalog.booth(k)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f0 = build_f0(spec, 1024)
+        coeffs = spec.coeff_fn(1024)
+    assert np.isfinite(f0.coeffs).all()
+    n = np.arange(1, 1024)
+    with np.errstate(over="ignore"):
+        power = k ** n
+    finite = np.isfinite(power)
+    assert not finite.all()
+    np.testing.assert_array_equal(coeffs[2:][finite], 2.0 / power[finite])
+    assert np.all(coeffs[2:][~finite] <= np.finfo(float).tiny)
 
 
 def test_booth_parameter_range():

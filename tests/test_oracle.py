@@ -3,11 +3,12 @@
 import functools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from bohrad import catalog
+from bohrad import catalog, oracle
 from bohrad.extremal import build_extremal_pair, build_f0
 from bohrad.oracle import (
     IDENTITY_SAMPLE,
@@ -90,6 +91,23 @@ def test_schwarz_series_zero_at_origin_and_bounded():
         assert w.coeffs[0] == 0.0
         # |omega| < 1 on the disk forces the majorant at small r below 1.
         assert bohr_tail(w, 0, 0.5) < 3.0
+
+
+def test_schwarz_series_is_its_row_of_any_chunk():
+    # The suites build a chunk of omegas at once; each row is bitwise the
+    # single series, and agrees with the factor-by-factor convolution.
+    rng = random.Random(13)
+    samples = [sample_schwarz(rng, 4) for _ in range(9)] + [IDENTITY_SAMPLE]
+    for order in (8, 64):
+        chunk = oracle._schwarz_chunk(samples, order).coeffs
+        for row, sample in zip(chunk, samples):
+            np.testing.assert_array_equal(row, schwarz_series(sample, order).coeffs)
+            reference = np.zeros(order + 1)
+            reference[1] = sample.sign
+            for a in sample.zeros:
+                factor = np.concatenate(([-a], (1.0 - a * a) * a ** np.arange(order)))
+                reference = np.convolve(reference, factor)[: order + 1]
+            np.testing.assert_allclose(row, reference, rtol=0, atol=1e-15)
 
 
 def test_power_coefficients_obey_unit_bound():
@@ -336,6 +354,60 @@ def test_tail_suite_matches_public_check():
     for got, want in zip(report.counterexamples, ordered):
         assert abs(got["margin"] - want["margin"]) <= 1e-13 * want["majorant_tail"]
     assert abs(report.worst_margin - min(margins)) <= 1e-13 * lead["majorant_tail"]
+
+
+@pytest.mark.parametrize("order", [64, 256])
+def test_tail_suite_chunks_match_chunks_of_one(order):
+    # Three whole chunks and a remainder (at order 256 a chunk holds one
+    # sample): every report and margin of the chunked suite is the public
+    # check's, which composes each omega as a chunk of one.
+    size = oracle._chunk_size(order)
+    trials, seed, labels = 3 * size + max(size // 2, 1), 11, ("sine", "booth", "cardioid")
+    n_values, r_values = (1, 2, 3), (0.1, 0.25, 1.0 / 3.0)
+    report = run_tail_suite(psi_labels=labels, trials=trials, seed=seed, n_values=n_values,
+                            r_values=r_values, order=order, max_reports=10**6)
+    f0s = [build_f0(catalog.parse_psi(label), order) for label in labels]
+    rng = random.Random(seed)
+    violations = []
+    for _ in range(trials):
+        sample = sample_schwarz(rng, 4)
+        for label, f0 in zip(labels, f0s):
+            for n in n_values:
+                for r in r_values:
+                    try:
+                        verify_tail_inequality(f0, sample, n, r, label)
+                    except InequalityViolation as exc:
+                        violations.append(exc.report)
+    assert violations
+    assert report.violations == len(violations) == len(report.counterexamples)
+    lead = min(violations, key=lambda ce: ce["margin"])
+    ordered = [lead] + [ce for ce in violations if ce is not lead]
+    key = ("sample", "psi", "N", "r")
+    assert [[ce[k] for k in key] for ce in report.counterexamples] == \
+        [[ce[k] for k in key] for ce in ordered]
+    for got, want in zip(report.counterexamples, ordered):
+        assert abs(got["margin"] - want["margin"]) <= 1e-13 * want["majorant_tail"]
+
+
+def _tail_suite_peak(trials: int, order: int) -> int:
+    tracemalloc.start()
+    try:
+        run_tail_suite(trials=trials, seed=3, order=order)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_tail_suite_memory_is_bounded_by_the_chunk():
+    # The suites hold one chunk of power tables at a time, so ten times the
+    # trials take the same peak, and it stays within a few chunk budgets.
+    run_tail_suite(trials=2, order=64)
+    short, long = _tail_suite_peak(100, 64), _tail_suite_peak(1000, 64)
+    assert abs(long - short) <= 0.1 * short
+    assert long <= 3 * oracle._CHUNK_BYTES
+    # At order 256 one table alone exceeds the budget: chunks of one.
+    assert oracle._chunk_size(256) == 1
+    assert _tail_suite_peak(10, 256) <= 3 * oracle._CHUNK_BYTES
 
 
 @pytest.mark.parametrize("run", [

@@ -225,6 +225,40 @@ def test_shared_inner_series_composes_like_fresh_copies():
     np.testing.assert_array_equal(shared, fresh)
 
 
+@pytest.mark.parametrize("order", [1, 2, 8, 64])
+def test_stacks_compose_like_their_rows_bitwise(order):
+    # A (T, S) composition of stacks is one product, taken a row at a time,
+    # and a stacked power table is one doubling: each row is bitwise the
+    # row of its single series.
+    rng = np.random.default_rng(order)
+    w = rng.uniform(-1.0, 1.0, (3, order + 1))
+    w[:, 0] = 0.0
+    f = rng.uniform(-1.0, 1.0, (2, order + 1))
+    stack = TruncatedSeries(w)
+    g = TruncatedSeries(f).compose(stack).coeffs
+    assert g.shape == (3, 2, order + 1)
+    for t in range(3):
+        np.testing.assert_array_equal(stack.powers[t], TruncatedSeries(w[t]).powers)
+        for s in range(2):
+            single = TruncatedSeries(f[s]).compose(TruncatedSeries(w[t])).coeffs
+            np.testing.assert_array_equal(g[t, s], single)
+            np.testing.assert_array_equal(TruncatedSeries(f[s]).compose(stack).coeffs[t], single)
+
+
+def test_single_series_operations_reject_stacks():
+    stack, one = TruncatedSeries(np.zeros((2, 5))), TruncatedSeries.one(4)
+    for op in (lambda: stack + one, lambda: one + stack, lambda: stack * one,
+               lambda: one * stack, lambda: 2.0 * stack, stack.exp, stack.integrate_over_t,
+               stack.times_z):
+        with pytest.raises(ValueError, match="single series"):
+            op()
+
+
+def test_power_table_requires_zero_constant_term():
+    with pytest.raises(ValueError, match="w\\(0\\) = 0"):
+        poly(0.5, 1.0).powers
+
+
 # -- exp ---------------------------------------------------------------
 
 
