@@ -6,6 +6,7 @@ Each entry bundles, for one choice of psi with psi(0) = 1 and psi'(0) > 0:
 * a real closed-form evaluator for psi (floats or ndarrays; used by the quadrature),
 * the closed form of the starlike extremal function f0, where one exists,
 * the boundary-distance constant -f0(-1), where a closed form is known,
+  and its convex counterpart -l0(-1) (the Janowski family),
 * whether the family comes with exact coefficient bounds (the Janowski
   family does), which controls the 1/3 clamp on reported Bohr radii.
 
@@ -95,7 +96,10 @@ class PsiSpec:
     coeff_fn: Callable[[int], np.ndarray] = None
     psi_eval: Callable[[float | np.ndarray], float | np.ndarray] = None
     f0_closed: Optional[Callable[[float], float]] = None
+    # Closed boundary distances -f0(-1) and -l0(-1); the Koebe radius falls
+    # back to quadrature for a family whose value is None.
     koebe_closed: Optional[float] = None
+    koebe_closed_convex: Optional[float] = None
     # True when sharp coefficient bounds back the radius equation, in which
     # case the reported radius is not clamped to 1/3.
     exact_bounds: bool = False
@@ -116,7 +120,9 @@ def janowski(d: float, e: float, label: str | None = None,
     """psi(z) = (1 + Dz) / (1 + Ez) with -1 <= E < D <= 1.
 
     Coefficients: c_0 = 1, c_n = (D - E)(-E)^(n-1).  Extremal function
-    f0(z) = z (1 + Ez)^((D-E)/E), degenerating to z e^(Dz) at E = 0.
+    f0(z) = z (1 + Ez)^((D-E)/E), degenerating to z e^(Dz) at E = 0.  The
+    convex extremal l0 = ((1 + Ez)^(D/E) - 1)/D has the limits
+    (e^(Dz) - 1)/D at E = 0 and log(1 + Ez)/E at D = 0.
     """
     _validate_janowski(d, e)
 
@@ -129,10 +135,16 @@ def janowski(d: float, e: float, label: str | None = None,
     if e == 0.0:
         f0 = lambda r: r * math.exp(d * r)
         koebe = math.exp(-d)
+        koebe_convex = -math.expm1(-d) / d
     else:
         p = (d - e) / e
         f0 = lambda r: r * (1.0 + e * r) ** p
         koebe = (1.0 - e) ** p
+        # expm1 and log1p keep -l0(-1) accurate as D or E nears 0.
+        if d == 0.0:
+            koebe_convex = -math.log1p(-e) / e
+        else:
+            koebe_convex = -math.expm1(d / e * math.log1p(-e)) / d
 
     return PsiSpec(
         label=label or f"janowski:D={_label_number(d)},E={_label_number(e)}",
@@ -141,6 +153,7 @@ def janowski(d: float, e: float, label: str | None = None,
         psi_eval=lambda t: (1.0 + d * t) / (1.0 + e * t),
         f0_closed=f0,
         koebe_closed=koebe,
+        koebe_closed_convex=koebe_convex,
         exact_bounds=True,
         default_family=default_family,
     )
@@ -169,6 +182,7 @@ def starlike_alpha(alpha: float) -> PsiSpec:
         psi_eval=spec.psi_eval,
         f0_closed=lambda r: r * (1.0 - r) ** (-2.0 * (1.0 - alpha)),
         koebe_closed=4.0 ** (alpha - 1.0),
+        koebe_closed_convex=spec.koebe_closed_convex,
         exact_bounds=True,
     )
 

@@ -6,9 +6,11 @@ with c the coefficients of psi.  The convex extremal l0 is linked by the
 Alexander relation z l0'(z) = f0(z), i.e. l_n = t_n / n.
 
 The boundary distance (Koebe radius) is -f0(-1) for the starlike family
-and -l0(-1) for the convex one.  Both are computed by Gauss-Legendre
-quadrature of the integral representation, which stays smooth on [-1, 0]
-even where the series at the boundary does not converge absolutely.
+and -l0(-1) for the convex one.  The catalog gives it in closed form where
+one is known: -f0(-1) for every entry, -l0(-1) for the Janowski family.
+Otherwise it is computed by Gauss-Legendre quadrature of the integral
+representation, which stays smooth on [-1, 0] even where the series at
+the boundary does not converge absolutely.
 """
 
 from __future__ import annotations
@@ -29,12 +31,15 @@ def _unit_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def _graded(rule: tuple[np.ndarray, np.ndarray], panels: int) -> tuple[np.ndarray, np.ndarray]:
-    """The rule copied onto [0, 1/2], [1/2, 3/4], ..., the last panel ending at 1."""
+def _graded(rule: tuple[np.ndarray, np.ndarray], panels: int) -> tuple:
+    """The rule copied onto [0, 1/2], [1/2, 3/4], ..., the last panel ending
+    at 1, as (nodes, weights, pieces) with pieces its (nodes, weights) on
+    each panel: the convex estimate takes one panel at a time."""
     edges = np.append(1.0 - 0.5 ** np.arange(panels), 1.0)
     width = np.diff(edges)[:, None]
-    nodes, weights = rule
-    return (edges[:-1, None] + width * nodes).ravel(), (width * weights).ravel()
+    nodes = edges[:-1, None] + width * rule[0]
+    weights = width * rule[1]
+    return nodes.ravel(), weights.ravel(), tuple(zip(nodes, weights))
 
 
 # A coarse and a fine rule, on 1, 8, 16 and then 32 panels graded toward
@@ -79,11 +84,14 @@ def build_f0(psi: PsiSpec, order: int = DEFAULT_ORDER, method: str = "recurrence
     """
     c = psi.series(order).coeffs
     if method == "recurrence":
+        # rev[order-n+1:order] is c_{n-1}, ..., c_1: contiguous, so each
+        # step is one plain dot product.
+        rev = np.ascontiguousarray(c[::-1])
         t = np.zeros(order + 1)
         t[1] = 1.0
         for n in range(2, order + 1):
             # (n-1) t_n = sum_{j=1}^{n-1} c_{n-j} t_j
-            t[n] = np.dot(c[1:n][::-1], t[1:n]) / (n - 1)
+            t[n] = rev[order - n + 1:order].dot(t[1:n]) / (n - 1)
         return TruncatedSeries(t)
     if method == "integral":
         psi_minus_1 = TruncatedSeries(np.concatenate(([0.0], c[1:])))
@@ -105,13 +113,12 @@ def _log_growth(psi: PsiSpec, s, nodes: np.ndarray, weights: np.ndarray):
 
 
 def _koebe_estimate(psi: PsiSpec, family: str, nodes: np.ndarray, weights: np.ndarray,
-                    panels: int) -> float:
+                    pieces: tuple) -> float:
     if family == "starlike":
         return float(np.exp(_log_growth(psi, 1.0, nodes, weights)))
     # The same nodes in s and in u; one outer panel at a time keeps the grid
     # at most n x (panels n).
-    return float(sum(w @ np.exp(_log_growth(psi, s, nodes, weights))
-                     for s, w in zip(np.split(nodes, panels), np.split(weights, panels))))
+    return float(sum(w @ np.exp(_log_growth(psi, s, nodes, weights)) for s, w in pieces))
 
 
 def koebe_radius_quadrature(psi: PsiSpec, family: str = "starlike") -> float:
@@ -124,7 +131,7 @@ def koebe_radius_quadrature(psi: PsiSpec, family: str = "starlike") -> float:
     if family not in ("starlike", "convex"):
         raise ValueError(f"unknown family {family!r}")
     for panels, rules in _graded_rules():
-        coarse, fine = (_koebe_estimate(psi, family, *rule, panels) for rule in rules)
+        coarse, fine = (_koebe_estimate(psi, family, *rule) for rule in rules)
         if not (math.isfinite(coarse) and math.isfinite(fine)):
             raise QuadratureError(f"{family} Koebe radius of {psi.label} is not finite: "
                                   f"{coarse!r}, {fine!r}")
@@ -138,11 +145,13 @@ def koebe_radius_quadrature(psi: PsiSpec, family: str = "starlike") -> float:
 def koebe_radius(psi: PsiSpec, family: str = "starlike") -> float:
     """Boundary distance, preferring a catalog closed form when present.
 
-    Closed forms are only catalogued for the starlike family; the convex
-    distance always goes through quadrature.
+    The catalog gives the starlike distance of every entry and the convex
+    one of the Janowski family (classical and alpha entries included); the
+    other convex distances go through quadrature.
     """
-    if family == "starlike" and psi.koebe_closed is not None:
-        return psi.koebe_closed
+    closed = {"starlike": psi.koebe_closed, "convex": psi.koebe_closed_convex}.get(family)
+    if closed is not None:
+        return closed
     return koebe_radius_quadrature(psi, family)
 
 

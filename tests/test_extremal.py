@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from bohrad import catalog
+from bohrad import catalog, extremal
 from bohrad.extremal import (
     QuadratureError,
     build_extremal_pair,
@@ -58,6 +58,23 @@ def test_recurrence_and_integral_paths_agree(label):
     integ = build_f0(spec, 64, method="integral")
     scale = np.maximum(np.abs(rec.coeffs), 1e-30)
     assert np.max(np.abs(rec.coeffs - integ.coeffs) / scale) < 1e-11
+
+
+@pytest.mark.parametrize("order", [64, 256])
+@pytest.mark.parametrize("label", catalog.named_labels() + [
+    "alpha:0.25", "janowski:D=0.5,E=-0.5", "janowski:D=1,E=0", "janowski:D=0.8,E=0.65",
+    "booth:k=1.6",
+])
+def test_recurrence_is_bitwise_the_reversed_slice_loop(label, order):
+    # Reference loop, reversing a slice of c at every step: build_f0 must
+    # take the same products in the same order.
+    spec = catalog.parse_psi(label)
+    c = spec.series(order).coeffs
+    t = np.zeros(order + 1)
+    t[1] = 1.0
+    for n in range(2, order + 1):
+        t[n] = np.dot(c[1:n][::-1], t[1:n]) / (n - 1)
+    assert np.array_equal(build_f0(spec, order).coeffs, t)
 
 
 def test_f0_normalization():
@@ -190,6 +207,47 @@ def test_janowski_koebe_radii_against_closed_forms(de, family):
     got = koebe_radius_quadrature(catalog.janowski(*de), family)
     assert type(got) is float
     assert got == pytest.approx(janowski_koebe(*de, family), rel=1e-13, abs=0.0)
+
+
+# Janowski entries catalogue -l0(-1) in closed form.  D = 0.001 is where
+# (1 - (1-E)^(D/E))/D would cancel and the expm1 form keeps the digits.
+CLOSED_CONVEX_GRID = JANOWSKI_KOEBE_GRID + [(0.001, -1.0), (0.001, -0.5), (0.001, 0.0)]
+
+
+def test_janowski_convex_koebe_never_reaches_quadrature(monkeypatch):
+    def no_quadrature(psi, family="starlike"):
+        raise AssertionError(f"quadrature for {psi.label} ({family})")
+
+    monkeypatch.setattr(extremal, "koebe_radius_quadrature", no_quadrature)
+    for label in ("classical-convex", "alpha:0.5", "janowski:D=0.25,E=0",
+                  "janowski:D=0,E=-0.6", "janowski:D=0.8,E=0.65"):
+        spec = catalog.parse_psi(label)
+        pair = build_extremal_pair(spec, 16)
+        assert pair.koebe_convex == koebe_radius(spec, "convex")
+    for d, e in CLOSED_CONVEX_GRID:
+        want = janowski_koebe(d, e, "convex")
+        got = koebe_radius(catalog.janowski(d, e), "convex")
+        assert abs(got - want) <= 2 * math.ulp(want), (d, e, got, want)
+    assert koebe_radius(catalog.classical_convex(), "convex") == 0.5
+
+
+# koebe_radius_quadrature's values as repr: how the rules are cut into
+# outer panels must not move a bit.
+QUADRATURE_PINS = {
+    "cardioid": (0.3678794411714424, 0.5986912298550321),
+    "zexpz": (0.5314636053866157, 0.7038344231538607),
+    "booth": (0.5099690078517072, 0.6935792104753029),
+    "sine": (0.3882588314625181, 0.6384220393527346),
+    "janowski:D=1,E=0.99": (0.954548456661834, 0.9904545154333815),
+    "janowski:D=1,E=0.99999": (0.9998848762212975, 0.9999900011512377),
+}
+
+
+@pytest.mark.parametrize("label", QUADRATURE_PINS)
+def test_quadrature_is_pinned_bitwise(label):
+    spec = catalog.parse_psi(label)
+    for family, want in zip(("starlike", "convex"), QUADRATURE_PINS[label]):
+        assert repr(koebe_radius_quadrature(spec, family)) == repr(want)
 
 
 @pytest.mark.parametrize("label", catalog.named_labels() + [
