@@ -5,6 +5,8 @@ Each entry bundles, for one choice of psi with psi(0) = 1 and psi'(0) > 0:
 * a Taylor-coefficient generator (real coefficients),
 * a real closed-form evaluator for psi (floats or ndarrays; used by the quadrature),
 * the closed form of the starlike extremal function f0, where one exists,
+* the Taylor coefficients of f0 from a one-term recurrence, where one
+  exists (the Janowski family, classical and alpha entries included),
 * the boundary-distance constant -f0(-1), where a closed form is known,
   and its convex counterpart -l0(-1) (the Janowski family),
 * whether the family comes with exact coefficient bounds (the Janowski
@@ -96,6 +98,9 @@ class PsiSpec:
     coeff_fn: Callable[[int], np.ndarray] = None
     psi_eval: Callable[[float | np.ndarray], float | np.ndarray] = None
     f0_closed: Optional[Callable[[float], float]] = None
+    # Taylor coefficients t_0..t_order of f0 from a one-term recurrence (the
+    # Janowski family); build_f0 prefers them to the dense recurrence on psi.
+    f0_coeff_fn: Optional[Callable[[int], np.ndarray]] = None
     # Closed boundary distances -f0(-1) and -l0(-1); the Koebe radius falls
     # back to quadrature for a family whose value is None.
     koebe_closed: Optional[float] = None
@@ -120,7 +125,8 @@ def janowski(d: float, e: float, label: str | None = None,
     """psi(z) = (1 + Dz) / (1 + Ez) with -1 <= E < D <= 1.
 
     Coefficients: c_0 = 1, c_n = (D - E)(-E)^(n-1).  Extremal function
-    f0(z) = z (1 + Ez)^((D-E)/E), degenerating to z e^(Dz) at E = 0.  The
+    f0(z) = z (1 + Ez)^((D-E)/E), degenerating to z e^(Dz) at E = 0, whose
+    coefficients obey t_1 = 1, t_{k+1} = t_k (D - kE)/k.  The
     convex extremal l0 = ((1 + Ez)^(D/E) - 1)/D has the limits
     (e^(Dz) - 1)/D at E = 0 and log(1 + Ez)/E at D = 0.
     """
@@ -131,6 +137,16 @@ def janowski(d: float, e: float, label: str | None = None,
         c[0] = 1.0
         c[1:] = (d - e) * (-e) ** np.arange(order)
         return c
+
+    def f0_coeffs(order: int) -> np.ndarray:
+        # One plain-float step per coefficient keeps the Koebe function's
+        # t_n = n exact, and the zeros past a terminating D - kE = 0.
+        t = [0.0, 1.0]
+        x = 1.0
+        for k in range(1, order):
+            x = x * (d - k * e) / k
+            t.append(x)
+        return np.array(t)
 
     if e == 0.0:
         f0 = lambda r: r * math.exp(d * r)
@@ -152,6 +168,7 @@ def janowski(d: float, e: float, label: str | None = None,
         coeff_fn=coeffs,
         psi_eval=lambda t: (1.0 + d * t) / (1.0 + e * t),
         f0_closed=f0,
+        f0_coeff_fn=f0_coeffs,
         koebe_closed=koebe,
         koebe_closed_convex=koebe_convex,
         exact_bounds=True,
@@ -181,6 +198,7 @@ def starlike_alpha(alpha: float) -> PsiSpec:
         coeff_fn=spec.coeff_fn,
         psi_eval=spec.psi_eval,
         f0_closed=lambda r: r * (1.0 - r) ** (-2.0 * (1.0 - alpha)),
+        f0_coeff_fn=spec.f0_coeff_fn,
         koebe_closed=4.0 ** (alpha - 1.0),
         koebe_closed_convex=spec.koebe_closed_convex,
         exact_bounds=True,

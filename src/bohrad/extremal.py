@@ -2,8 +2,11 @@
 
 The starlike extremal f0 solves z f0'(z)/f0(z) = psi(z); its Taylor data
 follows the recurrence t_1 = 1, (n-1) t_n = sum_{j=1}^{n-1} c_{n-j} t_j
-with c the coefficients of psi.  The convex extremal l0 is linked by the
-Alexander relation z l0'(z) = f0(z), i.e. l_n = t_n / n.
+with c the coefficients of psi.  The catalog gives the Janowski family
+(classical and alpha entries included) its one-term recurrence
+t_{k+1} = t_k (D - kE)/k instead, which ``build_f0`` prefers; cardioid,
+zexpz, booth and sine take the dense one.  The convex extremal l0 is
+linked by the Alexander relation z l0'(z) = f0(z), i.e. l_n = t_n / n.
 
 The boundary distance (Koebe radius) is -f0(-1) for the starlike family
 and -l0(-1) for the convex one.  The catalog gives it in closed form where
@@ -77,11 +80,17 @@ class ExtremalPair:
 def build_f0(psi: PsiSpec, order: int = DEFAULT_ORDER, method: str = "recurrence") -> TruncatedSeries:
     """Taylor coefficients of the starlike extremal function.
 
-    ``method="recurrence"`` runs the coefficient recurrence directly;
+    ``method="recurrence"`` takes the catalog's one-term recurrence where it
+    has one (``PsiSpec.f0_coeff_fn``, the Janowski family) and otherwise
+    runs the dense coefficient recurrence on psi's series directly;
     ``method="integral"`` goes through z * exp(int (psi-1)/t) using the
-    series kernel.  The two paths must agree and are cross-checked in the
+    series kernel.  The paths must agree and are cross-checked in the
     test suite.
     """
+    if order < 1:
+        raise ValueError("order must be at least 1")
+    if method == "recurrence" and psi.f0_coeff_fn is not None:
+        return TruncatedSeries(psi.f0_coeff_fn(order))
     c = psi.series(order).coeffs
     if method == "recurrence":
         # rev[order-n+1:order] is c_{n-1}, ..., c_1: contiguous, so each

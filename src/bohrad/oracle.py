@@ -420,7 +420,8 @@ def _br_margin(checks: _BRChecks, g: TruncatedSeries,
     problem, r_values = checks.problem, checks.r_values
     margins = []
     for row in g.coeffs:
-        evaluate, _ = _radius_equations([problem], TruncatedSeries(row), checks.rstar)
+        evaluate, _ = _radius_equations([(problem.m, problem.N)], problem.mode,
+                                        TruncatedSeries(row), checks.rstar)
         margins.append([0.0 - value for value, _ in evaluate([0] * len(r_values), r_values)])
     margins = np.array(margins)
 

@@ -60,13 +60,17 @@ class BracketError(RuntimeError):
     """The radius equation did not change sign on the search bracket."""
 
 
-def _check_indices_and_tol(m: int, N: int, tol: float) -> None:
+def _check_problem(m: int, N: int, tol: float, order: int | None = None) -> None:
+    """The checks of a ``RadiusProblem``, also made on each value of a sweep;
+    ``order`` is None for the closed equation, which truncates nothing."""
     if m < 1 or N < 1:
         raise ValueError("m and N must be positive integers")
     # Below 1e-15 the tol/5 widening of a bracket can be less than one ulp
     # of r, and the widened ends collapse onto the bounds they widen.
     if not 1e-15 <= tol < 1e-3:
         raise ValueError(f"tol must lie in [1e-15, 1e-3), got {tol}")
+    if order is not None and N > order:
+        raise ValueError(f"N={N} exceeds the truncation order {order}")
 
 
 @dataclass(frozen=True)
@@ -80,9 +84,7 @@ class RadiusProblem:
     tol: float = 1e-10
 
     def __post_init__(self):
-        _check_indices_and_tol(self.m, self.N, self.tol)
-        if self.N > self.order:
-            raise ValueError(f"N={self.N} exceeds the truncation order {self.order}")
+        _check_problem(self.m, self.N, self.tol, self.order)
 
 
 @dataclass(frozen=True)
@@ -199,9 +201,9 @@ def _slope_coeffs(coeffs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _radius_equations(problems: list[RadiusProblem], series: TruncatedSeries,
+def _radius_equations(indices: list[tuple[int, int]], mode: Mode, series: TruncatedSeries,
                       rstar: float) -> tuple[_RowEquations, list[float]]:
-    """The radius equations of problems that differ only in m or N, one row
+    """The radius equations of one ``mode`` at the given (m, N), one row
     each, as one evaluator over rows, and each row's certified start.
 
     Row v holds G_v(r) = P(r^(m_v)) + Q_v(r) - r* from the moduli fhat of
@@ -217,16 +219,16 @@ def _radius_equations(problems: list[RadiusProblem], series: TruncatedSeries,
     """
     moduli = np.abs(series.coeffs)
     a = moduli.tolist()
-    bohr_limit = problems[0].mode == Mode.BOHR_LIMIT
+    bohr_limit = mode == Mode.BOHR_LIMIT
     # One loop, not three comprehensions: a lone solve pays for each.
     tops, ms, heads = [], [], []
-    for prob in problems:
-        tops.append(_certified_top(rstar, a, prob.m, prob.N, bohr_limit))
-        ms.append(prob.m)
-        heads.append(0 if bohr_limit else prob.N)
+    for m, N in indices:
+        tops.append(_certified_top(rstar, a, m, N, bohr_limit))
+        ms.append(m)
+        heads.append(0 if bohr_limit else N)
     fold = not bohr_limit and max(ms) == 1
     separate_p = not (bohr_limit or fold)
-    if len(problems) == 1:
+    if len(indices) == 1:
         q = [0.0] * heads[0] + a[heads[0]:]
         if fold:
             q = [x + y for x, y in zip(a, q)]
@@ -262,7 +264,8 @@ def _check_radius(r: float) -> None:
 def g_function(problem: RadiusProblem, pair: ExtremalPair, r: float) -> float:
     """Value of the radius equation at r in [0, 1)."""
     _check_radius(r)
-    evaluate, _ = _radius_equations([problem], *_family_extremal(problem, pair))
+    evaluate, _ = _radius_equations([(problem.m, problem.N)], problem.mode,
+                                    *_family_extremal(problem, pair))
     return evaluate([0], [r])[0][0]
 
 
@@ -371,7 +374,7 @@ def solve(problem: RadiusProblem, pair: ExtremalPair | None = None) -> RadiusRes
     A given ``pair`` must be built at ``problem.order``.
     """
     series, rstar = _family_extremal(problem, pair)
-    evaluate, tops = _radius_equations([problem], series, rstar)
+    evaluate, tops = _radius_equations([(problem.m, problem.N)], problem.mode, series, rstar)
     (solved,) = _newton(evaluate, problem.tol, tops, -rstar)
     return _result(problem.psi, problem.family, problem.mode, problem.m, problem.N,
                    solved, _coefficients_positive(series))
@@ -407,7 +410,7 @@ def solve_janowski_exact(d: float, e: float, m: int = 1, N: int = 1,
     if e > 0.0:
         raise ValueError(f"the closed Janowski equation needs E <= 0, got E={e:g}; "
                          "the series path (--method series) solves E > 0")
-    _check_indices_and_tol(m, N, tol)
+    _check_problem(m, N, tol)
     bohr_limit = mode == Mode.BOHR_LIMIT
     n = 1 if bohr_limit else N
     p = None if e == 0.0 else (d - e) / e
@@ -463,18 +466,21 @@ def sweep(problem: RadiusProblem, n_values=None, m_values=None) -> Sweep:
     values = tuple(int(v) for v in values)
     if not values:
         raise ValueError(f"empty sweep range for {axis}")
-    problems = {v: dataclasses.replace(problem, **{axis: v}) for v in dict.fromkeys(values)}
+    distinct = list(dict.fromkeys(values))
+    indices = [(v, problem.N) if axis == "m" else (problem.m, v) for v in distinct]
+    for m, N in indices:
+        _check_problem(m, N, problem.tol, problem.order)
     series, rstar = _family_extremal(problem)
     bohr_limit = problem.mode == Mode.BOHR_LIMIT
     # In the Bohr limit G depends on neither m nor N: one row serves every value.
-    rows = list(problems.values())[:1] if bohr_limit else list(problems.values())
-    evaluate, tops = _radius_equations(rows, series, rstar)
+    evaluate, tops = _radius_equations(indices[:1] if bohr_limit else indices, problem.mode,
+                                       series, rstar)
     roots = _newton(evaluate, problem.tol, tops, -rstar)
     if bohr_limit:
-        roots *= len(problems)
+        roots *= len(indices)
     positive = _coefficients_positive(series)
-    solved = {v: _result(prob.psi, prob.family, prob.mode, prob.m, prob.N, root, positive)
-              for (v, prob), root in zip(problems.items(), roots)}
+    solved = {v: _result(problem.psi, problem.family, problem.mode, m, N, root, positive)
+              for v, (m, N), root in zip(distinct, indices, roots)}
     results = tuple(solved[v] for v in values)
     radii = [res.r0 for res in results]
     monotone = all(b >= a - 1e-12 for a, b in zip(radii, radii[1:]))

@@ -1,5 +1,6 @@
 """Extremal series, Alexander relation, and Koebe radii."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -28,6 +29,12 @@ CATALOG_LABELS = [
 
 
 # -- f0 ---------------------------------------------------------------------
+
+
+def dense(spec):
+    """The entry without its catalog coefficients: build_f0 then runs the
+    dense recurrence on psi's series."""
+    return dataclasses.replace(spec, f0_coeff_fn=None)
 
 
 def test_classical_f0_is_koebe():
@@ -66,15 +73,84 @@ def test_recurrence_and_integral_paths_agree(label):
     "booth:k=1.6",
 ])
 def test_recurrence_is_bitwise_the_reversed_slice_loop(label, order):
-    # Reference loop, reversing a slice of c at every step: build_f0 must
-    # take the same products in the same order.
-    spec = catalog.parse_psi(label)
+    # Reference loop, reversing a slice of c at every step: the dense
+    # recurrence must take the same products in the same order.
+    spec = dense(catalog.parse_psi(label))
     c = spec.series(order).coeffs
     t = np.zeros(order + 1)
     t[1] = 1.0
     for n in range(2, order + 1):
         t[n] = np.dot(c[1:n][::-1], t[1:n]) / (n - 1)
     assert np.array_equal(build_f0(spec, order).coeffs, t)
+
+
+# The Janowski grid of the closed coefficients: E < 0, E = 0 and E > 0,
+# D = 0 and D < 0, and D = 2E, where D - kE = 0 at k = 2 ends the series.
+CLOSED_F0_LABELS = [
+    f"janowski:D={d:g},E={e:g}"
+    for d, e in ((1, -1), (0.5, -0.5), (0.3, -0.9), (-0.3, -0.6), (0, -0.6), (1, 0),
+                 (0.25, 0), (0.8, 0.65), (0.4, 0.2))
+] + ["alpha:0.25"]
+
+
+@pytest.mark.parametrize("order", [64, 256, 1024])
+@pytest.mark.parametrize("label", CLOSED_F0_LABELS)
+def test_closed_coefficients_against_mpmath_and_the_dense_recurrence(label, order):
+    import mpmath
+
+    spec = catalog.parse_psi(label)
+    closed = build_f0(spec, order).coeffs
+    # t_{k+1} = t_k (D - kE)/k at 40 digits, from the same double D and E.
+    with mpmath.workdps(40):
+        d, e = mpmath.mpf(spec.params["D"]), mpmath.mpf(spec.params["E"])
+        want = [mpmath.mpf(0), mpmath.mpf(1)]
+        for k in range(1, order):
+            want.append(want[-1] * (d - k * e) / k)
+        tiny = np.finfo(float).tiny
+        for n, (got, exact) in enumerate(zip(closed, want)):
+            if abs(exact) >= tiny:
+                assert abs(mpmath.mpf(float(got)) - exact) <= 1e-13 * abs(exact), (n, got)
+            else:
+                # Past the normal range the double has underflowed too;
+                # an exact zero stays exactly zero.
+                assert abs(got) < tiny and (got == 0.0 or exact != 0), (n, got)
+    np.testing.assert_allclose(build_f0(dense(spec), order).coeffs, closed, rtol=1e-13,
+                               atol=1e-16 * np.max(np.abs(closed)))
+
+
+def test_closed_coefficients_keep_the_classical_extremals_exact():
+    f0 = build_f0(catalog.classical_starlike(), 1024)
+    assert np.array_equal(f0.coeffs, np.arange(1025.0))
+    l0 = build_l0(build_f0(catalog.classical_convex(), 1024))
+    assert np.array_equal(l0.coeffs[1:], np.ones(1024))
+
+
+def test_terminating_janowski_has_exact_zeros():
+    # D = 2E: f0 = z (1 + Ez) = z + 0.2 z^2.
+    f0 = build_f0(catalog.parse_psi("janowski:D=0.4,E=0.2"), 256).coeffs
+    assert f0[:3].tolist() == [0.0, 1.0, 0.2]
+    assert np.all(f0[3:] == 0.0)
+
+
+def test_janowski_pair_never_reaches_the_psi_series(monkeypatch):
+    def no_series(psi, order):
+        raise AssertionError(f"the dense recurrence ran for {psi.label}")
+
+    monkeypatch.setattr(catalog.PsiSpec, "series", no_series)
+    for label in ("classical-starlike", "classical-convex", "alpha:0.25",
+                  "janowski:D=0.5,E=-0.5", "janowski:D=1,E=0", "janowski:D=0.8,E=0.65"):
+        spec = catalog.parse_psi(label)
+        pair = build_extremal_pair(spec, 64)
+        assert np.array_equal(pair.f0.coeffs, spec.f0_coeff_fn(64))
+    with pytest.raises(AssertionError, match="dense recurrence ran for cardioid"):
+        build_extremal_pair(catalog.cardioid(), 64)
+
+
+@pytest.mark.parametrize("label", ["cardioid", "classical-starlike"])
+@pytest.mark.parametrize("order", [0, -3])
+def test_order_below_1_is_rejected_on_both_paths(label, order):
+    with pytest.raises(ValueError, match="order must be at least 1"):
+        build_f0(catalog.parse_psi(label), order)
 
 
 def test_f0_normalization():
@@ -127,8 +203,9 @@ def test_alexander_relation_exact(label):
 @pytest.mark.parametrize("de", [(1.0, -1.0), (0.5, -0.5), (1.0, 0.0), (0.5, 0.0),
                                 (0.75, 0.25)])
 def test_janowski_extremal_attains_coefficient_bound(de):
+    # The dense recurrence on psi's series, checked against the bound product.
     d, e = de
-    f0 = build_f0(catalog.janowski(d, e), 24)
+    f0 = build_f0(dense(catalog.janowski(d, e)), 24)
     for n in range(2, 21):
         bound = catalog.janowski_coeff_bound(d, e, n)
         assert abs(f0.coeffs[n]) == pytest.approx(bound, rel=1e-11, abs=1e-30)

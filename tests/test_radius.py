@@ -565,8 +565,8 @@ def test_newton_rows_are_independent():
     rstar = pair.koebe_starlike
     equations, tops = [], []
     for m, N in ((1, 1), (2, 3), (5, 2), (24, 10), (1_000_000, 10)):
-        prob = problem("cardioid", m=m, N=N)
-        evaluate, (hi,) = radius._radius_equations([prob], pair.f0, rstar)
+        evaluate, (hi,) = radius._radius_equations([(m, N)], Mode.BOHR_ROGOSINSKI, pair.f0,
+                                                   rstar)
         equations.append(evaluate)
         tops.append(hi)
     equations.append(equations[0])
