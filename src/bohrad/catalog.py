@@ -13,13 +13,15 @@ Each entry bundles, for one choice of psi with psi(0) = 1 and psi'(0) > 0:
   family does), which controls the 1/3 clamp on reported Bohr radii.
 
 Entries are addressable by string label, e.g. ``cardioid``, ``sine``,
-``janowski:D=0.5,E=-0.5``, ``alpha:0.25``, ``booth:k=2.5``.
+``janowski:D=0.5,E=-0.5``, ``alpha:0.25``, ``booth:k=2.5``.  The
+classical (D = 1, E = -1) and order-alpha (D = 1 - 2 alpha, E = -1)
+entries are Janowski entries with only what differs replaced.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -120,9 +122,8 @@ class PsiSpec:
 # -- concrete entries --------------------------------------------------
 
 
-def janowski(d: float, e: float, label: str | None = None,
-             default_family: str = "starlike") -> PsiSpec:
-    """psi(z) = (1 + Dz) / (1 + Ez) with -1 <= E < D <= 1.
+def janowski(d: float, e: float) -> PsiSpec:
+    """psi(z) = (1 + Dz) / (1 + Ez) with -1 <= E < D <= 1, starlike by default.
 
     Coefficients: c_0 = 1, c_n = (D - E)(-E)^(n-1).  Extremal function
     f0(z) = z (1 + Ez)^((D-E)/E), degenerating to z e^(Dz) at E = 0, whose
@@ -163,7 +164,7 @@ def janowski(d: float, e: float, label: str | None = None,
             koebe_convex = -math.expm1(d / e * math.log1p(-e)) / d
 
     return PsiSpec(
-        label=label or f"janowski:D={_label_number(d)},E={_label_number(e)}",
+        label=f"janowski:D={_label_number(d)},E={_label_number(e)}",
         params={"D": d, "E": e},
         coeff_fn=coeffs,
         psi_eval=lambda t: (1.0 + d * t) / (1.0 + e * t),
@@ -172,36 +173,34 @@ def janowski(d: float, e: float, label: str | None = None,
         koebe_closed=koebe,
         koebe_closed_convex=koebe_convex,
         exact_bounds=True,
-        default_family=default_family,
     )
 
 
 def classical_starlike() -> PsiSpec:
     """psi(z) = (1+z)/(1-z); the extremal function is the Koebe function."""
-    return janowski(1.0, -1.0, label="classical-starlike")
+    return replace(janowski(1.0, -1.0), label="classical-starlike")
 
 
 def classical_convex() -> PsiSpec:
     """Same generator as classical-starlike, used with the convex family,
     whose extremal function is z/(1-z)."""
-    return janowski(1.0, -1.0, label="classical-convex", default_family="convex")
+    return replace(janowski(1.0, -1.0), label="classical-convex", default_family="convex")
 
 
 def starlike_alpha(alpha: float) -> PsiSpec:
-    """Starlike functions of order alpha: Janowski with D = 1-2a, E = -1."""
+    """Starlike functions of order alpha: Janowski with D = 1-2a, E = -1.
+
+    Its own closed f0 and -f0(-1) stay: for some alpha the Janowski forms
+    differ from them by a few ulps."""
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
-    spec = janowski(1.0 - 2.0 * alpha, -1.0, label=f"alpha:{_label_number(alpha)}")
-    return PsiSpec(
-        label=spec.label,
-        params={"alpha": alpha, "D": 1.0 - 2.0 * alpha, "E": -1.0},
-        coeff_fn=spec.coeff_fn,
-        psi_eval=spec.psi_eval,
+    d = 1.0 - 2.0 * alpha
+    return replace(
+        janowski(d, -1.0),
+        label=f"alpha:{_label_number(alpha)}",
+        params={"alpha": alpha, "D": d, "E": -1.0},
         f0_closed=lambda r: r * (1.0 - r) ** (-2.0 * (1.0 - alpha)),
-        f0_coeff_fn=spec.f0_coeff_fn,
         koebe_closed=4.0 ** (alpha - 1.0),
-        koebe_closed_convex=spec.koebe_closed_convex,
-        exact_bounds=True,
     )
 
 

@@ -33,7 +33,7 @@ EXIT_USAGE = 2
 EXIT_SOLVER = 3
 EXIT_VIOLATIONS = 4
 
-CSV_HEADER = "psi,family,m,N,mode,r0,rb,residual,iterations,sharp"
+CSV_HEADER = ",".join(f.name for f in dataclasses.fields(RadiusResult) if f.name != "bracket")
 
 
 def _fmt(x: float) -> str:
@@ -90,9 +90,7 @@ def _parse_range(text: str) -> list[int]:
 
 
 def _family(args, spec) -> Family:
-    if args.family is not None:
-        return Family(args.family)
-    return Family(spec.default_family)
+    return Family(args.family or spec.default_family)
 
 
 def _mode(args, *indices) -> Mode:
@@ -145,7 +143,8 @@ def _cmd_sweep(args) -> int:
         raise ValueError("empty sweep range")
     problem = RadiusProblem(
         psi=spec, family=_family(args, spec), m=m_range[0], N=n_range[0],
-        mode=_mode(args, *n_range, *m_range), order=args.order, tol=args.tol,
+        mode=_mode(args, *n_range, *m_range),
+        order=DEFAULT_ORDER if args.order is None else args.order, tol=args.tol,
     )
     swept = sweep(problem,
                   n_values=n_range if n_is_range else None,
@@ -167,13 +166,13 @@ def _cmd_sweep(args) -> int:
 
 # The optional verify flags each lemma reads; a flag given to a lemma that
 # does not read it exits with EXIT_USAGE.
-_VERIFY_OPTIONAL = ("psi", "order", "N", "degree_max", "tau", "family", "mode", "m")
 _VERIFY_READS = {
-    "tail": {"psi", "order", "N", "degree_max"},
-    "weighted": {"psi", "order", "N", "degree_max", "tau"},
-    "br": {"psi", "order", "N", "degree_max", "family", "mode", "m"},
-    "bohr-operator": set(),
+    "tail": ("psi", "order", "N", "degree_max"),
+    "weighted": ("psi", "order", "N", "degree_max", "tau"),
+    "br": ("psi", "order", "N", "degree_max", "family", "mode", "m"),
+    "bohr-operator": (),
 }
+_VERIFY_OPTIONAL = tuple(dict.fromkeys(sum(_VERIFY_READS.values(), ())))
 
 
 def _cmd_verify(args) -> int:
@@ -200,15 +199,13 @@ def _cmd_verify(args) -> int:
                                            trials=args.trials, seed=args.seed,
                                            psi_labels=psis, N=n_single,
                                            degree_max=degree_max, order=order)
-    elif lemma == "br":
+    else:
         spec = catalog.parse_psi(psis[0])
         report = oracle.run_br_suite(psi_label=psis[0], family=_family(args, spec),
                                      m=1 if args.m is None else args.m, N=n_single,
                                      trials=args.trials, seed=args.seed,
                                      degree_max=degree_max, order=order,
                                      mode=_mode(args, args.m, args.N))
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown lemma {lemma!r}")
     _emit_json(report.to_json_dict())
     return EXIT_OK if report.violations == 0 else EXIT_VIOLATIONS
 
@@ -250,7 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="starlike or convex (default: the entry's natural family)")
         p.add_argument("--mode", choices=[m.value for m in Mode],
                        default="bohr-rogosinski")
-        p.add_argument("--order", type=int, default=DEFAULT_ORDER,
+        # None, so that --method exact and a lemma that reads no order can
+        # reject a given one; the series paths apply DEFAULT_ORDER.
+        p.add_argument("--order", type=int, default=None,
                        help=f"series truncation order (default {DEFAULT_ORDER})")
         if with_mn:
             p.add_argument("--m", type=int, default=1)
@@ -261,9 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_radius.add_argument("--method", choices=["series", "exact"], default="series",
                           help="series path, or the closed Janowski equation")
     p_radius.add_argument("--format", choices=["table", "csv", "json"], default="table")
-    # --order defaults to None so that --method exact, which has no
-    # truncation order, can reject it; the series path applies DEFAULT_ORDER.
-    p_radius.set_defaults(func=_cmd_radius, needs_psi=True, order=None)
+    p_radius.set_defaults(func=_cmd_radius, needs_psi=True)
 
     p_sweep = sub.add_parser("sweep", help="solve over a range of N or m")
     common(p_sweep, with_mn=False)
@@ -291,8 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     # For the tail lemma an explicit --N restricts the head-index grid,
     # which otherwise covers N in {1, 2, 3}.  The optional flags default to
     # None so that _cmd_verify can tell whether they were given.
-    p_verify.set_defaults(func=_cmd_verify, needs_psi=False, N=None, mode=None, m=None,
-                          order=None)
+    p_verify.set_defaults(func=_cmd_verify, needs_psi=False, N=None, mode=None, m=None)
 
     p_catalog = sub.add_parser("catalog", help="list catalog entries")
     p_catalog.add_argument("--format", choices=["table", "json"], default="table")

@@ -6,7 +6,8 @@ with c the coefficients of psi.  The catalog gives the Janowski family
 (classical and alpha entries included) its one-term recurrence
 t_{k+1} = t_k (D - kE)/k instead, which ``build_f0`` prefers; cardioid,
 zexpz, booth and sine take the dense one.  The convex extremal l0 is
-linked by the Alexander relation z l0'(z) = f0(z), i.e. l_n = t_n / n.
+linked by the Alexander relation z l0'(z) = f0(z), i.e. l_n = t_n / n:
+l0 = int_0^z f0(t)/t dt, which is ``f0.integrate_over_t()``.
 
 The boundary distance (Koebe radius) is -f0(-1) for the starlike family
 and -l0(-1) for the convex one.  The catalog gives it in closed form where
@@ -108,14 +109,6 @@ def build_f0(psi: PsiSpec, order: int = DEFAULT_ORDER, method: str = "recurrence
     raise ValueError(f"unknown method {method!r}")
 
 
-def build_l0(f0: TruncatedSeries) -> TruncatedSeries:
-    """Convex extremal from the Alexander relation l_n = t_n / n."""
-    out = np.zeros(f0.order + 1)
-    n = np.arange(1, f0.order + 1)
-    out[1:] = f0.coeffs[1:] / n
-    return TruncatedSeries(out)
-
-
 def _log_growth(psi: PsiSpec, s, nodes: np.ndarray, weights: np.ndarray):
     """int_0^{-s} (psi(t)-1)/t dt, as int_0^1 (psi(-s u)-1)/u du, for each s."""
     return ((psi.psi_eval(-np.multiply.outer(s, nodes)) - 1.0) / nodes) @ weights
@@ -168,7 +161,7 @@ def build_extremal_pair(psi: PsiSpec, order: int = DEFAULT_ORDER) -> ExtremalPai
     f0 = build_f0(psi, order)
     return ExtremalPair(
         f0=f0,
-        l0=build_l0(f0),
+        l0=f0.integrate_over_t(),
         koebe_starlike=koebe_radius(psi, "starlike"),
         koebe_convex=koebe_radius(psi, "convex"),
     )

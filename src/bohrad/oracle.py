@@ -56,10 +56,10 @@ from itertools import repeat
 
 import numpy as np
 
-from .catalog import PsiSpec, parse_psi
+from .catalog import parse_psi
 from .extremal import ExtremalPair, build_extremal_pair, build_f0
-from .radius import (Family, Mode, RadiusProblem, _check_radius, _family_extremal,
-                     _radius_equations, g_function, solve)
+from .radius import (_LEMMA_RADIUS, Family, Mode, RadiusProblem, _check_radius,
+                     _family_extremal, _radius_equations, g_function, solve)
 from .series import DEFAULT_ORDER, TruncatedSeries, _rowwise, _toeplitz
 
 # Default generators exercised by the verification suites.
@@ -110,13 +110,11 @@ class SchwarzSample:
 IDENTITY_SAMPLE = SchwarzSample(degree=0, zeros=(), sign=1)
 
 
-def sample_schwarz(rng: "random.Random | int", degree_max: int = 4) -> SchwarzSample:
+def sample_schwarz(rng: random.Random, degree_max: int = 4) -> SchwarzSample:
     """Draw a sample: degree uniform on 0..degree_max, zeros uniform in
     (-0.95, 0.95), sign uniform on {-1, +1}."""
     if degree_max < 0:
         raise ValueError("degree_max must be nonnegative")
-    if isinstance(rng, int):
-        rng = random.Random(rng)
     degree = rng.randint(0, degree_max)
     # tuple() of a list, not of a generator: that one resizes its tuple
     # outside CPython's tuple free list, and a long suite then grows the
@@ -230,7 +228,7 @@ class _TailChecks:
         for n, r in self.grid:
             if n > order:  # the window would be empty and check nothing
                 raise ValueError(f"N={n} exceeds the truncation order {order}")
-            if r > 1.0 / 3.0:
+            if r > _LEMMA_RADIUS:
                 raise ValueError(f"tail inequality is only claimed for r <= 1/3, got {r}")
         columns = [_tail_window(n, r, order) for n, r in self.grid]
         self.weights = np.array(columns).reshape(len(self.grid), order + 1).T
@@ -316,12 +314,12 @@ def verify_bohr_operator_axioms(f: TruncatedSeries, g: TruncatedSeries,
     return margins
 
 
-def submultiplicativity_counterexample(r: float = 0.25, order: int = 8) -> dict:
+def submultiplicativity_counterexample(r: float = 0.25) -> dict:
     """The documented failure of the product axiom at N >= 1: f = g = z, N = 2.
 
     M(fg, 2, r) = r^2 while M(f, 2, r) M(g, 2, r) = 0, so the margin is -r^2.
     """
-    f = TruncatedSeries.identity(order)
+    f = TruncatedSeries.identity(8)
     margin = bohr_tail(f, 2, r) * bohr_tail(f, 2, r) - bohr_tail(f * f, 2, r)
     return {
         "check": "submultiplicativity",
@@ -474,10 +472,6 @@ class VerificationReport:
         return asdict(self)
 
 
-def _resolve_psis(psi_labels) -> list[PsiSpec]:
-    return [parse_psi(p) if isinstance(p, str) else p for p in psi_labels]
-
-
 def _chunk_size(order: int) -> int:
     """Samples per chunk at the order: as many as ``_CHUNK_BYTES`` holds, each
     with a power table and a Toeplitz block of (K + 1)^2 floats, at least one."""
@@ -503,6 +497,8 @@ class _Tally:
     """
 
     def __init__(self, cap: int = 10):
+        if cap < 0:
+            raise ValueError(f"max_reports must be nonnegative, got {cap}")
         self.cap = cap
         self.violations = 0
         self.worst = float("inf")
@@ -521,29 +517,28 @@ class _Tally:
                 self._kept.append(report)
 
     def report(self, seed: int, trials: int, config: dict) -> VerificationReport:
-        counterexamples = self._kept
+        kept = self._kept
         if self._lead is not None:
-            rest = [ce for ce in self._kept if ce is not self._lead]
-            counterexamples = [self._lead] + rest[: max(self.cap - 1, 0)]
+            kept = [self._lead] + [ce for ce in kept if ce is not self._lead]
         return VerificationReport(
             seed=seed,
             trials=trials,
             violations=self.violations,
             worst_margin=self.worst,
             config=config,
-            counterexamples=counterexamples,
+            counterexamples=kept[:self.cap],
         )
 
 
 def run_tail_suite(psi_labels=DEFAULT_ORACLE_PSIS, trials: int = 200, seed: int = 0,
-                   n_values=(1, 2, 3), r_values=(0.1, 0.25, 1.0 / 3.0),
+                   n_values=(1, 2, 3), r_values=(0.1, 0.25, _LEMMA_RADIUS),
                    degree_max: int = 4, order: int = DEFAULT_ORDER,
                    max_reports: int = 10) -> VerificationReport:
     """Tail inequality over seeded samples crossed with the catalog extremals."""
-    specs = _resolve_psis(psi_labels)
+    tally = _Tally(max_reports)
+    specs = [parse_psi(label) for label in psi_labels]
     checks = _TailChecks([build_f0(spec, order) for spec in specs],
                          [spec.label for spec in specs], n_values, r_values)
-    tally = _Tally(max_reports)
     for omegas, described in _samples(seed, trials, degree_max, order):
         tally.extend(*_tail_margin(checks, checks.f.compose(omegas), described))
     return tally.report(seed, trials, {
@@ -556,10 +551,11 @@ def run_tail_suite(psi_labels=DEFAULT_ORACLE_PSIS, trials: int = 200, seed: int 
     })
 
 
-def run_axiom_suite(trials: int = 100, seed: int = 0, order: int = 16,
-                    n_values=(0, 1, 3), r: float = 0.2) -> VerificationReport:
+def run_axiom_suite(trials: int = 100, seed: int = 0) -> VerificationReport:
     """Tail-functional axioms on random series pairs, plus the documented
-    failure of the product axiom at N = 2."""
+    failure of the product axiom at N = 2, on one fixed grid of order, N
+    and r, which the report's config records."""
+    order, n_values, r = 16, (0, 1, 3), 0.2
     rng = random.Random(seed)
     tally = _Tally()
 
@@ -593,10 +589,9 @@ def run_weighted_suite(tau: float = 0.8, trials: int = 200, seed: int = 0,
     """Weighted tail inequality with the ramp weight h = tau (1 + z)/2 at r = tau/3."""
     if order < 1:
         raise ValueError("order must be at least 1")
-    specs = _resolve_psis(psi_labels)
+    specs = [parse_psi(label) for label in psi_labels]
     h_coeffs = np.zeros(order + 1)
-    h_coeffs[0] = tau / 2.0
-    h_coeffs[1] = tau / 2.0
+    h_coeffs[:2] = tau / 2.0
     h = TruncatedSeries(h_coeffs)
     r = tau / 3.0
     check = _WeightedCheck(tau, [build_f0(spec, order) for spec in specs],
@@ -630,7 +625,7 @@ def run_br_suite(psi_label: str = "cardioid", family: Family = Family.STARLIKE,
     problem = RadiusProblem(psi=spec, family=family, m=m, N=N, mode=mode, order=order)
     pair = build_extremal_pair(spec, order)
     solved = solve(problem, pair)
-    r_cap = min(solved.rb, 1.0 / 3.0)
+    r_cap = min(solved.rb, _LEMMA_RADIUS)
     checks = _BRChecks(problem, pair, [frac * r_cap for frac in (0.25, 0.5, 0.75, 1.0)])
     tally = _Tally()
     for omegas, described in _samples(seed, trials, degree_max, order):

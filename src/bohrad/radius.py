@@ -35,10 +35,12 @@ from typing import Callable
 import numpy as np
 
 from .catalog import PsiSpec, janowski, janowski_coeff_bound
-from .extremal import ExtremalPair, build_f0, build_l0, koebe_radius
+from .extremal import ExtremalPair, build_f0, koebe_radius
 from .series import DEFAULT_ORDER, OrderMismatchError, TruncatedSeries
 
 _BRACKET_HI = 1.0 - 1e-9
+# The range r <= 1/3 of the Bhowmik-Das lemma (J. Math. Anal. Appl. 462, 2018).
+_LEMMA_RADIUS = 1.0 / 3.0
 
 # The pairs (G, G') of the equations ``rows`` at the radii ``r``.
 _RowEquations = Callable[[list[int], list[float]], list[tuple[float, float]]]
@@ -119,7 +121,7 @@ def _family_extremal(problem: RadiusProblem, pair: ExtremalPair | None = None
     """
     if pair is None:
         f0 = build_f0(problem.psi, problem.order)
-        series = f0 if problem.family == Family.STARLIKE else build_l0(f0)
+        series = f0 if problem.family == Family.STARLIKE else f0.integrate_over_t()
         return series, koebe_radius(problem.psi, problem.family.value)
     if pair.f0.order != problem.order:
         raise OrderMismatchError(f"order mismatch: the pair has order {pair.f0.order}, "
@@ -348,7 +350,7 @@ def _result(spec: PsiSpec, family: Family, mode: Mode, m: int, N: int,
     ``positive`` says whether every extremal coefficient past a_0 is
     positive, which sharpness needs."""
     r0, bracket, iterations, residual = solved
-    rb = r0 if spec.exact_bounds else min(r0, 1.0 / 3.0)
+    rb = r0 if spec.exact_bounds else min(r0, _LEMMA_RADIUS)
     return RadiusResult(
         psi=spec.label,
         family=family.value,

@@ -177,8 +177,6 @@ class TruncatedSeries:
         composed with a stack of T inner series is a (T, S) stack.
         """
         self._check_order(w)
-        if np.any(w.coeffs[..., 0] != 0.0):
-            raise ValueError("composition requires w(0) = 0")
         # w's stack axes, then one axis for each of self's, then the table.
         tables = w.powers.reshape(w.coeffs.shape[:-1] + (1,) * (self.coeffs.ndim - 1)
                                   + w.powers.shape[-2:])

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import bohrad
+from bohrad import cli
 from bohrad.cli import CSV_HEADER, main
 
 
@@ -208,6 +209,16 @@ def test_sweep_m_axis_json(capsys):
     assert payload["axis"] == "m"
     assert payload["values"] == [1, 2, 3, 4]
     assert payload["monotone_nondecreasing"] is True
+
+
+def test_sweep_table_is_the_csv_and_a_monotonicity_line(capsys):
+    args = ("sweep", "--psi", "sine", "--N", "1..10")
+    code, csv_out, _ = run_cli(capsys, *args, "--format", "csv")
+    assert code == 0
+    code, table_out, err = run_cli(capsys, *args, "--format", "table")
+    assert code == 0
+    assert err == ""
+    assert table_out == csv_out + "# N sweep monotone nondecreasing: true\n"
 
 
 def test_sweep_empty_range_exits_2(capsys):
@@ -471,6 +482,30 @@ def test_verify_rejects_an_order_below_1(capsys, lemma_args, order):
     assert code == 2
     assert out == ""
     assert "order must be at least 1" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--weighted", "--tau", "0"), "tau must lie in (0, 1], got 0.0"),
+    (("--weighted", "--tau", "1.5"), "tau must lie in (0, 1], got 1.5"),
+    (("--degree-max", "-1"), "degree_max must be nonnegative"),
+])
+def test_verify_rejects_a_bad_tau_or_degree(capsys, argv, message):
+    code, out, err = run_cli(capsys, "verify", "--trials", "2", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("error", [cli.BracketError, cli.QuadratureError])
+def test_solver_errors_exit_3(capsys, monkeypatch, error):
+    def fail(*args, **kwargs):
+        raise error("no sign change")
+
+    monkeypatch.setattr(cli, "solve", fail)
+    code, out, err = run_cli(capsys, "radius", "--psi", "cardioid")
+    assert code == 3
+    assert out == ""
+    assert err == "solver error: no sign change\n"
 
 
 def test_verify_bad_trials(capsys):

@@ -11,7 +11,6 @@ from bohrad.extremal import (
     QuadratureError,
     build_extremal_pair,
     build_f0,
-    build_l0,
     koebe_radius,
     koebe_radius_quadrature,
 )
@@ -121,7 +120,7 @@ def test_closed_coefficients_against_mpmath_and_the_dense_recurrence(label, orde
 def test_closed_coefficients_keep_the_classical_extremals_exact():
     f0 = build_f0(catalog.classical_starlike(), 1024)
     assert np.array_equal(f0.coeffs, np.arange(1025.0))
-    l0 = build_l0(build_f0(catalog.classical_convex(), 1024))
+    l0 = build_f0(catalog.classical_convex(), 1024).integrate_over_t()
     assert np.array_equal(l0.coeffs[1:], np.ones(1024))
 
 
@@ -170,19 +169,19 @@ def test_unknown_method():
 
 def test_classical_l0_is_half_plane_map():
     # l0 = z/(1-z): all coefficients 1 from index 1 on.
-    l0 = build_l0(build_f0(catalog.classical_starlike(), 24))
+    l0 = build_f0(catalog.classical_starlike(), 24).integrate_over_t()
     np.testing.assert_allclose(l0.coeffs[1:], np.ones(24), rtol=1e-13)
 
 
 def test_cardioid_l0_low_coefficients():
-    l0 = build_l0(build_f0(catalog.cardioid(), 8))
+    l0 = build_f0(catalog.cardioid(), 8).integrate_over_t()
     assert l0.coeffs[2] == pytest.approx(2 / 3, rel=1e-15)
     assert l0.coeffs[3] == pytest.approx(11 / 27, rel=1e-15)
 
 
 def test_zexpz_l0_coefficients():
     order = 12
-    l0 = build_l0(build_f0(catalog.z_exp_z(), order))
+    l0 = build_f0(catalog.z_exp_z(), order).integrate_over_t()
     bells = catalog.bell_numbers(order)
     for n in range(order):
         expected = bells[n] / (math.factorial(n) * (n + 1))
@@ -192,7 +191,7 @@ def test_zexpz_l0_coefficients():
 @pytest.mark.parametrize("label", CATALOG_LABELS)
 def test_alexander_relation_exact(label):
     f0 = build_f0(catalog.parse_psi(label), 48)
-    l0 = build_l0(f0)
+    l0 = f0.integrate_over_t()
     n = np.arange(1, 49)
     np.testing.assert_allclose(n * l0.coeffs[1:], f0.coeffs[1:], rtol=2e-16, atol=0)
 

@@ -29,7 +29,7 @@ from bohrad.oracle import (
     verify_weighted,
     _dropped_tail,
 )
-from bohrad.radius import Family, Mode, RadiusProblem, solve
+from bohrad.radius import Family, Mode, RadiusProblem, g_function, solve
 from bohrad.series import OrderMismatchError, TruncatedSeries
 
 
@@ -41,8 +41,8 @@ def koebe_series(order=64):
 
 
 def test_sample_is_deterministic_per_seed():
-    a = sample_schwarz(123, degree_max=4)
-    b = sample_schwarz(123, degree_max=4)
+    a = sample_schwarz(random.Random(123), degree_max=4)
+    b = sample_schwarz(random.Random(123), degree_max=4)
     assert a == b
 
 
@@ -431,6 +431,17 @@ def test_tally_leads_with_worst_even_past_the_cap():
     assert [ce["margin"] for ce in report.counterexamples] == [-3.0, -1.0]
 
 
+def test_tail_suite_keeps_no_counterexample_at_a_cap_of_zero():
+    report = run_tail_suite(psi_labels=("sine",), trials=50, seed=1, max_reports=0)
+    assert report.violations == 88
+    assert report.counterexamples == []
+
+
+def test_tail_suite_rejects_a_negative_cap():
+    with pytest.raises(ValueError, match="max_reports must be nonnegative"):
+        run_tail_suite(psi_labels=("sine",), trials=50, seed=1, max_reports=-1)
+
+
 def _margin_or_violation(check, *args):
     try:
         return check(*args)
@@ -646,6 +657,35 @@ def test_br_suite_worst_margin_matches_public_check():
         margins += [_margin_or_violation(verify_br_inequality, prob, pair, sample, frac * r_cap)
                     for frac in (0.25, 0.5, 0.75, 1.0)]
     assert report.worst_margin == min(margins)
+
+
+@pytest.mark.parametrize("mode, N, reported_N", [
+    (Mode.BOHR_ROGOSINSKI, 2, 2),
+    (Mode.BOHR_LIMIT, 5, 1),
+])
+def test_br_violation_report(mode, N, reported_N):
+    # r = 0.6 lies above the solved radius, so the extremal itself violates
+    # the bound; the Bohr limit reports the N = 1 it solves.
+    spec = catalog.cardioid()
+    pair = build_extremal_pair(spec)
+    prob = RadiusProblem(psi=spec, m=2, N=N, mode=mode)
+    with pytest.raises(InequalityViolation,
+                       match="radius inequality violated for cardioid") as excinfo:
+        verify_br_inequality(prob, pair, IDENTITY_SAMPLE, 0.6)
+    report = excinfo.value.report
+    assert list(report) == ["check", "psi", "family", "sample", "m", "N", "r", "margin"]
+    assert report == {
+        "check": "bohr-rogosinski",
+        "psi": "cardioid",
+        "family": "starlike",
+        "sample": IDENTITY_SAMPLE.describe(),
+        "m": 2,
+        "N": reported_N,
+        "r": 0.6,
+        "margin": report["margin"],
+    }
+    assert report["margin"] == 0.0 - g_function(prob, pair, 0.6)
+    assert report["margin"] < 0.0
 
 
 def test_br_check_rejects_a_pair_of_another_order():
