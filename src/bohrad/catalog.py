@@ -331,6 +331,9 @@ _NAMED = {
 def _label_params(rest: str, keys: tuple[str, ...]) -> dict[str, float]:
     """The ``key=value`` pairs of a label: each of ``keys`` once, no other key."""
     pairs = [item.split("=") for item in rest.split(",")]
+    for pair in pairs:
+        if len(pair) != 2:
+            raise ValueError(f"each item must be one key=value, got {'='.join(pair)!r}")
     names = [pair[0] for pair in pairs]
     if sorted(names) != sorted(keys):
         raise ValueError(f"needs exactly the keys {', '.join(keys)}, each once; "

@@ -93,23 +93,28 @@ def _family(args, spec) -> Family:
     return Family(args.family or spec.default_family)
 
 
-def _mode(args, *indices) -> Mode:
-    """The requested mode; the Bohr limit (m -> infinity at N = 1) takes no
-    other m or N, so any of ``indices`` other than 1 is an error."""
-    if args.mode != "bohr-limit":
-        return Mode.BOHR_ROGOSINSKI
-    if any(v not in (None, 1) for v in indices):
+def _given(**options) -> dict:
+    """The options whose flag was given; the library call applies its own
+    default to the others."""
+    return {name: value for name, value in options.items() if value is not None}
+
+
+def _mode(args, *indices) -> Mode | None:
+    """The requested mode, if given; the Bohr limit (m -> infinity at N = 1)
+    takes no other m or N, so any of ``indices`` other than 1 is an error."""
+    if args.mode == "bohr-limit" and any(v not in (None, 1) for v in indices):
         raise ValueError("--mode bohr-limit is the m -> infinity limit at N = 1; "
                          "it takes no --N or --m other than 1")
-    return Mode.BOHR_LIMIT
+    return None if args.mode is None else Mode(args.mode)
 
 
 def _cmd_radius(args) -> int:
     spec = catalog.parse_psi(args.psi)
-    mode = _mode(args, args.m, args.N)
+    options = _given(m=args.m, N=args.N, mode=_mode(args, args.m, args.N),
+                     order=args.order, tol=args.tol)
     family = _family(args, spec)
     if args.method == "exact":
-        if args.order is not None:
+        if "order" in options:
             raise ValueError("--order: the closed equation of --method exact has no "
                              "truncation order")
         params = spec.params
@@ -119,14 +124,11 @@ def _cmd_radius(args) -> int:
             raise ValueError("--method exact solves the starlike Janowski equation only; "
                              "there is no closed convex equation")
         res = dataclasses.replace(
-            solve_janowski_exact(params["D"], params["E"], m=args.m, N=args.N,
-                                 tol=args.tol, mode=mode),
+            solve_janowski_exact(params["D"], params["E"], **options),
             psi=spec.label,
         )
     else:
-        order = DEFAULT_ORDER if args.order is None else args.order
-        res = solve(RadiusProblem(psi=spec, family=family, m=args.m, N=args.N,
-                                  mode=mode, order=order, tol=args.tol))
+        res = solve(RadiusProblem(psi=spec, family=family, **options))
     _print_result(res, args.format)
     return EXIT_OK
 
@@ -143,8 +145,7 @@ def _cmd_sweep(args) -> int:
         raise ValueError("empty sweep range")
     problem = RadiusProblem(
         psi=spec, family=_family(args, spec), m=m_range[0], N=n_range[0],
-        mode=_mode(args, *n_range, *m_range),
-        order=DEFAULT_ORDER if args.order is None else args.order, tol=args.tol,
+        **_given(mode=_mode(args, *n_range, *m_range), order=args.order, tol=args.tol),
     )
     swept = sweep(problem,
                   n_values=n_range if n_is_range else None,
@@ -184,28 +185,22 @@ def _cmd_verify(args) -> int:
     if unread:
         raise ValueError(f"{', '.join(unread)}: not read by --lemma {lemma}")
     psis = [args.psi] if args.psi else list(oracle.DEFAULT_ORACLE_PSIS)
-    n_single = args.N if args.N is not None else 1
-    order = DEFAULT_ORDER if args.order is None else args.order
-    degree_max = 4 if args.degree_max is None else args.degree_max
+    seeded = _given(trials=args.trials, seed=args.seed)
+    sampled = _given(degree_max=args.degree_max, order=args.order, **seeded)
     if lemma == "tail":
-        n_values = (args.N,) if args.N is not None else (1, 2, 3)
-        report = oracle.run_tail_suite(psi_labels=psis, trials=args.trials,
-                                       seed=args.seed, n_values=n_values,
-                                       degree_max=degree_max, order=order)
+        # A given --N restricts the suite's grid of head indices to it.
+        report = oracle.run_tail_suite(psi_labels=psis, **sampled,
+                                       **_given(n_values=None if args.N is None else (args.N,)))
     elif lemma == "bohr-operator":
-        report = oracle.run_axiom_suite(trials=args.trials, seed=args.seed)
+        report = oracle.run_axiom_suite(**seeded)
     elif lemma == "weighted":
-        report = oracle.run_weighted_suite(tau=0.8 if args.tau is None else args.tau,
-                                           trials=args.trials, seed=args.seed,
-                                           psi_labels=psis, N=n_single,
-                                           degree_max=degree_max, order=order)
+        report = oracle.run_weighted_suite(psi_labels=psis, **sampled,
+                                           **_given(tau=args.tau, N=args.N))
     else:
         spec = catalog.parse_psi(psis[0])
-        report = oracle.run_br_suite(psi_label=psis[0], family=_family(args, spec),
-                                     m=1 if args.m is None else args.m, N=n_single,
-                                     trials=args.trials, seed=args.seed,
-                                     degree_max=degree_max, order=order,
-                                     mode=_mode(args, args.m, args.N))
+        report = oracle.run_br_suite(psi_label=psis[0], family=_family(args, spec), **sampled,
+                                     **_given(m=args.m, N=args.N,
+                                              mode=_mode(args, args.m, args.N)))
     _emit_json(report.to_json_dict())
     return EXIT_OK if report.violations == 0 else EXIT_VIOLATIONS
 
@@ -245,15 +240,14 @@ def build_parser() -> argparse.ArgumentParser:
                        "janowski:D=0.5,E=-0.5, alpha:0.25, booth, sine")
         p.add_argument("--family", choices=[f.value for f in Family], default=None,
                        help="starlike or convex (default: the entry's natural family)")
-        p.add_argument("--mode", choices=[m.value for m in Mode],
-                       default="bohr-rogosinski")
-        # None, so that --method exact and a lemma that reads no order can
-        # reject a given one; the series paths apply DEFAULT_ORDER.
+        # Every optional flag defaults to None: a command passes on only the
+        # flags given, and can reject one that it cannot honour.
+        p.add_argument("--mode", choices=[m.value for m in Mode], default=None)
         p.add_argument("--order", type=int, default=None,
                        help=f"series truncation order (default {DEFAULT_ORDER})")
         if with_mn:
-            p.add_argument("--m", type=int, default=1)
-            p.add_argument("--N", type=int, default=1)
+            p.add_argument("--m", type=int, default=None)
+            p.add_argument("--N", type=int, default=None)
 
     p_radius = sub.add_parser("radius", help="solve one radius equation")
     common(p_radius)
@@ -270,25 +264,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=_cmd_sweep, needs_psi=True)
 
     for p in (p_radius, p_sweep):
-        p.add_argument("--tol", type=float, default=1e-10,
-                       help="root bracketing tolerance (default 1e-10)")
+        p.add_argument("--tol", type=float, default=None,
+                       help=f"root bracketing tolerance (default {RadiusProblem.tol:g})")
 
-    p_verify = sub.add_parser("verify", help="run a Monte-Carlo verification suite")
+    p_verify = sub.add_parser("verify", help="run a Monte-Carlo verification suite",
+                              description="A flag not given takes the suite's default.")
     common(p_verify)
     p_verify.add_argument("--lemma", choices=["tail", "bohr-operator", "weighted", "br"],
                           default=None, help="lemma to check (default: tail)")
     p_verify.add_argument("--weighted", action="store_true",
                           help="shorthand for --lemma weighted")
     p_verify.add_argument("--tau", type=float, default=None,
-                          help="weight of the weighted lemma (default 0.8)")
-    p_verify.add_argument("--trials", type=int, default=200)
-    p_verify.add_argument("--seed", type=int, default=0)
+                          help="weight of the weighted lemma")
+    p_verify.add_argument("--trials", type=int, default=None)
+    p_verify.add_argument("--seed", type=int, default=None)
     p_verify.add_argument("--degree-max", type=int, default=None, dest="degree_max",
-                          help="largest Blaschke degree sampled (default 4)")
-    # For the tail lemma an explicit --N restricts the head-index grid,
-    # which otherwise covers N in {1, 2, 3}.  The optional flags default to
-    # None so that _cmd_verify can tell whether they were given.
-    p_verify.set_defaults(func=_cmd_verify, needs_psi=False, N=None, mode=None, m=None)
+                          help="largest Blaschke degree sampled")
+    p_verify.set_defaults(func=_cmd_verify, needs_psi=False)
 
     p_catalog = sub.add_parser("catalog", help="list catalog entries")
     p_catalog.add_argument("--format", choices=["table", "json"], default="table")
@@ -302,9 +294,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "needs_psi", False) and not args.psi:
         print("error: --psi is required", file=sys.stderr)
-        return EXIT_USAGE
-    if getattr(args, "trials", 1) < 1:
-        print("error: --trials must be at least 1", file=sys.stderr)
         return EXIT_USAGE
     try:
         return args.func(args)

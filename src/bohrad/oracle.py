@@ -77,6 +77,8 @@ _AXIOM_TOL = 1e-12
 # Bytes of power tables and Toeplitz blocks that one chunk of samples may
 # hold (``_chunk_size``).
 _CHUNK_BYTES = 1 << 19
+# Counterexamples a suite report keeps.
+_MAX_REPORTS = 10
 
 
 class InequalityViolation(Exception):
@@ -490,15 +492,19 @@ def _samples(seed: int, trials: int, degree_max: int, order: int):
 
 
 class _Tally:
-    """Violations, worst margin and capped counterexamples of one suite run.
+    """Violations, worst margin and capped counterexamples of one suite run
+    of ``trials`` trials, at least one: a run of none would check nothing.
 
     Kept counterexamples are the first ``cap`` reports, led by the one with
     the worst margin.
     """
 
-    def __init__(self, cap: int = 10):
+    def __init__(self, trials: int, cap: int = _MAX_REPORTS):
+        if trials < 1:
+            raise ValueError("--trials must be at least 1")
         if cap < 0:
             raise ValueError(f"max_reports must be nonnegative, got {cap}")
+        self.trials = trials
         self.cap = cap
         self.violations = 0
         self.worst = float("inf")
@@ -516,13 +522,13 @@ class _Tally:
             if len(self._kept) < self.cap:
                 self._kept.append(report)
 
-    def report(self, seed: int, trials: int, config: dict) -> VerificationReport:
+    def report(self, seed: int, config: dict) -> VerificationReport:
         kept = self._kept
         if self._lead is not None:
             kept = [self._lead] + [ce for ce in kept if ce is not self._lead]
         return VerificationReport(
             seed=seed,
-            trials=trials,
+            trials=self.trials,
             violations=self.violations,
             worst_margin=self.worst,
             config=config,
@@ -530,34 +536,40 @@ class _Tally:
         )
 
 
+def _run_suite(checks, margin, seed: int, trials: int, degree_max: int, order: int,
+               config: dict, max_reports: int = _MAX_REPORTS) -> VerificationReport:
+    """The report of kernel ``checks`` and its ``margin`` over the seeded samples,
+    whose ``degree_max`` and ``order`` the config records after the suite's own."""
+    tally = _Tally(trials, max_reports)
+    for omegas, described in _samples(seed, trials, degree_max, order):
+        tally.extend(*margin(checks, checks.f.compose(omegas), described))
+    return tally.report(seed, {**config, "degree_max": degree_max, "order": order})
+
+
 def run_tail_suite(psi_labels=DEFAULT_ORACLE_PSIS, trials: int = 200, seed: int = 0,
                    n_values=(1, 2, 3), r_values=(0.1, 0.25, _LEMMA_RADIUS),
                    degree_max: int = 4, order: int = DEFAULT_ORDER,
-                   max_reports: int = 10) -> VerificationReport:
+                   max_reports: int = _MAX_REPORTS) -> VerificationReport:
     """Tail inequality over seeded samples crossed with the catalog extremals."""
-    tally = _Tally(max_reports)
     specs = [parse_psi(label) for label in psi_labels]
     checks = _TailChecks([build_f0(spec, order) for spec in specs],
                          [spec.label for spec in specs], n_values, r_values)
-    for omegas, described in _samples(seed, trials, degree_max, order):
-        tally.extend(*_tail_margin(checks, checks.f.compose(omegas), described))
-    return tally.report(seed, trials, {
+    return _run_suite(checks, _tail_margin, seed, trials, degree_max, order, {
         "check": "tail-inequality",
         "psis": [spec.label for spec in specs],
         "N": list(n_values),
         "r": list(r_values),
-        "degree_max": degree_max,
-        "order": order,
-    })
+    }, max_reports)
 
 
-def run_axiom_suite(trials: int = 100, seed: int = 0) -> VerificationReport:
+def run_axiom_suite(trials: int = 200, seed: int = 0) -> VerificationReport:
     """Tail-functional axioms on random series pairs, plus the documented
     failure of the product axiom at N = 2, on one fixed grid of order, N
-    and r, which the report's config records."""
+    and r, which the report's config records.  ``bohrad verify --lemma
+    bohr-operator`` takes these defaults for the flags not given."""
     order, n_values, r = 16, (0, 1, 3), 0.2
     rng = random.Random(seed)
-    tally = _Tally()
+    tally = _Tally(trials)
 
     def random_series() -> TruncatedSeries:
         return TruncatedSeries([rng.uniform(-1.0, 1.0) for _ in range(order + 1)])
@@ -574,7 +586,7 @@ def run_axiom_suite(trials: int = 100, seed: int = 0) -> VerificationReport:
             keys += zip(checked, repeat(n))
     tally.extend(margins, _reports(margins, -_AXIOM_TOL,
                                    lambda i: {"axiom": keys[i][0], "N": keys[i][1]}))
-    return tally.report(seed, trials, {
+    return tally.report(seed, {
         "check": "bohr-operator-axioms",
         "N": list(n_values),
         "r": r,
@@ -587,31 +599,25 @@ def run_weighted_suite(tau: float = 0.8, trials: int = 200, seed: int = 0,
                        psi_labels=DEFAULT_ORACLE_PSIS, N: int = 1,
                        degree_max: int = 4, order: int = DEFAULT_ORDER) -> VerificationReport:
     """Weighted tail inequality with the ramp weight h = tau (1 + z)/2 at r = tau/3."""
-    if order < 1:
-        raise ValueError("order must be at least 1")
     specs = [parse_psi(label) for label in psi_labels]
+    # The extremals first: build_f0 rejects an order below 1, which h needs.
+    fs = [build_f0(spec, order) for spec in specs]
     h_coeffs = np.zeros(order + 1)
     h_coeffs[:2] = tau / 2.0
-    h = TruncatedSeries(h_coeffs)
     r = tau / 3.0
-    check = _WeightedCheck(tau, [build_f0(spec, order) for spec in specs],
-                           [spec.label for spec in specs], h, N, r)
-    tally = _Tally()
-    for omegas, described in _samples(seed, trials, degree_max, order):
-        tally.extend(*_weighted_margin(check, check.f.compose(omegas), described))
-    return tally.report(seed, trials, {
+    check = _WeightedCheck(tau, fs, [spec.label for spec in specs],
+                           TruncatedSeries(h_coeffs), N, r)
+    return _run_suite(check, _weighted_margin, seed, trials, degree_max, order, {
         "check": "weighted-tail",
         "tau": tau,
         "psis": [spec.label for spec in specs],
         "N": N,
         "r": r,
-        "degree_max": degree_max,
-        "order": order,
     })
 
 
-def run_br_suite(psi_label: str = "cardioid", family: Family = Family.STARLIKE,
-                 m: int = 1, N: int = 1, trials: int = 100, seed: int = 0,
+def run_br_suite(psi_label: str = DEFAULT_ORACLE_PSIS[0], family: Family = Family.STARLIKE,
+                 m: int = 1, N: int = 1, trials: int = 200, seed: int = 0,
                  degree_max: int = 4, order: int = DEFAULT_ORDER,
                  mode: Mode = Mode.BOHR_ROGOSINSKI) -> VerificationReport:
     """Full radius inequality on sampled subordinants below the solved radius.
@@ -619,7 +625,8 @@ def run_br_suite(psi_label: str = "cardioid", family: Family = Family.STARLIKE,
     Sampled subordinants are tested up to min(rb, 1/3), the range covered by
     the subordination chain.  The margin of the identity sample at rb itself,
     where the extremal function should attain the bound, is reported as
-    ``identity_margin_at_rb``.
+    ``identity_margin_at_rb``.  ``bohrad verify --lemma br`` takes these
+    defaults for the flags not given, and the entry's ``default_family``.
     """
     spec = parse_psi(psi_label)
     problem = RadiusProblem(psi=spec, family=family, m=m, N=N, mode=mode, order=order)
@@ -627,10 +634,7 @@ def run_br_suite(psi_label: str = "cardioid", family: Family = Family.STARLIKE,
     solved = solve(problem, pair)
     r_cap = min(solved.rb, _LEMMA_RADIUS)
     checks = _BRChecks(problem, pair, [frac * r_cap for frac in (0.25, 0.5, 0.75, 1.0)])
-    tally = _Tally()
-    for omegas, described in _samples(seed, trials, degree_max, order):
-        tally.extend(*_br_margin(checks, checks.f.compose(omegas), described))
-    return tally.report(seed, trials, {
+    return _run_suite(checks, _br_margin, seed, trials, degree_max, order, {
         "check": "bohr-rogosinski",
         "psi": spec.label,
         "family": family.value,
@@ -642,6 +646,4 @@ def run_br_suite(psi_label: str = "cardioid", family: Family = Family.STARLIKE,
         # At the identity sample g is the extremal bitwise, so its margin at
         # rb is -G(rb) of the solver's own equation (-residual when rb = r0).
         "identity_margin_at_rb": 0.0 - g_function(problem, pair, solved.rb),
-        "degree_max": degree_max,
-        "order": order,
     })

@@ -383,7 +383,7 @@ def solve(problem: RadiusProblem, pair: ExtremalPair | None = None) -> RadiusRes
 
 
 def solve_janowski_exact(d: float, e: float, m: int = 1, N: int = 1,
-                         tol: float = 1e-10,
+                         tol: float = RadiusProblem.tol,
                          mode: Mode = Mode.BOHR_ROGOSINSKI) -> RadiusResult:
     """Solve the closed-form Janowski radius equation.
 

@@ -259,4 +259,8 @@ def test_parse_rejects_unknown():
                   "booth:k=inf", "booth:k=nan", "booth:k=2,k=3", "booth:K=2"):
         with pytest.raises(ValueError):
             catalog.parse_psi(label)
+    # An item that is not exactly one key=value is named as such.
+    for label in ("janowski:D,E", "janowski:D=1=2,E=0", "booth:k"):
+        with pytest.raises(ValueError, match="each item must be one key=value"):
+            catalog.parse_psi(label)
     assert catalog.parse_psi("janowski:E=-0.5,D=0.5").params == {"D": 0.5, "E": -0.5}

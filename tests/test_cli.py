@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -68,15 +69,26 @@ def test_radius_convex_pole_near_minus_one(capsys):
     assert "r0         0.499350541385" in out
 
 
-def test_import_leaves_scipy_unloaded():
+def run_python(*args):
+    """A child interpreter that imports this checkout's bohrad."""
     src = str(Path(bohrad.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def test_import_leaves_scipy_unloaded():
     code = ("import sys, bohrad, bohrad.cli; "
             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "[]"
+    child = run_python("-c", code)
+    assert child.returncode == 0
+    assert child.stdout.strip() == "[]"
+
+
+def test_module_entry_point_prints_what_main_prints(capsys):
+    code, out, err = run_cli(capsys, "catalog")
+    child = run_python("-m", "bohrad.cli", "catalog")
+    assert (child.returncode, child.stdout, child.stderr) == (code, out, err)
 
 
 PUBLIC_NAMES = [
@@ -151,7 +163,8 @@ def test_radius_exact_method_takes_n_past_the_series_order(capsys):
 
 
 def test_radius_invalid_psi_exits_2(capsys):
-    for label in ("heart", "janowski:D=1,E=-1,X=3", "booth:k=inf"):
+    for label in ("heart", "janowski:D=1,E=-1,X=3", "booth:k=inf", "janowski:D,E",
+                  "janowski:D=1=2,E=0", "booth:k"):
         code, out, err = run_cli(capsys, "radius", "--psi", label)
         assert code == 2
         assert out == ""
@@ -509,8 +522,67 @@ def test_solver_errors_exit_3(capsys, monkeypatch, error):
 
 
 def test_verify_bad_trials(capsys):
-    code, _, err = run_cli(capsys, "verify", "--trials", "0")
+    code, out, err = run_cli(capsys, "verify", "--trials", "0")
     assert code == 2
+    assert out == ""
+    assert err == "error: --trials must be at least 1\n"
+
+
+# -- defaults and the README --------------------------------------------------
+
+
+@pytest.mark.parametrize("argv, library_call", [
+    (("verify", "--lemma", "tail"), bohrad.run_tail_suite),
+    (("verify", "--lemma", "weighted"), bohrad.run_weighted_suite),
+    (("verify", "--lemma", "br"), bohrad.run_br_suite),
+    (("verify", "--lemma", "bohr-operator"), bohrad.run_axiom_suite),
+    (("radius", "--psi", "cardioid", "--format", "json"),
+     lambda: bohrad.solve(bohrad.RadiusProblem(bohrad.parse_psi("cardioid")))),
+    (("radius", "--psi", "janowski:D=1,E=0", "--method", "exact", "--format", "json"),
+     lambda: bohrad.solve_janowski_exact(1, 0)),
+], ids=["tail", "weighted", "br", "bohr-operator", "radius", "radius-exact"])
+def test_a_flag_not_given_takes_the_library_default(capsys, argv, library_call):
+    _, out, _ = run_cli(capsys, *argv)
+    expected = cli._round12(library_call().to_json_dict())
+    assert out == json.dumps(expected, indent=2) + "\n"
+
+
+def readme_commands():
+    """Each ``bohrad`` line of the README's CLI block, as argv, with the
+    ``# -> ...`` comment below it or ''."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = readme.split("## CLI\n\n```sh\n", 1)[1].split("```", 1)[0].splitlines()
+    return [(shlex.split(line)[1:], below if below.startswith("# -> ") else "")
+            for line, below in zip(lines, lines[1:] + [""]) if line.startswith("bohrad ")]
+
+
+def printed_r0(out: str) -> str:
+    """The last r0 of a table, JSON or CSV output, as printed."""
+    if out.startswith("{"):
+        return repr(json.loads(out)["r0"])
+    if out.startswith(CSV_HEADER):
+        return list(csv.DictReader(io.StringIO(out)))[-1]["r0"]
+    return next(line.split()[1] for line in out.splitlines() if line.startswith("r0 "))
+
+
+README_COMMANDS = readme_commands()
+
+
+def test_readme_cli_block_has_its_commands():
+    assert len(README_COMMANDS) == 9
+
+
+@pytest.mark.parametrize("argv, comment", README_COMMANDS,
+                         ids=[" ".join(argv) for argv, _ in README_COMMANDS])
+def test_readme_cli_commands_print_what_the_readme_says(capsys, argv, comment):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    if comment.startswith("# -> r0 = "):
+        assert printed_r0(out) == comment.split()[4]
+    elif "stabilizes at" in comment:
+        assert printed_r0(out).startswith(comment.split("stabilizes at ")[1].split()[0])
+    else:
+        assert comment == ""
 
 
 # -- catalog ------------------------------------------------------------------

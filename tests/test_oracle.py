@@ -422,10 +422,10 @@ def test_suites_reject_a_tail_index_past_the_order(run):
 
 
 def test_tally_leads_with_worst_even_past_the_cap():
-    tally = _Tally(cap=2)
+    tally = _Tally(trials=1, cap=2)
     for margin in (-1.0, 0.5, -2.0, -3.0):
         tally.extend([margin], [{"margin": margin}] if margin < 0 else [])
-    report = tally.report(seed=0, trials=1, config={})
+    report = tally.report(seed=0, config={})
     assert report.violations == 3
     assert report.worst_margin == -3.0
     assert [ce["margin"] for ce in report.counterexamples] == [-3.0, -1.0]
@@ -440,6 +440,16 @@ def test_tail_suite_keeps_no_counterexample_at_a_cap_of_zero():
 def test_tail_suite_rejects_a_negative_cap():
     with pytest.raises(ValueError, match="max_reports must be nonnegative"):
         run_tail_suite(psi_labels=("sine",), trials=50, seed=1, max_reports=-1)
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+@pytest.mark.parametrize("suite", [run_tail_suite, run_weighted_suite, run_br_suite,
+                                   run_axiom_suite], ids=["tail", "weighted", "br", "axiom"])
+def test_suites_reject_fewer_than_one_trial(suite, trials):
+    # A run of no trials checks nothing: it must not pass as clean, with an
+    # infinite worst margin that is not even valid JSON.
+    with pytest.raises(ValueError, match="--trials must be at least 1"):
+        suite(trials=trials)
 
 
 def _margin_or_violation(check, *args):
