@@ -343,9 +343,9 @@ def _label_params(rest: str, keys: tuple[str, ...]) -> dict[str, float]:
 
 def parse_psi(label: str) -> PsiSpec:
     """Resolve a catalog label such as ``janowski:D=1,E=-1`` or ``sine``."""
-    name, _, rest = label.strip().partition(":")
+    name, colon, rest = label.strip().partition(":")
     name = name.lower()
-    if name in _NAMED and not rest:
+    if name in _NAMED and not colon:
         return _NAMED[name]()
     try:
         if name == "janowski":
@@ -353,7 +353,7 @@ def parse_psi(label: str) -> PsiSpec:
             return janowski(kv["D"], kv["E"])
         if name == "alpha":
             return starlike_alpha(float(rest))
-        if name == "booth" and rest:
+        if name == "booth":
             return booth(_label_params(rest, ("k",))["k"])
     except ValueError as exc:
         raise ValueError(f"cannot parse psi label {label!r}: {exc}") from None

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import gc
 import json
 import sys
 
@@ -306,6 +307,13 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
+    # The imports (numpy's mostly) leave some 22k GC-tracked objects alive
+    # until exit, and every collection walks them, the interpreter's shutdown
+    # passes included.  Frozen, they are skipped, so a call collects only
+    # what its command allocated (the README gives the cost).  main() must
+    # not freeze: tests and benchmarks call it many times in one process,
+    # and the freeze is process-wide.
+    gc.freeze()
     raise SystemExit(main())
 
 

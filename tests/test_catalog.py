@@ -259,6 +259,11 @@ def test_parse_rejects_unknown():
                   "booth:k=inf", "booth:k=nan", "booth:k=2,k=3", "booth:K=2"):
         with pytest.raises(ValueError):
             catalog.parse_psi(label)
+    # A colon with nothing after it is not the plain entry.
+    for label in ("booth:", "sine:", "cardioid:", "zexpz:", "classical-starlike:",
+                  "janowski:", "alpha:"):
+        with pytest.raises(ValueError, match=f"psi label {label!r}"):
+            catalog.parse_psi(label)
     # An item that is not exactly one key=value is named as such.
     for label in ("janowski:D,E", "janowski:D=1=2,E=0", "booth:k"):
         with pytest.raises(ValueError, match="each item must be one key=value"):

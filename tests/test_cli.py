@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import gc
 import io
 import json
 import math
@@ -78,17 +79,39 @@ def run_python(*args):
 
 
 def test_import_leaves_scipy_unloaded():
+    # numpy is the one runtime dependency; the test extras stay unloaded.
+    extras = ("scipy", "mpmath", "sympy", "hypothesis")
     code = ("import sys, bohrad, bohrad.cli; "
-            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+            f"print(sorted(m for m in sys.modules if m.split('.')[0] in {extras!r}))")
     child = run_python("-c", code)
     assert child.returncode == 0
     assert child.stdout.strip() == "[]"
 
 
-def test_module_entry_point_prints_what_main_prints(capsys):
-    code, out, err = run_cli(capsys, "catalog")
-    child = run_python("-m", "bohrad.cli", "catalog")
+@pytest.mark.parametrize("argv, exit_code", [
+    (("catalog",), 0),
+    (("radius", "--psi", "cardioid", "--mode", "bohr-limit", "--format", "json"), 0),
+    (("verify", "--psi", "sine", "--N", "3", "--trials", "50"), 4),
+    (("radius", "--psi", "booth:"), 2),
+], ids=["catalog", "radius", "verify", "bad-psi"])
+def test_module_entry_point_prints_what_main_prints(capsys, argv, exit_code):
+    code, out, err = run_cli(capsys, *argv)
+    child = run_python("-m", "bohrad.cli", *argv)
+    assert code == exit_code
     assert (child.returncode, child.stdout, child.stderr) == (code, out, err)
+
+
+def test_entry_point_freezes_and_main_does_not(capsys):
+    # The process entry freezes what the imports left; main(), called many
+    # times in one process, leaves the collector as it found it.
+    stub = ("import gc, bohrad.cli as cli; "
+            "cli.main = lambda: print(gc.get_freeze_count()) or 0; cli.run()")
+    child = run_python("-c", stub)
+    assert child.returncode == 0, child.stderr
+    assert int(child.stdout) > 0
+    frozen = gc.get_freeze_count()
+    assert run_cli(capsys, "catalog")[0] == 0
+    assert gc.get_freeze_count() == frozen
 
 
 PUBLIC_NAMES = [
@@ -164,11 +187,12 @@ def test_radius_exact_method_takes_n_past_the_series_order(capsys):
 
 def test_radius_invalid_psi_exits_2(capsys):
     for label in ("heart", "janowski:D=1,E=-1,X=3", "booth:k=inf", "janowski:D,E",
-                  "janowski:D=1=2,E=0", "booth:k"):
+                  "janowski:D=1=2,E=0", "booth:k", "booth:", "sine:", "cardioid:",
+                  "zexpz:", "classical-starlike:"):
         code, out, err = run_cli(capsys, "radius", "--psi", label)
         assert code == 2
         assert out == ""
-        assert "error" in err
+        assert "error" in err and repr(label) in err
 
 
 def test_radius_missing_psi_exits_2(capsys):
