@@ -8,9 +8,7 @@ Each entry bundles, for one choice of psi with psi(0) = 1 and psi'(0) > 0:
 * the Taylor coefficients of f0 from a one-term recurrence, where one
   exists (the Janowski family, classical and alpha entries included),
 * the boundary-distance constant -f0(-1), where a closed form is known,
-  and its convex counterpart -l0(-1) (the Janowski family),
-* whether the family comes with exact coefficient bounds (the Janowski
-  family does), which controls the 1/3 clamp on reported Bohr radii.
+  and its convex counterpart -l0(-1) (the Janowski family).
 
 Entries are addressable by string label, e.g. ``cardioid``, ``sine``,
 ``janowski:D=0.5,E=-0.5``, ``alpha:0.25``, ``booth:k=2.5``.  The
@@ -107,9 +105,6 @@ class PsiSpec:
     # back to quadrature for a family whose value is None.
     koebe_closed: Optional[float] = None
     koebe_closed_convex: Optional[float] = None
-    # True when sharp coefficient bounds back the radius equation, in which
-    # case the reported radius is not clamped to 1/3.
-    exact_bounds: bool = False
     default_family: str = "starlike"
 
     def series(self, order: int) -> TruncatedSeries:
@@ -172,7 +167,6 @@ def janowski(d: float, e: float) -> PsiSpec:
         f0_coeff_fn=f0_coeffs,
         koebe_closed=koebe,
         koebe_closed_convex=koebe_convex,
-        exact_bounds=True,
     )
 
 

@@ -214,7 +214,6 @@ def _cmd_catalog(args) -> int:
             "psi": spec.label,
             "params": spec.params,
             "default_family": spec.default_family,
-            "exact_bounds": spec.exact_bounds,
             "koebe_closed": spec.koebe_closed,
             "has_f0_closed": spec.f0_closed is not None,
         })
@@ -224,7 +223,6 @@ def _cmd_catalog(args) -> int:
         for row in rows:
             koebe = _fmt(row["koebe_closed"]) if row["koebe_closed"] is not None else "-"
             print(f"{row['psi']:28s} family={row['default_family']:8s} "
-                  f"exact_bounds={str(row['exact_bounds']).lower():5s} "
                   f"koebe_starlike={koebe}")
     return EXIT_OK
 

@@ -622,18 +622,17 @@ def run_br_suite(psi_label: str = DEFAULT_ORACLE_PSIS[0], family: Family = Famil
                  mode: Mode = Mode.BOHR_ROGOSINSKI) -> VerificationReport:
     """Full radius inequality on sampled subordinants below the solved radius.
 
-    Sampled subordinants are tested up to min(rb, 1/3), the range covered by
-    the subordination chain.  The margin of the identity sample at rb itself,
-    where the extremal function should attain the bound, is reported as
-    ``identity_margin_at_rb``.  ``bohrad verify --lemma br`` takes these
+    Sampled subordinants are tested at fractions of rb, the radius that
+    ``solve`` reports as covered.  The margin of the identity sample at rb
+    itself, where the extremal function should attain the bound, is reported
+    as ``identity_margin_at_rb``.  ``bohrad verify --lemma br`` takes these
     defaults for the flags not given, and the entry's ``default_family``.
     """
     spec = parse_psi(psi_label)
     problem = RadiusProblem(psi=spec, family=family, m=m, N=N, mode=mode, order=order)
     pair = build_extremal_pair(spec, order)
     solved = solve(problem, pair)
-    r_cap = min(solved.rb, _LEMMA_RADIUS)
-    checks = _BRChecks(problem, pair, [frac * r_cap for frac in (0.25, 0.5, 0.75, 1.0)])
+    checks = _BRChecks(problem, pair, [frac * solved.rb for frac in (0.25, 0.5, 0.75, 1.0)])
     return _run_suite(checks, _br_margin, seed, trials, degree_max, order, {
         "check": "bohr-rogosinski",
         "psi": spec.label,

@@ -34,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .catalog import PsiSpec, janowski, janowski_coeff_bound
+from .catalog import PsiSpec, janowski
 from .extremal import ExtremalPair, build_f0, koebe_radius
 from .series import DEFAULT_ORDER, OrderMismatchError, TruncatedSeries
 
@@ -348,9 +348,17 @@ def _result(spec: PsiSpec, family: Family, mode: Mode, m: int, N: int,
             positive: bool) -> RadiusResult:
     """The result of a solved equation, from a row of ``_newton``;
     ``positive`` says whether every extremal coefficient past a_0 is
-    positive, which sharpness needs."""
+    positive, which sharpness needs.
+
+    The one place that decides rb.  Only psi = (1+z)/(1-z) (D = 1, E = -1)
+    bounds every subordinant's |b_n| by |a_n|, so that r0 holds for all:
+    |b_n| <= n under the Koebe function (de Branges, 1985), |b_n| <= 1
+    under z/(1-z) (Rogosinski, 1943).  Elsewhere the Bhowmik-Das lemma
+    covers only r <= 1/3.
+    """
     r0, bracket, iterations, residual = solved
-    rb = r0 if spec.exact_bounds else min(r0, _LEMMA_RADIUS)
+    classical = spec.params.get("D") == 1.0 and spec.params.get("E") == -1.0
+    rb = r0 if classical else min(r0, _LEMMA_RADIUS)
     return RadiusResult(
         psi=spec.label,
         family=family.value,
@@ -392,8 +400,8 @@ def solve_janowski_exact(d: float, e: float, m: int = 1, N: int = 1,
         f0(r^m) + f0(r) - H(r) - r* = 0,        r* = -f0(-1),
 
     where H removes the head of the second sum: H = 0 for N = 1, H = r for
-    N = 2, and H = r + sum_{n=2}^{N-1} a_n r^n for N >= 3, with
-    a_n = prod_{k=0}^{n-2} |E-D+Ek|/(k+1).
+    N = 2, and H = r + sum_{n=2}^{N-1} a_n r^n for N >= 3, with a_n from
+    the entry's recurrence a_1 = 1, a_{k+1} = a_k (D - kE)/k.
     In Bohr-limit mode the f0(r^m) term is dropped and the head is that of
     N = 1; the result echoes the given N, as ``solve`` does.
 
@@ -405,8 +413,8 @@ def solve_janowski_exact(d: float, e: float, m: int = 1, N: int = 1,
     increasing and convex as in ``solve``.  It is G = P(r^m) + Q(r) - r*
     with P = f0 and Q = f0 - H, evaluated by the one-row evaluator of
     ``solve`` and solved by the same Newton solver from the same certified
-    start, with a_1 = 1 and a_N = ``janowski_coeff_bound``; the result is
-    always sharp.
+    start, with a_1 = 1 and a_N from the same recurrence; the result is
+    sharp wherever ``_result`` keeps rb = r0.
     """
     spec = janowski(d, e)
     if e > 0.0:
@@ -425,7 +433,7 @@ def solve_janowski_exact(d: float, e: float, m: int = 1, N: int = 1,
         base = 1.0 + e * x
         return x * base**p, (1.0 + d * x) * base ** (p - 1.0)
 
-    coeffs = [0.0, 1.0] + [janowski_coeff_bound(d, e, k) for k in range(2, n + 1)]
+    coeffs = spec.f0_coeff_fn(n).tolist()
     head = _polynomial(coeffs[:n])
 
     def tail(r: float) -> tuple[float, float]:

@@ -654,19 +654,23 @@ def test_br_sharpness_at_tail_index_equal_to_order():
 
 
 def test_br_suite_worst_margin_matches_public_check():
+    # The suite samples fractions of the reported rb: 1/3 for cardioid at
+    # N = 2, and r0 = 0.6186 for the classical generator at m = 24, N = 10.
     trials, seed = 20, 3
-    spec = catalog.cardioid()
-    report = run_br_suite("cardioid", N=2, trials=trials, seed=seed)
-    pair = build_extremal_pair(spec)
-    prob = RadiusProblem(psi=spec, N=2)
-    r_cap = min(solve(prob, pair).rb, 1.0 / 3.0)
-    rng = random.Random(seed)
-    margins = []
-    for _ in range(trials):
-        sample = sample_schwarz(rng, 4)
-        margins += [_margin_or_violation(verify_br_inequality, prob, pair, sample, frac * r_cap)
-                    for frac in (0.25, 0.5, 0.75, 1.0)]
-    assert report.worst_margin == min(margins)
+    for label, m, N in (("cardioid", 1, 2), ("classical-starlike", 24, 10)):
+        spec = catalog.parse_psi(label)
+        report = run_br_suite(label, m=m, N=N, trials=trials, seed=seed)
+        pair = build_extremal_pair(spec)
+        prob = RadiusProblem(psi=spec, m=m, N=N)
+        rb = solve(prob, pair).rb
+        rng = random.Random(seed)
+        margins = []
+        for _ in range(trials):
+            sample = sample_schwarz(rng, 4)
+            margins += [_margin_or_violation(verify_br_inequality, prob, pair, sample, frac * rb)
+                        for frac in (0.25, 0.5, 0.75, 1.0)]
+        assert report.violations == 0, label
+        assert report.worst_margin == min(margins), label
 
 
 @pytest.mark.parametrize("mode, N, reported_N", [

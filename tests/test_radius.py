@@ -108,7 +108,7 @@ def test_g_strictly_increasing_on_grid(label, family):
 def test_classical_starlike_root():
     res = solve(problem("classical-starlike"))
     assert res.r0 == pytest.approx(5.0 - 2.0 * math.sqrt(6.0), abs=1e-9)
-    assert res.rb == res.r0  # exact coefficient bounds: no clamp
+    assert res.rb == res.r0  # |b_n| <= n for every subordinant: no cap
     assert res.sharp
 
 
@@ -393,10 +393,100 @@ def test_exact_alpha_equation_against_partial_sum_oracle():
     assert series_res.r0 == pytest.approx(expected, abs=1e-8)
 
 
-def test_exact_path_never_clamps():
+def test_exact_path_caps_rb_outside_the_classical_generator():
+    # No theorem bounds the coefficients of every subordinant of z e^(z/4)
+    # by its own, so only the lemma's r <= 1/3 is covered; r0 = 0.477 was
+    # printed as rb before, unproven though not refuted.
     res = solve_janowski_exact(0.25, 0.0, m=2, N=1)
-    assert res.rb == res.r0
-    assert res.r0 > 1 / 3
+    assert res.rb == 1 / 3 < res.r0
+    assert not res.sharp
+
+
+# The labels of psi = (1+z)/(1-z).
+CLASSICAL_LABELS = ["classical-starlike", "classical-convex", "alpha:0", "janowski:D=1,E=-1"]
+
+
+@pytest.mark.parametrize("label", CLASSICAL_LABELS + [
+    "alpha:0.5", "janowski:D=1,E=0", "janowski:D=1,E=-0.999", "cardioid", "booth",
+])
+def test_rb_keeps_r0_only_for_the_classical_generator(label):
+    # psi = (1+z)/(1-z) in either family: |b_n| <= n under the Koebe
+    # function (de Branges) and |b_n| <= 1 under z/(1-z) (Rogosinski).
+    # Everywhere else rb = min(r0, 1/3), the range of the Bhowmik-Das lemma.
+    spec = catalog.parse_psi(label)
+    classical = label in CLASSICAL_LABELS
+    pair = build_extremal_pair(spec)
+    for family in Family:
+        for m, N in ((1, 1), (2, 2), (24, 10)):
+            res = solve(RadiusProblem(psi=spec, family=family, m=m, N=N), pair)
+            case = (family, m, N)
+            assert res.rb == (res.r0 if classical else min(res.r0, 1 / 3)), case
+            assert res.sharp if classical else not (res.sharp and res.rb != res.r0), case
+
+
+def test_exact_path_head_at_a_long_tail_index():
+    # The head comes from the entry's one-term recurrence in one pass, so
+    # N = 20000 is quick; past N = 1000 the tail at these roots is below
+    # rounding, so the root does not move.
+    for d, e in ((1.0, 0.0), (1.0, -1.0), (0.5, -0.5)):
+        for m in (1, 2):
+            long = solve_janowski_exact(d, e, m=m, N=20000)
+            assert long.r0 == pytest.approx(solve_janowski_exact(d, e, m=m, N=1000).r0,
+                                            abs=1e-12), (d, e, m)
+
+
+# Subordinants g = f0(omega), omega = s z (z - a)/(1 - a z), that refute the
+# r0 once printed as rb: (label, family, m, N, that rb, s, a).
+REFUTED_RB = [
+    ("janowski:D=1,E=0", Family.STARLIKE, 3, 3, 0.585210216352, -1.0, 0.6865),
+    ("janowski:D=0.5,E=-0.5", Family.STARLIKE, 3, 5, 0.655901776397, -1.0, 0.9183),
+    ("janowski:D=1,E=0", Family.CONVEX, 2, 2, 0.590709647967, -1.0, 0.3227),
+    ("alpha:0.5", Family.CONVEX, 3, 3, 0.703607032038, -1.0, -0.6707),
+]
+
+
+def closed_extremal(d, e, family):
+    """The Janowski f0 or l0 in closed form, on complex arrays."""
+    if family == Family.STARLIKE:
+        if e == 0.0:
+            return lambda z: z * np.exp(d * z)
+        return lambda z: z * (1.0 + e * z) ** ((d - e) / e)
+    if e == 0.0:
+        return lambda z: np.expm1(d * z) / d
+    if d == 0.0:
+        return lambda z: np.log(1.0 + e * z) / e
+    return lambda z: ((1.0 + e * z) ** (d / e) - 1.0) / d
+
+
+def true_margin(f, omega, m, N, r, points=4096):
+    """r* - max_{|z|=r} |g(z^m)| - sum_{k>=N} |b_k| r^k for g = f(omega),
+    with r* = -f(-1): the maximum modulus on a circle of ``points`` points,
+    and b_k r^k from an FFT of g on the circle of radius (1 + r)/2."""
+    circle = np.exp(2j * np.pi * np.arange(points) / points)
+    peak = np.abs(f(omega(r**m * circle))).max()
+    rho = 0.5 * (1.0 + r)
+    scaled = np.abs(np.fft.fft(f(omega(rho * circle)))) / points
+    tail = np.sum(scaled[N:] * (r / rho) ** np.arange(N, points))
+    return -f(np.complex128(-1.0)).real - peak - tail
+
+
+@pytest.mark.parametrize("label, family, m, N, old_rb, s, a", REFUTED_RB,
+                         ids=[f"{w[0]}-{w[1].value}-m{w[2]}-N{w[3]}" for w in REFUTED_RB])
+def test_refuted_radius_is_capped_at_the_lemma_radius(label, family, m, N, old_rb, s, a):
+    spec = catalog.parse_psi(label)
+    f = closed_extremal(spec.params["D"], spec.params["E"], family)
+    witness = lambda z: s * z * (z - a) / (1.0 - a * z)
+    # The margin of g = f0 itself vanishes at the old rb, which was r0, so
+    # the closed-form margin measures the solver's inequality.
+    assert abs(true_margin(f, lambda z: z, m, N, old_rb)) <= 1e-9
+    assert true_margin(f, witness, m, N, old_rb) < -1e-2
+    assert true_margin(f, witness, m, N, 1 / 3) >= 0.0
+    results = [solve(RadiusProblem(psi=spec, family=family, m=m, N=N))]
+    if family == Family.STARLIKE:
+        results.append(solve_janowski_exact(spec.params["D"], spec.params["E"], m=m, N=N))
+    for res in results:
+        assert res.r0 == pytest.approx(old_rb, abs=1e-11)
+        assert res.rb == 1 / 3 and not res.sharp
 
 
 def test_exact_path_rejects_positive_e():
