@@ -3,10 +3,13 @@
 Each entry bundles, for one choice of psi with psi(0) = 1 and psi'(0) > 0:
 
 * a Taylor-coefficient generator (real coefficients),
-* a real closed-form evaluator for psi (floats or ndarrays; used by the quadrature),
-* the closed form of the starlike extremal function f0, where one exists,
-* the Taylor coefficients of f0 from a one-term recurrence, where one
-  exists (the Janowski family, classical and alpha entries included),
+* a real closed-form evaluator for psi (floats or ndarrays; the starlike
+  Koebe quadrature integrates it),
+* the closed form of the starlike extremal function f0 (floats or
+  ndarrays; the convex Koebe quadrature integrates f0(t)/t),
+* the Taylor coefficients of f0 from a short recurrence on h = f0/z,
+  where psi is rational: one term for the Janowski family (classical and
+  alpha entries included), two for cardioid and booth,
 * the boundary-distance constant -f0(-1), where a closed form is known,
   and its convex counterpart -l0(-1) (the Janowski family).
 
@@ -29,24 +32,26 @@ from .series import TruncatedSeries
 SQRT2 = math.sqrt(2.0)
 
 
-def si(x: float) -> float:
-    """Sine integral Si(x) = int_0^x sin(t)/t dt via its Taylor series.
+# Taylor coefficients (-1)^n / ((2n+1) (2n+1)!) of Si(x)/x, n = 0..9.  On
+# |x| <= 1 the first term dropped is below 1e-21.
+_SI_COEFFS = tuple((-1) ** n / ((2 * n + 1) * math.factorial(2 * n + 1)) for n in range(10))
 
-    Sums sum_n (-1)^n x^(2n+1) / ((2n+1) (2n+1)!) until the term drops
-    below 1e-17.  Only |x| <= 1 is accepted; that is the range the
-    extremal-function evaluators need and the series is strongly
-    convergent there.
+
+def si(x):
+    """Sine integral Si(x) = int_0^x sin(t)/t dt for a float or an ndarray.
+
+    Sums the Taylor series sum_n (-1)^n x^(2n+1) / ((2n+1) (2n+1)!) to
+    n = 9 as a polynomial in x^2 (Horner), so Si is odd to the bit.  Only
+    |x| <= 1 is accepted; that is the range the extremal-function
+    evaluators need and the series is strongly convergent there.
     """
-    if not -1.0 <= x <= 1.0:
+    if not np.all(np.abs(x) <= 1.0):
         raise ValueError(f"si(x) supported for |x| <= 1, got {x}")
-    total = 0.0
-    term = x
-    n = 0
-    while abs(term) >= 1e-17:
-        total += term / (2 * n + 1)
-        n += 1
-        term *= -x * x / ((2 * n) * (2 * n + 1))
-    return total
+    x2 = x * x
+    total = _SI_COEFFS[-1]
+    for c in _SI_COEFFS[-2::-1]:
+        total = total * x2 + c
+    return x * total
 
 
 def bell_numbers(n_max: int) -> list[int]:
@@ -89,17 +94,21 @@ def _validate_janowski(d: float, e: float) -> None:
 class PsiSpec:
     """One catalog entry; immutable and freely shareable.
 
-    ``psi_eval`` takes a float or an ndarray, which it evaluates
-    elementwise: the Koebe quadrature calls it once on a whole node grid.
+    ``psi_eval`` and ``f0_closed`` take a float or an ndarray, which they
+    evaluate elementwise: the Koebe quadrature calls them once on a whole
+    node grid.  ``f0_closed`` takes its powers and exponentials from numpy
+    (``np.power``, ``np.exp``) for both, so a float and the same value in
+    an array give the same bits.
     """
 
     label: str
     params: dict = field(default_factory=dict)
     coeff_fn: Callable[[int], np.ndarray] = None
     psi_eval: Callable[[float | np.ndarray], float | np.ndarray] = None
-    f0_closed: Optional[Callable[[float], float]] = None
-    # Taylor coefficients t_0..t_order of f0 from a one-term recurrence (the
-    # Janowski family); build_f0 prefers them to the dense recurrence on psi.
+    f0_closed: Optional[Callable[[float | np.ndarray], float | np.ndarray]] = None
+    # Taylor coefficients t_0..t_order of f0 from a short recurrence (the
+    # Janowski family, cardioid, booth); build_f0 prefers them to the dense
+    # recurrence on psi.
     f0_coeff_fn: Optional[Callable[[int], np.ndarray]] = None
     # Closed boundary distances -f0(-1) and -l0(-1); the Koebe radius falls
     # back to quadrature for a family whose value is None.
@@ -145,12 +154,12 @@ def janowski(d: float, e: float) -> PsiSpec:
         return np.array(t)
 
     if e == 0.0:
-        f0 = lambda r: r * math.exp(d * r)
+        f0 = lambda r: r * np.exp(d * r)
         koebe = math.exp(-d)
         koebe_convex = -math.expm1(-d) / d
     else:
         p = (d - e) / e
-        f0 = lambda r: r * (1.0 + e * r) ** p
+        f0 = lambda r: r * np.power(1.0 + e * r, p)
         koebe = (1.0 - e) ** p
         # expm1 and log1p keep -l0(-1) accurate as D or E nears 0.
         if d == 0.0:
@@ -193,13 +202,17 @@ def starlike_alpha(alpha: float) -> PsiSpec:
         janowski(d, -1.0),
         label=f"alpha:{_label_number(alpha)}",
         params={"alpha": alpha, "D": d, "E": -1.0},
-        f0_closed=lambda r: r * (1.0 - r) ** (-2.0 * (1.0 - alpha)),
+        f0_closed=lambda r: r * np.power(1.0 - r, -2.0 * (1.0 - alpha)),
         koebe_closed=4.0 ** (alpha - 1.0),
     )
 
 
 def cardioid() -> PsiSpec:
-    """psi(z) = 1 + 4z/3 + 2z^2/3, with f0(r) = r exp(4r/3 + r^2/3)."""
+    """psi(z) = 1 + 4z/3 + 2z^2/3, with f0(r) = r exp(4r/3 + r^2/3).
+
+    h = f0/z = exp(4z/3 + z^2/3) solves h' = (4/3 + 2z/3) h, so its
+    coefficients obey 3(n+1) h_{n+1} = 4 h_n + 2 h_{n-1}, with t_n = h_{n-1}.
+    """
 
     def coeffs(order: int) -> np.ndarray:
         c = np.zeros(order + 1)
@@ -209,11 +222,21 @@ def cardioid() -> PsiSpec:
             c[2] = 2.0 / 3.0
         return c
 
+    def f0_coeffs(order: int) -> np.ndarray:
+        # Integer weights: no rounded constant biases every step alike.
+        t = [0.0, 1.0]
+        prev, h = 0.0, 1.0
+        for n in range(order - 1):
+            prev, h = h, (4.0 * h + 2.0 * prev) / (3 * n + 3)
+            t.append(h)
+        return np.array(t)
+
     return PsiSpec(
         label="cardioid",
         coeff_fn=coeffs,
         psi_eval=lambda t: 1.0 + 4.0 * t / 3.0 + 2.0 * t * t / 3.0,
-        f0_closed=lambda r: r * math.exp(4.0 * r / 3.0 + r * r / 3.0),
+        f0_closed=lambda r: r * np.exp(4.0 * r / 3.0 + r * r / 3.0),
+        f0_coeff_fn=f0_coeffs,
         koebe_closed=math.exp(-1.0),
     )
 
@@ -237,7 +260,7 @@ def z_exp_z() -> PsiSpec:
         label="zexpz",
         coeff_fn=coeffs,
         psi_eval=lambda t: 1.0 + t * np.exp(t),
-        f0_closed=lambda r: r * math.exp(math.exp(r) - 1.0),
+        f0_closed=lambda r: r * np.exp(np.exp(r) - 1.0),
         koebe_closed=math.exp(math.exp(-1.0) - 1.0),
     )
 
@@ -251,6 +274,9 @@ def booth(k: float = 1.0 + SQRT2) -> PsiSpec:
     distance is -f0(-1) = e (k/(k+1))^(2k).  Re psi > 0 on the disk only
     for k >~ 1.5036, where the numerical minimum of Re psi on |z| = 1
     crosses 0 (it is -0.46 at k = 1.1); the check below admits every k > 1.
+
+    h = f0/z solves (k - z) h' = (k + z) h, so its coefficients obey
+    k(n+1) h_{n+1} = (k + n) h_n + h_{n-1}, with t_n = h_{n-1}.
     """
     if not (math.isfinite(k) and k > 1.0):
         raise ValueError(f"booth parameter k must be finite and exceed 1, got {k}")
@@ -271,12 +297,22 @@ def booth(k: float = 1.0 + SQRT2) -> PsiSpec:
                 c[2:][big] = np.exp(math.log(2.0) - n[big] * math.log(k))
         return c
 
+    def f0_coeffs(order: int) -> np.ndarray:
+        # k itself, not 1/k: no rounded constant biases every step alike.
+        t = [0.0, 1.0]
+        prev, h = 0.0, 1.0
+        for n in range(order - 1):
+            prev, h = h, ((k + n) * h + prev) / (k * (n + 1))
+            t.append(h)
+        return np.array(t)
+
     return PsiSpec(
         label="booth" if k == 1.0 + SQRT2 else f"booth:k={_label_number(k)}",
         params={"k": k},
         coeff_fn=coeffs,
         psi_eval=lambda t: 1.0 + t * (k + t) / (k - t),
-        f0_closed=lambda r: r * math.exp(-r) * (k / (k - r)) ** (2.0 * k),
+        f0_closed=lambda r: r * np.exp(-r) * np.power(k / (k - r), 2.0 * k),
+        f0_coeff_fn=f0_coeffs,
         koebe_closed=math.e * (k / (k + 1.0)) ** (2.0 * k),
     )
 
@@ -307,7 +343,7 @@ def sine() -> PsiSpec:
         label="sine",
         coeff_fn=coeffs,
         psi_eval=lambda t: 1.0 + np.sin(t),
-        f0_closed=lambda r: r * math.exp(si(r)),
+        f0_closed=lambda r: r * np.exp(si(r)),
         koebe_closed=math.exp(si(-1.0)),
     )
 

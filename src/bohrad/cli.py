@@ -1,8 +1,11 @@
 """Command-line front end: radius solving, sweeps, catalog, verification.
 
 Exit codes: 0 success, 2 usage/configuration error, 3 solver failure,
-4 verification found violations.  All numeric output is printed with 12
-significant digits and identical inputs produce byte-identical output.
+4 verification found violations.  Where the platform has SIGPIPE, the
+``bohrad`` process ends on it when its reader closes the pipe early, as
+``seq`` or ``cat`` do: no traceback, shell status 141.  All numeric output
+is printed with 12 significant digits and identical inputs produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import csv
 import dataclasses
 import gc
 import json
+import signal
 import sys
 
 from . import catalog
@@ -310,8 +314,12 @@ def run() -> None:
     # passes included.  Frozen, they are skipped, so a call collects only
     # what its command allocated (the README gives the cost).  main() must
     # not freeze: tests and benchmarks call it many times in one process,
-    # and the freeze is process-wide.
+    # and the freeze is process-wide.  So is a signal handler: Python ignores
+    # SIGPIPE and raises BrokenPipeError instead, and only here is the
+    # default restored, under which a closed reader ends bohrad quietly.
     gc.freeze()
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     raise SystemExit(main())
 
 

@@ -2,19 +2,22 @@
 
 The starlike extremal f0 solves z f0'(z)/f0(z) = psi(z); its Taylor data
 follows the recurrence t_1 = 1, (n-1) t_n = sum_{j=1}^{n-1} c_{n-j} t_j
-with c the coefficients of psi.  The catalog gives the Janowski family
-(classical and alpha entries included) its one-term recurrence
-t_{k+1} = t_k (D - kE)/k instead, which ``build_f0`` prefers; cardioid,
-zexpz, booth and sine take the dense one.  The convex extremal l0 is
-linked by the Alexander relation z l0'(z) = f0(z), i.e. l_n = t_n / n:
-l0 = int_0^z f0(t)/t dt, which is ``f0.integrate_over_t()``.
+with c the coefficients of psi.  Where psi is rational the catalog gives
+a short recurrence on h = f0/z instead, which ``build_f0`` prefers: one
+term, t_{k+1} = t_k (D - kE)/k, for the Janowski family (classical and
+alpha entries included), two for cardioid and booth.  Only zexpz and sine
+take the dense one.  The convex extremal l0 is linked by the Alexander
+relation z l0'(z) = f0(z), i.e. l_n = t_n / n: l0 = int_0^z f0(t)/t dt,
+which is ``f0.integrate_over_t()``.
 
 The boundary distance (Koebe radius) is -f0(-1) for the starlike family
 and -l0(-1) for the convex one.  The catalog gives it in closed form where
 one is known: -f0(-1) for every entry, -l0(-1) for the Janowski family.
-Otherwise it is computed by Gauss-Legendre quadrature of the integral
-representation, which stays smooth on [-1, 0] even where the series at
-the boundary does not converge absolutely.
+Otherwise it is computed by Gauss-Legendre quadrature, which stays smooth
+on [-1, 0] even where the series at the boundary does not converge
+absolutely: -l0(-1) = int_0^1 f0(-s)/(-s) ds from the catalog's closed f0,
+and -f0(-1) = exp(int_0^1 (psi(-u)-1)/u du) from psi alone, which keeps
+the tests' check of every closed -f0(-1) independent of the closed f0.
 """
 
 from __future__ import annotations
@@ -37,19 +40,18 @@ def _unit_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _graded(rule: tuple[np.ndarray, np.ndarray], panels: int) -> tuple:
     """The rule copied onto [0, 1/2], [1/2, 3/4], ..., the last panel ending
-    at 1, as (nodes, weights, pieces) with pieces its (nodes, weights) on
-    each panel: the convex estimate takes one panel at a time."""
+    at 1, as (nodes, weights)."""
     edges = np.append(1.0 - 0.5 ** np.arange(panels), 1.0)
     width = np.diff(edges)[:, None]
     nodes = edges[:-1, None] + width * rule[0]
     weights = width * rule[1]
-    return nodes.ravel(), weights.ravel(), tuple(zip(nodes, weights))
+    return nodes.ravel(), weights.ravel()
 
 
 # A coarse and a fine rule, on 1, 8, 16 and then 32 panels graded toward
 # t = -1: on [-1, 0] only that end lies on the unit circle, so only there
-# can a singularity of psi come close.  The fine value is accepted once the
-# two agree within _REL_TOL.
+# can a singularity of psi or f0 come close.  The fine value is accepted
+# once the two agree within _REL_TOL.
 _NODES = (48, 96)
 _PANELS = (1, 8, 16, 32)
 _REL_TOL = 1e-13
@@ -81,12 +83,12 @@ class ExtremalPair:
 def build_f0(psi: PsiSpec, order: int = DEFAULT_ORDER, method: str = "recurrence") -> TruncatedSeries:
     """Taylor coefficients of the starlike extremal function.
 
-    ``method="recurrence"`` takes the catalog's one-term recurrence where it
-    has one (``PsiSpec.f0_coeff_fn``, the Janowski family) and otherwise
-    runs the dense coefficient recurrence on psi's series directly;
-    ``method="integral"`` goes through z * exp(int (psi-1)/t) using the
-    series kernel.  The paths must agree and are cross-checked in the
-    test suite.
+    ``method="recurrence"`` takes the catalog's short recurrence where it
+    has one (``PsiSpec.f0_coeff_fn``: the Janowski family, cardioid and
+    booth) and otherwise runs the dense coefficient recurrence on psi's
+    series directly; ``method="integral"`` goes through
+    z * exp(int (psi-1)/t) using the series kernel.  The paths must agree
+    and are cross-checked in the test suite.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
@@ -109,29 +111,26 @@ def build_f0(psi: PsiSpec, order: int = DEFAULT_ORDER, method: str = "recurrence
     raise ValueError(f"unknown method {method!r}")
 
 
-def _log_growth(psi: PsiSpec, s, nodes: np.ndarray, weights: np.ndarray):
-    """int_0^{-s} (psi(t)-1)/t dt, as int_0^1 (psi(-s u)-1)/u du, for each s."""
-    return ((psi.psi_eval(-np.multiply.outer(s, nodes)) - 1.0) / nodes) @ weights
-
-
-def _koebe_estimate(psi: PsiSpec, family: str, nodes: np.ndarray, weights: np.ndarray,
-                    pieces: tuple) -> float:
+def _koebe_estimate(psi: PsiSpec, family: str, nodes: np.ndarray, weights: np.ndarray) -> float:
     if family == "starlike":
-        return float(np.exp(_log_growth(psi, 1.0, nodes, weights)))
-    # The same nodes in s and in u; one outer panel at a time keeps the grid
-    # at most n x (panels n).
-    return float(sum(w @ np.exp(_log_growth(psi, s, nodes, weights)) for s, w in pieces))
+        return float(np.exp(((psi.psi_eval(-nodes) - 1.0) / nodes) @ weights))
+    return float((psi.f0_closed(-nodes) / -nodes) @ weights)
 
 
 def koebe_radius_quadrature(psi: PsiSpec, family: str = "starlike") -> float:
-    """Boundary distance by quadrature of the integral representation.
+    """Boundary distance by quadrature.
 
-    starlike: -f0(-1) = exp(L(-1))
-    convex:   -l0(-1) = int_0^1 exp(L(-s)) ds
-    with L(x) = int_0^x (psi(t)-1)/t dt = int_0^1 (psi(x u)-1)/u du.
+    starlike: -f0(-1) = exp(int_0^1 (psi(-u)-1)/u du), from psi
+    convex:   -l0(-1) = int_0^1 f0(-s)/(-s) ds, from the closed f0
+
+    The convex value needs ``psi.f0_closed``; a spec without one raises
+    ``QuadratureError``.
     """
     if family not in ("starlike", "convex"):
         raise ValueError(f"unknown family {family!r}")
+    if family == "convex" and psi.f0_closed is None:
+        raise QuadratureError(f"convex Koebe radius of {psi.label}: the entry has no "
+                              "closed f0 (f0_closed) to integrate")
     for panels, rules in _graded_rules():
         coarse, fine = (_koebe_estimate(psi, family, *rule) for rule in rules)
         if not (math.isfinite(coarse) and math.isfinite(fine)):
@@ -149,7 +148,7 @@ def koebe_radius(psi: PsiSpec, family: str = "starlike") -> float:
 
     The catalog gives the starlike distance of every entry and the convex
     one of the Janowski family (classical and alpha entries included); the
-    other convex distances go through quadrature.
+    other convex distances go through quadrature of the closed f0.
     """
     closed = {"starlike": psi.koebe_closed, "convex": psi.koebe_closed_convex}.get(family)
     if closed is not None:

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import shlex
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -70,12 +71,17 @@ def test_radius_convex_pole_near_minus_one(capsys):
     assert "r0         0.499350541385" in out
 
 
+def child_env():
+    """The environment of a child interpreter that imports this checkout's bohrad."""
+    src = str(Path(bohrad.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def run_python(*args):
     """A child interpreter that imports this checkout's bohrad."""
-    src = str(Path(bohrad.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, *args], env=child_env(), capture_output=True,
+                          text=True)
 
 
 def test_import_leaves_scipy_unloaded():
@@ -86,6 +92,21 @@ def test_import_leaves_scipy_unloaded():
     child = run_python("-c", code)
     assert child.returncode == 0
     assert child.stdout.strip() == "[]"
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
+def test_closed_reader_ends_the_process_on_sigpipe():
+    # Some 290 kB of CSV, more than a pipe holds: the child is still writing
+    # when the reader stops after one line, as `| head -1` does.
+    child = subprocess.Popen(
+        [sys.executable, "-m", "bohrad.cli", "sweep", "--psi", "cardioid", "--m", "1..3000",
+         "--N", "2"], env=child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert child.stdout.readline().startswith(b"psi,family,m,N,")
+    child.stdout.close()
+    stderr = child.stderr.read()
+    child.stderr.close()
+    assert child.wait(timeout=30) == -signal.SIGPIPE
+    assert stderr == b""
 
 
 @pytest.mark.parametrize("argv, exit_code", [
@@ -290,11 +311,8 @@ ONCE_STALLED = [
 
 @pytest.mark.parametrize("argv", ONCE_STALLED, ids=lambda argv: " ".join(argv[:5]))
 def test_stalled_newton_steps_return_a_certified_bracket(argv):
-    src = str(Path(bohrad.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-m", "bohrad.cli", *argv, "--format", "json"],
-                          env=env, capture_output=True, text=True, timeout=30)
+                          env=child_env(), capture_output=True, text=True, timeout=30)
     assert done.returncode == 0, done.stderr
     # It returns, so the same solves can be checked in-process.
     opts = dict(zip(argv[1::2], argv[2::2]))

@@ -92,21 +92,21 @@ CLOSED_F0_LABELS = [
 ] + ["alpha:0.25"]
 
 
-@pytest.mark.parametrize("order", [64, 256, 1024])
-@pytest.mark.parametrize("label", CLOSED_F0_LABELS)
-def test_closed_coefficients_against_mpmath_and_the_dense_recurrence(label, order):
+def assert_closed_coefficients(spec, order, step):
+    """build_f0's catalog coefficients within 1e-13 relative of the same
+    recurrence at 40 digits, and of the dense recurrence on psi's series.
+
+    ``step(n, h)`` gives h_{n+1} at 40 digits from h = [h_0, ..., h_n],
+    with t_{n+2} = h_{n+1}."""
     import mpmath
 
-    spec = catalog.parse_psi(label)
     closed = build_f0(spec, order).coeffs
-    # t_{k+1} = t_k (D - kE)/k at 40 digits, from the same double D and E.
     with mpmath.workdps(40):
-        d, e = mpmath.mpf(spec.params["D"]), mpmath.mpf(spec.params["E"])
-        want = [mpmath.mpf(0), mpmath.mpf(1)]
-        for k in range(1, order):
-            want.append(want[-1] * (d - k * e) / k)
+        h = [mpmath.mpf(1)]
+        for n in range(order - 1):
+            h.append(step(n, h))
         tiny = np.finfo(float).tiny
-        for n, (got, exact) in enumerate(zip(closed, want)):
+        for n, (got, exact) in enumerate(zip(closed, [mpmath.mpf(0)] + h)):
             if abs(exact) >= tiny:
                 assert abs(mpmath.mpf(float(got)) - exact) <= 1e-13 * abs(exact), (n, got)
             else:
@@ -115,6 +115,42 @@ def test_closed_coefficients_against_mpmath_and_the_dense_recurrence(label, orde
                 assert abs(got) < tiny and (got == 0.0 or exact != 0), (n, got)
     np.testing.assert_allclose(build_f0(dense(spec), order).coeffs, closed, rtol=1e-13,
                                atol=1e-16 * np.max(np.abs(closed)))
+
+
+@pytest.mark.parametrize("order", [64, 256, 1024])
+@pytest.mark.parametrize("label", CLOSED_F0_LABELS)
+def test_closed_coefficients_against_mpmath_and_the_dense_recurrence(label, order):
+    import mpmath
+
+    spec = catalog.parse_psi(label)
+    # t_{k+1} = t_k (D - kE)/k, from the same double D and E.
+    d, e = mpmath.mpf(spec.params["D"]), mpmath.mpf(spec.params["E"])
+    assert_closed_coefficients(spec, order, lambda n, h: h[n] * (d - (n + 1) * e) / (n + 1))
+
+
+# booth's k: near 1, the default 1 + sqrt 2, and far out, where (k/(k-z))^(2k)
+# nears e^(2z).
+TWO_TERM_F0_SPECS = [catalog.cardioid()] + [
+    catalog.booth(k) for k in (1.01, 1.6, 1.0 + math.sqrt(2.0), 4.0, 50.0)
+]
+
+
+@pytest.mark.parametrize("order", [64, 256, 1024])
+@pytest.mark.parametrize("spec", TWO_TERM_F0_SPECS, ids=lambda spec: spec.label)
+def test_two_term_coefficients_against_mpmath_and_the_dense_recurrence(spec, order):
+    import mpmath
+
+    def before(n, h):
+        return h[n - 1] if n else 0
+
+    if spec.label == "cardioid":
+        # (n+1) h_{n+1} = (4/3) h_n + (2/3) h_{n-1}
+        step = lambda n, h: (mpmath.mpf(4) / 3 * h[n] + mpmath.mpf(2) / 3 * before(n, h)) / (n + 1)
+    else:
+        # (n+1) h_{n+1} = (1 + n/k) h_n + h_{n-1}/k, from the same double k
+        k = mpmath.mpf(spec.params["k"])
+        step = lambda n, h: ((1 + n / k) * h[n] + before(n, h) / k) / (n + 1)
+    assert_closed_coefficients(spec, order, step)
 
 
 def test_closed_coefficients_keep_the_classical_extremals_exact():
@@ -137,12 +173,14 @@ def test_janowski_pair_never_reaches_the_psi_series(monkeypatch):
 
     monkeypatch.setattr(catalog.PsiSpec, "series", no_series)
     for label in ("classical-starlike", "classical-convex", "alpha:0.25",
-                  "janowski:D=0.5,E=-0.5", "janowski:D=1,E=0", "janowski:D=0.8,E=0.65"):
+                  "janowski:D=0.5,E=-0.5", "janowski:D=1,E=0", "janowski:D=0.8,E=0.65",
+                  "cardioid", "booth", "booth:k=1.6"):
         spec = catalog.parse_psi(label)
         pair = build_extremal_pair(spec, 64)
         assert np.array_equal(pair.f0.coeffs, spec.f0_coeff_fn(64))
-    with pytest.raises(AssertionError, match="dense recurrence ran for cardioid"):
-        build_extremal_pair(catalog.cardioid(), 64)
+    for label in ("zexpz", "sine"):
+        with pytest.raises(AssertionError, match=f"dense recurrence ran for {label}"):
+            build_extremal_pair(catalog.parse_psi(label), 64)
 
 
 @pytest.mark.parametrize("label", ["cardioid", "classical-starlike"])
@@ -308,13 +346,13 @@ def test_janowski_convex_koebe_never_reaches_quadrature(monkeypatch):
 
 
 # koebe_radius_quadrature's values as repr: how the rules are cut into
-# outer panels must not move a bit.
+# panels must not move a bit.
 QUADRATURE_PINS = {
     "cardioid": (0.3678794411714424, 0.5986912298550321),
     "zexpz": (0.5314636053866157, 0.7038344231538607),
-    "booth": (0.5099690078517072, 0.6935792104753029),
-    "sine": (0.3882588314625181, 0.6384220393527346),
-    "janowski:D=1,E=0.99": (0.954548456661834, 0.9904545154333815),
+    "booth": (0.5099690078517072, 0.6935792104753028),
+    "sine": (0.3882588314625181, 0.6384220393527344),
+    "janowski:D=1,E=0.99": (0.954548456661834, 0.9904545154333816),
     "janowski:D=1,E=0.99999": (0.9998848762212975, 0.9999900011512377),
 }
 
@@ -336,9 +374,59 @@ def test_psi_eval_on_arrays_matches_scalars(label):
     np.testing.assert_array_equal(psi_eval(t), [[psi_eval(float(x)) for x in row] for row in t])
 
 
+@pytest.mark.parametrize("label", catalog.named_labels() + [
+    "alpha:0.25", "janowski:D=0.5,E=-0.5", "janowski:D=0.75,E=0.25", "janowski:D=1,E=0",
+    "booth:k=4",
+])
+def test_f0_closed_on_arrays_matches_scalars(label):
+    f0_closed = catalog.parse_psi(label).f0_closed
+    r = np.linspace(-1.0, 0.9, 15).reshape(3, 5)
+    np.testing.assert_array_equal(f0_closed(r), [[f0_closed(float(x)) for x in row] for row in r])
+
+
+def psi_convex_koebe(label):
+    """-l0(-1) = int_0^1 exp(int_0^1 (psi(-s u) - 1)/u du) ds at 40 digits,
+    from psi alone: apart from the closed f0 that the quadrature integrates."""
+    import mpmath
+
+    spec = catalog.parse_psi(label)
+    with mpmath.workdps(40):
+        psi = {
+            "cardioid": lambda t: 1 + 4 * t / 3 + 2 * t * t / 3,
+            "zexpz": lambda t: 1 + t * mpmath.exp(t),
+            "sine": lambda t: 1 + mpmath.sin(t),
+        }.get(label)
+        if psi is None:
+            k = mpmath.mpf(spec.params["k"])
+            psi = lambda t: 1 + t * (k + t) / (k - t)
+
+        def quad(f):
+            return mpmath.quad(f, [0, 1], method="gauss-legendre")
+
+        return quad(lambda s: mpmath.exp(quad(lambda u: (psi(-s * u) - 1) / u)))
+
+
+@pytest.mark.parametrize("label", ["cardioid", "zexpz", "sine"] + [
+    spec.label for spec in TWO_TERM_F0_SPECS[1:]])
+def test_convex_quadrature_against_psi_at_40_digits(label):
+    import mpmath
+
+    got = koebe_radius_quadrature(catalog.parse_psi(label), "convex")
+    want = psi_convex_koebe(label)
+    assert abs(mpmath.mpf(got) - want) <= 4 * math.ulp(got), (got, want)
+
+
+def test_convex_quadrature_needs_a_closed_f0():
+    spec = dataclasses.replace(catalog.cardioid(), f0_closed=None)
+    assert koebe_radius_quadrature(spec, "starlike") == koebe_radius_quadrature(
+        catalog.cardioid(), "starlike")
+    with pytest.raises(QuadratureError, match="no closed f0"):
+        koebe_radius_quadrature(spec, "convex")
+
+
 def test_non_finite_integrand_raises():
     spec = catalog.PsiSpec(label="nan", coeff_fn=lambda order: np.ones(order + 1),
-                           psi_eval=lambda t: t * np.nan)
+                           psi_eval=lambda t: t * np.nan, f0_closed=lambda r: r * np.nan)
     for family in ("starlike", "convex"):
         with pytest.raises(QuadratureError, match="not finite"):
             koebe_radius_quadrature(spec, family)
