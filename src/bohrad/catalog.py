@@ -207,6 +207,21 @@ def starlike_alpha(alpha: float) -> PsiSpec:
     )
 
 
+def _two_term_f0(order: int, s: float, p: float, q: float, b: float) -> np.ndarray:
+    """Taylor coefficients t_0..t_order of f0 = z h, where h_{-1} = 0,
+    h_0 = 1 and s (n+1) h_{n+1} = (p + q n) h_n + b h_{n-1}.
+
+    The callers' weights are whole numbers or k itself, not their rounded
+    ratios, so no rounded constant biases every step alike.
+    """
+    t = [0.0, 1.0]
+    prev, h = 0.0, 1.0
+    for n in range(order - 1):
+        prev, h = h, ((p + q * n) * h + b * prev) / (s * (n + 1))
+        t.append(h)
+    return np.array(t)
+
+
 def cardioid() -> PsiSpec:
     """psi(z) = 1 + 4z/3 + 2z^2/3, with f0(r) = r exp(4r/3 + r^2/3).
 
@@ -222,21 +237,12 @@ def cardioid() -> PsiSpec:
             c[2] = 2.0 / 3.0
         return c
 
-    def f0_coeffs(order: int) -> np.ndarray:
-        # Integer weights: no rounded constant biases every step alike.
-        t = [0.0, 1.0]
-        prev, h = 0.0, 1.0
-        for n in range(order - 1):
-            prev, h = h, (4.0 * h + 2.0 * prev) / (3 * n + 3)
-            t.append(h)
-        return np.array(t)
-
     return PsiSpec(
         label="cardioid",
         coeff_fn=coeffs,
         psi_eval=lambda t: 1.0 + 4.0 * t / 3.0 + 2.0 * t * t / 3.0,
         f0_closed=lambda r: r * np.exp(4.0 * r / 3.0 + r * r / 3.0),
-        f0_coeff_fn=f0_coeffs,
+        f0_coeff_fn=lambda order: _two_term_f0(order, 3.0, 4.0, 0.0, 2.0),
         koebe_closed=math.exp(-1.0),
     )
 
@@ -297,22 +303,13 @@ def booth(k: float = 1.0 + SQRT2) -> PsiSpec:
                 c[2:][big] = np.exp(math.log(2.0) - n[big] * math.log(k))
         return c
 
-    def f0_coeffs(order: int) -> np.ndarray:
-        # k itself, not 1/k: no rounded constant biases every step alike.
-        t = [0.0, 1.0]
-        prev, h = 0.0, 1.0
-        for n in range(order - 1):
-            prev, h = h, ((k + n) * h + prev) / (k * (n + 1))
-            t.append(h)
-        return np.array(t)
-
     return PsiSpec(
         label="booth" if k == 1.0 + SQRT2 else f"booth:k={_label_number(k)}",
         params={"k": k},
         coeff_fn=coeffs,
         psi_eval=lambda t: 1.0 + t * (k + t) / (k - t),
         f0_closed=lambda r: r * np.exp(-r) * np.power(k / (k - r), 2.0 * k),
-        f0_coeff_fn=f0_coeffs,
+        f0_coeff_fn=lambda order: _two_term_f0(order, k, k, 1.0, 1.0),
         koebe_closed=math.e * (k / (k + 1.0)) ** (2.0 * k),
     )
 

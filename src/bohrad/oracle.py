@@ -543,9 +543,6 @@ def _run_suite(checks, margin, seed: int, trials: int, degree_max: int, order: i
     tally = _Tally(trials, max_reports)
     for omegas, described in _samples(seed, trials, degree_max, order):
         tally.extend(*margin(checks, checks.f.compose(omegas), described))
-        # Free the chunk's power table before the next chunk is built, so
-        # that the suite holds one chunk's blocks at a time.
-        del omegas
     return tally.report(seed, {**config, "degree_max": degree_max, "order": order})
 
 

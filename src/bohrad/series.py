@@ -51,25 +51,19 @@ def _rowwise(rows: np.ndarray, matrices: np.ndarray) -> np.ndarray:
     return (rows[..., None, :] @ matrices)[..., 0, :]
 
 
-def _toeplitz(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _toeplitz(rows: np.ndarray) -> np.ndarray:
     """The upper-triangular Toeplitz matrix of each row along the last axis:
     entry (j, i) is row[i - j], and 0 below the diagonal, so that
     x @ _toeplitz(row) is the Cauchy product of x and row truncated at
-    their length.  Copied from a strided view of the zero-padded rows, into
-    the front of the flat buffer ``out`` when one is given.
+    their length.  Copied from a strided view of the zero-padded rows.
     """
     m = rows.shape[-1]
     padded = np.zeros(rows.shape[:-1] + (2 * m - 1,))
     padded[..., m - 1:] = rows
     # Entry (j, i) sits at padded[m - 1 - j + i]: one step back per row.
     step = padded.itemsize
-    view = np.ndarray(rows.shape[:-1] + (m, m), buffer=padded, offset=(m - 1) * step,
-                      strides=padded.strides[:-1] + (-step, step))
-    if out is None:
-        return view.copy()
-    out = out[:view.size].reshape(view.shape)
-    out[...] = view
-    return out
+    return np.ndarray(rows.shape[:-1] + (m, m), buffer=padded, offset=(m - 1) * step,
+                      strides=padded.strides[:-1] + (-step, step)).copy()
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,22 +154,14 @@ class TruncatedSeries:
         if np.any(self.coeffs[..., 0] != 0.0):
             raise ValueError("a power table requires w(0) = 0")
         k = self.order
-        shape = self.coeffs.shape[:-1] + (k + 1, k + 1)
-        # The table and, behind it, room for each step's Toeplitz matrices,
-        # in one allocation.  glibc trims the heap top once more than twice
-        # its largest freed block lies free there; as one block, what a
-        # suite's chunk frees stays below that, so the next chunk reuses
-        # the memory instead of faulting it in again.
-        block = np.empty(2 * int(np.prod(shape)))
-        table, scratch = block[: block.size // 2].reshape(shape), block[block.size // 2 :]
-        table[...] = 0.0
+        table = np.zeros(self.coeffs.shape[:-1] + (k + 1, k + 1))
         table[..., 0, 0] = 1.0
         table[..., 1:2, :] = self.coeffs[..., None, :]  # an empty slice at order 0
         n = 1
         while n < k:
             b = min(n, k - n)
             table[..., n + 1 : n + b + 1, n:] = (
-                table[..., 1 : b + 1, : k - n + 1] @ _toeplitz(table[..., n, n:], scratch))
+                table[..., 1 : b + 1, : k - n + 1] @ _toeplitz(table[..., n, n:]))
             n += b
         table.flags.writeable = False
         return table
