@@ -9,7 +9,8 @@ Each entry bundles, for one choice of psi with psi(0) = 1 and psi'(0) > 0:
   ndarrays; the convex Koebe quadrature integrates f0(t)/t),
 * the Taylor coefficients of f0 from a short recurrence on h = f0/z,
   where psi is rational: one term for the Janowski family (classical and
-  alpha entries included), two for cardioid and booth,
+  alpha entries included), two for cardioid and booth, as a list of
+  floats (a lone radius solve takes it without numpy),
 * the boundary-distance constant -f0(-1), where a closed form is known,
   and its convex counterpart -l0(-1) (the Janowski family).
 
@@ -25,9 +26,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
-import numpy as np
-
-from .series import TruncatedSeries
+from .series import TruncatedSeries, np
 
 SQRT2 = math.sqrt(2.0)
 
@@ -43,9 +42,11 @@ def si(x):
     Sums the Taylor series sum_n (-1)^n x^(2n+1) / ((2n+1) (2n+1)!) to
     n = 9 as a polynomial in x^2 (Horner), so Si is odd to the bit.  Only
     |x| <= 1 is accepted; that is the range the extremal-function
-    evaluators need and the series is strongly convergent there.
+    evaluators need and the series is strongly convergent there.  A float
+    is checked without numpy.
     """
-    if not np.all(np.abs(x) <= 1.0):
+    inside = abs(x) <= 1.0
+    if not (inside if isinstance(inside, bool) else inside.all()):
         raise ValueError(f"si(x) supported for |x| <= 1, got {x}")
     x2 = x * x
     total = _SI_COEFFS[-1]
@@ -106,10 +107,10 @@ class PsiSpec:
     coeff_fn: Callable[[int], np.ndarray] = None
     psi_eval: Callable[[float | np.ndarray], float | np.ndarray] = None
     f0_closed: Optional[Callable[[float | np.ndarray], float | np.ndarray]] = None
-    # Taylor coefficients t_0..t_order of f0 from a short recurrence (the
-    # Janowski family, cardioid, booth); build_f0 prefers them to the dense
-    # recurrence on psi.
-    f0_coeff_fn: Optional[Callable[[int], np.ndarray]] = None
+    # Taylor coefficients t_0..t_order of f0 as a list of floats, from a
+    # short recurrence (the Janowski family, cardioid, booth); build_f0 and
+    # a lone radius solve prefer them to the dense recurrence on psi.
+    f0_coeff_fn: Optional[Callable[[int], list[float]]] = None
     # Closed boundary distances -f0(-1) and -l0(-1); the Koebe radius falls
     # back to quadrature for a family whose value is None.
     koebe_closed: Optional[float] = None
@@ -143,7 +144,7 @@ def janowski(d: float, e: float) -> PsiSpec:
         c[1:] = (d - e) * (-e) ** np.arange(order)
         return c
 
-    def f0_coeffs(order: int) -> np.ndarray:
+    def f0_coeffs(order: int) -> list[float]:
         # One plain-float step per coefficient keeps the Koebe function's
         # t_n = n exact, and the zeros past a terminating D - kE = 0.
         t = [0.0, 1.0]
@@ -151,7 +152,7 @@ def janowski(d: float, e: float) -> PsiSpec:
         for k in range(1, order):
             x = x * (d - k * e) / k
             t.append(x)
-        return np.array(t)
+        return t
 
     if e == 0.0:
         f0 = lambda r: r * np.exp(d * r)
@@ -207,7 +208,7 @@ def starlike_alpha(alpha: float) -> PsiSpec:
     )
 
 
-def _two_term_f0(order: int, s: float, p: float, q: float, b: float) -> np.ndarray:
+def _two_term_f0(order: int, s: float, p: float, q: float, b: float) -> list[float]:
     """Taylor coefficients t_0..t_order of f0 = z h, where h_{-1} = 0,
     h_0 = 1 and s (n+1) h_{n+1} = (p + q n) h_n + b h_{n-1}.
 
@@ -219,7 +220,7 @@ def _two_term_f0(order: int, s: float, p: float, q: float, b: float) -> np.ndarr
     for n in range(order - 1):
         prev, h = h, ((p + q * n) * h + b * prev) / (s * (n + 1))
         t.append(h)
-    return np.array(t)
+    return t
 
 
 def cardioid() -> PsiSpec:

@@ -309,10 +309,11 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    # The imports (numpy's mostly) leave some 22k GC-tracked objects alive
-    # until exit, and every collection walks them, the interpreter's shutdown
-    # passes included.  Frozen, they are skipped, so a call collects only
-    # what its command allocated (the README gives the cost).  main() must
+    # The imports leave thousands of GC-tracked objects alive until exit,
+    # and every collection walks them, the interpreter's shutdown passes
+    # included.  Frozen, they are skipped, so a call collects only what its
+    # command allocated (the README gives the cost); numpy, which only a
+    # command with arrays imports, is frozen after main().  main() must
     # not freeze: tests and benchmarks call it many times in one process,
     # and the freeze is process-wide.  So is a signal handler: Python ignores
     # SIGPIPE and raises BrokenPipeError instead, and only here is the
@@ -320,7 +321,9 @@ def run() -> None:
     gc.freeze()
     if hasattr(signal, "SIGPIPE"):
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
-    raise SystemExit(main())
+    code = main()
+    gc.freeze()
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

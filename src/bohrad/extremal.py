@@ -26,10 +26,8 @@ import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .catalog import PsiSpec
-from .series import DEFAULT_ORDER, TruncatedSeries
+from .series import DEFAULT_ORDER, TruncatedSeries, np
 
 
 def _unit_rule(n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -54,13 +54,11 @@ from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
 from itertools import repeat
 
-import numpy as np
-
 from .catalog import parse_psi
 from .extremal import ExtremalPair, build_extremal_pair, build_f0
 from .radius import (_LEMMA_RADIUS, Family, Mode, RadiusProblem, _check_radius,
                      _family_extremal, _radius_equations, g_function, solve)
-from .series import DEFAULT_ORDER, TruncatedSeries, _rowwise, _toeplitz
+from .series import DEFAULT_ORDER, TruncatedSeries, _rowwise, _toeplitz, np
 
 # Default generators exercised by the verification suites.
 DEFAULT_ORACLE_PSIS = (
@@ -402,7 +400,8 @@ class _BRChecks:
 
     def __init__(self, problem: RadiusProblem, pair: ExtremalPair, r_values):
         self.problem = problem
-        self.f, self.rstar = _family_extremal(problem, pair)
+        coeffs, self.rstar = _family_extremal(problem, pair)
+        self.f = TruncatedSeries(coeffs)
         self.r_values = list(r_values)
         for r in self.r_values:
             _check_radius(r)
@@ -421,7 +420,7 @@ def _br_margin(checks: _BRChecks, g: TruncatedSeries,
     margins = []
     for row in g.coeffs:
         evaluate, _ = _radius_equations([(problem.m, problem.N)], problem.mode,
-                                        TruncatedSeries(row), checks.rstar)
+                                        row.tolist(), checks.rstar)
         margins.append([0.0 - value for value, _ in evaluate([0] * len(r_values), r_values)])
     margins = np.array(margins)
 

@@ -32,11 +32,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-import numpy as np
-
 from .catalog import PsiSpec, janowski
 from .extremal import ExtremalPair, build_f0, koebe_radius
-from .series import DEFAULT_ORDER, OrderMismatchError, TruncatedSeries
+from .series import DEFAULT_ORDER, OrderMismatchError, np
 
 _BRACKET_HI = 1.0 - 1e-9
 # The range r <= 1/3 of the Bhowmik-Das lemma (J. Math. Anal. Appl. 462, 2018).
@@ -112,23 +110,32 @@ class RadiusResult:
 
 
 def _family_extremal(problem: RadiusProblem, pair: ExtremalPair | None = None
-                     ) -> tuple[TruncatedSeries, float]:
-    """The family's extremal series (f0 or l0) and its boundary distance r*.
+                     ) -> tuple[list[float], float]:
+    """The Taylor coefficients of the family's extremal (f0 or l0), as a
+    list of floats, and its boundary distance r*.
 
     They come from ``pair`` when one is given, which must be built at
     ``problem.order`` (another order gives another G); else only the
-    family's own series and Koebe radius are built.
+    family's own are built, from the catalog's short recurrence where it
+    has one, which needs no array, with l_n = t_n / n (Alexander).
     """
     if pair is None:
-        f0 = build_f0(problem.psi, problem.order)
-        series = f0 if problem.family == Family.STARLIKE else f0.integrate_over_t()
-        return series, koebe_radius(problem.psi, problem.family.value)
+        psi = problem.psi
+        if psi.f0_coeff_fn is None:
+            t = build_f0(psi, problem.order).coeffs.tolist()
+        else:
+            t = psi.f0_coeff_fn(problem.order)
+            if not all(map(math.isfinite, t)):
+                raise ValueError("coefficients must be finite")
+        if problem.family == Family.CONVEX:
+            t = [0.0] + [x / n for n, x in enumerate(t[1:], 1)]
+        return t, koebe_radius(psi, problem.family.value)
     if pair.f0.order != problem.order:
         raise OrderMismatchError(f"order mismatch: the pair has order {pair.f0.order}, "
                                  f"the problem {problem.order}")
     if problem.family == Family.STARLIKE:
-        return pair.f0, pair.koebe_starlike
-    return pair.l0, pair.koebe_convex
+        return pair.f0.coeffs.tolist(), pair.koebe_starlike
+    return pair.l0.coeffs.tolist(), pair.koebe_convex
 
 
 def _polynomial(coeffs: list[float]) -> _ValueSlope:
@@ -203,13 +210,13 @@ def _slope_coeffs(coeffs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _radius_equations(indices: list[tuple[int, int]], mode: Mode, series: TruncatedSeries,
+def _radius_equations(indices: list[tuple[int, int]], mode: Mode, coeffs: list[float],
                       rstar: float) -> tuple[_RowEquations, list[float]]:
     """The radius equations of one ``mode`` at the given (m, N), one row
     each, as one evaluator over rows, and each row's certified start.
 
     Row v holds G_v(r) = P(r^(m_v)) + Q_v(r) - r* from the moduli fhat of
-    ``series``: P = fhat and Q_v is fhat with its terms of index < N_v
+    ``coeffs``: P = fhat and Q_v is fhat with its terms of index < N_v
     zeroed; in the Bohr limit P is absent and Q_v = fhat, and when every m
     is 1, P is summed into each Q_v.  One row is evaluated by plain-float
     Horner passes that carry value and slope together.  Several rows are
@@ -219,8 +226,7 @@ def _radius_equations(indices: list[tuple[int, int]], mode: Mode, series: Trunca
     pass the family extremal; built from a subordinant g instead, -G(r) is
     the Bohr-Rogosinski margin of g at r.
     """
-    moduli = np.abs(series.coeffs)
-    a = moduli.tolist()
+    a = list(map(abs, coeffs))
     bohr_limit = mode == Mode.BOHR_LIMIT
     # One loop, not three comprehensions: a lone solve pays for each.
     tops, ms, heads = [], [], []
@@ -237,6 +243,7 @@ def _radius_equations(indices: list[tuple[int, int]], mode: Mode, series: Trunca
         p = _polynomial(a) if separate_p else None
         return _equation_row(p, _polynomial(q), ms[0], rstar), tops
 
+    moduli = np.array(a)
     order = moduli.size - 1
     q = np.where(np.arange(order + 1) < np.array(heads)[:, None], 0.0, moduli)
     if fold:
@@ -345,10 +352,11 @@ def _newton(evaluate: _RowEquations, tol: float, tops: list[float], g_lo: float
 
 def _result(spec: PsiSpec, family: Family, mode: Mode, m: int, N: int,
             solved: tuple[float, tuple[float, float], int, float],
-            positive: bool) -> RadiusResult:
+            nonnegative: bool) -> RadiusResult:
     """The result of a solved equation, from a row of ``_newton``;
-    ``positive`` says whether every extremal coefficient past a_0 is
-    positive, which sharpness needs.
+    ``nonnegative`` says whether every extremal coefficient is
+    nonnegative, which sharpness needs: then the extremal itself attains
+    the bound, exact zeros (a terminating or underflowed series) included.
 
     The one place that decides rb.  Only psi = (1+z)/(1-z) (D = 1, E = -1)
     bounds every subordinant's |b_n| by |a_n|, so that r0 holds for all:
@@ -369,13 +377,13 @@ def _result(spec: PsiSpec, family: Family, mode: Mode, m: int, N: int,
         rb=rb,
         residual=residual,
         iterations=iterations,
-        sharp=rb == r0 and positive,
+        sharp=rb == r0 and nonnegative,
         bracket=bracket,
     )
 
 
-def _coefficients_positive(series: TruncatedSeries) -> bool:
-    return bool(np.all(series.coeffs[1:] > 0.0))
+def _coefficients_nonnegative(coeffs: list[float]) -> bool:
+    return all(x >= 0.0 for x in coeffs)
 
 
 def solve(problem: RadiusProblem, pair: ExtremalPair | None = None) -> RadiusResult:
@@ -383,11 +391,11 @@ def solve(problem: RadiusProblem, pair: ExtremalPair | None = None) -> RadiusRes
 
     A given ``pair`` must be built at ``problem.order``.
     """
-    series, rstar = _family_extremal(problem, pair)
-    evaluate, tops = _radius_equations([(problem.m, problem.N)], problem.mode, series, rstar)
+    coeffs, rstar = _family_extremal(problem, pair)
+    evaluate, tops = _radius_equations([(problem.m, problem.N)], problem.mode, coeffs, rstar)
     (solved,) = _newton(evaluate, problem.tol, tops, -rstar)
     return _result(problem.psi, problem.family, problem.mode, problem.m, problem.N,
-                   solved, _coefficients_positive(series))
+                   solved, _coefficients_nonnegative(coeffs))
 
 
 def solve_janowski_exact(d: float, e: float, m: int = 1, N: int = 1,
@@ -433,7 +441,7 @@ def solve_janowski_exact(d: float, e: float, m: int = 1, N: int = 1,
         base = 1.0 + e * x
         return x * base**p, (1.0 + d * x) * base ** (p - 1.0)
 
-    coeffs = spec.f0_coeff_fn(n).tolist()
+    coeffs = spec.f0_coeff_fn(n)
     head = _polynomial(coeffs[:n])
 
     def tail(r: float) -> tuple[float, float]:
@@ -480,16 +488,16 @@ def sweep(problem: RadiusProblem, n_values=None, m_values=None) -> Sweep:
     indices = [(v, problem.N) if axis == "m" else (problem.m, v) for v in distinct]
     for m, N in indices:
         _check_problem(m, N, problem.tol, problem.order)
-    series, rstar = _family_extremal(problem)
+    coeffs, rstar = _family_extremal(problem)
     bohr_limit = problem.mode == Mode.BOHR_LIMIT
     # In the Bohr limit G depends on neither m nor N: one row serves every value.
     evaluate, tops = _radius_equations(indices[:1] if bohr_limit else indices, problem.mode,
-                                       series, rstar)
+                                       coeffs, rstar)
     roots = _newton(evaluate, problem.tol, tops, -rstar)
     if bohr_limit:
         roots *= len(indices)
-    positive = _coefficients_positive(series)
-    solved = {v: _result(problem.psi, problem.family, problem.mode, m, N, root, positive)
+    nonnegative = _coefficients_nonnegative(coeffs)
+    solved = {v: _result(problem.psi, problem.family, problem.mode, m, N, root, nonnegative)
               for v, (m, N), root in zip(distinct, indices, roots)}
     results = tuple(solved[v] for v in values)
     radii = [res.r0 for res in results]

@@ -32,9 +32,23 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-import numpy as np
-
 DEFAULT_ORDER = 64
+
+
+class _Numpy:
+    """numpy, imported at the first attribute looked up, which is then
+    cached on the instance.  No module of the package uses numpy when it is
+    imported, so a call that needs no arrays (a lone solve, the catalog
+    listing) never loads it."""
+
+    def __getattr__(self, name: str):
+        import numpy
+        value = getattr(numpy, name)
+        setattr(self, name, value)
+        return value
+
+
+np = _Numpy()
 
 
 class OrderMismatchError(ValueError):

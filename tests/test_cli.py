@@ -94,6 +94,36 @@ def test_import_leaves_scipy_unloaded():
     assert child.stdout.strip() == "[]"
 
 
+def test_import_leaves_numpy_unloaded_and_loads_every_layer():
+    # numpy loads at the first array operation; every layer module still
+    # loads with the package, so an import profile sees each of them.
+    code = ("import sys, bohrad, bohrad.cli; print('numpy' in sys.modules, "
+            "sorted(m for m in sys.modules if m.startswith('bohrad.')))")
+    child = run_python("-c", code)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == ("False ['bohrad.catalog', 'bohrad.cli', 'bohrad.extremal', "
+                                    "'bohrad.oracle', 'bohrad.radius', 'bohrad.series']")
+
+
+@pytest.mark.parametrize("argv, exit_code", [
+    ("radius --psi cardioid --mode bohr-limit", 0),
+    ("radius --psi classical-starlike --m 1 --N 1 --format json", 0),
+    ("radius --psi classical-convex --mode bohr-limit --format csv", 0),
+    ("radius --psi janowski:D=1,E=0 --m 1 --N 2 --method exact", 0),
+    ("radius --psi janowski:D=1,E=-1 --format csv", 0),
+    ("catalog", 0),
+    ("radius --psi classical-convex --method exact", 2),
+])
+def test_a_call_without_arrays_leaves_numpy_unloaded(argv, exit_code):
+    # A lone solve from the catalog's recurrence, the listing and a usage
+    # error need no arrays; the check runs at exit, through the entry point.
+    code = ("import atexit, sys; atexit.register(lambda: print('numpy' in sys.modules, "
+            "file=sys.stderr)); from bohrad import cli; cli.run()")
+    child = run_python("-c", code, *argv.split())
+    assert child.returncode == exit_code, child.stderr
+    assert child.stderr.splitlines()[-1] == "False"
+
+
 @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
 def test_closed_reader_ends_the_process_on_sigpipe():
     # Some 290 kB of CSV, more than a pipe holds: the child is still writing
@@ -133,6 +163,18 @@ def test_entry_point_freezes_and_main_does_not(capsys):
     frozen = gc.get_freeze_count()
     assert run_cli(capsys, "catalog")[0] == 0
     assert gc.get_freeze_count() == frozen
+
+
+def test_entry_point_freezes_what_the_command_loaded():
+    # verify imports numpy inside main(); the freeze after main() keeps its
+    # objects out of the shutdown collections too.
+    stub = ("import atexit, gc, sys, bohrad.cli as cli; command = cli.main; "
+            "cli.main = lambda: print(gc.get_freeze_count(), file=sys.stderr) or command(); "
+            "atexit.register(lambda: print(gc.get_freeze_count(), file=sys.stderr)); cli.run()")
+    child = run_python("-c", stub, "verify", "--lemma", "bohr-operator", "--trials", "20")
+    assert child.returncode == 0, child.stderr
+    before_main, at_exit = map(int, child.stderr.split())
+    assert at_exit > before_main + 1000
 
 
 PUBLIC_NAMES = [

@@ -144,6 +144,25 @@ def test_sine_large_n_value():
     assert not res.sharp  # the extremal series has negative coefficients
 
 
+def test_sharp_does_not_depend_on_the_order():
+    # booth's extremal coefficients are all positive; at order 1024 hundreds
+    # of them underflow to 0, and f0 still attains the bound.
+    assert 0.0 in catalog.booth(4.0).f0_coeff_fn(1024)
+    low, high = (solve(problem("booth:k=4", order=order)) for order in (64, 1024))
+    assert f"{low.r0:.12g}" == f"{high.r0:.12g}" == "0.187361211959"
+    assert low.sharp and high.sharp
+
+
+def test_a_terminating_extremal_is_sharp():
+    # D = 2E ends the recurrence: f0 = z + z^2/2, r* = 1/2, and G(r) =
+    # 2r + r^2 - 1/2 at m = N = 1.  f0 attains the bound at rb = r0.
+    spec = catalog.parse_psi("janowski:D=1,E=0.5")
+    assert spec.f0_coeff_fn(4) == [0.0, 1.0, 0.5, 0.0, 0.0]
+    res = solve(problem("janowski:D=1,E=0.5"))
+    assert res.rb == res.r0 == pytest.approx(math.sqrt(1.5) - 1.0, abs=1e-12)
+    assert res.sharp
+
+
 SOLVER_GRID_LABELS = catalog.named_labels() + [
     "alpha:0.25", "janowski:D=0.5,E=-0.5", "janowski:D=0.8,E=0.65",
 ]
@@ -655,8 +674,8 @@ def test_newton_rows_are_independent():
     rstar = pair.koebe_starlike
     equations, tops = [], []
     for m, N in ((1, 1), (2, 3), (5, 2), (24, 10), (1_000_000, 10)):
-        evaluate, (hi,) = radius._radius_equations([(m, N)], Mode.BOHR_ROGOSINSKI, pair.f0,
-                                                   rstar)
+        evaluate, (hi,) = radius._radius_equations([(m, N)], Mode.BOHR_ROGOSINSKI,
+                                                   pair.f0.coeffs.tolist(), rstar)
         equations.append(evaluate)
         tops.append(hi)
     equations.append(equations[0])
@@ -726,6 +745,31 @@ def test_one_row_sweeps_equal_lone_solves(label, order):
             for v, res in zip(swept.values, swept.results):
                 prob = dataclasses.replace(bohr_limit, **{axis: v})
                 assert repr(res) == repr(solve(prob)), prob
+
+
+@pytest.mark.parametrize("order", [64, 1024])
+@pytest.mark.parametrize("label", SOLVER_GRID_LABELS + [
+    "alpha:0.5", "janowski:D=1,E=0", "booth:k=1.6", "booth:k=4"])
+def test_catalog_list_equals_the_pair(label, order, monkeypatch):
+    # Without a pair, solve and sweep take the extremal's coefficients from
+    # the catalog's list; with one, from its arrays.  The results are equal
+    # bitwise.
+    spec = catalog.parse_psi(label)
+    pair = build_extremal_pair(spec, order)
+    from_list = radius._family_extremal
+    for family in Family:
+        problems = [RadiusProblem(psi=spec, family=family, mode=Mode.BOHR_LIMIT, order=order)]
+        problems += [RadiusProblem(psi=spec, family=family, m=m, N=N, order=order)
+                     for m in (1, 2, 5, 24) for N in (1, 2, 3, 10)]
+        for prob in problems:
+            assert repr(solve(prob)) == repr(solve(prob, pair)), prob
+        sweeps = [(problems[1], "n_values", (1, 2, 3, 10)), (problems[1], "m_values", (1, 2, 5, 24)),
+                  (problems[0], "n_values", (1, 3))]
+        listed = [repr(sweep(base, **{keyword: values})) for base, keyword, values in sweeps]
+        with monkeypatch.context() as patch:
+            patch.setattr(radius, "_family_extremal", lambda prob: from_list(prob, pair))
+            paired = [repr(sweep(base, **{keyword: values})) for base, keyword, values in sweeps]
+        assert listed == paired
 
 
 @pytest.mark.parametrize("order", [64, 256])
