@@ -421,7 +421,8 @@ def _br_margin(checks: _BRChecks, g: TruncatedSeries,
     for row in g.coeffs:
         evaluate, _ = _radius_equations([(problem.m, problem.N)], problem.mode,
                                         row.tolist(), checks.rstar)
-        margins.append([0.0 - value for value, _ in evaluate([0] * len(r_values), r_values)])
+        margins.append([0.0 - value
+                        for value in evaluate([0] * len(r_values), r_values, slopes=False)])
     margins = np.array(margins)
 
     def fields(i: int) -> dict:

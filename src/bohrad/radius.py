@@ -19,9 +19,11 @@ one evaluation of G per step and ends certified by two more.  It solves a
 batch of equations, one row each, with one call to G per pass on the rows
 still open.  One builder, ``_radius_equations``, makes the rows of a
 ``solve`` or a ``sweep`` with their starts; one row is evaluated by
-plain-float Horner passes, several by one array product.  The one-row
-evaluator also serves the closed-form Janowski equation (E <= 0), with P
-and Q in closed form.
+plain-float Horner passes, several by one array product.  Each evaluator
+gives G with G' or, asked for values only, G alone, bitwise the same G;
+the solver's three closing evaluations, ``g_function`` and the oracle's
+margins read only G.  The one-row evaluator also serves the closed-form
+Janowski equation (E <= 0), with P and Q in closed form.
 """
 
 from __future__ import annotations
@@ -40,10 +42,12 @@ _BRACKET_HI = 1.0 - 1e-9
 # The range r <= 1/3 of the Bhowmik-Das lemma (J. Math. Anal. Appl. 462, 2018).
 _LEMMA_RADIUS = 1.0 / 3.0
 
-# The pairs (G, G') of the equations ``rows`` at the radii ``r``.
-_RowEquations = Callable[[list[int], list[float]], list[tuple[float, float]]]
-# A polynomial's (or power series') value and slope at one point.
-_ValueSlope = Callable[[float], tuple[float, float]]
+# The pairs (G, G') of the equations ``rows`` at the radii ``r``, or with
+# ``slopes=False`` the values G alone.
+_RowEquations = Callable[..., list]
+# A polynomial's (or power series') value and slope at one point, or with
+# ``slope=False`` its value alone.
+_ValueSlope = Callable[..., "tuple[float, float] | float"]
 
 
 class Family(str, Enum):
@@ -140,15 +144,22 @@ def _family_extremal(problem: RadiusProblem, pair: ExtremalPair | None = None
 
 def _polynomial(coeffs: list[float]) -> _ValueSlope:
     """Value and slope of the polynomial sum c_k x^k, by one plain-float
-    Horner pass that carries both."""
+    Horner pass that carries both, or its value alone by a pass that
+    carries only the value.  The value recurrence never reads the slope,
+    so both passes give the same value bitwise."""
     reversed_coeffs = coeffs[::-1]
 
-    def value_slope(x: float) -> tuple[float, float]:
-        value = slope = 0.0
+    def value_slope(x: float, slope: bool = True) -> tuple[float, float] | float:
+        value = 0.0
+        if not slope:
+            for c in reversed_coeffs:
+                value = value * x + c
+            return value
+        derivative = 0.0
         for c in reversed_coeffs:
-            slope = slope * x + value
+            derivative = derivative * x + value
             value = value * x + c
-        return value, slope
+        return value, derivative
 
     return value_slope
 
@@ -173,11 +184,19 @@ def _equation_row(p: _ValueSlope | None, q: _ValueSlope, m: int, rstar: float
                   ) -> _RowEquations:
     """G(r) = P(r^m) + Q(r) - r* and G'(r) = Q'(r) + m r^(m-1) P'(r^m) as a
     one-row evaluator, from the values and slopes of P (None when G has no
-    r^m term) and Q; the rows asked for are all that one row.
+    r^m term) and Q; the rows asked for are all that one row.  With
+    ``slopes=False`` it gives G alone, from the values of P and Q alone.
     """
 
-    def evaluate(rows: list[int], radii: list[float]) -> list[tuple[float, float]]:
+    def evaluate(rows: list[int], radii: list[float], slopes: bool = True) -> list:
         out = []
+        if not slopes:
+            for r in radii:
+                value = q(r, False)
+                if p is not None:
+                    value += p(r**m, False)
+                out.append(value - rstar)
+            return out
         for r in radii:
             value, slope = q(r)
             if p is not None:
@@ -222,7 +241,11 @@ def _radius_equations(indices: list[tuple[int, int]], mode: Mode, coeffs: list[f
     Horner passes that carry value and slope together.  Several rows are
     evaluated together: the power tables of the radii asked for give G and
     G' of each row by one row-wise product with the coefficient and slope
-    rows, plus one product with P for the r^m term.  ``solve`` and ``sweep``
+    rows, plus one product with P for the r^m term.  Asked for values only,
+    the one row takes value-only Horner passes and several rows take only
+    the coefficient rows' product; P goes through the same two-column
+    product and takes its value column, as a gemv with P alone rounds
+    differently.  ``solve`` and ``sweep``
     pass the family extremal; built from a subordinant g instead, -G(r) is
     the Bohr-Rogosinski margin of g at r.
     """
@@ -252,8 +275,13 @@ def _radius_equations(indices: list[tuple[int, int]], mode: Mode, coeffs: list[f
     p_cols = np.stack([moduli, _slope_coeffs(moduli)], axis=1) if separate_p else None
     ms = np.array(ms)
 
-    def evaluate(rows: list[int], r: list[float]) -> list[tuple[float, float]]:
+    def evaluate(rows: list[int], r: list[float], slopes: bool = True) -> list:
         rows, r = np.asarray(rows), np.asarray(r)
+        if not slopes:
+            value = np.einsum("ik,ik->i", q[rows], _powers(r, order))
+            if p_cols is not None:
+                value = value + (_powers(r ** ms[rows], order) @ p_cols)[:, 0]
+            return (value - rstar).tolist()
         value, slope = np.einsum("ijk,ik->ji", q_rows[rows], _powers(r, order))
         if p_cols is not None:
             m = ms[rows]
@@ -275,7 +303,7 @@ def g_function(problem: RadiusProblem, pair: ExtremalPair, r: float) -> float:
     _check_radius(r)
     evaluate, _ = _radius_equations([(problem.m, problem.N)], problem.mode,
                                     *_family_extremal(problem, pair))
-    return evaluate([0], [r])[0][0]
+    return evaluate([0], [r], slopes=False)[0]
 
 
 def _newton(evaluate: _RowEquations, tol: float, tops: list[float], g_lo: float
@@ -284,7 +312,8 @@ def _newton(evaluate: _RowEquations, tol: float, tops: list[float], g_lo: float
     each with a certified bracket.
 
     ``evaluate(rows, r)`` returns the pairs (G, G') of the equations
-    ``rows`` at the radii ``r``; a row may appear more than once.  Each
+    ``rows`` at the radii ``r``, and ``evaluate(rows, r, slopes=False)`` the
+    values G alone; a row may appear more than once.  Each
     ``tops[v]`` is a certified upper bound on row v's root, the start from
     ``_certified_top``, and ``g_lo`` is G(0) = -r*, which every row takes
     exactly, so it is not evaluated.
@@ -298,7 +327,9 @@ def _newton(evaluate: _RowEquations, tol: float, tops: list[float], g_lo: float
     instead, and the sign of G at the midpoint says which end it replaces.
     Once the two bounds agree within tol/2 they are widened by tol/5 on
     each side and the signs of G at the new ends are checked.  The root is
-    one more Newton step, kept between the two bounds.
+    one more Newton step, kept between the two bounds.  These three closing
+    evaluations read G alone, so they ask for values only; they count among
+    the evaluations of G like the others.
     Every pass makes one call to ``evaluate``, on the rows still open.
     Returns, per row, the root, the bracket, the number of evaluations of G
     and the residual G(root).
@@ -342,7 +373,7 @@ def _newton(evaluate: _RowEquations, tol: float, tops: list[float], g_lo: float
         open_rows = still_open
     roots = [min(max(h - g / s, lo_v), h) for lo_v, h, (g, s) in zip(lo, hi, at_hi)]
     ends = [lo_v - 0.2 * tol for lo_v in lo] + [h + 0.2 * tol for h in hi]
-    values = [g for g, _ in evaluate(list(rows) * 3, roots + ends)]
+    values = evaluate(list(rows) * 3, roots + ends, slopes=False)
     n = len(roots)
     for v in rows:
         if not values[n + v] < 0.0 < values[2 * n + v]:
@@ -383,7 +414,8 @@ def _result(spec: PsiSpec, family: Family, mode: Mode, m: int, N: int,
 
 
 def _coefficients_nonnegative(coeffs: list[float]) -> bool:
-    return all(x >= 0.0 for x in coeffs)
+    # One C-level pass; the coefficients are finite, so no NaN upsets min.
+    return min(coeffs) >= 0.0
 
 
 def solve(problem: RadiusProblem, pair: ExtremalPair | None = None) -> RadiusResult:
@@ -433,22 +465,26 @@ def solve_janowski_exact(d: float, e: float, m: int = 1, N: int = 1,
     n = 1 if bohr_limit else N
     p = None if e == 0.0 else (d - e) / e
 
-    def f0_closed(x: float) -> tuple[float, float]:
+    def f0_closed(x: float, slope: bool = True) -> tuple[float, float] | float:
         # f0 and f0' = (1 + D x) (1 + E x)^(p-1), or (1 + D x) e^(D x) at E = 0.
         if e == 0.0:
             grow = math.exp(d * x)
-            return x * grow, (1.0 + d * x) * grow
+            value = x * grow
+            return (value, (1.0 + d * x) * grow) if slope else value
         base = 1.0 + e * x
-        return x * base**p, (1.0 + d * x) * base ** (p - 1.0)
+        value = x * base**p
+        return (value, (1.0 + d * x) * base ** (p - 1.0)) if slope else value
 
     coeffs = spec.f0_coeff_fn(n)
     head = _polynomial(coeffs[:n])
 
-    def tail(r: float) -> tuple[float, float]:
+    def tail(r: float, slope: bool = True) -> tuple[float, float] | float:
         # Q = f0 - H, the sum of a_k r^k over k >= n.
-        value, slope = f0_closed(r)
-        head_value, head_slope = head(r)
-        return value - head_value, slope - head_slope
+        if not slope:
+            return f0_closed(r, False) - head(r, False)
+        value, derivative = f0_closed(r)
+        head_value, head_derivative = head(r)
+        return value - head_value, derivative - head_derivative
 
     rstar = spec.koebe_closed
     evaluate = _equation_row(None if bohr_limit else f0_closed, tail, m, rstar)

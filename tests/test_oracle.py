@@ -631,6 +631,21 @@ def test_br_suite_convex_clean():
     assert report.violations == 0
 
 
+@pytest.mark.parametrize("label, family, m, N, worst, identity", [
+    ("cardioid", Family.STARLIKE, 2, 3, "0x1.71a26e30eba41p-3", "0x1.71a26e30eba41p-3"),
+    ("sine", Family.CONVEX, 1, 2, "0x1.728343c19d2f4p-3", "0x1.728343c19d2f4p-3"),
+    ("janowski:D=1,E=0", Family.STARLIKE, 3, 3, "0x1.333e52b3b9c33p-2",
+     "0x1.3c17fc2a75269p-2"),
+])
+def test_br_suite_keeps_its_margins(label, family, m, N, worst, identity):
+    # The margins the suite reported when it read G from the value-and-slope
+    # pass, bitwise.
+    report = run_br_suite(label, family, m, N, trials=100, seed=4)
+    assert report.violations == 0
+    assert report.worst_margin == float.fromhex(worst)
+    assert report.config["identity_margin_at_rb"] == float.fromhex(identity)
+
+
 def test_br_bohr_limit_mode_drops_point_term():
     spec = catalog.cardioid()
     pair = build_extremal_pair(spec)

@@ -237,7 +237,8 @@ def test_solver_grid_solves_at_the_smallest_tol(label, order):
 @pytest.fixture
 def newton_runs(monkeypatch):
     """Spy on the root solver: each row's start, G there, and the
-    evaluations of G made for each row.
+    evaluations of G made for each row, with those that asked for values
+    only.
 
     The solver is handed G(0) instead of evaluating it; the spy checks that
     the value handed over is G(0) bitwise on every row.
@@ -249,13 +250,14 @@ def newton_runs(monkeypatch):
         rows = list(range(len(tops)))
         assert [g for g, _ in evaluate(rows, [0.0] * len(tops))] == [g_lo] * len(tops)
         run = {"hi": list(tops), "g_hi": [g for g, _ in evaluate(rows, list(tops))],
-               "calls": [0] * len(tops)}
+               "calls": [0] * len(tops), "values_only": [0] * len(tops)}
         runs.append(run)
 
-        def counted(rows, r):
+        def counted(rows, r, slopes=True):
             for v in rows:
                 run["calls"][v] += 1
-            return evaluate(rows, r)
+                run["values_only"][v] += not slopes
+            return evaluate(rows, r, slopes=slopes)
 
         return newton(counted, tol, tops, g_lo)
 
@@ -266,8 +268,7 @@ def newton_runs(monkeypatch):
 def lone_run(runs):
     """The start, G there and the calls of the last run, a one-row run."""
     run = runs.pop()
-    (hi,), (g_hi,), (calls,) = run["hi"], run["g_hi"], run["calls"]
-    return {"hi": hi, "g_hi": g_hi, "calls": calls}
+    return {key: value for key, (value,) in run.items()}
 
 
 def expected_start(rstar, terms):
@@ -299,6 +300,8 @@ def test_series_solver_starts_at_the_certified_bound(label, order, newton_runs):
                     assert run["hi"] == expected_start(rstar, terms), prob
                     assert run["g_hi"] > 0.0 and res.r0 < run["hi"], prob
                     assert res.iterations == run["calls"], prob
+                    # The root and the two widened ends read G alone.
+                    assert run["values_only"] == 3, prob
 
 
 def test_solve_rejects_a_pair_of_another_order():
@@ -587,6 +590,8 @@ def test_exact_solver_starts_at_the_certified_bound(de, newton_runs):
                 assert run["hi"] == expected_start(rstar, terms), case
                 assert run["g_hi"] > 0.0 and res.r0 < run["hi"], case
                 assert res.iterations == run["calls"], case
+                # The root and the two widened ends read G alone.
+                assert run["values_only"] == 3, case
 
 
 @pytest.mark.parametrize("label", SOLVER_GRID_LABELS + ["booth:k=3"])
@@ -683,7 +688,8 @@ def test_newton_rows_are_independent():
 
     def rows_of(chosen):
         # Row v of the batch is the one row of the evaluator chosen[v].
-        return lambda rows, r: [chosen[v]([0], [x])[0] for v, x in zip(rows, r)]
+        return lambda rows, r, slopes=True: [chosen[v]([0], [x], slopes)[0]
+                                             for v, x in zip(rows, r)]
 
     together = radius._newton(rows_of(equations), 1e-10, tops, -rstar)
     for v, (equation, hi) in enumerate(zip(equations, tops)):
@@ -723,6 +729,7 @@ def test_sweep_rows_start_at_the_certified_bound(label, newton_runs):
                     assert run["hi"][row] == expected_start(rstar, terms), case
                     assert run["g_hi"][row] > 0.0 and res.r0 < run["hi"][row], case
                     assert res.iterations == run["calls"][row], case
+                    assert run["values_only"][row] == 3, case
 
 
 @pytest.mark.parametrize("order", [64, 256])
@@ -835,6 +842,83 @@ def test_sweep_rejects_bad_ranges():
         sweep(problem("cardioid"))
     with pytest.raises(ValueError):
         sweep(problem("cardioid"), n_values=[1], m_values=[1])
+
+
+# -- values-only evaluations -----------------------------------------------
+
+
+@pytest.fixture
+def solver_equations(monkeypatch):
+    """The evaluators handed to the root solver, with each run's roots."""
+    runs = []
+    newton = radius._newton
+
+    def spy(evaluate, tol, tops, g_lo):
+        solved = newton(evaluate, tol, tops, g_lo)
+        runs.append((evaluate, list(tops), [row[0] for row in solved]))
+        return solved
+
+    monkeypatch.setattr(radius, "_newton", spy)
+    return runs
+
+
+def assert_values_only_bitwise(runs):
+    """Asked for values only, each evaluator gives bitwise the G of the full
+    request: at the starts, the roots, fixed radii and their midpoints, with
+    rows asked for out of order and more than once."""
+    assert runs
+    for evaluate, tops, roots in runs:
+        rows = list(range(len(tops)))
+        rows = rows[::-1] + rows
+        for at in (tops, roots, [0.0], [1.0 / 3.0], [0.9], [0.5 * (t + r)
+                                                              for t, r in zip(tops, roots)]):
+            radii = [at[v % len(at)] for v in rows]
+            full = [repr(g) for g, _ in evaluate(rows, radii)]
+            assert list(map(repr, evaluate(rows, radii, slopes=False))) == full
+
+
+@pytest.mark.parametrize("order", [64, 256])
+@pytest.mark.parametrize("label", SOLVER_GRID_LABELS)
+def test_values_only_rows_equal_the_full_request(label, order, solver_equations):
+    # One-row rows by solve, multi-row rows by sweeps over N and over m.
+    spec = catalog.parse_psi(label)
+    for family in Family:
+        for mode in Mode:
+            base = RadiusProblem(psi=spec, family=family, mode=mode, order=order)
+            for m in (1, 2, 5, 24):
+                for N in (1, 2, 3, 10):
+                    solve(dataclasses.replace(base, m=m, N=N))
+                sweep(dataclasses.replace(base, m=m), n_values=[1, 2, 3, 10])
+            for N in (1, 2, 3, 10):
+                sweep(dataclasses.replace(base, N=N), m_values=[1, 2, 5, 24])
+    assert_values_only_bitwise(solver_equations)
+
+
+@pytest.mark.parametrize("de", [(1.0, -1.0), (1.0, 0.0), (0.5, -0.5), (0.3, -1.0),
+                                (0.8, -0.2)])
+def test_values_only_closed_rows_equal_the_full_request(de, solver_equations):
+    for mode in Mode:
+        for m in (1, 2, 5, 24):
+            for N in (1, 2, 3, 10):
+                solve_janowski_exact(*de, m=m, N=N, mode=mode)
+    assert_values_only_bitwise(solver_equations)
+
+
+@pytest.mark.parametrize("label, family, m, N, mode, order, r, g", [
+    ("cardioid", Family.STARLIKE, 2, 3, Mode.BOHR_ROGOSINSKI, 64, 0.3,
+     "-0x1.ccb4381261f62p-3"),
+    ("sine", Family.CONVEX, 5, 2, Mode.BOHR_ROGOSINSKI, 256, 0.45, "-0x1.0118e05eee2c3p-1"),
+    ("zexpz", Family.STARLIKE, 1, 1, Mode.BOHR_LIMIT, 64, 0.2, "-0x1.20a9fb1263952p-2"),
+    ("janowski:D=0.8,E=0.65", Family.CONVEX, 24, 10, Mode.BOHR_ROGOSINSKI, 64, 0.6,
+     "-0x1.d03116a5fc911p-1"),
+    ("booth", Family.STARLIKE, 1, 2, Mode.BOHR_ROGOSINSKI, 256, 0.15,
+     "-0x1.3b67a978dddfep-2"),
+])
+def test_g_function_keeps_its_values(label, family, m, N, mode, order, r, g):
+    # The values g_function gave when it read G from the value-and-slope pass.
+    spec = catalog.parse_psi(label)
+    prob = RadiusProblem(psi=spec, family=family, m=m, N=N, mode=mode, order=order)
+    assert g_function(prob, build_extremal_pair(spec, order), r) == float.fromhex(g)
 
 
 # -- serialization ---------------------------------------------------------------
