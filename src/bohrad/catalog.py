@@ -23,8 +23,7 @@ entries are Janowski entries with only what differs replaced.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .series import TruncatedSeries, np
 
@@ -91,8 +90,24 @@ def _validate_janowski(d: float, e: float) -> None:
         raise ValueError(f"Janowski parameters need -1 <= E < D <= 1, got D={d}, E={e}")
 
 
-@dataclass(frozen=True)
-class PsiSpec:
+class _PsiFields(NamedTuple):
+    label: str
+    params: dict
+    coeff_fn: Callable[[int], np.ndarray]
+    psi_eval: Callable[[float | np.ndarray], float | np.ndarray]
+    f0_closed: Optional[Callable[[float | np.ndarray], float | np.ndarray]]
+    # Taylor coefficients t_0..t_order of f0 as a list of floats, from a
+    # short recurrence (the Janowski family, cardioid, booth); build_f0 and
+    # a lone radius solve prefer them to the dense recurrence on psi.
+    f0_coeff_fn: Optional[Callable[[int], list[float]]]
+    # Closed boundary distances -f0(-1) and -l0(-1); the Koebe radius falls
+    # back to quadrature for a family whose value is None.
+    koebe_closed: Optional[float]
+    koebe_closed_convex: Optional[float]
+    default_family: str
+
+
+class PsiSpec(_PsiFields):
     """One catalog entry; immutable and freely shareable.
 
     ``psi_eval`` and ``f0_closed`` take a float or an ndarray, which they
@@ -102,20 +117,17 @@ class PsiSpec:
     an array give the same bits.
     """
 
-    label: str
-    params: dict = field(default_factory=dict)
-    coeff_fn: Callable[[int], np.ndarray] = None
-    psi_eval: Callable[[float | np.ndarray], float | np.ndarray] = None
-    f0_closed: Optional[Callable[[float | np.ndarray], float | np.ndarray]] = None
-    # Taylor coefficients t_0..t_order of f0 as a list of floats, from a
-    # short recurrence (the Janowski family, cardioid, booth); build_f0 and
-    # a lone radius solve prefer them to the dense recurrence on psi.
-    f0_coeff_fn: Optional[Callable[[int], list[float]]] = None
-    # Closed boundary distances -f0(-1) and -l0(-1); the Koebe radius falls
-    # back to quadrature for a family whose value is None.
-    koebe_closed: Optional[float] = None
-    koebe_closed_convex: Optional[float] = None
-    default_family: str = "starlike"
+    __slots__ = ()
+
+    def __new__(cls, label: str, params: dict | None = None, coeff_fn=None, psi_eval=None,
+                f0_closed=None, f0_coeff_fn=None, koebe_closed: float | None = None,
+                koebe_closed_convex: float | None = None,
+                default_family: str = "starlike") -> "PsiSpec":
+        # An entry given no params gets its own empty dict, where a default
+        # of the fields would be one dict shared by every such entry.
+        return super().__new__(cls, label, {} if params is None else params, coeff_fn,
+                               psi_eval, f0_closed, f0_coeff_fn, koebe_closed,
+                               koebe_closed_convex, default_family)
 
     def series(self, order: int) -> TruncatedSeries:
         """Taylor coefficients of psi to the given order."""
@@ -182,13 +194,13 @@ def janowski(d: float, e: float) -> PsiSpec:
 
 def classical_starlike() -> PsiSpec:
     """psi(z) = (1+z)/(1-z); the extremal function is the Koebe function."""
-    return replace(janowski(1.0, -1.0), label="classical-starlike")
+    return janowski(1.0, -1.0)._replace(label="classical-starlike")
 
 
 def classical_convex() -> PsiSpec:
     """Same generator as classical-starlike, used with the convex family,
     whose extremal function is z/(1-z)."""
-    return replace(janowski(1.0, -1.0), label="classical-convex", default_family="convex")
+    return janowski(1.0, -1.0)._replace(label="classical-convex", default_family="convex")
 
 
 def starlike_alpha(alpha: float) -> PsiSpec:
@@ -199,8 +211,7 @@ def starlike_alpha(alpha: float) -> PsiSpec:
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
     d = 1.0 - 2.0 * alpha
-    return replace(
-        janowski(d, -1.0),
+    return janowski(d, -1.0)._replace(
         label=f"alpha:{_label_number(alpha)}",
         params={"alpha": alpha, "D": d, "E": -1.0},
         f0_closed=lambda r: r * np.power(1.0 - r, -2.0 * (1.0 - alpha)),

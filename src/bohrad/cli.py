@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import gc
 import json
 import signal
@@ -21,6 +20,7 @@ import sys
 from . import catalog
 from .extremal import QuadratureError
 from .radius import (
+    DEFAULT_TOL,
     BracketError,
     Family,
     Mode,
@@ -38,7 +38,7 @@ EXIT_USAGE = 2
 EXIT_SOLVER = 3
 EXIT_VIOLATIONS = 4
 
-CSV_HEADER = ",".join(f.name for f in dataclasses.fields(RadiusResult) if f.name != "bracket")
+CSV_HEADER = ",".join(name for name in RadiusResult._fields if name != "bracket")
 
 
 def _fmt(x: float) -> str:
@@ -128,10 +128,8 @@ def _cmd_radius(args) -> int:
         if family == Family.CONVEX:
             raise ValueError("--method exact solves the starlike Janowski equation only; "
                              "there is no closed convex equation")
-        res = dataclasses.replace(
-            solve_janowski_exact(params["D"], params["E"], **options),
-            psi=spec.label,
-        )
+        res = solve_janowski_exact(params["D"], params["E"], **options)._replace(
+            psi=spec.label)
     else:
         res = solve(RadiusProblem(psi=spec, family=family, **options))
     _print_result(res, args.format)
@@ -268,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for p in (p_radius, p_sweep):
         p.add_argument("--tol", type=float, default=None,
-                       help=f"root bracketing tolerance (default {RadiusProblem.tol:g})")
+                       help=f"root bracketing tolerance (default {DEFAULT_TOL:g})")
 
     p_verify = sub.add_parser("verify", help="run a Monte-Carlo verification suite",
                               description="A flag not given takes the suite's default.")

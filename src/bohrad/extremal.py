@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .catalog import PsiSpec
 from .series import DEFAULT_ORDER, TruncatedSeries, np
@@ -68,8 +68,7 @@ class QuadratureError(RuntimeError):
     """The quadrature rules gave a non-finite value or did not agree."""
 
 
-@dataclass(frozen=True)
-class ExtremalPair:
+class ExtremalPair(NamedTuple):
     """f0 and l0 at a common order, with both boundary distances."""
 
     f0: TruncatedSeries

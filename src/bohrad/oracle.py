@@ -51,8 +51,8 @@ from __future__ import annotations
 
 import random
 from collections.abc import Iterator
-from dataclasses import asdict, dataclass, field
 from itertools import repeat
+from typing import NamedTuple
 
 from .catalog import parse_psi
 from .extremal import ExtremalPair, build_extremal_pair, build_f0
@@ -87,21 +87,30 @@ class InequalityViolation(Exception):
         self.report = report
 
 
-@dataclass(frozen=True)
-class SchwarzSample:
-    """A finite real-zero Blaschke product times a sign."""
-
+class _SampleFields(NamedTuple):
     degree: int
     zeros: tuple[float, ...]
     sign: int
 
-    def __post_init__(self):
-        if self.degree != len(self.zeros):
+
+class SchwarzSample(_SampleFields):
+    """A finite real-zero Blaschke product times a sign."""
+
+    __slots__ = ()
+
+    def __new__(cls, degree: int, zeros: tuple[float, ...], sign: int) -> "SchwarzSample":
+        if degree != len(zeros):
             raise ValueError("degree must match the number of zeros")
-        if any(abs(a) >= 1.0 for a in self.zeros):
+        if any(abs(a) >= 1.0 for a in zeros):
             raise ValueError("Blaschke zeros must lie in (-1, 1)")
-        if self.sign not in (-1, 1):
+        if sign not in (-1, 1):
             raise ValueError("sign must be +1 or -1")
+        return super().__new__(cls, degree, zeros, sign)
+
+    @classmethod
+    def _make(cls, iterable) -> "SchwarzSample":
+        # Through __new__, so that _replace checks what it builds.
+        return cls(*iterable)
 
     def describe(self) -> dict:
         return {"degree": self.degree, "zeros": list(self.zeros), "sign": self.sign}
@@ -459,8 +468,7 @@ def verify_br_inequality(problem: RadiusProblem, pair: ExtremalPair,
 # -- suite runners ------------------------------------------------------
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Aggregate of one seeded verification run."""
 
     seed: int
@@ -468,10 +476,12 @@ class VerificationReport:
     violations: int
     worst_margin: float
     config: dict
-    counterexamples: list = field(default_factory=list)
+    counterexamples: list
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        """The fields in order, as a deep copy the caller may change."""
+        import copy  # here, not at the top: a call that prints no report never loads it
+        return copy.deepcopy(self._asdict())
 
 
 def _chunk_size(order: int) -> int:

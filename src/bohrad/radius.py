@@ -28,17 +28,17 @@ Janowski equation (E <= 0), with P and Q in closed form.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .catalog import PsiSpec, janowski
 from .extremal import ExtremalPair, build_f0, koebe_radius
 from .series import DEFAULT_ORDER, OrderMismatchError, np
 
 _BRACKET_HI = 1.0 - 1e-9
+# The root bracketing tolerance of a problem, unless it gives another.
+DEFAULT_TOL = 1e-10
 # The range r <= 1/3 of the Bhowmik-Das lemma (J. Math. Anal. Appl. 462, 2018).
 _LEMMA_RADIUS = 1.0 / 3.0
 
@@ -77,22 +77,32 @@ def _check_problem(m: int, N: int, tol: float, order: int | None = None) -> None
         raise ValueError(f"N={N} exceeds the truncation order {order}")
 
 
-@dataclass(frozen=True)
-class RadiusProblem:
+class _ProblemFields(NamedTuple):
     psi: PsiSpec
-    family: Family = Family.STARLIKE
-    m: int = 1
-    N: int = 1
-    mode: Mode = Mode.BOHR_ROGOSINSKI
-    order: int = DEFAULT_ORDER
-    tol: float = 1e-10
-
-    def __post_init__(self):
-        _check_problem(self.m, self.N, self.tol, self.order)
+    family: Family
+    m: int
+    N: int
+    mode: Mode
+    order: int
+    tol: float
 
 
-@dataclass(frozen=True)
-class RadiusResult:
+class RadiusProblem(_ProblemFields):
+    __slots__ = ()
+
+    def __new__(cls, psi: PsiSpec, family: Family = Family.STARLIKE, m: int = 1, N: int = 1,
+                mode: Mode = Mode.BOHR_ROGOSINSKI, order: int = DEFAULT_ORDER,
+                tol: float = DEFAULT_TOL) -> "RadiusProblem":
+        _check_problem(m, N, tol, order)
+        return super().__new__(cls, psi, family, m, N, mode, order, tol)
+
+    @classmethod
+    def _make(cls, iterable) -> "RadiusProblem":
+        # Through __new__, so that _replace checks what it builds.
+        return cls(*iterable)
+
+
+class RadiusResult(NamedTuple):
     psi: str
     family: str
     m: int
@@ -108,7 +118,7 @@ class RadiusResult:
 
     def to_json_dict(self) -> dict:
         """The fields in output order, without the bracket."""
-        out = dataclasses.asdict(self)
+        out = self._asdict()
         del out["bracket"]
         return out
 
@@ -381,10 +391,12 @@ def _newton(evaluate: _RowEquations, tol: float, tops: list[float], g_lo: float
     return [(roots[v], (ends[v], ends[n + v]), evaluations[v] + 3, values[v]) for v in rows]
 
 
-def _result(spec: PsiSpec, family: Family, mode: Mode, m: int, N: int,
-            solved: tuple[float, tuple[float, float], int, float],
-            nonnegative: bool) -> RadiusResult:
-    """The result of a solved equation, from a row of ``_newton``;
+def _result(spec: PsiSpec, family: Family, mode: Mode, nonnegative: bool
+            ) -> Callable[[int, int, tuple[float, tuple[float, float], int, float]],
+                          RadiusResult]:
+    """The maker of the results of one problem's solved equations: it takes
+    m, N and a row of ``_newton``.  What the rows share (the label, the
+    family and mode strings, the classical test) is decided once.
     ``nonnegative`` says whether every extremal coefficient is
     nonnegative, which sharpness needs: then the extremal itself attains
     the bound, exact zeros (a terminating or underflowed series) included.
@@ -395,22 +407,17 @@ def _result(spec: PsiSpec, family: Family, mode: Mode, m: int, N: int,
     under z/(1-z) (Rogosinski, 1943).  Elsewhere the Bhowmik-Das lemma
     covers only r <= 1/3.
     """
-    r0, bracket, iterations, residual = solved
+    label, family, mode = spec.label, family.value, mode.value
     classical = spec.params.get("D") == 1.0 and spec.params.get("E") == -1.0
-    rb = r0 if classical else min(r0, _LEMMA_RADIUS)
-    return RadiusResult(
-        psi=spec.label,
-        family=family.value,
-        m=m,
-        N=N,
-        mode=mode.value,
-        r0=r0,
-        rb=rb,
-        residual=residual,
-        iterations=iterations,
-        sharp=rb == r0 and nonnegative,
-        bracket=bracket,
-    )
+
+    def result(m: int, N: int, solved: tuple[float, tuple[float, float], int, float]
+               ) -> RadiusResult:
+        r0, bracket, iterations, residual = solved
+        rb = r0 if classical else min(r0, _LEMMA_RADIUS)
+        return RadiusResult(label, family, m, N, mode, r0, rb, residual, iterations,
+                            rb == r0 and nonnegative, bracket)
+
+    return result
 
 
 def _coefficients_nonnegative(coeffs: list[float]) -> bool:
@@ -426,12 +433,13 @@ def solve(problem: RadiusProblem, pair: ExtremalPair | None = None) -> RadiusRes
     coeffs, rstar = _family_extremal(problem, pair)
     evaluate, tops = _radius_equations([(problem.m, problem.N)], problem.mode, coeffs, rstar)
     (solved,) = _newton(evaluate, problem.tol, tops, -rstar)
-    return _result(problem.psi, problem.family, problem.mode, problem.m, problem.N,
-                   solved, _coefficients_nonnegative(coeffs))
+    result = _result(problem.psi, problem.family, problem.mode,
+                     _coefficients_nonnegative(coeffs))
+    return result(problem.m, problem.N, solved)
 
 
 def solve_janowski_exact(d: float, e: float, m: int = 1, N: int = 1,
-                         tol: float = RadiusProblem.tol,
+                         tol: float = DEFAULT_TOL,
                          mode: Mode = Mode.BOHR_ROGOSINSKI) -> RadiusResult:
     """Solve the closed-form Janowski radius equation.
 
@@ -490,11 +498,10 @@ def solve_janowski_exact(d: float, e: float, m: int = 1, N: int = 1,
     evaluate = _equation_row(None if bohr_limit else f0_closed, tail, m, rstar)
     top = _certified_top(rstar, coeffs, m, n, bohr_limit)
     (solved,) = _newton(evaluate, tol, [top], -rstar)
-    return _result(spec, Family.STARLIKE, mode, m, N, solved, True)
+    return _result(spec, Family.STARLIKE, mode, True)(m, N, solved)
 
 
-@dataclass(frozen=True)
-class Sweep:
+class Sweep(NamedTuple):
     axis: str
     values: tuple[int, ...]
     results: tuple[RadiusResult, ...]
@@ -532,9 +539,9 @@ def sweep(problem: RadiusProblem, n_values=None, m_values=None) -> Sweep:
     roots = _newton(evaluate, problem.tol, tops, -rstar)
     if bohr_limit:
         roots *= len(indices)
-    nonnegative = _coefficients_nonnegative(coeffs)
-    solved = {v: _result(problem.psi, problem.family, problem.mode, m, N, root, nonnegative)
-              for v, (m, N), root in zip(distinct, indices, roots)}
+    result = _result(problem.psi, problem.family, problem.mode,
+                     _coefficients_nonnegative(coeffs))
+    solved = {v: result(m, N, root) for v, (m, N), root in zip(distinct, indices, roots)}
     results = tuple(solved[v] for v in values)
     radii = [res.r0 for res in results]
     monotone = all(b >= a - 1e-12 for a, b in zip(radii, radii[1:]))

@@ -29,7 +29,6 @@ full majorant).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 DEFAULT_ORDER = 64
@@ -80,20 +79,18 @@ def _toeplitz(rows: np.ndarray) -> np.ndarray:
                       strides=padded.strides[:-1] + (-step, step)).copy()
 
 
-@dataclass(frozen=True, eq=False)
 class TruncatedSeries:
     """Real power series truncated at a fixed order.
 
     ``coeffs`` holds finite entries c_0..c_K along its last axis, and
     ``order`` is K; leading axes, if any, hold a stack of series.  Instances
-    are immutable (the coefficient array is locked) and safe to share.
+    are immutable (the coefficient array is locked, and no attribute can be
+    set) and safe to share; two series are equal only if they are one
+    object.
     """
 
-    coeffs: np.ndarray
-    order: int = field(init=False)
-
-    def __post_init__(self):
-        arr = np.array(self.coeffs, dtype=float)
+    def __init__(self, coeffs):
+        arr = np.array(coeffs, dtype=float)
         if arr.ndim == 0 or arr.shape[-1] == 0:
             raise ValueError("coefficients must form non-empty sequences")
         if not np.isfinite(arr).all():
@@ -101,6 +98,12 @@ class TruncatedSeries:
         arr.flags.writeable = False
         object.__setattr__(self, "coeffs", arr)
         object.__setattr__(self, "order", arr.shape[-1] - 1)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def _check_single(self) -> None:
         if self.coeffs.ndim != 1:

@@ -10,7 +10,6 @@ false: the run must find counterexamples (on the sine, booth and cardioid
 extremals), and the worst one is confirmed by recomposing it at 40 digits.
 """
 
-import dataclasses
 import math
 import time
 
@@ -122,7 +121,7 @@ def test_criterion_06_janowski_coefficient_equality():
     # recurrence, so that the bound product checks an independent path.
     worst = 0.0
     for d, e in JANOWSKI_GRID + [(0.75, 0.25)]:
-        spec = dataclasses.replace(catalog.janowski(d, e), f0_coeff_fn=None)
+        spec = catalog.janowski(d, e)._replace(f0_coeff_fn=None)
         f0 = build_f0(spec, 24)
         for n in range(2, 21):
             bound = catalog.janowski_coeff_bound(d, e, n)

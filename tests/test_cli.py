@@ -1,7 +1,6 @@
 """Command-line interface: exit codes, formats, determinism."""
 
 import csv
-import dataclasses
 import gc
 import io
 import json
@@ -96,13 +95,17 @@ def test_import_leaves_scipy_unloaded():
 
 def test_import_leaves_numpy_unloaded_and_loads_every_layer():
     # numpy loads at the first array operation; every layer module still
-    # loads with the package, so an import profile sees each of them.
+    # loads with the package, so an import profile sees each of them.  No
+    # record is a dataclass, so neither dataclasses nor the inspect it
+    # imports is loaded either.
     code = ("import sys, bohrad, bohrad.cli; print('numpy' in sys.modules, "
+            "'dataclasses' in sys.modules, 'inspect' in sys.modules, "
             "sorted(m for m in sys.modules if m.startswith('bohrad.')))")
     child = run_python("-c", code)
     assert child.returncode == 0, child.stderr
-    assert child.stdout.strip() == ("False ['bohrad.catalog', 'bohrad.cli', 'bohrad.extremal', "
-                                    "'bohrad.oracle', 'bohrad.radius', 'bohrad.series']")
+    assert child.stdout.strip() == ("False False False ['bohrad.catalog', 'bohrad.cli', "
+                                    "'bohrad.extremal', 'bohrad.oracle', 'bohrad.radius', "
+                                    "'bohrad.series']")
 
 
 @pytest.mark.parametrize("argv, exit_code", [
@@ -363,11 +366,11 @@ def test_stalled_newton_steps_return_a_certified_bracket(argv):
     pair = bohrad.build_extremal_pair(spec, 64)
     base = bohrad.RadiusProblem(psi=spec, m=int(opts["--m"]), tol=tol)
     if argv[0] == "radius":
-        problems = [dataclasses.replace(base, N=int(opts["--N"]))]
+        problems = [base._replace(N=int(opts["--N"]))]
         results = [bohrad.solve(problems[0], pair)]
         assert json.loads(done.stdout)["r0"] == float(f"{results[0].r0:.12g}")
     else:
-        problems = [dataclasses.replace(base, N=n) for n in (9, 10)]
+        problems = [base._replace(N=n) for n in (9, 10)]
         results = bohrad.sweep(base, n_values=(9, 10)).results
         assert [row["r0"] for row in json.loads(done.stdout)["results"]] == [
             float(f"{res.r0:.12g}") for res in results]

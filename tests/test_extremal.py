@@ -1,6 +1,5 @@
 """Extremal series, Alexander relation, and Koebe radii."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -33,7 +32,7 @@ CATALOG_LABELS = [
 def dense(spec):
     """The entry without its catalog coefficients: build_f0 then runs the
     dense recurrence on psi's series."""
-    return dataclasses.replace(spec, f0_coeff_fn=None)
+    return spec._replace(f0_coeff_fn=None)
 
 
 def test_classical_f0_is_koebe():
@@ -417,7 +416,7 @@ def test_convex_quadrature_against_psi_at_40_digits(label):
 
 
 def test_convex_quadrature_needs_a_closed_f0():
-    spec = dataclasses.replace(catalog.cardioid(), f0_closed=None)
+    spec = catalog.cardioid()._replace(f0_closed=None)
     assert koebe_radius_quadrature(spec, "starlike") == koebe_radius_quadrature(
         catalog.cardioid(), "starlike")
     with pytest.raises(QuadratureError, match="no closed f0"):

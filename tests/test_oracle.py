@@ -64,6 +64,18 @@ def test_sample_validation():
         SchwarzSample(degree=0, zeros=(), sign=0)
 
 
+def test_replacing_a_field_still_validates():
+    # _replace builds through _make, which must go through the checks of
+    # __new__, not around them.
+    problem = RadiusProblem(psi=catalog.cardioid())
+    with pytest.raises(ValueError, match=r"^m and N must be positive integers$"):
+        problem._replace(N=0)
+    with pytest.raises(ValueError, match=r"^tol must lie in \[1e-15, 1e-3\), got 1e-16$"):
+        problem._replace(tol=1e-16)
+    with pytest.raises(ValueError, match=r"^Blaschke zeros must lie in \(-1, 1\)$"):
+        IDENTITY_SAMPLE._replace(degree=1, zeros=(1.0,))
+
+
 def test_schwarz_series_identity():
     w = schwarz_series(IDENTITY_SAMPLE, 8)
     assert np.array_equal(w.coeffs, TruncatedSeries.identity(8).coeffs)

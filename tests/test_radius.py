@@ -1,6 +1,5 @@
 """Radius equations, solvers, sweeps, and path consistency."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -750,7 +749,7 @@ def test_one_row_sweeps_equal_lone_solves(label, order):
         for axis, keyword in SWEEP_AXES:
             swept = sweep(bohr_limit, **{keyword: [5, 1, 3, 3]})
             for v, res in zip(swept.values, swept.results):
-                prob = dataclasses.replace(bohr_limit, **{axis: v})
+                prob = bohr_limit._replace(**{axis: v})
                 assert repr(res) == repr(solve(prob)), prob
 
 
@@ -792,7 +791,7 @@ def test_sweep_matches_solve_in_the_given_order(label, order):
                 swept = sweep(base, **{keyword: values})
                 assert swept.values == tuple(values)
                 for v, res in zip(values, swept.results):
-                    prob = dataclasses.replace(base, **{axis: v})
+                    prob = base._replace(**{axis: v})
                     assert (res.m, res.N) == (prob.m, prob.N), prob
                     alone = solve(prob, pair)
                     assert abs(res.r0 - alone.r0) <= 1e-15, prob
@@ -815,7 +814,7 @@ def test_long_sweeps_match_solve(label, order):
         for axis, values in (("N", range(1, order + 1)), ("m", range(1, 51))):
             swept = sweep(base, **{"n_values" if axis == "N" else "m_values": values})
             for v, res in zip(values, swept.results):
-                prob = dataclasses.replace(base, **{axis: v})
+                prob = base._replace(**{axis: v})
                 assert abs(res.r0 - solve(prob, pair).r0) <= 1e-15, prob
                 lo, hi = res.bracket
                 assert g_function(prob, pair, lo) < 0.0 < g_function(prob, pair, hi), prob
@@ -887,10 +886,10 @@ def test_values_only_rows_equal_the_full_request(label, order, solver_equations)
             base = RadiusProblem(psi=spec, family=family, mode=mode, order=order)
             for m in (1, 2, 5, 24):
                 for N in (1, 2, 3, 10):
-                    solve(dataclasses.replace(base, m=m, N=N))
-                sweep(dataclasses.replace(base, m=m), n_values=[1, 2, 3, 10])
+                    solve(base._replace(m=m, N=N))
+                sweep(base._replace(m=m), n_values=[1, 2, 3, 10])
             for N in (1, 2, 3, 10):
-                sweep(dataclasses.replace(base, N=N), m_values=[1, 2, 5, 24])
+                sweep(base._replace(N=N), m_values=[1, 2, 5, 24])
     assert_values_only_bitwise(solver_equations)
 
 
