@@ -35,7 +35,9 @@ part of the tolerance.  The suites take the seeded stream of samples
 (``_samples``) a chunk at a time, in trial order, with the chunk sized by
 bytes (``_CHUNK_BYTES``).  A chunk's omegas are built as one stack
 (``_schwarz_chunk``), their power tables by one stacked doubling, and the
-stack of extremals is composed with every omega by one product.  The tail
+stack of extremals is composed with every omega by one product.  One
+workspace per suite call (``_workspace``) holds the chunk's Toeplitz
+factors and power tables, and every chunk is built in place in it.  The tail
 kernel then takes every (N, r) margin of the chunk from one product
 |g| @ weights, the weighted kernel applies h by one Toeplitz product, and
 the Bohr-Rogosinski kernel evaluates one radius equation per composed row.
@@ -72,8 +74,8 @@ DEFAULT_ORACLE_PSIS = (
 
 _ZERO_RANGE = 0.95
 _AXIOM_TOL = 1e-12
-# Bytes of power tables and Toeplitz blocks that one chunk of samples may
-# hold (``_chunk_size``).
+# Bytes of the workspace of one suite call (``_workspace``): a power table
+# and a Toeplitz block for each sample of a chunk (``_chunk_size``).
 _CHUNK_BYTES = 1 << 19
 # Counterexamples a suite report keeps.
 _MAX_REPORTS = 10
@@ -133,14 +135,17 @@ def sample_schwarz(rng: random.Random, degree_max: int = 4) -> SchwarzSample:
     return SchwarzSample(degree=degree, zeros=zeros, sign=sign)
 
 
-def _schwarz_chunk(samples: list[SchwarzSample], order: int) -> TruncatedSeries:
+def _schwarz_chunk(samples: list[SchwarzSample], order: int,
+                   scratch: np.ndarray | None = None) -> TruncatedSeries:
     """Taylor coefficients of sampled Schwarz functions, stacked one row each.
 
     Each factor expands as (z - a)/(1 - az) = -a + sum_{i>=1} a^(i-1)(1 - a^2) z^i,
     whose terms from z on are one running product.  All factor rows are
     built at once, and a sample with fewer zeros than the chunk's most takes
     the factor 1 in their place.  sign * z times the first factor is that
-    factor shifted; each further factor is one Toeplitz product per row.
+    factor shifted; each further factor is one Toeplitz product per row,
+    its Toeplitz matrices copied into the front of ``scratch`` (a flat
+    array of at least len(samples) * (order + 1)^2 floats) when given.
     """
     degrees = [sample.degree for sample in samples]
     degree = max([1] + degrees)
@@ -154,8 +159,10 @@ def _schwarz_chunk(samples: list[SchwarzSample], order: int) -> TruncatedSeries:
     factors[np.arange(degree) >= np.array(degrees)[:, None]] = np.eye(1, order + 1)
     rows = np.zeros((len(samples), order + 1))
     rows[:, 1:] = np.array([[sample.sign] for sample in samples]) * factors[:, 0, :-1]
+    block = None if scratch is None else \
+        scratch[: rows.size * (order + 1)].reshape(rows.shape + (order + 1,))
     for j in range(1, degree):
-        rows = _rowwise(rows, _toeplitz(factors[:, j]))
+        rows = _rowwise(rows, _toeplitz(factors[:, j], block))
     return TruncatedSeries(rows)
 
 
@@ -490,15 +497,27 @@ def _chunk_size(order: int) -> int:
     return max(1, _CHUNK_BYTES // (2 * 8 * (order + 1) ** 2))
 
 
-def _samples(seed: int, trials: int, degree_max: int, order: int):
-    """The seeded stream of the suites, in chunks that fit ``_CHUNK_BYTES``:
-    per chunk, its omegas as one stacked series and the descriptions of
-    their samples.  The samples are drawn in trial order."""
-    rng = random.Random(seed)
+def _workspace(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The memory of one suite call, reused by each of its chunks: power
+    tables for ``_chunk_size(order)`` samples, and a flat scratch block of as
+    many Toeplitz matrices of order + 1 rows."""
     size = _chunk_size(order)
+    return np.empty((size, order + 1, order + 1)), np.empty(size * (order + 1) ** 2)
+
+
+def _samples(seed: int, trials: int, degree_max: int, order: int, workspace):
+    """The seeded stream of the suites, in chunks of ``_chunk_size(order)``:
+    per chunk, its omegas as one stacked series and the descriptions of
+    their samples.  The samples are drawn in trial order.  Each chunk's
+    Toeplitz factors and power tables are built in ``workspace``
+    (``_workspace``), so its omegas' ``powers`` last until the next chunk."""
+    rng = random.Random(seed)
+    tables, scratch = workspace
+    size = len(tables)
     for start in range(0, trials, size):
         chunk = [sample_schwarz(rng, degree_max) for _ in range(min(size, trials - start))]
-        yield _schwarz_chunk(chunk, order), [sample.describe() for sample in chunk]
+        omegas = _schwarz_chunk(chunk, order, scratch)._take_powers(tables[:len(chunk)], scratch)
+        yield omegas, [sample.describe() for sample in chunk]
 
 
 class _Tally:
@@ -551,7 +570,7 @@ def _run_suite(checks, margin, seed: int, trials: int, degree_max: int, order: i
     """The report of kernel ``checks`` and its ``margin`` over the seeded samples,
     whose ``degree_max`` and ``order`` the config records after the suite's own."""
     tally = _Tally(trials, max_reports)
-    for omegas, described in _samples(seed, trials, degree_max, order):
+    for omegas, described in _samples(seed, trials, degree_max, order, _workspace(order)):
         tally.extend(*margin(checks, checks.f.compose(omegas), described))
     return tally.report(seed, {**config, "degree_max": degree_max, "order": order})
 

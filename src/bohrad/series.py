@@ -17,8 +17,11 @@ inner series and is shared by every series composed with it.  It is built
 by doubling: rows n+1..2n are rows 1..n times row n, one product with the
 Toeplitz matrix of row n, so order K takes ceil(log2 K) products, each
 over the whole stack.  Row n vanishes below index n, so each product skips
-that zero triangle.  Composing a stack of S series with a stack of T inner
-series gives a (T, S) stack in one product, taken one row at a time
+that zero triangle.  One kernel (``_fill_powers``) builds a table in place,
+in memory it is given: ``powers`` gives it fresh memory, and the oracle
+suites give it one workspace per suite call, reused by every chunk of
+samples (``_take_powers``).  Composing a stack of S series with a stack of
+T inner series gives a (T, S) stack in one product, taken one row at a time
 (``_rowwise``): BLAS rounds a row the same however many rows come with it,
 so a composed row does not depend on the stack it was composed in.
 
@@ -64,19 +67,50 @@ def _rowwise(rows: np.ndarray, matrices: np.ndarray) -> np.ndarray:
     return (rows[..., None, :] @ matrices)[..., 0, :]
 
 
-def _toeplitz(rows: np.ndarray) -> np.ndarray:
+def _toeplitz(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The upper-triangular Toeplitz matrix of each row along the last axis:
     entry (j, i) is row[i - j], and 0 below the diagonal, so that
     x @ _toeplitz(row) is the Cauchy product of x and row truncated at
-    their length.  Copied from a strided view of the zero-padded rows.
+    their length.  Copied from a strided view of the zero-padded rows into
+    ``out``, an array of the matrices' shape, or else into fresh memory.
     """
     m = rows.shape[-1]
     padded = np.zeros(rows.shape[:-1] + (2 * m - 1,))
     padded[..., m - 1:] = rows
     # Entry (j, i) sits at padded[m - 1 - j + i]: one step back per row.
     step = padded.itemsize
-    return np.ndarray(rows.shape[:-1] + (m, m), buffer=padded, offset=(m - 1) * step,
-                      strides=padded.strides[:-1] + (-step, step)).copy()
+    matrices = np.ndarray(rows.shape[:-1] + (m, m), buffer=padded, offset=(m - 1) * step,
+                          strides=padded.strides[:-1] + (-step, step))
+    if out is None:
+        return matrices.copy()
+    np.copyto(out, matrices)
+    return out
+
+
+def _fill_powers(coeffs: np.ndarray, table: np.ndarray, scratch: np.ndarray) -> None:
+    """Write the power table of the series ``coeffs`` (a stack, or one) into
+    ``table``, of shape stack + (K + 1, K + 1), by doubling.
+
+    Every entry of ``table`` is written, so its prior contents do not
+    matter.  Each step copies the Toeplitz matrices of row n into the front
+    of ``scratch``, a flat array of at least (stack size) * K^2 floats, and
+    writes the product straight into the table's rows n+1..n+b.
+    """
+    if np.any(coeffs[..., 0] != 0.0):
+        raise ValueError("a power table requires w(0) = 0")
+    stack, k = coeffs.shape[:-1], coeffs.shape[-1] - 1
+    table[..., 0, :] = 0.0
+    table[..., 0, 0] = 1.0
+    table[..., 1:2, :] = coeffs[..., None, :]  # an empty slice at order 0
+    n = 1
+    while n < k:
+        b, m = min(n, k - n), k - n + 1
+        rows = table[..., n + 1 : n + b + 1, :]
+        rows[..., :n] = 0.0
+        block = scratch[: coeffs[..., 0].size * m * m].reshape(stack + (m, m))
+        np.matmul(table[..., 1 : b + 1, :m], _toeplitz(table[..., n, n:], block),
+                  out=rows[..., n:])
+        n += b
 
 
 class TruncatedSeries:
@@ -160,28 +194,33 @@ class TruncatedSeries:
         """Read-only table whose row n holds the coefficients of self**n,
         for a series vanishing at 0; a stack gets one table per series.
 
-        The table is built by doubling.  Once rows 0..n are known, rows
-        n+1..n+b with b = min(n, K - n) are rows 1..b times row n: one
-        matrix product with the triangular Toeplitz matrix of row n.
-        That is ceil(log2 K) products in place of K convolutions.  Row n
-        is zero below index n, so the product takes columns 0..K-n of rows
-        1..b against the Toeplitz matrix of row n from index n on, and
-        writes columns n..K.
+        The table is built by doubling (``_fill_powers``), in fresh memory.
+        Once rows 0..n are known, rows n+1..n+b with b = min(n, K - n) are
+        rows 1..b times row n: one matrix product with the triangular
+        Toeplitz matrix of row n.  That is ceil(log2 K) products in place
+        of K convolutions.  Row n is zero below index n, so the product
+        takes columns 0..K-n of rows 1..b against the Toeplitz matrix of
+        row n from index n on, and writes columns n..K.
         """
-        if np.any(self.coeffs[..., 0] != 0.0):
-            raise ValueError("a power table requires w(0) = 0")
-        k = self.order
-        table = np.zeros(self.coeffs.shape[:-1] + (k + 1, k + 1))
-        table[..., 0, 0] = 1.0
-        table[..., 1:2, :] = self.coeffs[..., None, :]  # an empty slice at order 0
-        n = 1
-        while n < k:
-            b = min(n, k - n)
-            table[..., n + 1 : n + b + 1, n:] = (
-                table[..., 1 : b + 1, : k - n + 1] @ _toeplitz(table[..., n, n:]))
-            n += b
+        stack, k = self.coeffs.shape[:-1], self.order
+        table = np.empty(stack + (k + 1, k + 1))
+        _fill_powers(self.coeffs, table, np.empty(self.coeffs[..., 0].size * k * k))
         table.flags.writeable = False
         return table
+
+    def _take_powers(self, table: np.ndarray, scratch: np.ndarray) -> "TruncatedSeries":
+        """This series, its power table built into ``table`` with ``scratch``
+        (as ``_fill_powers`` takes them) and then read through ``powers``.
+
+        The memory stays the caller's: it must outlive every use of this
+        series' ``powers`` and not be written meanwhile.
+        """
+        _fill_powers(self.coeffs, table, scratch)
+        powers = table.view()
+        powers.flags.writeable = False
+        # Where cached_property keeps the value it would have built.
+        self.__dict__["powers"] = powers
+        return self
 
     def compose(self, w: "TruncatedSeries") -> "TruncatedSeries":
         """Taylor coefficients of self(w(z)) truncated at the order.

@@ -422,6 +422,86 @@ def test_tail_suite_memory_is_bounded_by_the_chunk():
     assert _tail_suite_peak(10, 256) <= 3 * oracle._CHUNK_BYTES
 
 
+def _with_fresh_tables(monkeypatch, run):
+    """What ``run`` returns when each chunk is built in fresh memory: its
+    Toeplitz factors by ``_toeplitz`` alone, its table by ``powers``."""
+    chunk = oracle._schwarz_chunk
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "_schwarz_chunk",
+                      lambda samples, order, scratch=None: chunk(samples, order))
+        patch.setattr(TruncatedSeries, "_take_powers", lambda self, table, scratch: self)
+        return run()
+
+
+def _with_stale_workspace(monkeypatch, run):
+    """What ``run`` returns when its workspace starts full of NaN, as memory
+    left by an earlier build may be."""
+    workspace = oracle._workspace
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "_workspace", lambda order: tuple(
+            np.full_like(block, np.nan) for block in workspace(order)))
+        return run()
+
+
+_SUITES = {
+    "tail": lambda order, trials: run_tail_suite(trials=trials, seed=5, order=order,
+                                                 max_reports=10**6),
+    "weighted": lambda order, trials: run_weighted_suite(trials=trials, seed=5, order=order),
+    "br": lambda order, trials: run_br_suite("cardioid", trials=trials, seed=5, order=order),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_SUITES))
+@pytest.mark.parametrize("order, trials", [(8, oracle._chunk_size(8) + 17), (64, 17), (256, 3)])
+def test_suites_match_tables_built_by_powers(monkeypatch, kind, order, trials):
+    # Each trial count leaves a short last chunk (chunks of 404 and 7 at
+    # orders 8 and 64; of one at 256).  Building every chunk in the suite's
+    # one workspace changes no bit of the report, whatever it held before.
+    def run():
+        return repr(_SUITES[kind](order, trials))
+
+    assert run() == _with_fresh_tables(monkeypatch, run) == \
+        _with_stale_workspace(monkeypatch, run)
+
+
+def test_back_to_back_suites_match_fresh_runs(monkeypatch):
+    # Suites of other orders and degrees, one after another, build in memory
+    # that earlier suites freed; an entry they left would show here.
+    runs = [
+        lambda: run_tail_suite(trials=17, seed=2, order=64, degree_max=7),
+        lambda: run_weighted_suite(trials=9, seed=3, order=8, degree_max=1),
+        lambda: run_br_suite("sine", trials=3, seed=4, order=256, degree_max=2),
+        lambda: run_tail_suite(trials=30, seed=6, order=16, degree_max=0),
+        lambda: run_br_suite("booth", trials=10, seed=8, order=32, degree_max=5),
+        lambda: run_tail_suite(trials=17, seed=2, order=64, degree_max=7),
+    ]
+    back_to_back = [repr(run()) for run in runs]
+    assert back_to_back[0] == back_to_back[-1]
+    assert back_to_back == [_with_fresh_tables(monkeypatch, lambda: repr(run()))
+                            for run in runs]
+
+
+def test_a_suite_builds_every_chunk_in_one_workspace(monkeypatch):
+    tables = []
+    compose = TruncatedSeries.compose
+
+    def spied(self, w):
+        tables.append(w.powers)
+        return compose(self, w)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(TruncatedSeries, "compose", spied)
+        run_tail_suite(trials=17, seed=1, order=64)
+    assert [len(table) for table in tables] == [7, 7, 3]
+    assert all(np.shares_memory(table, tables[0]) for table in tables)
+    assert not any(table.flags.writeable for table in tables)
+    # A public composition builds its omega's table in fresh memory of its own.
+    w = schwarz_series(SchwarzSample(degree=2, zeros=(0.5, -0.3), sign=-1), 64)
+    build_f0(catalog.parse_psi("sine"), 64).compose(w)
+    assert w.powers.flags.owndata and not w.powers.flags.writeable
+    assert not any(np.shares_memory(w.powers, table) for table in tables)
+
+
 @pytest.mark.parametrize("run", [
     lambda: run_tail_suite(trials=2, n_values=(65,), order=64),
     lambda: run_tail_suite(psi_labels=("sine",), trials=2, n_values=(1, 17), order=16),

@@ -257,6 +257,26 @@ def test_single_series_operations_reject_stacks():
 def test_power_table_requires_zero_constant_term():
     with pytest.raises(ValueError, match="w\\(0\\) = 0"):
         poly(0.5, 1.0).powers
+    # The same check and message when the table is built in given memory.
+    with pytest.raises(ValueError, match="w\\(0\\) = 0"):
+        poly(0.5, 1.0)._take_powers(np.empty((9, 9)), np.empty(64))
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 8, 64])
+@pytest.mark.parametrize("stack", [(), (3,)])
+def test_powers_built_in_given_memory_overwrite_what_it_held(order, stack):
+    # Memory full of NaN stands for a table and scratch left by an earlier
+    # build: every entry is written, so the table is the fresh one bitwise.
+    rng = np.random.default_rng(order)
+    c = rng.uniform(-1.0, 1.0, stack + (order + 1,))
+    c[..., 0] = 0.0
+    table = np.full(stack + (order + 1, order + 1), np.nan)
+    scratch = np.full(3 * (order + 1) ** 2, np.nan)
+    w = TruncatedSeries(c)._take_powers(table, scratch)
+    assert w.powers.tobytes() == TruncatedSeries(c).powers.tobytes()
+    assert np.shares_memory(w.powers, table)
+    assert not w.powers.flags.writeable
+    assert table.flags.writeable  # the caller's memory stays the caller's
 
 
 # -- exp ---------------------------------------------------------------
