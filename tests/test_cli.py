@@ -63,7 +63,8 @@ def test_radius_janowski_exact_method_agrees(capsys):
 
 
 def test_radius_convex_pole_near_minus_one(capsys):
-    # psi has its pole at -1/0.999; the Koebe radius needs the graded panels.
+    # psi has its pole at -1/0.999, where the quadrature rules disagree; the
+    # convex Koebe radius is the catalog's closed form.
     code, out, _ = run_cli(capsys, "radius", "--psi", "janowski:D=1,E=0.999",
                            "--family", "convex")
     assert code == 0
@@ -670,6 +671,20 @@ def test_readme_cli_commands_print_what_the_readme_says(capsys, argv, comment):
         assert printed_r0(out).startswith(comment.split("stabilizes at ")[1].split()[0])
     else:
         assert comment == ""
+
+
+@pytest.mark.parametrize("family", ["starlike", "convex"])
+@pytest.mark.parametrize("m, N", [(1, 1), (2, 2), (3, 5), (24, 10)])
+def test_booth_at_large_k_prints_the_radii_of_z_exp_z(capsys, family, m, N):
+    # As k grows, booth's f0 = z e^-z (k/(k-z))^(2k) tends to z e^z, the
+    # extremal of janowski:D=1,E=0.
+    def r0(label):
+        code, out, _ = run_cli(capsys, "radius", "--psi", label, "--family", family,
+                               "--m", str(m), "--N", str(N), "--format", "json")
+        assert code == 0
+        return json.loads(out)["r0"]
+
+    assert r0("booth:k=1e17") == r0("janowski:D=1,E=0")
 
 
 # -- catalog ------------------------------------------------------------------

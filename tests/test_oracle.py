@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import reference
 from bohrad import catalog, oracle
 from bohrad.extremal import build_extremal_pair, build_f0
 from bohrad.oracle import (
@@ -130,7 +131,7 @@ def test_power_coefficients_obey_unit_bound():
     for _ in range(25):
         s = sample_schwarz(rng, degree_max=4)
         w = schwarz_series(s, 64)
-        power = TruncatedSeries.one(64)
+        power = reference.one(64)
         for n in range(1, 6):
             power = power * w
             assert bohr_tail(power, 0, r) <= r**n + 1e-9
@@ -568,7 +569,7 @@ def test_axiom_homogeneity_negative_scalar():
 
 
 def test_axiom_unit():
-    one = TruncatedSeries.one(8)
+    one = reference.one(8)
     assert bohr_tail(one, 0, 0.7) == 1.0
 
 
@@ -589,7 +590,7 @@ def reference_axiom_margins(f, g, alpha, N, r):
         "homogeneity": -abs(bohr_tail(alpha * f, N, r) - abs(alpha) * m_f),
         "submultiplicativity_n0": bohr_tail(f, 0, r) * bohr_tail(g, 0, r)
         - bohr_tail(f * g, 0, r),
-        "unit": -abs(bohr_tail(TruncatedSeries.one(f.order), 0, r) - 1.0),
+        "unit": -abs(bohr_tail(reference.one(f.order), 0, r) - 1.0),
     }
 
 
@@ -634,7 +635,7 @@ def _ramp_weight(tau, order=64):
 
 def test_weighted_reduces_to_tail_inequality_at_unit_weight():
     f0 = build_extremal_pair(catalog.cardioid()).f0
-    one = TruncatedSeries.one(64)
+    one = reference.one(64)
     sample = SchwarzSample(degree=1, zeros=(0.4,), sign=1)
     for n in (1, 2):
         weighted = verify_weighted(1.0, f0, sample, one, n, 0.25)
@@ -645,7 +646,7 @@ def test_weighted_reduces_to_tail_inequality_at_unit_weight():
 def test_weighted_constant_weight_scales_margin():
     tau = 0.8
     f0 = build_extremal_pair(catalog.cardioid()).f0
-    const = tau * TruncatedSeries.one(64)
+    const = tau * reference.one(64)
     sample = SchwarzSample(degree=2, zeros=(0.2, -0.5), sign=-1)
     r = tau / 3.0
     got = verify_weighted(tau, f0, sample, const, 1, r)
@@ -655,7 +656,7 @@ def test_weighted_constant_weight_scales_margin():
 
 def test_weighted_precondition_on_h():
     f0 = build_extremal_pair(catalog.cardioid()).f0
-    too_big = TruncatedSeries.one(64) * 2.0
+    too_big = reference.one(64) * 2.0
     with pytest.raises(ValueError):
         verify_weighted(0.8, f0, IDENTITY_SAMPLE, too_big, 1, 0.2)
     with pytest.raises(ValueError):
