@@ -10,7 +10,7 @@ Each entry bundles, for one choice of psi with psi(0) = 1 and psi'(0) > 0:
 * the Taylor coefficients of f0 from a short recurrence on h = f0/z,
   where psi is rational: one term for the Janowski family (classical and
   alpha entries included), two for cardioid and booth, as a list of
-  floats (a lone radius solve takes it without numpy),
+  floats that need no numpy (``extremal._f0_coefficients`` prefers them),
 * the boundary-distance constant -f0(-1), where a closed form is known,
   and its convex counterpart -l0(-1) (the Janowski family).
 
@@ -73,8 +73,8 @@ class _PsiFields(NamedTuple):
     psi_eval: Callable[[float | np.ndarray], float | np.ndarray]
     f0_closed: Optional[Callable[[float | np.ndarray], float | np.ndarray]]
     # Taylor coefficients t_0..t_order of f0 as a list of floats, from a
-    # short recurrence (the Janowski family, cardioid, booth); build_f0 and
-    # a lone radius solve prefer them to the dense recurrence on psi.
+    # short recurrence (the Janowski family, cardioid, booth), which
+    # extremal._f0_coefficients prefers to the dense recurrence on psi.
     f0_coeff_fn: Optional[Callable[[int], list[float]]]
     # Closed boundary distances -f0(-1) and -l0(-1); the Koebe radius falls
     # back to quadrature for a family whose value is None.

@@ -3,12 +3,13 @@
 The starlike extremal f0 solves z f0'(z)/f0(z) = psi(z); its Taylor data
 follows the recurrence t_1 = 1, (n-1) t_n = sum_{j=1}^{n-1} c_{n-j} t_j
 with c the coefficients of psi.  Where psi is rational the catalog gives
-a short recurrence on h = f0/z instead, which ``build_f0`` prefers: one
-term, t_{k+1} = t_k (D - kE)/k, for the Janowski family (classical and
-alpha entries included), two for cardioid and booth.  Only zexpz and sine
-take the dense one.  The convex extremal l0 is linked by the Alexander
-relation z l0'(z) = f0(z), i.e. l_n = t_n / n: l0 = int_0^z f0(t)/t dt,
-which is ``f0.integrate_over_t()``.
+a short recurrence on h = f0/z instead: one term, t_{k+1} = t_k (D - kE)/k,
+for the Janowski family (classical and alpha entries included), two for
+cardioid and booth.  Only zexpz and sine take the dense one; one helper,
+``_f0_coefficients``, chooses for ``build_f0`` and the radius solver
+alike.  The convex extremal l0 is linked by the Alexander relation
+z l0'(z) = f0(z), i.e. l_n = t_n / n: l0 = int_0^z f0(t)/t dt, which is
+``f0.integrate_over_t()``.
 
 The boundary distance (Koebe radius) is -f0(-1) for the starlike family
 and -l0(-1) for the convex one.  The catalog gives it in closed form where
@@ -64,27 +65,35 @@ class ExtremalPair(NamedTuple):
     koebe_convex: float
 
 
-def build_f0(psi: PsiSpec, order: int = DEFAULT_ORDER) -> TruncatedSeries:
-    """Taylor coefficients of the starlike extremal function.
-
-    Takes the catalog's short recurrence where it has one
-    (``PsiSpec.f0_coeff_fn``: the Janowski family, cardioid and booth) and
-    otherwise runs the dense coefficient recurrence on psi's series.  The
-    test suite checks both against f0 = z exp(int_0^z (psi-1)/t dt).
+def _f0_coefficients(psi: PsiSpec, order: int) -> list[float]:
+    """Taylor coefficients t_0..t_order of f0 as a list of floats: the one
+    route to them.  Takes the catalog's short recurrence where it has one
+    (``PsiSpec.f0_coeff_fn``: the Janowski family, cardioid and booth),
+    which needs no array, and otherwise the dense recurrence on psi's
+    series.  The tests check both against f0 = z exp(int_0^z (psi-1)/t dt).
     """
     if order < 1:
         raise ValueError("order must be at least 1")
     if psi.f0_coeff_fn is not None:
-        return TruncatedSeries(psi.f0_coeff_fn(order))
-    # rev[order-n+1:order] is c_{n-1}, ..., c_1: contiguous, so each step is
-    # one plain dot product.
-    rev = np.ascontiguousarray(psi.series(order).coeffs[::-1])
-    t = np.zeros(order + 1)
-    t[1] = 1.0
-    for n in range(2, order + 1):
-        # (n-1) t_n = sum_{j=1}^{n-1} c_{n-j} t_j
-        t[n] = rev[order - n + 1:order].dot(t[1:n]) / (n - 1)
-    return TruncatedSeries(t)
+        t = psi.f0_coeff_fn(order)
+    else:
+        # rev[order-n+1:order] is c_{n-1}, ..., c_1: contiguous, so each step
+        # is one plain dot product.
+        rev = np.ascontiguousarray(psi.series(order).coeffs[::-1])
+        t = np.zeros(order + 1)
+        t[1] = 1.0
+        for n in range(2, order + 1):
+            # (n-1) t_n = sum_{j=1}^{n-1} c_{n-j} t_j
+            t[n] = rev[order - n + 1:order].dot(t[1:n]) / (n - 1)
+        t = t.tolist()
+    if not all(map(math.isfinite, t)):
+        raise ValueError("coefficients must be finite")
+    return t
+
+
+def build_f0(psi: PsiSpec, order: int = DEFAULT_ORDER) -> TruncatedSeries:
+    """Taylor coefficients of the starlike extremal function, as a series."""
+    return TruncatedSeries(_f0_coefficients(psi, order))
 
 
 def _koebe_estimate(psi: PsiSpec, family: str, nodes: np.ndarray, weights: np.ndarray) -> float:

@@ -29,11 +29,12 @@ Janowski equation (E <= 0), with P and Q in closed form.
 from __future__ import annotations
 
 import math
+import operator
 from enum import Enum
 from typing import Callable, NamedTuple
 
 from .catalog import PsiSpec, janowski
-from .extremal import ExtremalPair, build_f0, koebe_radius
+from .extremal import ExtremalPair, _f0_coefficients, koebe_radius
 from .series import DEFAULT_ORDER, OrderMismatchError, np
 
 _BRACKET_HI = 1.0 - 1e-9
@@ -64,17 +65,36 @@ class BracketError(RuntimeError):
     """The radius equation did not change sign on the search bracket."""
 
 
-def _check_problem(m: int, N: int, tol: float, order: int | None = None) -> None:
-    """The checks of a ``RadiusProblem``, also made on each value of a sweep;
-    ``order`` is None for the closed equation, which truncates nothing."""
-    if m < 1 or N < 1:
+def _integer(value) -> int | None:
+    """``value`` as an int if it is an int or a numpy integer, else None; a
+    bool is None too, where it would pass for 0 or 1."""
+    if isinstance(value, bool):
+        return None
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
+
+
+def _check_problem(m: int, N: int, tol: float, order: int | None = None
+                   ) -> tuple[int, int, int | None]:
+    """The checks of a ``RadiusProblem``, also made on each value of a sweep
+    and by the closed equation, which truncates nothing (``order`` None).
+    Returns m, N and order as ints."""
+    m, N = _integer(m), _integer(N)
+    if m is None or N is None or m < 1 or N < 1:
         raise ValueError("m and N must be positive integers")
     # Below 1e-15 the tol/5 widening of a bracket can be less than one ulp
     # of r, and the widened ends collapse onto the bounds they widen.
     if not 1e-15 <= tol < 1e-3:
         raise ValueError(f"tol must lie in [1e-15, 1e-3), got {tol}")
-    if order is not None and N > order:
-        raise ValueError(f"N={N} exceeds the truncation order {order}")
+    if order is not None:
+        order = _integer(order)
+        if order is None:
+            raise ValueError("order must be an integer")
+        if N > order:
+            raise ValueError(f"N={N} exceeds the truncation order {order}")
+    return m, N, order
 
 
 class _ProblemFields(NamedTuple):
@@ -93,7 +113,7 @@ class RadiusProblem(_ProblemFields):
     def __new__(cls, psi: PsiSpec, family: Family = Family.STARLIKE, m: int = 1, N: int = 1,
                 mode: Mode = Mode.BOHR_ROGOSINSKI, order: int = DEFAULT_ORDER,
                 tol: float = DEFAULT_TOL) -> "RadiusProblem":
-        _check_problem(m, N, tol, order)
+        m, N, order = _check_problem(m, N, tol, order)
         return super().__new__(cls, psi, family, m, N, mode, order, tol)
 
     @classmethod
@@ -130,17 +150,13 @@ def _family_extremal(problem: RadiusProblem, pair: ExtremalPair | None = None
 
     They come from ``pair`` when one is given, which must be built at
     ``problem.order`` (another order gives another G); else only the
-    family's own are built, from the catalog's short recurrence where it
-    has one, which needs no array, with l_n = t_n / n (Alexander).
+    family's own are built, by the extremal layer's one route to f0's
+    coefficients (``_f0_coefficients``, which needs no array where the
+    catalog has a short recurrence), with l_n = t_n / n (Alexander).
     """
     if pair is None:
         psi = problem.psi
-        if psi.f0_coeff_fn is None:
-            t = build_f0(psi, problem.order).coeffs.tolist()
-        else:
-            t = psi.f0_coeff_fn(problem.order)
-            if not all(map(math.isfinite, t)):
-                raise ValueError("coefficients must be finite")
+        t = _f0_coefficients(psi, problem.order)
         if problem.family == Family.CONVEX:
             t = [0.0] + [x / n for n, x in enumerate(t[1:], 1)]
         return t, koebe_radius(psi, problem.family.value)
@@ -420,11 +436,6 @@ def _result(spec: PsiSpec, family: Family, mode: Mode, nonnegative: bool
     return result
 
 
-def _coefficients_nonnegative(coeffs: list[float]) -> bool:
-    # One C-level pass; the coefficients are finite, so no NaN upsets min.
-    return min(coeffs) >= 0.0
-
-
 def solve(problem: RadiusProblem, pair: ExtremalPair | None = None) -> RadiusResult:
     """Solve the radius equation for the given problem.
 
@@ -433,8 +444,8 @@ def solve(problem: RadiusProblem, pair: ExtremalPair | None = None) -> RadiusRes
     coeffs, rstar = _family_extremal(problem, pair)
     evaluate, tops = _radius_equations([(problem.m, problem.N)], problem.mode, coeffs, rstar)
     (solved,) = _newton(evaluate, problem.tol, tops, -rstar)
-    result = _result(problem.psi, problem.family, problem.mode,
-                     _coefficients_nonnegative(coeffs))
+    # The coefficients are finite, so no NaN upsets min.
+    result = _result(problem.psi, problem.family, problem.mode, min(coeffs) >= 0.0)
     return result(problem.m, problem.N, solved)
 
 
@@ -449,7 +460,8 @@ def solve_janowski_exact(d: float, e: float, m: int = 1, N: int = 1,
 
     where H removes the head of the second sum: H = 0 for N = 1, H = r for
     N = 2, and H = r + sum_{n=2}^{N-1} a_n r^n for N >= 3, with a_n from
-    the entry's recurrence a_1 = 1, a_{k+1} = a_k (D - kE)/k.
+    the entry's recurrence a_1 = 1, a_{k+1} = a_k (D - kE)/k, read as
+    ``solve`` reads them, through ``_f0_coefficients``.
     In Bohr-limit mode the f0(r^m) term is dropped and the head is that of
     N = 1; the result echoes the given N, as ``solve`` does.
 
@@ -468,7 +480,7 @@ def solve_janowski_exact(d: float, e: float, m: int = 1, N: int = 1,
     if e > 0.0:
         raise ValueError(f"the closed Janowski equation needs E <= 0, got E={e:g}; "
                          "the series path (--method series) solves E > 0")
-    _check_problem(m, N, tol)
+    m, N, _ = _check_problem(m, N, tol)
     bohr_limit = mode == Mode.BOHR_LIMIT
     n = 1 if bohr_limit else N
     p = None if e == 0.0 else (d - e) / e
@@ -483,7 +495,7 @@ def solve_janowski_exact(d: float, e: float, m: int = 1, N: int = 1,
         value = x * base**p
         return (value, (1.0 + d * x) * base ** (p - 1.0)) if slope else value
 
-    coeffs = spec.f0_coeff_fn(n)
+    coeffs = _f0_coefficients(spec, n)
     head = _polynomial(coeffs[:n])
 
     def tail(r: float, slope: bool = True) -> tuple[float, float] | float:
@@ -511,26 +523,27 @@ class Sweep(NamedTuple):
 def sweep(problem: RadiusProblem, n_values=None, m_values=None) -> Sweep:
     """Solve over a grid in N or in m; the family's extremal is built once.
 
-    Every value is checked before anything is solved.  The distinct values
-    are then solved together by the builder and solver of a lone ``solve``
-    (``_radius_equations``, ``_newton``), one row per value, and each
-    result's ``iterations`` counts its own row's evaluations of G.  In the
-    Bohr limit every value has the same equation, so one row is solved and
-    each result echoes its own value.  A sweep of one row returns what
-    ``solve`` returns, bitwise.  Results come back in the given order.
-    Whether the solved radii are nondecreasing along the grid is reported
-    as a diagnostic, not asserted.
+    Every value is checked, and taken as an int, before anything is
+    solved.  The distinct values are then solved together by the builder
+    and solver of a lone ``solve`` (``_radius_equations``, ``_newton``),
+    one row per value, and each result's ``iterations`` counts its own
+    row's evaluations of G.  In the Bohr limit every value has the same
+    equation, so one row is solved and each result echoes its own value.
+    A sweep of one row returns what ``solve`` returns, bitwise.  Results
+    come back in the given order.  Whether the solved radii are
+    nondecreasing along the grid is reported as a diagnostic, not asserted.
     """
     if (n_values is None) == (m_values is None):
         raise ValueError("exactly one of n_values and m_values must be given")
     axis, values = ("N", n_values) if n_values is not None else ("m", m_values)
-    values = tuple(int(v) for v in values)
-    if not values:
+    grid = []
+    for v in values:
+        m, N = (v, problem.N) if axis == "m" else (problem.m, v)
+        grid.append(_check_problem(m, N, problem.tol, problem.order)[:2])
+    if not grid:
         raise ValueError(f"empty sweep range for {axis}")
-    distinct = list(dict.fromkeys(values))
-    indices = [(v, problem.N) if axis == "m" else (problem.m, v) for v in distinct]
-    for m, N in indices:
-        _check_problem(m, N, problem.tol, problem.order)
+    values = tuple(m if axis == "m" else N for m, N in grid)
+    indices = list(dict.fromkeys(grid))
     coeffs, rstar = _family_extremal(problem)
     bohr_limit = problem.mode == Mode.BOHR_LIMIT
     # In the Bohr limit G depends on neither m nor N: one row serves every value.
@@ -539,10 +552,9 @@ def sweep(problem: RadiusProblem, n_values=None, m_values=None) -> Sweep:
     roots = _newton(evaluate, problem.tol, tops, -rstar)
     if bohr_limit:
         roots *= len(indices)
-    result = _result(problem.psi, problem.family, problem.mode,
-                     _coefficients_nonnegative(coeffs))
-    solved = {v: result(m, N, root) for v, (m, N), root in zip(distinct, indices, roots)}
-    results = tuple(solved[v] for v in values)
+    result = _result(problem.psi, problem.family, problem.mode, min(coeffs) >= 0.0)
+    solved = {index: result(*index, root) for index, root in zip(indices, roots)}
+    results = tuple(solved[index] for index in grid)
     radii = [res.r0 for res in results]
     monotone = all(b >= a - 1e-12 for a, b in zip(radii, radii[1:]))
     return Sweep(axis=axis, values=values, results=results,

@@ -185,6 +185,26 @@ def test_janowski_pair_never_reaches_the_psi_series(monkeypatch):
             build_extremal_pair(catalog.parse_psi(label), 64)
 
 
+@pytest.mark.parametrize("order", [1, 8, 64, 256])
+@pytest.mark.parametrize("label", ["zexpz", "sine"])
+def test_dense_route_gives_the_series_as_floats(label, order):
+    spec = catalog.parse_psi(label)
+    t = extremal._f0_coefficients(spec, order)
+    assert all(type(x) is float for x in t)
+    assert list(map(float.hex, t)) == list(map(float.hex, build_f0(spec, order).coeffs.tolist()))
+
+
+@pytest.mark.parametrize("order", [1, 8, 64, 256])
+@pytest.mark.parametrize("label", ["classical-starlike", "classical-convex", "alpha:0.25",
+                                   "janowski:D=0.5,E=-0.5", "janowski:D=0.8,E=0.65",
+                                   "janowski:D=1,E=0", "cardioid", "booth", "booth:k=1.6"])
+def test_short_route_gives_the_catalog_list(label, order):
+    spec = catalog.parse_psi(label)
+    t = extremal._f0_coefficients(spec, order)
+    assert all(type(x) is float for x in t)
+    assert list(map(float.hex, t)) == list(map(float.hex, spec.f0_coeff_fn(order)))
+
+
 @pytest.mark.parametrize("label", ["cardioid", "classical-starlike"])
 @pytest.mark.parametrize("order", [0, -3])
 def test_order_below_1_is_rejected_on_both_paths(label, order):

@@ -9,7 +9,7 @@ import scipy.special
 
 import reference
 from bohrad import catalog, radius
-from bohrad.extremal import build_extremal_pair
+from bohrad.extremal import build_extremal_pair, build_f0
 from bohrad.radius import (
     Family,
     Mode,
@@ -55,6 +55,33 @@ def test_problem_validation():
     RadiusProblem(psi=spec, tol=1e-15)
     with pytest.raises(ValueError):
         RadiusProblem(psi=spec, N=100, order=64)
+
+
+@pytest.mark.parametrize("index", [{"m": 2.5}, {"N": 2.0}, {"m": True}, {"N": False},
+                                   {"m": np.float64(2.0)}, {"m": "2"}])
+def test_problem_rejects_a_non_integer_index(index):
+    # m = 2.5 once solved G with r^2.5, and m = True echoed "m": true.
+    with pytest.raises(ValueError, match=r"^m and N must be positive integers$"):
+        RadiusProblem(psi=catalog.cardioid(), **index)
+
+
+@pytest.mark.parametrize("order", [64.0, True, np.float64(64.0), "64"])
+def test_problem_rejects_a_non_integer_order(order):
+    with pytest.raises(ValueError, match=r"^order must be an integer$"):
+        RadiusProblem(psi=catalog.cardioid(), order=order)
+
+
+def test_numpy_integer_indices_solve_as_ints():
+    spec = catalog.cardioid()
+    given = RadiusProblem(psi=spec, m=np.int64(2), N=np.int32(3), order=np.int64(64))
+    assert given == RadiusProblem(psi=spec, m=2, N=3, order=64)
+    assert [type(v) for v in given[2:4] + given[5:6]] == [int, int, int]
+    res = solve(given)
+    assert res == solve(RadiusProblem(psi=spec, m=2, N=3))
+    assert type(res.m) is int and type(res.N) is int
+    exact = solve_janowski_exact(1.0, 0.0, m=np.int64(2), N=np.int64(3))
+    assert exact == solve_janowski_exact(1.0, 0.0, m=2, N=3)
+    assert type(exact.m) is int and type(exact.N) is int
 
 
 # -- the radius equation ---------------------------------------------------
@@ -529,6 +556,13 @@ def test_exact_path_parameter_validation():
         solve_janowski_exact(1.0, -1.0, tol=1e-2)
 
 
+@pytest.mark.parametrize("index", [{"m": 1.5}, {"N": 3.0}, {"m": True}])
+def test_exact_path_rejects_a_non_integer_index(index):
+    # Without the check m = 1.5 solved G with r^1.5.
+    with pytest.raises(ValueError, match=r"^m and N must be positive integers$"):
+        solve_janowski_exact(1.0, 0.0, **index)
+
+
 def closed_equation(d, e, m, N, mode):
     """The closed Janowski G re-assembled with math.fsum, apart from the solver.
 
@@ -827,12 +861,29 @@ def test_sweep_checks_every_value_before_solving(values, monkeypatch):
     def unreachable(*args):
         raise AssertionError("a sweep solved before it checked every value")
 
-    for name in ("build_f0", "koebe_radius", "_newton"):
+    for name in ("_f0_coefficients", "koebe_radius", "_newton"):
         monkeypatch.setattr(radius, name, unreachable)
     with pytest.raises(ValueError, match="exceeds the truncation order"):
         sweep(problem("cardioid", order=64), n_values=values)
     with pytest.raises(ValueError, match="positive"):
         sweep(problem("cardioid", order=64), m_values=[v % 65 for v in values])
+
+
+@pytest.mark.parametrize("axis", ["n_values", "m_values"])
+def test_sweep_rejects_non_integer_values(axis, monkeypatch):
+    # int(v) once truncated these to 1 and 2 and solved those.
+    monkeypatch.setattr(radius, "_newton", None)
+    for values in ([1.5, 2.7], [1, 2.0], [True, 2]):
+        with pytest.raises(ValueError, match=r"^m and N must be positive integers$"):
+            sweep(problem("cardioid"), **{axis: values})
+
+
+def test_sweep_takes_numpy_integers_as_ints():
+    base = problem("cardioid")
+    swept = sweep(base, n_values=np.arange(1, 4))
+    assert swept.values == (1, 2, 3) and all(type(v) is int for v in swept.values)
+    assert swept == sweep(base, n_values=[1, 2, 3])
+    assert all(type(res.N) is int for res in swept.results)
 
 
 def test_sweep_rejects_bad_ranges():
@@ -842,6 +893,58 @@ def test_sweep_rejects_bad_ranges():
         sweep(problem("cardioid"))
     with pytest.raises(ValueError):
         sweep(problem("cardioid"), n_values=[1], m_values=[1])
+
+
+# -- the one route to f0's coefficients ---------------------------------------
+
+
+@pytest.fixture
+def f0_routes(monkeypatch):
+    """The (spec, order) of each call the radius layer makes to the
+    extremal layer's ``_f0_coefficients``."""
+    calls = []
+    route = radius._f0_coefficients
+
+    def spy(psi, order):
+        calls.append((psi, order))
+        return route(psi, order)
+
+    monkeypatch.setattr(radius, "_f0_coefficients", spy)
+    return calls
+
+
+@pytest.mark.parametrize("label", ["cardioid", "zexpz", "sine", "booth", "classical-convex"])
+def test_solve_and_sweep_read_f0_through_the_one_route(label, f0_routes):
+    base = problem(label, m=2, N=3, order=128)
+    solve(base)
+    sweep(base, n_values=[1, 2, 5])
+    sweep(base, m_values=[1, 2, 5])
+    assert len(f0_routes) == 3
+    assert all(psi is base.psi and order == 128 for psi, order in f0_routes)
+    # A given pair brings its own coefficients.
+    solve(base, build_extremal_pair(base.psi, 128))
+    assert len(f0_routes) == 3
+
+
+@pytest.mark.parametrize("mode, n", [(Mode.BOHR_ROGOSINSKI, 4), (Mode.BOHR_LIMIT, 1)])
+def test_exact_path_reads_its_head_through_the_one_route(mode, n, f0_routes):
+    solve_janowski_exact(0.5, -0.5, m=2, N=4, mode=mode)
+    [(spec, order)] = f0_routes
+    assert spec.label == "janowski:D=0.5,E=-0.5" and order == n
+
+
+@pytest.mark.parametrize("spec", [
+    catalog.cardioid()._replace(f0_coeff_fn=lambda order: [0.0, 1.0] + [math.nan] * (order - 1)),
+    # The dense recurrence overflows from t_3 on.
+    catalog.cardioid()._replace(f0_coeff_fn=None, coeff_fn=lambda order: np.full(order + 1, 1e300)),
+], ids=["short-nan", "dense-overflow"])
+def test_a_non_finite_f0_coefficient_is_rejected(spec):
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="^coefficients must be finite$"):
+            build_f0(spec, 8)
+        for family in Family:
+            with pytest.raises(ValueError, match="^coefficients must be finite$"):
+                solve(RadiusProblem(psi=spec, family=family, order=8))
 
 
 # -- values-only evaluations -----------------------------------------------
