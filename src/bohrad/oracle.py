@@ -34,19 +34,20 @@ matrix serves every extremal), the majorant tails of each f and the fixed
 part of the tolerance.  The suites take the seeded stream of samples
 (``_samples``) a chunk at a time, in trial order, with the chunk sized by
 bytes (``_CHUNK_BYTES``).  A chunk's omegas are built as one stack
-(``_schwarz_chunk``), their power tables by one stacked doubling, and the
-stack of extremals is composed with every omega by one product.  One
-workspace per suite call (``_workspace``) holds the chunk's Toeplitz
-factors and power tables, and every chunk is built in place in it.  The tail
-kernel then takes every (N, r) margin of the chunk from one product
-|g| @ weights, the weighted kernel applies h by one Toeplitz product, and
-the Bohr-Rogosinski kernel evaluates one radius equation per composed row.
-Margins run (sample, extremal, check); one scan over them yields the
-violation reports in that order, each built only when read, and
-``_Tally.extend`` collects them into a serializable report.  Every product
-is taken a row at a time (``series._rowwise``), so a margin does not depend
-on the chunk it came in, and the public checks run the same kernels on a
-chunk of one.
+(``_schwarz_chunk``), each from its own Blaschke factors only, their power
+tables by one stacked doubling, and the stack of extremals is composed
+with every omega by one product.  One workspace per suite call
+(``_workspace``) holds the chunk's Toeplitz factors and power tables, and
+every chunk is built in place in it.  The tail kernel then takes every
+(N, r) margin of the chunk from one product |g| @ weights, the weighted
+kernel applies h by one Toeplitz product, and the Bohr-Rogosinski kernel
+evaluates one radius equation per composed row.
+Margins run (sample, extremal, check); one scan over them finds the
+violated checks and gathers their values at once, the reports follow in
+that order, each built only when read, and ``_Tally.extend`` collects them
+into a serializable report.  Every product is taken a row at a time
+(``series._rowwise``), so a margin does not depend on the chunk it came
+in, and the public checks run the same kernels on a chunk of one.
 """
 
 from __future__ import annotations
@@ -75,8 +76,11 @@ DEFAULT_ORACLE_PSIS = (
 _ZERO_RANGE = 0.95
 _AXIOM_TOL = 1e-12
 # Bytes of the workspace of one suite call (``_workspace``): a power table
-# and a Toeplitz block for each sample of a chunk (``_chunk_size``).
-_CHUNK_BYTES = 1 << 19
+# and a Toeplitz block for each sample of a chunk (``_chunk_size``).  1 MB
+# holds 15 samples at order 64, enough that a chunk's fixed work is small
+# beside its products; at 2 MB the workspace outgrows a 2 MB L2 cache and a
+# suite runs slower than at 512 KB.
+_CHUNK_BYTES = 1 << 20
 # Counterexamples a suite report keeps.
 _MAX_REPORTS = 10
 
@@ -141,14 +145,19 @@ def _schwarz_chunk(samples: list[SchwarzSample], order: int,
 
     Each factor expands as (z - a)/(1 - az) = -a + sum_{i>=1} a^(i-1)(1 - a^2) z^i,
     whose terms from z on are one running product.  All factor rows are
-    built at once, and a sample with fewer zeros than the chunk's most takes
-    the factor 1 in their place.  sign * z times the first factor is that
-    factor shifted; each further factor is one Toeplitz product per row,
-    its Toeplitz matrices copied into the front of ``scratch`` (a flat
-    array of at least len(samples) * (order + 1)^2 floats) when given.
+    built at once, and each sample's omega is built from its own factors
+    only.  sign * z times the first factor is that factor shifted (a sample
+    without zeros takes the factor 1 there); each further factor is one
+    Toeplitz product per row of the samples that have it, its Toeplitz
+    matrices copied into the front of ``scratch`` (a flat array of at least
+    len(samples) * (order + 1)^2 floats) when given.  The rows are built in
+    order of falling degree, so that the samples with a j-th factor are the
+    first rows, and then put back in the order of ``samples``.
     """
+    by_degree = sorted(range(len(samples)), key=lambda i: -samples[i].degree)
+    samples = [samples[i] for i in by_degree]
     degrees = [sample.degree for sample in samples]
-    degree = max([1] + degrees)
+    degree = max(1, degrees[0])
     zeros = np.array([sample.zeros + (0.0,) * (degree - sample.degree) for sample in samples])
     zeros = zeros.reshape(len(samples), degree, 1)
     factors = np.empty((len(samples), degree, order + 1))
@@ -156,14 +165,17 @@ def _schwarz_chunk(samples: list[SchwarzSample], order: int,
     factors[..., 1:2] = 1.0 - zeros * zeros
     factors[..., 2:] = zeros
     np.cumprod(factors[..., 1:], axis=-1, out=factors[..., 1:])
-    factors[np.arange(degree) >= np.array(degrees)[:, None]] = np.eye(1, order + 1)
+    factors[sum(d > 0 for d in degrees):, 0] = np.eye(1, order + 1)
     rows = np.zeros((len(samples), order + 1))
     rows[:, 1:] = np.array([[sample.sign] for sample in samples]) * factors[:, 0, :-1]
-    block = None if scratch is None else \
-        scratch[: rows.size * (order + 1)].reshape(rows.shape + (order + 1,))
     for j in range(1, degree):
-        rows = _rowwise(rows, _toeplitz(factors[:, j], block))
-    return TruncatedSeries(rows)
+        n = sum(d > j for d in degrees)
+        block = None if scratch is None else \
+            scratch[: n * (order + 1) ** 2].reshape(n, order + 1, order + 1)
+        rows[:n] = _rowwise(rows[:n], _toeplitz(factors[:n, j], block))
+    omegas = np.empty_like(rows)
+    omegas[by_degree] = rows
+    return TruncatedSeries(omegas)
 
 
 def schwarz_series(sample: SchwarzSample, order: int = DEFAULT_ORDER) -> TruncatedSeries:
@@ -198,19 +210,24 @@ def _dropped_tail(f: TruncatedSeries, r: float) -> float:
     return abs(float(f.coeffs[1])) * r ** (k + 1) * ((k + 1) - k * r) / (1.0 - r) ** 2
 
 
-def _reports(margins, limits, fields):
+def _reports(margins, limits, report, *values):
     """Reports of the checks whose margin lies below its limit, in check order:
     the order of the flattened margins, whose axes run (sample, extremal,
     check) in the kernels.
 
-    ``fields(i)`` gives the report of flat check i, to which ``margin`` is
-    appended last.  The reports are built one at a time as they are read,
-    and none for a check that holds, so a reader that keeps few of them
-    holds few at once however many checks a chunk has.
+    The violated checks are found once, and their indices along each axis
+    of the margins, their entries of each array of ``values`` (of the
+    margins' shape) and their margins are gathered as Python numbers.
+    ``report`` takes these, in that order, and builds the report of one
+    check, its margin last.  The reports are built one at a time as they
+    are read, and none for a check that holds, so a reader that keeps few
+    of them holds few at once however many checks a chunk has.
     """
     margins = np.asarray(margins)
-    return ({**fields(int(i)), "margin": float(margins.flat[i])}
-            for i in np.flatnonzero(np.less(margins, limits)))
+    hits = np.flatnonzero(np.less(margins, limits))
+    columns = [axis.tolist() for axis in np.unravel_index(hits, margins.shape)]
+    columns += [array.flat[hits].tolist() for array in values + (margins,)]
+    return map(report, *columns)
 
 
 def _checked(margin, checks, sample: SchwarzSample) -> float:
@@ -262,22 +279,20 @@ def _tail_margin(checks: _TailChecks, g: TruncatedSeries,
     omega behind each row of g."""
     composed = _rowwise(np.abs(g.coeffs), checks.weights)
     margins = checks.majorant - composed
-    per_sample, per_f = margins[0].size, len(checks.grid)
 
-    def fields(i: int) -> dict:
-        t, rest = divmod(i, per_sample)
-        s, p = divmod(rest, per_f)
+    def report(t: int, s: int, p: int, composed_tail: float, margin: float) -> dict:
         return {
             "check": "tail-inequality",
             "psi": checks.labels[s],
             "sample": samples[t],
             "N": checks.grid[p][0],
             "r": checks.grid[p][1],
-            "composed_tail": float(composed[t, s, p]),
+            "composed_tail": composed_tail,
             "majorant_tail": checks.majorant_tails[s][p],
+            "margin": margin,
         }
 
-    return margins, _reports(margins, -checks.tol, fields)
+    return margins, _reports(margins, -checks.tol, report, composed)
 
 
 def verify_tail_inequality(f: TruncatedSeries, sample: SchwarzSample, N: int,
@@ -383,8 +398,7 @@ def _weighted_margin(check: _WeightedCheck, g: TruncatedSeries,
     weighted = _rowwise(np.abs(_rowwise(g.coeffs, check.h_matrix)), check.weights)[..., 0]
     margins = check.scaled_majorant - weighted
 
-    def fields(i: int) -> dict:
-        t, s = divmod(i, len(check.labels))
+    def report(t: int, s: int, weighted_tail: float, margin: float) -> dict:
         return {
             "check": "weighted-tail",
             "psi": check.labels[s],
@@ -392,11 +406,12 @@ def _weighted_margin(check: _WeightedCheck, g: TruncatedSeries,
             "sample": samples[t],
             "N": check.N,
             "r": check.r,
-            "weighted_tail": float(weighted[t, s]),
+            "weighted_tail": weighted_tail,
             "scaled_majorant": check.scaled_majorants[s],
+            "margin": margin,
         }
 
-    return margins, _reports(margins, -check.tol, fields)
+    return margins, _reports(margins, -check.tol, report, weighted)
 
 
 def verify_weighted(tau: float, f: TruncatedSeries, sample: SchwarzSample,
@@ -440,20 +455,21 @@ def _br_margin(checks: _BRChecks, g: TruncatedSeries,
         margins.append([0.0 - value
                         for value in evaluate([0] * len(r_values), r_values, slopes=False)])
     margins = np.array(margins)
+    n = 1 if problem.mode == Mode.BOHR_LIMIT else problem.N
 
-    def fields(i: int) -> dict:
-        t, k = divmod(i, len(r_values))
+    def report(t: int, k: int, margin: float) -> dict:
         return {
             "check": "bohr-rogosinski",
             "psi": problem.psi.label,
             "family": problem.family.value,
             "sample": samples[t],
             "m": problem.m,
-            "N": 1 if problem.mode == Mode.BOHR_LIMIT else problem.N,
+            "N": n,
             "r": r_values[k],
+            "margin": margin,
         }
 
-    return margins, _reports(margins, -checks.tol, fields)
+    return margins, _reports(margins, -checks.tol, report)
 
 
 def verify_br_inequality(problem: RadiusProblem, pair: ExtremalPair,
@@ -613,8 +629,8 @@ def run_axiom_suite(trials: int = 200, seed: int = 0) -> VerificationReport:
                 tally.violations += 1
             margins += checked.values()
             keys += zip(checked, repeat(n))
-    tally.extend(margins, _reports(margins, -_AXIOM_TOL,
-                                   lambda i: {"axiom": keys[i][0], "N": keys[i][1]}))
+    tally.extend(margins, _reports(margins, -_AXIOM_TOL, lambda i, margin: {
+        "axiom": keys[i][0], "N": keys[i][1], "margin": margin}))
     return tally.report(seed, {
         "check": "bohr-operator-axioms",
         "N": list(n_values),

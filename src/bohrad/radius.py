@@ -92,6 +92,8 @@ def _check_problem(m: int, N: int, tol: float, order: int | None = None
         order = _integer(order)
         if order is None:
             raise ValueError("order must be an integer")
+        if order < 1:
+            raise ValueError("order must be at least 1")
         if N > order:
             raise ValueError(f"N={N} exceeds the truncation order {order}")
     return m, N, order

@@ -585,6 +585,18 @@ def test_verify_rejects_an_order_below_1(capsys, lemma_args, order):
     assert "order must be at least 1" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("radius", "--psi", "cardioid"),
+    ("sweep", "--psi", "cardioid", "--N", "1..3"),
+])
+@pytest.mark.parametrize("order", ["0", "-5"])
+def test_radius_and_sweep_reject_an_order_below_1(capsys, argv, order):
+    code, out, err = run_cli(capsys, *argv, "--order", order)
+    assert code == 2
+    assert out == ""
+    assert err == "error: order must be at least 1\n"
+
+
 @pytest.mark.parametrize("argv, message", [
     (("--weighted", "--tau", "0"), "tau must lie in (0, 1], got 0.0"),
     (("--weighted", "--tau", "1.5"), "tau must lie in (0, 1], got 1.5"),

@@ -1,6 +1,7 @@
 """Schwarz sampling, tail functional, and the verification checks."""
 
 import functools
+import itertools
 import math
 import random
 import tracemalloc
@@ -107,14 +108,24 @@ def test_schwarz_series_zero_at_origin_and_bounded():
 
 
 def test_schwarz_series_is_its_row_of_any_chunk():
-    # The suites build a chunk of omegas at once; each row is bitwise the
-    # single series, and agrees with the factor-by-factor convolution.
+    # The suites build a chunk of omegas at once, each from its own factors
+    # only; each row is bitwise the single series, and agrees with the
+    # factor-by-factor convolution.  The second chunk has every degree from
+    # 0 to 7, and degree 0 with either sign.
     rng = random.Random(13)
-    samples = [sample_schwarz(rng, 4) for _ in range(9)] + [IDENTITY_SAMPLE]
-    for order in (8, 64):
+    chunks = [
+        [sample_schwarz(rng, 4) for _ in range(9)] + [IDENTITY_SAMPLE],
+        [sample_schwarz(rng, 7) for _ in range(24)] + [
+            SchwarzSample(degree=d, zeros=tuple(rng.uniform(-0.95, 0.95) for _ in range(d)),
+                          sign=(-1) ** d) for d in range(8)
+        ] + [SchwarzSample(degree=0, zeros=(), sign=-1), IDENTITY_SAMPLE],
+    ]
+    for samples, order in itertools.product(chunks, (8, 64)):
         chunk = oracle._schwarz_chunk(samples, order).coeffs
         for row, sample in zip(chunk, samples):
-            np.testing.assert_array_equal(row, schwarz_series(sample, order).coeffs)
+            single = schwarz_series(sample, order).coeffs
+            np.testing.assert_array_equal(row, single)
+            assert np.abs(row).tobytes() == np.abs(single).tobytes()
             reference = np.zeros(order + 1)
             reference[1] = sample.sign
             for a in sample.zeros:
@@ -455,7 +466,7 @@ _SUITES = {
 @pytest.mark.parametrize("kind", sorted(_SUITES))
 @pytest.mark.parametrize("order, trials", [(8, oracle._chunk_size(8) + 17), (64, 17), (256, 3)])
 def test_suites_match_tables_built_by_powers(monkeypatch, kind, order, trials):
-    # Each trial count leaves a short last chunk (chunks of 404 and 7 at
+    # Each trial count leaves a short last chunk (chunks of 809 and 15 at
     # orders 8 and 64; of one at 256).  Building every chunk in the suite's
     # one workspace changes no bit of the report, whatever it held before.
     def run():
@@ -463,6 +474,19 @@ def test_suites_match_tables_built_by_powers(monkeypatch, kind, order, trials):
 
     assert run() == _with_fresh_tables(monkeypatch, run) == \
         _with_stale_workspace(monkeypatch, run)
+
+
+@pytest.mark.parametrize("kind", sorted(_SUITES))
+def test_suites_do_not_depend_on_the_chunk_budget(monkeypatch, kind):
+    # Chunks of one sample, of 7 (512 KB) and of 15 (1 MB) at order 64, each
+    # with a short last chunk: every margin is taken a row at a time, so the
+    # reports agree bitwise.
+    def run(budget):
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "_CHUNK_BYTES", budget)
+            return repr(_SUITES[kind](64, 38))
+
+    assert run(1) == run(1 << 19) == run(1 << 20)
 
 
 def test_back_to_back_suites_match_fresh_runs(monkeypatch):
@@ -490,11 +514,17 @@ def test_a_suite_builds_every_chunk_in_one_workspace(monkeypatch):
         tables.append(w.powers)
         return compose(self, w)
 
+    size = oracle._chunk_size(64)
     with monkeypatch.context() as patch:
         patch.setattr(TruncatedSeries, "compose", spied)
         run_tail_suite(trials=17, seed=1, order=64)
-    assert [len(table) for table in tables] == [7, 7, 3]
-    assert all(np.shares_memory(table, tables[0]) for table in tables)
+        chunks = len(tables)
+        # The 30-trial order-64 suites of the oracle benchmark: two chunks.
+        run_tail_suite(trials=30, seed=1, order=64)
+    assert [len(table) for table in tables[:chunks]] == \
+        [min(size, 17 - start) for start in range(0, 17, size)]
+    assert len(tables) - chunks == 2
+    assert all(np.shares_memory(table, tables[0]) for table in tables[:chunks])
     assert not any(table.flags.writeable for table in tables)
     # A public composition builds its omega's table in fresh memory of its own.
     w = schwarz_series(SchwarzSample(degree=2, zeros=(0.5, -0.3), sign=-1), 64)

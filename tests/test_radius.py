@@ -71,6 +71,14 @@ def test_problem_rejects_a_non_integer_order(order):
         RadiusProblem(psi=catalog.cardioid(), order=order)
 
 
+@pytest.mark.parametrize("order", [0, -5])
+def test_problem_rejects_an_order_below_1(order):
+    # The order is named, not N: N = 1 exceeds an order of 0 only because
+    # the order itself is out of range.
+    with pytest.raises(ValueError, match=r"^order must be at least 1$"):
+        RadiusProblem(psi=catalog.cardioid(), order=order)
+
+
 def test_numpy_integer_indices_solve_as_ints():
     spec = catalog.cardioid()
     given = RadiusProblem(psi=spec, m=np.int64(2), N=np.int32(3), order=np.int64(64))
