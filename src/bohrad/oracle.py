@@ -44,8 +44,11 @@ kernel applies h by one Toeplitz product, and the Bohr-Rogosinski kernel
 evaluates one radius equation per composed row.
 Margins run (sample, extremal, check); one scan over them finds the
 violated checks and gathers their values at once, the reports follow in
-that order, each built only when read, and ``_Tally.extend`` collects them
-into a serializable report.  Every product is taken a row at a time
+that order, each built only when read, a sample described only when its
+first report is (``_Descriptions``), and ``_Tally.extend`` collects them
+into a serializable report; the axiom suite's definiteness check, which
+holds or fails with no margin between, takes the margin +inf or -inf and
+goes the same way.  Every product is taken a row at a time
 (``series._rowwise``), so a margin does not depend on the chunk it came
 in, and the public checks run the same kernels on a chunk of one.
 """
@@ -60,7 +63,7 @@ from typing import NamedTuple
 from .catalog import parse_psi
 from .extremal import ExtremalPair, build_extremal_pair, build_f0
 from .radius import (_LEMMA_RADIUS, Family, Mode, RadiusProblem, _check_radius,
-                     _family_extremal, _radius_equations, g_function, solve)
+                     _equation_index, _family_extremal, _radius_equations, g_function, solve)
 from .series import DEFAULT_ORDER, TruncatedSeries, _rowwise, _toeplitz, np
 
 # Default generators exercised by the verification suites.
@@ -123,6 +126,19 @@ class SchwarzSample(_SampleFields):
 
 
 IDENTITY_SAMPLE = SchwarzSample(degree=0, zeros=(), sign=1)
+
+
+class _Descriptions(dict):
+    """The descriptions of a chunk's samples by index, each made when a
+    report first reads it: most samples break no check and are never
+    described, and the reports of one sample share its description."""
+
+    def __init__(self, samples: list[SchwarzSample]):
+        super().__init__()
+        self.samples = samples
+
+    def __missing__(self, t: int) -> dict:
+        return self.setdefault(t, self.samples[t].describe())
 
 
 def sample_schwarz(rng: random.Random, degree_max: int = 4) -> SchwarzSample:
@@ -235,7 +251,7 @@ def _checked(margin, checks, sample: SchwarzSample) -> float:
     the sampled omega, as a chunk of one, or raise on its violation report
     with ``checks.message`` formatted by it."""
     omega = _schwarz_chunk([sample], checks.f.order)
-    margins, reports = margin(checks, checks.f.compose(omega), [sample.describe()])
+    margins, reports = margin(checks, checks.f.compose(omega), _Descriptions([sample]))
     report = next(reports, None)
     if report is not None:
         raise InequalityViolation(checks.message.format(**report), report)
@@ -273,7 +289,7 @@ class _TailChecks:
 
 
 def _tail_margin(checks: _TailChecks, g: TruncatedSeries,
-                 samples: list[dict]) -> tuple[np.ndarray, Iterator[dict]]:
+                 samples: _Descriptions) -> tuple[np.ndarray, Iterator[dict]]:
     """Margins M(f, N, r) - M(g, N, r) over the grid for the (sample,
     extremal) stack g, and the violation reports; ``samples`` describes the
     omega behind each row of g."""
@@ -392,7 +408,7 @@ class _WeightedCheck:
 
 
 def _weighted_margin(check: _WeightedCheck, g: TruncatedSeries,
-                     samples: list[dict]) -> tuple[np.ndarray, Iterator[dict]]:
+                     samples: _Descriptions) -> tuple[np.ndarray, Iterator[dict]]:
     """Margins tau M(f, N, r) - M(h g, N, r) for the (sample, extremal)
     stack g, and the violation reports."""
     weighted = _rowwise(np.abs(_rowwise(g.coeffs, check.h_matrix)), check.weights)[..., 0]
@@ -425,12 +441,14 @@ def verify_weighted(tau: float, f: TruncatedSeries, sample: SchwarzSample,
 
 
 class _BRChecks:
-    """The radius checks of one problem at every r of a list."""
+    """The radius checks of one problem at every r of a list, of the (m, N)
+    of the equation it solves (``radius._equation_index``)."""
 
     message = "radius inequality violated for {psi}: margin {margin:.3e}"
 
     def __init__(self, problem: RadiusProblem, pair: ExtremalPair, r_values):
         self.problem = problem
+        self.index = _equation_index(problem.mode, problem.m, problem.N)
         coeffs, self.rstar = _family_extremal(problem, pair)
         self.f = TruncatedSeries(coeffs)
         self.r_values = list(r_values)
@@ -440,7 +458,7 @@ class _BRChecks:
 
 
 def _br_margin(checks: _BRChecks, g: TruncatedSeries,
-               samples: list[dict]) -> tuple[np.ndarray, Iterator[dict]]:
+               samples: _Descriptions) -> tuple[np.ndarray, Iterator[dict]]:
     """Margins -G_g(r) at each r for each row g of the stack, where G_g is
     the radius equation of the problem built from the moduli of g, and the
     violation reports.
@@ -450,12 +468,10 @@ def _br_margin(checks: _BRChecks, g: TruncatedSeries,
     problem, r_values = checks.problem, checks.r_values
     margins = []
     for row in g.coeffs:
-        evaluate, _ = _radius_equations([(problem.m, problem.N)], problem.mode,
-                                        row.tolist(), checks.rstar)
+        evaluate, _ = _radius_equations([checks.index], row.tolist(), checks.rstar)
         margins.append([0.0 - value
                         for value in evaluate([0] * len(r_values), r_values, slopes=False)])
     margins = np.array(margins)
-    n = 1 if problem.mode == Mode.BOHR_LIMIT else problem.N
 
     def report(t: int, k: int, margin: float) -> dict:
         return {
@@ -464,7 +480,7 @@ def _br_margin(checks: _BRChecks, g: TruncatedSeries,
             "family": problem.family.value,
             "sample": samples[t],
             "m": problem.m,
-            "N": n,
+            "N": checks.index[1],
             "r": r_values[k],
             "margin": margin,
         }
@@ -524,16 +540,18 @@ def _workspace(order: int) -> tuple[np.ndarray, np.ndarray]:
 def _samples(seed: int, trials: int, degree_max: int, order: int, workspace):
     """The seeded stream of the suites, in chunks of ``_chunk_size(order)``:
     per chunk, its omegas as one stacked series and the descriptions of
-    their samples.  The samples are drawn in trial order.  Each chunk's
-    Toeplitz factors and power tables are built in ``workspace``
-    (``_workspace``), so its omegas' ``powers`` last until the next chunk."""
+    their samples, made as reports read them (``_Descriptions``).  The
+    samples are drawn in trial order.
+    Each chunk's Toeplitz factors and power tables are built in
+    ``workspace`` (``_workspace``), so its omegas' ``powers`` last until the
+    next chunk."""
     rng = random.Random(seed)
     tables, scratch = workspace
     size = len(tables)
     for start in range(0, trials, size):
         chunk = [sample_schwarz(rng, degree_max) for _ in range(min(size, trials - start))]
         omegas = _schwarz_chunk(chunk, order, scratch)._take_powers(tables[:len(chunk)], scratch)
-        yield omegas, [sample.describe() for sample in chunk]
+        yield omegas, _Descriptions(chunk)
 
 
 class _Tally:
@@ -625,8 +643,9 @@ def run_axiom_suite(trials: int = 200, seed: int = 0) -> VerificationReport:
         alpha = rng.uniform(-2.0, 2.0)
         for n in n_values:
             checked = verify_bohr_operator_axioms(f, g, alpha, n, r)
-            if not checked.pop("definiteness_ok"):
-                tally.violations += 1
+            # Definiteness holds or fails outright: its margin is +inf, which
+            # moves no worst margin, or -inf.
+            checked["definiteness"] = float("inf" if checked.pop("definiteness_ok") else "-inf")
             margins += checked.values()
             keys += zip(checked, repeat(n))
     tally.extend(margins, _reports(margins, -_AXIOM_TOL, lambda i, margin: {

@@ -6,8 +6,11 @@ a_1 = 1) and boundary distance rs, the solved equation is
     G(r) = P(r^m) + Q(r) - rs = 0,
 
 where P = fhat, fhat(r) = sum |a_n| r^n, and Q is fhat with its terms of
-index < N removed.  In the Bohr limit (m -> infinity with N = 1) the
-P(r^m) term is dropped and Q = fhat.  Apart from its constant -rs every
+index < N removed.  The Bohr limit (m -> infinity with N = 1) is this
+equation without the P(r^m) term and with N = 1; one function,
+``_equation_index``, maps a problem's mode, m and N to the (m, N) of the
+equation it solves, with m None where P is absent, and nothing else tests
+for the Bohr limit.  Apart from its constant -rs every
 coefficient of G is a modulus, so on [0, 1) G is increasing and convex
 with exactly one root; G(0) = -rs exactly, so the solvers take it without
 evaluating G.  Since a_1 = 1, G(r) >= r^m + |a_N| r^N - rs (r - rs in the
@@ -23,7 +26,10 @@ plain-float Horner passes, several by one array product.  Each evaluator
 gives G with G' or, asked for values only, G alone, bitwise the same G;
 the solver's three closing evaluations, ``g_function`` and the oracle's
 margins read only G.  The one-row evaluator also serves the closed-form
-Janowski equation (E <= 0), with P and Q in closed form.
+Janowski equation (E <= 0), with P and Q in closed form.  One function,
+``_results``, turns the (m, N) of a solve, a sweep or the closed equation
+into results: it solves their distinct equations by one ``_newton`` call
+and decides rb and sharpness.
 """
 
 from __future__ import annotations
@@ -192,10 +198,18 @@ def _polynomial(coeffs: list[float]) -> _ValueSlope:
     return value_slope
 
 
-def _certified_top(rstar: float, a: list[float], m: int, N: int, bohr_limit: bool
-                   ) -> float:
-    """Newton start: an upper bound on the root of G from its terms a_1 r^m
-    and a_N r^N (a_1 r in the Bohr limit).
+def _equation_index(mode: Mode, m: int, N: int) -> tuple[int | None, int]:
+    """The (m, N) of the radius equation that a problem of ``mode`` at
+    (m, N) solves: (m, N) itself, or in the Bohr limit (None, 1), the
+    equation without the r^m term and with head index 1.  The one place that
+    reads the Bohr limit; ``_results`` echoes the given (m, N)."""
+    return (None, 1) if mode == Mode.BOHR_LIMIT else (m, N)
+
+
+def _certified_top(rstar: float, a: list[float], m: int | None, N: int) -> float:
+    """Newton start: an upper bound on the root of the equation (m, N) of
+    ``_equation_index`` from its terms a_1 r^m and a_N r^N, or a_N r^N alone
+    where m is None (the Bohr limit, whose a_N r^N is a_1 r).
 
     Every coefficient of G + r* is nonnegative, so at the root each of these
     terms a r^k is at most r*, and the root is at most (r*/a)^(1/k).  Terms
@@ -203,7 +217,7 @@ def _certified_top(rstar: float, a: list[float], m: int, N: int, bohr_limit: boo
     1 - 1e-9; one below 1 is kept even above 1 - 1e-9, where the root of a
     large m can lie.
     """
-    terms = [(a[1], 1)] if bohr_limit else [(a[1], m), (a[N], N)]
+    terms = [(a[N], N)] if m is None else [(a[1], m), (a[N], N)]
     top = min([math.inf] + [(rstar / c) ** (1.0 / k) for c, k in terms if c > 0.0])
     return top if top < 1.0 else _BRACKET_HI
 
@@ -257,14 +271,17 @@ def _slope_coeffs(coeffs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _radius_equations(indices: list[tuple[int, int]], mode: Mode, coeffs: list[float],
+def _radius_equations(indices: list[tuple[int | None, int]], coeffs: list[float],
                       rstar: float) -> tuple[_RowEquations, list[float]]:
-    """The radius equations of one ``mode`` at the given (m, N), one row
-    each, as one evaluator over rows, and each row's certified start.
+    """The radius equations at the given (m, N), one row each, as one
+    evaluator over rows, and each row's certified start.  Each (m, N) is an
+    equation's own, from ``_equation_index``, so the mode is decided before:
+    m is None where the equation has no r^m term (the Bohr limit), and the
+    rows of one call either all have that term or all lack it.
 
     Row v holds G_v(r) = P(r^(m_v)) + Q_v(r) - r* from the moduli fhat of
     ``coeffs``: P = fhat and Q_v is fhat with its terms of index < N_v
-    zeroed; in the Bohr limit P is absent and Q_v = fhat, and when every m
+    zeroed; where m is None P is absent, and when every m
     is 1, P is summed into each Q_v.  One row is evaluated by plain-float
     Horner passes that carry value and slope together.  Several rows are
     evaluated together: the power tables of the radii asked for give G and
@@ -278,15 +295,15 @@ def _radius_equations(indices: list[tuple[int, int]], mode: Mode, coeffs: list[f
     the Bohr-Rogosinski margin of g at r.
     """
     a = list(map(abs, coeffs))
-    bohr_limit = mode == Mode.BOHR_LIMIT
     # One loop, not three comprehensions: a lone solve pays for each.
     tops, ms, heads = [], [], []
     for m, N in indices:
-        tops.append(_certified_top(rstar, a, m, N, bohr_limit))
+        tops.append(_certified_top(rstar, a, m, N))
         ms.append(m)
-        heads.append(0 if bohr_limit else N)
-    fold = not bohr_limit and max(ms) == 1
-    separate_p = not (bohr_limit or fold)
+        heads.append(N)
+    point = ms[0] is not None
+    fold = point and max(ms) == 1
+    separate_p = point and not fold
     if len(indices) == 1:
         q = [0.0] * heads[0] + a[heads[0]:]
         if fold:
@@ -329,7 +346,7 @@ def _check_radius(r: float) -> None:
 def g_function(problem: RadiusProblem, pair: ExtremalPair, r: float) -> float:
     """Value of the radius equation at r in [0, 1)."""
     _check_radius(r)
-    evaluate, _ = _radius_equations([(problem.m, problem.N)], problem.mode,
+    evaluate, _ = _radius_equations([_equation_index(problem.mode, problem.m, problem.N)],
                                     *_family_extremal(problem, pair))
     return evaluate([0], [r], slopes=False)[0]
 
@@ -409,15 +426,23 @@ def _newton(evaluate: _RowEquations, tol: float, tops: list[float], g_lo: float
     return [(roots[v], (ends[v], ends[n + v]), evaluations[v] + 3, values[v]) for v in rows]
 
 
-def _result(spec: PsiSpec, family: Family, mode: Mode, nonnegative: bool
-            ) -> Callable[[int, int, tuple[float, tuple[float, float], int, float]],
-                          RadiusResult]:
-    """The maker of the results of one problem's solved equations: it takes
-    m, N and a row of ``_newton``.  What the rows share (the label, the
-    family and mode strings, the classical test) is decided once.
-    ``nonnegative`` says whether every extremal coefficient is
-    nonnegative, which sharpness needs: then the extremal itself attains
-    the bound, exact zeros (a terminating or underflowed series) included.
+def _results(problem: _ProblemFields, indices: list[tuple[int, int]],
+             equations: Callable[[list], tuple[_RowEquations, list[float]]], rstar: float,
+             nonnegative: bool) -> list[RadiusResult]:
+    """The results of ``problem``'s radius equation at each given (m, N), in
+    the given order: the one path from equations to results of ``solve``,
+    ``sweep`` and ``solve_janowski_exact``.
+
+    Each (m, N) is mapped to the (m, N) of the equation it solves
+    (``_equation_index``, where the Bohr limit is decided); the distinct
+    ones, in the order they first appear, are the rows of
+    ``equations(rows)``, which returns their evaluator and certified starts,
+    and one ``_newton`` call solves them all.  Each result echoes its given
+    (m, N) and counts its own row's evaluations of G, so the values of a
+    Bohr-limit sweep share one row.  ``nonnegative`` says whether every
+    extremal coefficient is nonnegative, which sharpness needs: then the
+    extremal itself attains the bound, exact zeros (a terminating or
+    underflowed series) included.
 
     The one place that decides rb.  Only psi = (1+z)/(1-z) (D = 1, E = -1)
     bounds every subordinant's |b_n| by |a_n|, so that r0 holds for all:
@@ -425,17 +450,19 @@ def _result(spec: PsiSpec, family: Family, mode: Mode, nonnegative: bool
     under z/(1-z) (Rogosinski, 1943).  Elsewhere the Bhowmik-Das lemma
     covers only r <= 1/3.
     """
-    label, family, mode = spec.label, family.value, mode.value
+    spec, family, mode = problem.psi, problem.family.value, problem.mode
     classical = spec.params.get("D") == 1.0 and spec.params.get("E") == -1.0
-
-    def result(m: int, N: int, solved: tuple[float, tuple[float, float], int, float]
-               ) -> RadiusResult:
-        r0, bracket, iterations, residual = solved
+    grid = [_equation_index(mode, m, N) for m, N in indices]
+    rows = list(dict.fromkeys(grid))
+    evaluate, tops = equations(rows)
+    solved = dict(zip(rows, _newton(evaluate, problem.tol, tops, -rstar)))
+    results = []
+    for (m, N), row in zip(indices, grid):
+        r0, bracket, iterations, residual = solved[row]
         rb = r0 if classical else min(r0, _LEMMA_RADIUS)
-        return RadiusResult(label, family, m, N, mode, r0, rb, residual, iterations,
-                            rb == r0 and nonnegative, bracket)
-
-    return result
+        results.append(RadiusResult(spec.label, family, m, N, mode.value, r0, rb, residual,
+                                    iterations, rb == r0 and nonnegative, bracket))
+    return results
 
 
 def solve(problem: RadiusProblem, pair: ExtremalPair | None = None) -> RadiusResult:
@@ -444,11 +471,10 @@ def solve(problem: RadiusProblem, pair: ExtremalPair | None = None) -> RadiusRes
     A given ``pair`` must be built at ``problem.order``.
     """
     coeffs, rstar = _family_extremal(problem, pair)
-    evaluate, tops = _radius_equations([(problem.m, problem.N)], problem.mode, coeffs, rstar)
-    (solved,) = _newton(evaluate, problem.tol, tops, -rstar)
     # The coefficients are finite, so no NaN upsets min.
-    result = _result(problem.psi, problem.family, problem.mode, min(coeffs) >= 0.0)
-    return result(problem.m, problem.N, solved)
+    return _results(problem, [(problem.m, problem.N)],
+                    lambda rows: _radius_equations(rows, coeffs, rstar), rstar,
+                    min(coeffs) >= 0.0)[0]
 
 
 def solve_janowski_exact(d: float, e: float, m: int = 1, N: int = 1,
@@ -464,8 +490,9 @@ def solve_janowski_exact(d: float, e: float, m: int = 1, N: int = 1,
     N = 2, and H = r + sum_{n=2}^{N-1} a_n r^n for N >= 3, with a_n from
     the entry's recurrence a_1 = 1, a_{k+1} = a_k (D - kE)/k, read as
     ``solve`` reads them, through ``_f0_coefficients``.
-    In Bohr-limit mode the f0(r^m) term is dropped and the head is that of
-    N = 1; the result echoes the given N, as ``solve`` does.
+    ``_results`` maps (m, N) to the equation's own (``_equation_index``),
+    as for ``solve``: in the Bohr limit the f0(r^m) term is dropped and the
+    head is that of N = 1, and the result echoes the given N.
 
     Only E <= 0 is accepted.  For E > 0 the extremal coefficients change
     sign, so the radius equation needs the majorant fhat0(r^m), not the
@@ -476,16 +503,15 @@ def solve_janowski_exact(d: float, e: float, m: int = 1, N: int = 1,
     with P = f0 and Q = f0 - H, evaluated by the one-row evaluator of
     ``solve`` and solved by the same Newton solver from the same certified
     start, with a_1 = 1 and a_N from the same recurrence; the result is
-    sharp wherever ``_result`` keeps rb = r0.
+    sharp wherever ``_results`` keeps rb = r0.
     """
     spec = janowski(d, e)
     if e > 0.0:
         raise ValueError(f"the closed Janowski equation needs E <= 0, got E={e:g}; "
                          "the series path (--method series) solves E > 0")
     m, N, _ = _check_problem(m, N, tol)
-    bohr_limit = mode == Mode.BOHR_LIMIT
-    n = 1 if bohr_limit else N
     p = None if e == 0.0 else (d - e) / e
+    rstar = spec.koebe_closed
 
     def f0_closed(x: float, slope: bool = True) -> tuple[float, float] | float:
         # f0 and f0' = (1 + D x) (1 + E x)^(p-1), or (1 + D x) e^(D x) at E = 0.
@@ -497,22 +523,26 @@ def solve_janowski_exact(d: float, e: float, m: int = 1, N: int = 1,
         value = x * base**p
         return (value, (1.0 + d * x) * base ** (p - 1.0)) if slope else value
 
-    coeffs = _f0_coefficients(spec, n)
-    head = _polynomial(coeffs[:n])
+    def equation(rows: list[tuple[int | None, int]]) -> tuple[_RowEquations, list[float]]:
+        # The one row (m_row, n) of the closed equation: P = f0, absent where
+        # m_row is None, and Q = f0 - H, the sum of a_k r^k over k >= n.
+        ((m_row, n),) = rows
+        coeffs = _f0_coefficients(spec, n)
+        head = _polynomial(coeffs[:n])
 
-    def tail(r: float, slope: bool = True) -> tuple[float, float] | float:
-        # Q = f0 - H, the sum of a_k r^k over k >= n.
-        if not slope:
-            return f0_closed(r, False) - head(r, False)
-        value, derivative = f0_closed(r)
-        head_value, head_derivative = head(r)
-        return value - head_value, derivative - head_derivative
+        def tail(r: float, slope: bool = True) -> tuple[float, float] | float:
+            if not slope:
+                return f0_closed(r, False) - head(r, False)
+            value, derivative = f0_closed(r)
+            head_value, head_derivative = head(r)
+            return value - head_value, derivative - head_derivative
 
-    rstar = spec.koebe_closed
-    evaluate = _equation_row(None if bohr_limit else f0_closed, tail, m, rstar)
-    top = _certified_top(rstar, coeffs, m, n, bohr_limit)
-    (solved,) = _newton(evaluate, tol, [top], -rstar)
-    return _result(spec, Family.STARLIKE, mode, True)(m, N, solved)
+        return (_equation_row(None if m_row is None else f0_closed, tail, m_row, rstar),
+                [_certified_top(rstar, coeffs, m_row, n)])
+
+    # The closed equation truncates nothing: its problem has no order.
+    problem = _ProblemFields(spec, Family.STARLIKE, m, N, mode, None, tol)
+    return _results(problem, [(m, N)], equation, rstar, True)[0]
 
 
 class Sweep(NamedTuple):
@@ -526,14 +556,15 @@ def sweep(problem: RadiusProblem, n_values=None, m_values=None) -> Sweep:
     """Solve over a grid in N or in m; the family's extremal is built once.
 
     Every value is checked, and taken as an int, before anything is
-    solved.  The distinct values are then solved together by the builder
-    and solver of a lone ``solve`` (``_radius_equations``, ``_newton``),
-    one row per value, and each result's ``iterations`` counts its own
-    row's evaluations of G.  In the Bohr limit every value has the same
-    equation, so one row is solved and each result echoes its own value.
-    A sweep of one row returns what ``solve`` returns, bitwise.  Results
-    come back in the given order.  Whether the solved radii are
-    nondecreasing along the grid is reported as a diagnostic, not asserted.
+    solved.  The grid then goes to ``_results``, as a lone ``solve``'s
+    (m, N) does: its distinct equations are solved together by one
+    ``_newton`` call, one row each, and each result's ``iterations`` counts
+    its own row's evaluations of G.  In the Bohr limit every value has the
+    same equation (``_equation_index``), so one row is solved and each
+    result echoes its own value.  A sweep of one row returns what ``solve``
+    returns, bitwise.  Results come back in the given order.  Whether the
+    solved radii are nondecreasing along the grid is reported as a
+    diagnostic, not asserted.
     """
     if (n_values is None) == (m_values is None):
         raise ValueError("exactly one of n_values and m_values must be given")
@@ -545,18 +576,9 @@ def sweep(problem: RadiusProblem, n_values=None, m_values=None) -> Sweep:
     if not grid:
         raise ValueError(f"empty sweep range for {axis}")
     values = tuple(m if axis == "m" else N for m, N in grid)
-    indices = list(dict.fromkeys(grid))
     coeffs, rstar = _family_extremal(problem)
-    bohr_limit = problem.mode == Mode.BOHR_LIMIT
-    # In the Bohr limit G depends on neither m nor N: one row serves every value.
-    evaluate, tops = _radius_equations(indices[:1] if bohr_limit else indices, problem.mode,
-                                       coeffs, rstar)
-    roots = _newton(evaluate, problem.tol, tops, -rstar)
-    if bohr_limit:
-        roots *= len(indices)
-    result = _result(problem.psi, problem.family, problem.mode, min(coeffs) >= 0.0)
-    solved = {index: result(*index, root) for index, root in zip(indices, roots)}
-    results = tuple(solved[index] for index in grid)
+    results = tuple(_results(problem, grid, lambda rows: _radius_equations(rows, coeffs, rstar),
+                             rstar, min(coeffs) >= 0.0))
     radii = [res.r0 for res in results]
     monotone = all(b >= a - 1e-12 for a, b in zip(radii, radii[1:]))
     return Sweep(axis=axis, values=values, results=results,

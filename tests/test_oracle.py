@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import json
 import math
 import random
 import tracemalloc
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import reference
-from bohrad import catalog, oracle
+from bohrad import catalog, cli, oracle
 from bohrad.extremal import build_extremal_pair, build_f0
 from bohrad.oracle import (
     IDENTITY_SAMPLE,
@@ -341,6 +342,18 @@ def test_tail_suite_reports_worst_counterexample_first():
     assert len(report.counterexamples) <= 5
 
 
+def test_only_samples_that_break_a_check_are_described(monkeypatch):
+    # A sample is described when its first report is read, once, and the
+    # reports of one sample share that description.
+    described = []
+    describe = SchwarzSample.describe
+    monkeypatch.setattr(SchwarzSample, "describe",
+                        lambda sample: described.append(sample) or describe(sample))
+    report = run_tail_suite(trials=40, seed=0, max_reports=10**6)
+    shared = {id(ce["sample"]) for ce in report.counterexamples}
+    assert 0 < len(described) == len(shared) < min(40, report.violations)
+
+
 def test_tail_suite_is_deterministic():
     a = run_tail_suite(trials=25, seed=9)
     b = run_tail_suite(trials=25, seed=9)
@@ -645,6 +658,31 @@ def test_axiom_suite_clean():
     report = run_axiom_suite(trials=200, seed=1)
     assert report.violations == 0
     assert report.worst_margin >= -1e-12
+
+
+def test_a_failed_definiteness_check_is_reported(monkeypatch, capsys):
+    # Real runs never fail it.  Forced to fail on one call, it is one
+    # violation with its report, the axiom and its N, like every other check.
+    axioms, calls = oracle.verify_bohr_operator_axioms, []
+
+    def flipped(f, g, alpha, N, r):
+        margins = axioms(f, g, alpha, N, r)
+        calls.append(N)
+        if len(calls) == 5:
+            margins["definiteness_ok"] = not margins["definiteness_ok"]
+        return margins
+
+    monkeypatch.setattr(oracle, "verify_bohr_operator_axioms", flipped)
+    report = run_axiom_suite(trials=20, seed=0)
+    assert report.violations == len(report.counterexamples) == 1
+    assert report.counterexamples == [{"axiom": "definiteness", "N": 1, "margin": -math.inf}]
+    assert calls[4] == 1 and report.worst_margin == -math.inf
+    calls.clear()
+    code = cli.main(["verify", "--lemma", "bohr-operator", "--trials", "20"])
+    assert code == cli.EXIT_VIOLATIONS
+    out = json.loads(capsys.readouterr().out)
+    assert out["violations"] == len(out["counterexamples"]) == 1
+    assert out["counterexamples"][0]["axiom"] == "definiteness"
 
 
 def test_documented_submultiplicativity_counterexample():

@@ -721,8 +721,7 @@ def test_newton_rows_are_independent():
     rstar = pair.koebe_starlike
     equations, tops = [], []
     for m, N in ((1, 1), (2, 3), (5, 2), (24, 10), (1_000_000, 10)):
-        evaluate, (hi,) = radius._radius_equations([(m, N)], Mode.BOHR_ROGOSINSKI,
-                                                   pair.f0.coeffs.tolist(), rstar)
+        evaluate, (hi,) = radius._radius_equations([(m, N)], pair.f0.coeffs.tolist(), rstar)
         equations.append(evaluate)
         tops.append(hi)
     equations.append(equations[0])
@@ -740,6 +739,29 @@ def test_newton_rows_are_independent():
     iterations = [row[2] for row in together]
     assert iterations[-1] > iterations[0]
     assert len(set(iterations)) > 2
+
+
+@pytest.mark.parametrize("label", ["sine", "cardioid", "classical-starlike"])
+def test_a_start_on_the_root_falls_back_to_the_top(label, newton_runs):
+    # At order 1 the Bohr-limit equation is G = |a_1| r - r*: its certified
+    # start r*/|a_1| is the root itself, where G is not positive, so the
+    # solver starts again from 1 - 1e-9, for a lone solve and for sweeps
+    # whose repeated values share the one row alike.
+    spec = catalog.parse_psi(label)
+    pair = build_extremal_pair(spec, 1)
+    for family in Family:
+        series, rstar = family_extremal(pair, family)
+        a1 = abs(float(series.coeffs[1]))
+        base = RadiusProblem(psi=spec, family=family, mode=Mode.BOHR_LIMIT, order=1)
+        results = [solve(base), *sweep(base, n_values=[1, 1, 1]).results,
+                   *sweep(base, m_values=[3, 1, 3]).results]
+        assert len(newton_runs) == 3
+        for run in newton_runs:
+            assert run["hi"] == [rstar / a1] == [expected_start(rstar, [(a1, 1)])]
+            assert run["g_hi"][0] <= 0.0 and run["calls"] == [6], (family, run)
+        newton_runs.clear()
+        for res in results:
+            assert abs(res.r0 - rstar / a1) <= base.tol and res.iterations == 6, (family, res)
 
 
 @pytest.mark.parametrize("label", SOLVER_GRID_LABELS)
