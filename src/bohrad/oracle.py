@@ -24,9 +24,9 @@ its tolerance when it is built.
 Each sum has one definition.  The tail window (``_tail_window``) holds r^j
 for j >= N and 0 below, so M(f, N, r) = |f| @ window in the tail
 functional and the tail and weighted kernels alike.  The Bohr-Rogosinski
-margin of g at r is -G_g(r): the solver's radius equation, one row of
-``radius._radius_equations``, built from |g| in place of the extremal's
-moduli.
+margin of g at r is -G_g(r): the solver's radius equation, the one row of
+``radius._moduli_row``, built from |g| in place of the extremal's
+moduli and with no certified start, which only the solver needs.
 
 The public checks and the suites share one kernel per kind of check, built
 once from what does not depend on the subordinant: the tail windows (one
@@ -41,7 +41,8 @@ with every omega by one product.  One workspace per suite call
 every chunk is built in place in it.  The tail kernel then takes every
 (N, r) margin of the chunk from one product |g| @ weights, the weighted
 kernel applies h by one Toeplitz product, and the Bohr-Rogosinski kernel
-evaluates one radius equation per composed row.
+takes the moduli of the chunk's composed rows at once and evaluates one
+radius equation per row, by plain-float Horner passes.
 Margins run (sample, extremal, check); one scan over them finds the
 violated checks and gathers their values at once, the reports follow in
 that order, each built only when read, a sample described only when its
@@ -63,7 +64,7 @@ from typing import NamedTuple
 from .catalog import parse_psi
 from .extremal import ExtremalPair, build_extremal_pair, build_f0
 from .radius import (_LEMMA_RADIUS, Family, Mode, RadiusProblem, _check_radius,
-                     _equation_index, _family_extremal, _radius_equations, g_function, solve)
+                     _equation_index, _family_extremal, _moduli_row, g_function, solve)
 from .series import DEFAULT_ORDER, TruncatedSeries, _rowwise, _toeplitz, np
 
 # Default generators exercised by the verification suites.
@@ -86,6 +87,12 @@ _AXIOM_TOL = 1e-12
 _CHUNK_BYTES = 1 << 20
 # Counterexamples a suite report keeps.
 _MAX_REPORTS = 10
+# Trials of a suite run, and the largest Blaschke degree it samples.
+_TRIALS = 200
+_DEGREE_MAX = 4
+# Tolerance on a margin, relative to its claimed bound: the margins that a
+# check reports lie below -_REL_TOL times the bound (see the module docstring).
+_REL_TOL = 1e-9
 
 
 class InequalityViolation(Exception):
@@ -141,7 +148,7 @@ class _Descriptions(dict):
         return self.setdefault(t, self.samples[t].describe())
 
 
-def sample_schwarz(rng: random.Random, degree_max: int = 4) -> SchwarzSample:
+def sample_schwarz(rng: random.Random, degree_max: int = _DEGREE_MAX) -> SchwarzSample:
     """Draw a sample: degree uniform on 0..degree_max, zeros uniform in
     (-0.95, 0.95), sign uniform on {-1, +1}."""
     if degree_max < 0:
@@ -270,6 +277,10 @@ class _TailChecks:
     message = "tail inequality violated for {psi}: margin {margin:.3e} at N={N}, r={r:g}"
 
     def __init__(self, fs: list[TruncatedSeries], labels: list[str], n_values, r_values):
+        empty = [name for name, given in (("psi_labels", fs), ("n_values", n_values),
+                                          ("r_values", r_values)) if not len(given)]
+        if empty:  # a suite of none would check nothing
+            raise ValueError(f"{' and '.join(empty)} must not be empty")
         self.f = TruncatedSeries([f.coeffs for f in fs])
         self.labels = labels
         order = self.f.order
@@ -282,7 +293,7 @@ class _TailChecks:
         columns = [_tail_window(n, r, order) for n, r in self.grid]
         self.weights = np.array(columns).reshape(len(self.grid), order + 1).T
         self.majorant = _rowwise(np.abs(self.f.coeffs), self.weights)
-        self.tol = 1e-9 * self.majorant + [[_dropped_tail(f, r) for _, r in self.grid]
+        self.tol = _REL_TOL * self.majorant + [[_dropped_tail(f, r) for _, r in self.grid]
                                            for f in fs]
         # As floats, so that the reports at one grid point share one object.
         self.majorant_tails = self.majorant.tolist()
@@ -378,29 +389,31 @@ def submultiplicativity_counterexample(r: float = 0.25) -> dict:
     }
 
 
-def _check_weighted_claim(tau: float, h: TruncatedSeries, r: float) -> None:
+def _check_weighted_claim(tau: float, h: np.ndarray, r: float) -> None:
     if not 0.0 < tau <= 1.0:
         raise ValueError(f"tau must lie in (0, 1], got {tau}")
     if r > tau / 3.0:
         raise ValueError(f"weighted inequality is only claimed for r <= tau/3, got {r}")
-    h_majorant = float(np.dot(np.abs(h.coeffs), tau ** np.arange(h.order + 1)))
+    h_majorant = float(np.dot(np.abs(h), tau ** np.arange(h.shape[-1])))
     if h_majorant > tau * (1.0 + 1e-12):
         raise ValueError("weight violates its bound: sum |h_n| tau^n > tau")
 
 
 class _WeightedCheck:
     """The weighted checks of extremals f (one row of ``f`` each) with weight
-    h at one (N, r): the tail kernel's window there, the majorant tails and
-    tolerances times tau, and the Toeplitz matrix by which h multiplies."""
+    h, given by its coefficients, at one (N, r): the tail kernel's window
+    there, the majorant tails and tolerances times tau, and the Toeplitz
+    matrix by which h multiplies.  tau is checked before h is read, so a
+    NaN or infinite tau is named as such."""
 
     message = "weighted tail inequality violated for {psi}: margin {margin:.3e}"
 
     def __init__(self, tau: float, fs: list[TruncatedSeries], labels: list[str],
-                 h: TruncatedSeries, N: int, r: float):
+                 h: np.ndarray, N: int, r: float):
         _check_weighted_claim(tau, h, r)
         tail = _TailChecks(fs, labels, (N,), (r,))
         self.f, self.labels, self.tau, self.N, self.r = tail.f, labels, tau, N, r
-        self.h_matrix = _toeplitz(h.coeffs)
+        self.h_matrix = _toeplitz(h)
         self.weights = tail.weights
         self.scaled_majorant = tau * tail.majorant[:, 0]
         self.scaled_majorants = self.scaled_majorant.tolist()
@@ -437,7 +450,7 @@ def verify_weighted(tau: float, f: TruncatedSeries, sample: SchwarzSample,
     The weight h must satisfy the majorant bound sum |h_n| tau^n <= tau,
     the literal reading of |h| <= tau on |z| < tau.
     """
-    return _checked(_weighted_margin, _WeightedCheck(tau, [f], [label], h, N, r), sample)
+    return _checked(_weighted_margin, _WeightedCheck(tau, [f], [label], h.coeffs, N, r), sample)
 
 
 class _BRChecks:
@@ -454,7 +467,7 @@ class _BRChecks:
         self.r_values = list(r_values)
         for r in self.r_values:
             _check_radius(r)
-        self.tol = 1e-9 * max(self.rstar, 1.0)
+        self.tol = _REL_TOL * max(self.rstar, 1.0)
 
 
 def _br_margin(checks: _BRChecks, g: TruncatedSeries,
@@ -466,11 +479,10 @@ def _br_margin(checks: _BRChecks, g: TruncatedSeries,
     ``0.0 - G`` rather than ``-G``, so that a zero G gives the margin +0.0.
     """
     problem, r_values = checks.problem, checks.r_values
-    margins = []
-    for row in g.coeffs:
-        evaluate, _ = _radius_equations([checks.index], row.tolist(), checks.rstar)
-        margins.append([0.0 - value
-                        for value in evaluate([0] * len(r_values), r_values, slopes=False)])
+    rows, margins = [0] * len(r_values), []
+    for a in np.abs(g.coeffs).tolist():
+        evaluate = _moduli_row(checks.index, a, checks.rstar)
+        margins.append([0.0 - value for value in evaluate(rows, r_values, slopes=False)])
     margins = np.array(margins)
 
     def report(t: int, k: int, margin: float) -> dict:
@@ -609,9 +621,9 @@ def _run_suite(checks, margin, seed: int, trials: int, degree_max: int, order: i
     return tally.report(seed, {**config, "degree_max": degree_max, "order": order})
 
 
-def run_tail_suite(psi_labels=DEFAULT_ORACLE_PSIS, trials: int = 200, seed: int = 0,
+def run_tail_suite(psi_labels=DEFAULT_ORACLE_PSIS, trials: int = _TRIALS, seed: int = 0,
                    n_values=(1, 2, 3), r_values=(0.1, 0.25, _LEMMA_RADIUS),
-                   degree_max: int = 4, order: int = DEFAULT_ORDER,
+                   degree_max: int = _DEGREE_MAX, order: int = DEFAULT_ORDER,
                    max_reports: int = _MAX_REPORTS) -> VerificationReport:
     """Tail inequality over seeded samples crossed with the catalog extremals."""
     specs = [parse_psi(label) for label in psi_labels]
@@ -625,7 +637,7 @@ def run_tail_suite(psi_labels=DEFAULT_ORACLE_PSIS, trials: int = 200, seed: int 
     }, max_reports)
 
 
-def run_axiom_suite(trials: int = 200, seed: int = 0) -> VerificationReport:
+def run_axiom_suite(trials: int = _TRIALS, seed: int = 0) -> VerificationReport:
     """Tail-functional axioms on random series pairs, plus the documented
     failure of the product axiom at N = 2, on one fixed grid of order, N
     and r, which the report's config records.  ``bohrad verify --lemma
@@ -659,9 +671,9 @@ def run_axiom_suite(trials: int = 200, seed: int = 0) -> VerificationReport:
     })
 
 
-def run_weighted_suite(tau: float = 0.8, trials: int = 200, seed: int = 0,
-                       psi_labels=DEFAULT_ORACLE_PSIS, N: int = 1,
-                       degree_max: int = 4, order: int = DEFAULT_ORDER) -> VerificationReport:
+def run_weighted_suite(tau: float = 0.8, trials: int = _TRIALS, seed: int = 0,
+                       psi_labels=DEFAULT_ORACLE_PSIS, N: int = 1, degree_max: int = _DEGREE_MAX,
+                       order: int = DEFAULT_ORDER) -> VerificationReport:
     """Weighted tail inequality with the ramp weight h = tau (1 + z)/2 at r = tau/3."""
     specs = [parse_psi(label) for label in psi_labels]
     # The extremals first: build_f0 rejects an order below 1, which h needs.
@@ -669,8 +681,7 @@ def run_weighted_suite(tau: float = 0.8, trials: int = 200, seed: int = 0,
     h_coeffs = np.zeros(order + 1)
     h_coeffs[:2] = tau / 2.0
     r = tau / 3.0
-    check = _WeightedCheck(tau, fs, [spec.label for spec in specs],
-                           TruncatedSeries(h_coeffs), N, r)
+    check = _WeightedCheck(tau, fs, [spec.label for spec in specs], h_coeffs, N, r)
     return _run_suite(check, _weighted_margin, seed, trials, degree_max, order, {
         "check": "weighted-tail",
         "tau": tau,
@@ -681,8 +692,8 @@ def run_weighted_suite(tau: float = 0.8, trials: int = 200, seed: int = 0,
 
 
 def run_br_suite(psi_label: str = DEFAULT_ORACLE_PSIS[0], family: Family = Family.STARLIKE,
-                 m: int = 1, N: int = 1, trials: int = 200, seed: int = 0,
-                 degree_max: int = 4, order: int = DEFAULT_ORDER,
+                 m: int = 1, N: int = 1, trials: int = _TRIALS, seed: int = 0,
+                 degree_max: int = _DEGREE_MAX, order: int = DEFAULT_ORDER,
                  mode: Mode = Mode.BOHR_ROGOSINSKI) -> VerificationReport:
     """Full radius inequality on sampled subordinants below the solved radius.
 

@@ -20,16 +20,19 @@ there, from the right; by convexity the zero of the secant through
 (0, G(0)) and each Newton iterate is a lower bound, so the bracket costs
 one evaluation of G per step and ends certified by two more.  It solves a
 batch of equations, one row each, with one call to G per pass on the rows
-still open.  One builder, ``_radius_equations``, makes the rows of a
-``solve`` or a ``sweep`` with their starts; one row is evaluated by
-plain-float Horner passes, several by one array product.  Each evaluator
-gives G with G' or, asked for values only, G alone, bitwise the same G;
-the solver's three closing evaluations, ``g_function`` and the oracle's
-margins read only G.  The one-row evaluator also serves the closed-form
-Janowski equation (E <= 0), with P and Q in closed form.  One function,
-``_results``, turns the (m, N) of a solve, a sweep or the closed equation
-into results: it solves their distinct equations by one ``_newton`` call
-and decides rb and sharpness.
+still open.  One function, ``_moduli_row``, builds the evaluator of one
+row from a list of moduli, evaluated by plain-float Horner passes, with no
+start; ``g_function`` and the oracle's Bohr-Rogosinski margins take it as
+it is.  ``_radius_equations`` makes the rows of a ``solve`` or a ``sweep``
+with their starts: one row by ``_moduli_row``, several by one array
+product per evaluation that gives G and G' together.  Each evaluator gives
+G with G' or, asked for values only, G alone, bitwise the same G; the
+solver's three closing evaluations, ``g_function`` and the oracle's margins
+read only G.  The one-row evaluator, ``_equation_row``, also serves the
+closed-form Janowski equation (E <= 0), with P and Q in closed form.  One
+function, ``_results``, turns the (m, N) of a solve, a sweep or the closed
+equation into results: it solves their distinct equations by one
+``_newton`` call and decides rb and sharpness.
 """
 
 from __future__ import annotations
@@ -271,6 +274,25 @@ def _slope_coeffs(coeffs: np.ndarray) -> np.ndarray:
     return out
 
 
+def _moduli_row(row: tuple[int | None, int], a: list[float], rstar: float) -> _RowEquations:
+    """The evaluator of the one radius equation ``row`` = (m, N) of
+    ``_equation_index``, built from the moduli ``a`` of a series, with no
+    certified start.  It is the one build of a lone row: ``_radius_equations``
+    adds the start that the solver needs, and ``g_function`` and the oracle
+    take it as it is.  Built from the moduli of a subordinant g, -G(r) is
+    the Bohr-Rogosinski margin of g at r.
+
+    Q is ``a`` with its terms of index < N zeroed.  P = ``a`` is summed into
+    Q when m is 1, kept as its own Horner pass for any other m, and absent
+    where m is None (the Bohr limit).
+    """
+    m, N = row
+    q = [0.0] * N + a[N:]
+    if m == 1:
+        q = [x + y for x, y in zip(a, q)]
+    return _equation_row(None if m in (None, 1) else _polynomial(a), _polynomial(q), m, rstar)
+
+
 def _radius_equations(indices: list[tuple[int | None, int]], coeffs: list[float],
                       rstar: float) -> tuple[_RowEquations, list[float]]:
     """The radius equations at the given (m, N), one row each, as one
@@ -281,59 +303,42 @@ def _radius_equations(indices: list[tuple[int | None, int]], coeffs: list[float]
 
     Row v holds G_v(r) = P(r^(m_v)) + Q_v(r) - r* from the moduli fhat of
     ``coeffs``: P = fhat and Q_v is fhat with its terms of index < N_v
-    zeroed; where m is None P is absent, and when every m
-    is 1, P is summed into each Q_v.  One row is evaluated by plain-float
-    Horner passes that carry value and slope together.  Several rows are
-    evaluated together: the power tables of the radii asked for give G and
-    G' of each row by one row-wise product with the coefficient and slope
-    rows, plus one product with P for the r^m term.  Asked for values only,
-    the one row takes value-only Horner passes and several rows take only
-    the coefficient rows' product; P goes through the same two-column
-    product and takes its value column, as a gemv with P alone rounds
-    differently.  ``solve`` and ``sweep``
-    pass the family extremal; built from a subordinant g instead, -G(r) is
-    the Bohr-Rogosinski margin of g at r.
+    zeroed; where m is None P is absent, and when every m is 1, P is summed
+    into each Q_v.  One row is ``_moduli_row``'s, evaluated by plain-float
+    Horner passes.  Several rows are evaluated together by one
+    pass: the power tables of the radii asked for give G and G' of each row
+    by one row-wise product with the coefficient and slope rows, plus one
+    product with P and its slope for the r^m term; asked for values only,
+    the pass returns its column of G.  ``solve`` and ``sweep`` pass the
+    family extremal.
     """
     a = list(map(abs, coeffs))
-    # One loop, not three comprehensions: a lone solve pays for each.
-    tops, ms, heads = [], [], []
-    for m, N in indices:
-        tops.append(_certified_top(rstar, a, m, N))
-        ms.append(m)
-        heads.append(N)
-    point = ms[0] is not None
-    fold = point and max(ms) == 1
-    separate_p = point and not fold
     if len(indices) == 1:
-        q = [0.0] * heads[0] + a[heads[0]:]
-        if fold:
-            q = [x + y for x, y in zip(a, q)]
-        p = _polynomial(a) if separate_p else None
-        return _equation_row(p, _polynomial(q), ms[0], rstar), tops
-
+        (row,) = indices
+        return _moduli_row(row, a, rstar), [_certified_top(rstar, a, *row)]
+    tops = [_certified_top(rstar, a, m, N) for m, N in indices]
+    ms, heads = zip(*indices)
+    # The rows all have the r^m term or all lack it (m None).
+    fold = ms[0] == 1 == max(ms)
     moduli = np.array(a)
     order = moduli.size - 1
     q = np.where(np.arange(order + 1) < np.array(heads)[:, None], 0.0, moduli)
     if fold:
         q = q + moduli
     q_rows = np.stack([q, _slope_coeffs(q)], axis=1)
-    p_cols = np.stack([moduli, _slope_coeffs(moduli)], axis=1) if separate_p else None
+    p_cols = None if ms[0] is None or fold else np.stack([moduli, _slope_coeffs(moduli)], axis=1)
     ms = np.array(ms)
 
     def evaluate(rows: list[int], r: list[float], slopes: bool = True) -> list:
         rows, r = np.asarray(rows), np.asarray(r)
-        if not slopes:
-            value = np.einsum("ik,ik->i", q[rows], _powers(r, order))
-            if p_cols is not None:
-                value = value + (_powers(r ** ms[rows], order) @ p_cols)[:, 0]
-            return (value - rstar).tolist()
         value, slope = np.einsum("ijk,ik->ji", q_rows[rows], _powers(r, order))
         if p_cols is not None:
             m = ms[rows]
             point, point_slope = (_powers(r**m, order) @ p_cols).T
             value = value + point
             slope = slope + m * r ** (m - 1) * point_slope
-        return list(zip((value - rstar).tolist(), slope.tolist()))
+        value = (value - rstar).tolist()
+        return list(zip(value, slope.tolist())) if slopes else value
 
     return evaluate, tops
 
@@ -346,9 +351,9 @@ def _check_radius(r: float) -> None:
 def g_function(problem: RadiusProblem, pair: ExtremalPair, r: float) -> float:
     """Value of the radius equation at r in [0, 1)."""
     _check_radius(r)
-    evaluate, _ = _radius_equations([_equation_index(problem.mode, problem.m, problem.N)],
-                                    *_family_extremal(problem, pair))
-    return evaluate([0], [r], slopes=False)[0]
+    coeffs, rstar = _family_extremal(problem, pair)
+    row = _equation_index(problem.mode, problem.m, problem.N)
+    return _moduli_row(row, list(map(abs, coeffs)), rstar)([0], [r], slopes=False)[0]
 
 
 def _newton(evaluate: _RowEquations, tol: float, tops: list[float], g_lo: float

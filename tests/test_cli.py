@@ -609,6 +609,16 @@ def test_verify_rejects_a_bad_tau_or_degree(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("tau", ["nan", "inf"])
+def test_verify_names_a_tau_that_is_not_finite(capsys, tau):
+    # tau is checked before the weight h = tau (1 + z)/2 is built from it.
+    code, out, err = run_cli(capsys, "verify", "--lemma", "weighted", "--tau", tau,
+                             "--trials", "2")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: tau must lie in (0, 1], got {float(tau)}\n"
+
+
 @pytest.mark.parametrize("error", [cli.BracketError, cli.QuadratureError])
 def test_solver_errors_exit_3(capsys, monkeypatch, error):
     def fail(*args, **kwargs):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import reference
-from bohrad import catalog, cli, oracle
+from bohrad import catalog, cli, oracle, radius
 from bohrad.extremal import build_extremal_pair, build_f0
 from bohrad.oracle import (
     IDENTITY_SAMPLE,
@@ -588,6 +588,19 @@ def test_suites_reject_fewer_than_one_trial(suite, trials):
         suite(trials=trials)
 
 
+@pytest.mark.parametrize("grid", ["n_values", "r_values"])
+def test_tail_suite_rejects_an_empty_grid(grid):
+    # An empty grid checks nothing, as a run of no trials does.
+    with pytest.raises(ValueError, match=f"^{grid} must not be empty$"):
+        run_tail_suite(trials=5, **{grid: ()})
+
+
+@pytest.mark.parametrize("suite", [run_tail_suite, run_weighted_suite], ids=["tail", "weighted"])
+def test_suites_name_an_empty_label_list(suite):
+    with pytest.raises(ValueError, match="^psi_labels must not be empty$"):
+        suite(psi_labels=(), trials=5)
+
+
 def _margin_or_violation(check, *args):
     try:
         return check(*args)
@@ -805,6 +818,35 @@ def test_br_suite_keeps_its_margins(label, family, m, N, worst, identity):
     assert report.violations == 0
     assert report.worst_margin == float.fromhex(worst)
     assert report.config["identity_margin_at_rb"] == float.fromhex(identity)
+
+
+@pytest.fixture
+def certified_starts(monkeypatch):
+    """The arguments of each call to the solver's certified start."""
+    calls = []
+    start = radius._certified_top
+
+    def spy(*args):
+        calls.append(args)
+        return start(*args)
+
+    monkeypatch.setattr(radius, "_certified_top", spy)
+    return calls
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_a_br_suite_makes_one_certified_start(mode, certified_starts):
+    # The solve needs its Newton start; the margins of the sampled
+    # subordinants and the identity margin at rb evaluate G without one.
+    run_br_suite("cardioid", m=2, N=3, trials=40, seed=1, mode=mode)
+    assert len(certified_starts) == 1
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_g_function_makes_no_certified_start(mode, certified_starts):
+    spec = catalog.cardioid()
+    g_function(RadiusProblem(psi=spec, m=2, N=3, mode=mode), build_extremal_pair(spec), 0.3)
+    assert certified_starts == []
 
 
 def test_br_bohr_limit_mode_drops_point_term():
