@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from typing import Callable, NamedTuple, Optional
 
-from .series import TruncatedSeries, np
+from .series import TruncatedSeries, _truncation_order, np
 
 SQRT2 = math.sqrt(2.0)
 
@@ -107,9 +107,7 @@ class PsiSpec(_PsiFields):
 
     def series(self, order: int) -> TruncatedSeries:
         """Taylor coefficients of psi to the given order."""
-        if order < 1:
-            raise ValueError("order must be at least 1")
-        return TruncatedSeries(self.coeff_fn(order))
+        return TruncatedSeries(self.coeff_fn(_truncation_order(order)))
 
 
 # -- concrete entries --------------------------------------------------

@@ -31,7 +31,7 @@ import math
 from typing import NamedTuple
 
 from .catalog import PsiSpec
-from .series import DEFAULT_ORDER, TruncatedSeries, np
+from .series import DEFAULT_ORDER, TruncatedSeries, _truncation_order, np
 
 
 # A coarse and a fine Gauss-Legendre rule on [0, 1]; the fine value is
@@ -72,8 +72,7 @@ def _f0_coefficients(psi: PsiSpec, order: int) -> list[float]:
     which needs no array, and otherwise the dense recurrence on psi's
     series.  The tests check both against f0 = z exp(int_0^z (psi-1)/t dt).
     """
-    if order < 1:
-        raise ValueError("order must be at least 1")
+    order = _truncation_order(order)
     if psi.f0_coeff_fn is not None:
         t = psi.f0_coeff_fn(order)
     else:

@@ -31,7 +31,10 @@ moduli and with no certified start, which only the solver needs.
 The public checks and the suites share one kernel per kind of check, built
 once from what does not depend on the subordinant: the tail windows (one
 matrix serves every extremal), the majorant tails of each f and the fixed
-part of the tolerance.  The suites take the seeded stream of samples
+part of the tolerance.  The weighted kernel is the tail kernel
+(``_TailChecks``) at its one (N, r), its majorant tails and tolerances
+scaled by tau, so the two kernels share one window and one tolerance rule.
+The suites take the seeded stream of samples
 (``_samples``) a chunk at a time, in trial order, with the chunk sized by
 bytes (``_CHUNK_BYTES``).  A chunk's omegas are built as one stack
 (``_schwarz_chunk``), each from its own Blaschke factors only, their power
@@ -65,7 +68,7 @@ from .catalog import parse_psi
 from .extremal import ExtremalPair, build_extremal_pair, build_f0
 from .radius import (_LEMMA_RADIUS, Family, Mode, RadiusProblem, _check_radius,
                      _equation_index, _family_extremal, _moduli_row, g_function, solve)
-from .series import DEFAULT_ORDER, TruncatedSeries, _rowwise, _toeplitz, np
+from .series import DEFAULT_ORDER, TruncatedSeries, _rowwise, _toeplitz, _truncation_order, np
 
 # Default generators exercised by the verification suites.
 DEFAULT_ORACLE_PSIS = (
@@ -286,8 +289,7 @@ class _TailChecks:
         order = self.f.order
         self.grid = [(n, r) for n in n_values for r in r_values]
         for n, r in self.grid:
-            if n > order:  # the window would be empty and check nothing
-                raise ValueError(f"N={n} exceeds the truncation order {order}")
+            _truncation_order(order, n)
             if r > _LEMMA_RADIUS:
                 raise ValueError(f"tail inequality is only claimed for r <= 1/3, got {r}")
         columns = [_tail_window(n, r, order) for n, r in self.grid]
@@ -389,54 +391,47 @@ def submultiplicativity_counterexample(r: float = 0.25) -> dict:
     }
 
 
-def _check_weighted_claim(tau: float, h: np.ndarray, r: float) -> None:
-    if not 0.0 < tau <= 1.0:
-        raise ValueError(f"tau must lie in (0, 1], got {tau}")
-    if r > tau / 3.0:
-        raise ValueError(f"weighted inequality is only claimed for r <= tau/3, got {r}")
-    h_majorant = float(np.dot(np.abs(h), tau ** np.arange(h.shape[-1])))
-    if h_majorant > tau * (1.0 + 1e-12):
-        raise ValueError("weight violates its bound: sum |h_n| tau^n > tau")
-
-
-class _WeightedCheck:
+class _WeightedCheck(_TailChecks):
     """The weighted checks of extremals f (one row of ``f`` each) with weight
-    h, given by its coefficients, at one (N, r): the tail kernel's window
-    there, the majorant tails and tolerances times tau, and the Toeplitz
-    matrix by which h multiplies.  tau is checked before h is read, so a
-    NaN or infinite tau is named as such."""
+    h, given by its coefficients, at one (N, r): the tail kernel there, its
+    majorant tails and tolerances times tau, and the Toeplitz matrix by
+    which h multiplies.  tau and the claim's range are checked before h is
+    read, so a NaN or infinite tau is named as such."""
 
     message = "weighted tail inequality violated for {psi}: margin {margin:.3e}"
 
     def __init__(self, tau: float, fs: list[TruncatedSeries], labels: list[str],
                  h: np.ndarray, N: int, r: float):
-        _check_weighted_claim(tau, h, r)
-        tail = _TailChecks(fs, labels, (N,), (r,))
-        self.f, self.labels, self.tau, self.N, self.r = tail.f, labels, tau, N, r
-        self.h_matrix = _toeplitz(h)
-        self.weights = tail.weights
-        self.scaled_majorant = tau * tail.majorant[:, 0]
-        self.scaled_majorants = self.scaled_majorant.tolist()
-        self.tol = tau * tail.tol[:, 0]
+        if not 0.0 < tau <= 1.0:
+            raise ValueError(f"tau must lie in (0, 1], got {tau}")
+        if r > tau / 3.0:
+            raise ValueError(f"weighted inequality is only claimed for r <= tau/3, got {r}")
+        h_majorant = float(np.dot(np.abs(h), tau ** np.arange(h.shape[-1])))
+        if h_majorant > tau * (1.0 + 1e-12):
+            raise ValueError("weight violates its bound: sum |h_n| tau^n > tau")
+        super().__init__(fs, labels, (N,), (r,))
+        self.tau, self.h_matrix = tau, _toeplitz(h)
+        self.majorant, self.tol = tau * self.majorant, tau * self.tol
+        self.majorant_tails = self.majorant.tolist()
 
 
 def _weighted_margin(check: _WeightedCheck, g: TruncatedSeries,
                      samples: _Descriptions) -> tuple[np.ndarray, Iterator[dict]]:
     """Margins tau M(f, N, r) - M(h g, N, r) for the (sample, extremal)
     stack g, and the violation reports."""
-    weighted = _rowwise(np.abs(_rowwise(g.coeffs, check.h_matrix)), check.weights)[..., 0]
-    margins = check.scaled_majorant - weighted
+    weighted = _rowwise(np.abs(_rowwise(g.coeffs, check.h_matrix)), check.weights)
+    margins = check.majorant - weighted
 
-    def report(t: int, s: int, weighted_tail: float, margin: float) -> dict:
+    def report(t: int, s: int, p: int, weighted_tail: float, margin: float) -> dict:
         return {
             "check": "weighted-tail",
             "psi": check.labels[s],
             "tau": check.tau,
             "sample": samples[t],
-            "N": check.N,
-            "r": check.r,
+            "N": check.grid[p][0],
+            "r": check.grid[p][1],
             "weighted_tail": weighted_tail,
-            "scaled_majorant": check.scaled_majorants[s],
+            "scaled_majorant": check.majorant_tails[s][p],
             "margin": margin,
         }
 

@@ -38,13 +38,12 @@ equation into results: it solves their distinct equations by one
 from __future__ import annotations
 
 import math
-import operator
 from enum import Enum
 from typing import Callable, NamedTuple
 
 from .catalog import PsiSpec, janowski
 from .extremal import ExtremalPair, _f0_coefficients, koebe_radius
-from .series import DEFAULT_ORDER, OrderMismatchError, np
+from .series import DEFAULT_ORDER, OrderMismatchError, _integer, _truncation_order, np
 
 _BRACKET_HI = 1.0 - 1e-9
 # The root bracketing tolerance of a problem, unless it gives another.
@@ -74,17 +73,6 @@ class BracketError(RuntimeError):
     """The radius equation did not change sign on the search bracket."""
 
 
-def _integer(value) -> int | None:
-    """``value`` as an int if it is an int or a numpy integer, else None; a
-    bool is None too, where it would pass for 0 or 1."""
-    if isinstance(value, bool):
-        return None
-    try:
-        return operator.index(value)
-    except TypeError:
-        return None
-
-
 def _check_problem(m: int, N: int, tol: float, order: int | None = None
                    ) -> tuple[int, int, int | None]:
     """The checks of a ``RadiusProblem``, also made on each value of a sweep
@@ -98,13 +86,7 @@ def _check_problem(m: int, N: int, tol: float, order: int | None = None
     if not 1e-15 <= tol < 1e-3:
         raise ValueError(f"tol must lie in [1e-15, 1e-3), got {tol}")
     if order is not None:
-        order = _integer(order)
-        if order is None:
-            raise ValueError("order must be an integer")
-        if order < 1:
-            raise ValueError("order must be at least 1")
-        if N > order:
-            raise ValueError(f"N={N} exceeds the truncation order {order}")
+        order = _truncation_order(order, N)
     return m, N, order
 
 

@@ -32,6 +32,7 @@ full majorant).
 
 from __future__ import annotations
 
+import operator
 from functools import cached_property
 
 DEFAULT_ORDER = 64
@@ -55,6 +56,34 @@ np = _Numpy()
 
 class OrderMismatchError(ValueError):
     """Operands of a binary series operation have different orders."""
+
+
+def _integer(value) -> int | None:
+    """``value`` as an int if it is an int or a numpy integer, else None; a
+    bool is None too, where it would pass for 0 or 1."""
+    if isinstance(value, bool):
+        return None
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
+
+
+def _truncation_order(order, N: int = 0) -> int:
+    """``order`` as an int, checked as every truncation order is: an integer
+    (not a bool), at least 1, and at least the tail index N that it must
+    hold, where a window from N past the order would be empty.  The one
+    statement of the rule: ``identity``, ``PsiSpec.series``, ``build_f0``,
+    ``RadiusProblem``, ``sweep`` and the oracle's tail and weighted kernels
+    take their order through it."""
+    order = _integer(order)
+    if order is None:
+        raise ValueError("order must be an integer")
+    if order < 1:
+        raise ValueError("order must be at least 1")
+    if N > order:
+        raise ValueError(f"N={N} exceeds the truncation order {order}")
+    return order
 
 
 def _rowwise(rows: np.ndarray, matrices: np.ndarray) -> np.ndarray:
@@ -148,7 +177,7 @@ class TruncatedSeries:
     @classmethod
     def identity(cls, order: int = DEFAULT_ORDER) -> "TruncatedSeries":
         """The series z."""
-        c = np.zeros(order + 1)
+        c = np.zeros(_truncation_order(order) + 1)
         c[1] = 1.0
         return cls(c)
 

@@ -764,6 +764,18 @@ def test_weighted_suite_worst_margin_matches_public_check():
     assert report.worst_margin == min(margins)
 
 
+@pytest.mark.parametrize("tau, N, worst, violations", [
+    (0.8, 1, "0x1.a1ff33d4f6ba4p-4", 0),
+    (0.5, 2, "-0x1.57e77165beef0p-11", 41),
+])
+def test_weighted_suite_keeps_its_margins(tau, N, worst, violations):
+    # The margins and violations the suite reported when the weighted
+    # kernel copied its fields out of a tail kernel of its own, bitwise.
+    report = run_weighted_suite(tau=tau, N=N, trials=100, seed=4)
+    assert report.worst_margin == float.fromhex(worst)
+    assert report.violations == violations
+
+
 # -- full radius inequality ---------------------------------------------------------
 
 

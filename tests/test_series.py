@@ -9,7 +9,10 @@ from hypothesis import example, given, settings, strategies as st
 from numpy.polynomial import polynomial as npoly
 
 import reference
-from bohrad.oracle import bohr_tail
+from bohrad import catalog, radius
+from bohrad.extremal import build_f0
+from bohrad.oracle import bohr_tail, run_tail_suite
+from bohrad.radius import Family, Mode, RadiusProblem, sweep
 from bohrad.series import DEFAULT_ORDER, OrderMismatchError, TruncatedSeries
 
 
@@ -37,6 +40,35 @@ def test_coeffs_are_locked():
     f = poly(1, 2)
     with pytest.raises(ValueError):
         f.coeffs[0] = 5.0
+
+
+# Each library entry point that takes a truncation order, called with one.
+ORDER_ENTRY_POINTS = {
+    "build_f0": lambda order: build_f0(catalog.cardioid(), order),
+    "PsiSpec.series": lambda order: catalog.cardioid().series(order),
+    "TruncatedSeries.identity": TruncatedSeries.identity,
+    "run_tail_suite": lambda order: run_tail_suite(trials=1, order=order),
+    "RadiusProblem": lambda order: RadiusProblem(catalog.cardioid(), order=order),
+    # A sweep checks its problem's order again with every value; these
+    # fields skip the check that RadiusProblem makes.
+    "sweep": lambda order: sweep(radius._ProblemFields(
+        catalog.cardioid(), Family.STARLIKE, 1, 1, Mode.BOHR_ROGOSINSKI, order,
+        radius.DEFAULT_TOL), n_values=[1, 2]),
+}
+
+
+@pytest.mark.parametrize("entry", list(ORDER_ENTRY_POINTS))
+@pytest.mark.parametrize("order, message", [
+    (64.0, "order must be an integer"),
+    (True, "order must be an integer"),
+    (0, "order must be at least 1"),
+    (-2, "order must be at least 1"),
+])
+def test_every_entry_point_rejects_an_invalid_order(entry, order, message):
+    # 64.0 once raised a TypeError from numpy, True ran at order 1, and
+    # identity(0) raised an IndexError.
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ORDER_ENTRY_POINTS[entry](order)
 
 
 # -- add / mul ---------------------------------------------------------
