@@ -16,22 +16,27 @@ the full counterexample, so a failure is never swallowed.
 
 Only K coefficients are stored.  Truncation moves the tail margin by
 drop_f - drop_g and the weighted one by tau drop_f - drop_hg, and g's
-dropped |b_k| only lower the Bohr-Rogosinski margin -G_g.  So a tolerance
+dropped |b_k| only lower the Bohr-Rogosinski margin.  So a tolerance
 of 1e-9 times the claimed bound plus f's dropped tail (``_dropped_tail``;
-none for -G_g) makes every reported violation genuine.  Each kernel fixes
-its tolerance when it is built.
+none for the Bohr-Rogosinski margin) makes every reported violation
+genuine.  Each kernel fixes its tolerance when it is built.
 
-Each sum has one definition.  The tail window (``_tail_window``) holds r^j
-for j >= N and 0 below, so M(f, N, r) = |f| @ window in the tail
-functional and the tail and weighted kernels alike.  The Bohr-Rogosinski
-margin of g at r is -G_g(r): the solver's radius equation, the one row of
-``radius._moduli_row``, built from |g| in place of the extremal's
-moduli and with no certified start, which only the solver needs.
+Every sampled margin is one product, bound - |T g| @ W (``_tail_margin``).
+The tail window (``_tail_window``) holds r^j for j >= N and 0 below, so
+M(f, N, r) = |f| @ window.  The tail kernel takes T the identity, W the
+windows of its grid and the bound M(f, N, r); the weighted kernel takes T
+the Toeplitz matrix of h, W its one window and the bound tau M(f, N, r);
+the Bohr-Rogosinski kernel takes T the identity, W the window from N at
+each r plus the powers r^(mk) of the point term ghat(r^m) (none in the
+Bohr limit) and the bound r*.  Its margin is then -G_g(r), the solver's
+radius equation built from |g| in place of the extremal's moduli, up to
+rounding: the solver sums G by Horner passes (``radius._moduli_row``).
 
 The public checks and the suites share one kernel per kind of check, built
-once from what does not depend on the subordinant: the tail windows (one
-matrix serves every extremal), the majorant tails of each f and the fixed
-part of the tolerance.  The weighted kernel is the tail kernel
+once from what does not depend on the subordinant: the weights (one
+matrix serves every extremal), the bounds and the tolerances.  A kernel
+class holds these, the message of a failed public check and the builder
+of a violation report.  The weighted kernel is the tail kernel
 (``_TailChecks``) at its one (N, r), its majorant tails and tolerances
 scaled by tau, so the two kernels share one window and one tolerance rule.
 The suites take the seeded stream of samples
@@ -41,11 +46,9 @@ bytes (``_CHUNK_BYTES``).  A chunk's omegas are built as one stack
 tables by one stacked doubling, and the stack of extremals is composed
 with every omega by one product.  One workspace per suite call
 (``_workspace``) holds the chunk's Toeplitz factors and power tables, and
-every chunk is built in place in it.  The tail kernel then takes every
-(N, r) margin of the chunk from one product |g| @ weights, the weighted
-kernel applies h by one Toeplitz product, and the Bohr-Rogosinski kernel
-takes the moduli of the chunk's composed rows at once and evaluates one
-radius equation per row, by plain-float Horner passes.
+every chunk is built in place in it.  Every margin of the chunk then
+comes from one product |T g| @ W, after one Toeplitz product where T is
+a weight's.
 Margins run (sample, extremal, check); one scan over them finds the
 violated checks and gathers their values at once, the reports follow in
 that order, each built only when read, a sample described only when its
@@ -61,14 +64,16 @@ from __future__ import annotations
 
 import random
 from collections.abc import Iterator
+from functools import partial
 from itertools import repeat
 from typing import NamedTuple
 
 from .catalog import parse_psi
 from .extremal import ExtremalPair, build_extremal_pair, build_f0
 from .radius import (_LEMMA_RADIUS, Family, Mode, RadiusProblem, _check_radius,
-                     _equation_index, _family_extremal, _moduli_row, g_function, solve)
-from .series import DEFAULT_ORDER, TruncatedSeries, _rowwise, _toeplitz, _truncation_order, np
+                     _equation_index, _family_extremal, g_function, solve)
+from .series import (DEFAULT_ORDER, TruncatedSeries, _integer, _rowwise, _toeplitz,
+                     _truncation_order, np)
 
 # Default generators exercised by the verification suites.
 DEFAULT_ORACLE_PSIS = (
@@ -212,8 +217,8 @@ def schwarz_series(sample: SchwarzSample, order: int = DEFAULT_ORDER) -> Truncat
 
 def _tail_window(N: int, r: float, order: int) -> np.ndarray:
     """Weights r^j for j >= N and 0 below, at the indices j = 0..order."""
-    if N < 0:
-        raise ValueError("N must be nonnegative")
+    if _integer(N) is None or N < 0:
+        raise ValueError("N must be a nonnegative integer")
     _check_radius(r)
     window = np.zeros(order + 1)
     np.power(r, np.arange(N, order + 1), out=window[N:])
@@ -256,12 +261,12 @@ def _reports(margins, limits, report, *values):
     return map(report, *columns)
 
 
-def _checked(margin, checks, sample: SchwarzSample) -> float:
+def _checked(checks, sample: SchwarzSample) -> float:
     """The margin of a single check of the kernel's extremal composed with
     the sampled omega, as a chunk of one, or raise on its violation report
     with ``checks.message`` formatted by it."""
     omega = _schwarz_chunk([sample], checks.f.order)
-    margins, reports = margin(checks, checks.f.compose(omega), _Descriptions([sample]))
+    margins, reports = _tail_margin(checks, checks.f.compose(omega), _Descriptions([sample]))
     report = next(reports, None)
     if report is not None:
         raise InequalityViolation(checks.message.format(**report), report)
@@ -278,6 +283,7 @@ class _TailChecks:
     """
 
     message = "tail inequality violated for {psi}: margin {margin:.3e} at N={N}, r={r:g}"
+    transform = None
 
     def __init__(self, fs: list[TruncatedSeries], labels: list[str], n_values, r_values):
         empty = [name for name, given in (("psi_labels", fs), ("n_values", n_values),
@@ -300,28 +306,37 @@ class _TailChecks:
         # As floats, so that the reports at one grid point share one object.
         self.majorant_tails = self.majorant.tolist()
 
-
-def _tail_margin(checks: _TailChecks, g: TruncatedSeries,
-                 samples: _Descriptions) -> tuple[np.ndarray, Iterator[dict]]:
-    """Margins M(f, N, r) - M(g, N, r) over the grid for the (sample,
-    extremal) stack g, and the violation reports; ``samples`` describes the
-    omega behind each row of g."""
-    composed = _rowwise(np.abs(g.coeffs), checks.weights)
-    margins = checks.majorant - composed
-
-    def report(t: int, s: int, p: int, composed_tail: float, margin: float) -> dict:
+    def report(self, samples: _Descriptions, t: int, s: int, p: int, composed_tail: float,
+               margin: float) -> dict:
         return {
             "check": "tail-inequality",
-            "psi": checks.labels[s],
+            "psi": self.labels[s],
             "sample": samples[t],
-            "N": checks.grid[p][0],
-            "r": checks.grid[p][1],
+            "N": self.grid[p][0],
+            "r": self.grid[p][1],
             "composed_tail": composed_tail,
-            "majorant_tail": checks.majorant_tails[s][p],
+            "majorant_tail": self.majorant_tails[s][p],
             "margin": margin,
         }
 
-    return margins, _reports(margins, -checks.tol, report, composed)
+
+def _tail_margin(checks, g: TruncatedSeries,
+                 samples: _Descriptions) -> tuple[np.ndarray, Iterator[dict]]:
+    """Margins bound - |T g| @ W of the kernel ``checks`` for the stack g
+    of composed rows, and the violation reports, built by ``checks.report``
+    from the indices, the tested sum |T g| @ W and the margin of each
+    violated check; ``samples`` describes the omega behind each row of g.
+
+    T is ``checks.transform``, the Toeplitz matrix of a weight h or None
+    for the identity, W is ``checks.weights`` and the bound
+    ``checks.majorant``: M(f, N, r) - M(g, N, r) over the tail kernel's
+    grid, tau M(f, N, r) - M(h g, N, r) in the weighted kernel and
+    r* - ghat(r^m) - M(g, N, r) in the Bohr-Rogosinski kernel.
+    """
+    coeffs = g.coeffs if checks.transform is None else _rowwise(g.coeffs, checks.transform)
+    tested = _rowwise(np.abs(coeffs), checks.weights)
+    margins = checks.majorant - tested
+    return margins, _reports(margins, -checks.tol, partial(checks.report, samples), tested)
 
 
 def verify_tail_inequality(f: TruncatedSeries, sample: SchwarzSample, N: int,
@@ -341,7 +356,7 @@ def verify_tail_inequality(f: TruncatedSeries, sample: SchwarzSample, N: int,
     only lowers it).  Such a report is a genuine counterexample, not a
     numerical artifact (``bohrad verify`` exits 4 when it finds one).
     """
-    return _checked(_tail_margin, _TailChecks([f], [label], (N,), (r,)), sample)
+    return _checked(_TailChecks([f], [label], (N,), (r,)), sample)
 
 
 def verify_bohr_operator_axioms(f: TruncatedSeries, g: TruncatedSeries,
@@ -410,32 +425,23 @@ class _WeightedCheck(_TailChecks):
         if h_majorant > tau * (1.0 + 1e-12):
             raise ValueError("weight violates its bound: sum |h_n| tau^n > tau")
         super().__init__(fs, labels, (N,), (r,))
-        self.tau, self.h_matrix = tau, _toeplitz(h)
+        self.tau, self.transform = tau, _toeplitz(h)
         self.majorant, self.tol = tau * self.majorant, tau * self.tol
         self.majorant_tails = self.majorant.tolist()
 
-
-def _weighted_margin(check: _WeightedCheck, g: TruncatedSeries,
-                     samples: _Descriptions) -> tuple[np.ndarray, Iterator[dict]]:
-    """Margins tau M(f, N, r) - M(h g, N, r) for the (sample, extremal)
-    stack g, and the violation reports."""
-    weighted = _rowwise(np.abs(_rowwise(g.coeffs, check.h_matrix)), check.weights)
-    margins = check.majorant - weighted
-
-    def report(t: int, s: int, p: int, weighted_tail: float, margin: float) -> dict:
+    def report(self, samples: _Descriptions, t: int, s: int, p: int, weighted_tail: float,
+               margin: float) -> dict:
         return {
             "check": "weighted-tail",
-            "psi": check.labels[s],
-            "tau": check.tau,
+            "psi": self.labels[s],
+            "tau": self.tau,
             "sample": samples[t],
-            "N": check.grid[p][0],
-            "r": check.grid[p][1],
+            "N": self.grid[p][0],
+            "r": self.grid[p][1],
             "weighted_tail": weighted_tail,
-            "scaled_majorant": check.majorant_tails[s][p],
+            "scaled_majorant": self.majorant_tails[s][p],
             "margin": margin,
         }
-
-    return margins, _reports(margins, -check.tol, report, weighted)
 
 
 def verify_weighted(tau: float, f: TruncatedSeries, sample: SchwarzSample,
@@ -445,70 +451,65 @@ def verify_weighted(tau: float, f: TruncatedSeries, sample: SchwarzSample,
     The weight h must satisfy the majorant bound sum |h_n| tau^n <= tau,
     the literal reading of |h| <= tau on |z| < tau.
     """
-    return _checked(_weighted_margin, _WeightedCheck(tau, [f], [label], h.coeffs, N, r), sample)
+    f._check_order(h)
+    return _checked(_WeightedCheck(tau, [f], [label], h.coeffs, N, r), sample)
 
 
 class _BRChecks:
     """The radius checks of one problem at every r of a list, of the (m, N)
-    of the equation it solves (``radius._equation_index``)."""
+    of the equation it solves (``radius._equation_index``).
+
+    Column r of ``weights`` is the tail window from N at r plus the powers
+    r^(mk) of the point term, absent in the Bohr limit (m None), so that
+    |g| @ weights is ghat(r^m) + M(g, N, r) and the bound is r*.
+    """
 
     message = "radius inequality violated for {psi}: margin {margin:.3e}"
+    transform = None
 
     def __init__(self, problem: RadiusProblem, pair: ExtremalPair, r_values):
         self.problem = problem
-        self.index = _equation_index(problem.mode, problem.m, problem.N)
-        coeffs, self.rstar = _family_extremal(problem, pair)
+        m, self.N = _equation_index(problem.mode, problem.m, problem.N)
+        coeffs, self.majorant = _family_extremal(problem, pair)
         self.f = TruncatedSeries(coeffs)
-        self.r_values = list(r_values)
-        for r in self.r_values:
-            _check_radius(r)
-        self.tol = _REL_TOL * max(self.rstar, 1.0)
+        self.r_values, order = list(r_values), self.f.order
+        columns = [_tail_window(self.N, r, order) for r in self.r_values]
+        if m is not None:  # the point term ghat(r^m)
+            columns = [c + _tail_window(0, r**m, order) for c, r in zip(columns, self.r_values)]
+        self.weights = np.array(columns).T
+        self.tol = _REL_TOL * max(self.majorant, 1.0)
 
-
-def _br_margin(checks: _BRChecks, g: TruncatedSeries,
-               samples: _Descriptions) -> tuple[np.ndarray, Iterator[dict]]:
-    """Margins -G_g(r) at each r for each row g of the stack, where G_g is
-    the radius equation of the problem built from the moduli of g, and the
-    violation reports.
-
-    ``0.0 - G`` rather than ``-G``, so that a zero G gives the margin +0.0.
-    """
-    problem, r_values = checks.problem, checks.r_values
-    rows, margins = [0] * len(r_values), []
-    for a in np.abs(g.coeffs).tolist():
-        evaluate = _moduli_row(checks.index, a, checks.rstar)
-        margins.append([0.0 - value for value in evaluate(rows, r_values, slopes=False)])
-    margins = np.array(margins)
-
-    def report(t: int, k: int, margin: float) -> dict:
+    def report(self, samples: _Descriptions, t: int, k: int, tested: float,
+               margin: float) -> dict:
+        # The margin says all that the tested sum would: r* - margin.
         return {
             "check": "bohr-rogosinski",
-            "psi": problem.psi.label,
-            "family": problem.family.value,
+            "psi": self.problem.psi.label,
+            "family": self.problem.family.value,
             "sample": samples[t],
-            "m": problem.m,
-            "N": checks.index[1],
-            "r": r_values[k],
+            "m": self.problem.m,
+            "N": self.N,
+            "r": self.r_values[k],
             "margin": margin,
         }
-
-    return margins, _reports(margins, -checks.tol, report)
 
 
 def verify_br_inequality(problem: RadiusProblem, pair: ExtremalPair,
                          sample: SchwarzSample, r: float) -> float:
-    """Margin -G_g(r) = r* - ghat(r^m) - M(g, N, r) for g = extremal(omega).
+    """Margin r* - ghat(r^m) - M(g, N, r) for g = extremal(omega), as one
+    product r* - |g| @ W (``_BRChecks``).
 
-    G_g is the solver's radius equation built from the moduli of g: |g(z^m)|
-    is dominated by the majorant ghat at r^m, and the Bohr limit drops that
-    term and takes N = 1.  At the identity sample and r equal to the solved
-    radius the margin is minus the solver's residual (the extremal attains
-    the bound).  The pair must be built at ``problem.order``.
+    This is -G_g(r), the solver's radius equation built from the moduli of
+    g, up to rounding: |g(z^m)| is dominated by the majorant ghat at r^m,
+    and the Bohr limit drops that term and takes N = 1.  At the identity
+    sample and r equal to the solved radius the margin is minus the
+    solver's residual to within rounding (the extremal attains the bound).
+    The pair must be built at ``problem.order``.
 
     Raises ``InequalityViolation`` when the margin is below 1e-9 * max(r*, 1),
     with no truncation term at any r: g's dropped terms only add to G_g.
     """
-    return _checked(_br_margin, _BRChecks(problem, pair, (r,)), sample)
+    return _checked(_BRChecks(problem, pair, (r,)), sample)
 
 
 # -- suite runners ------------------------------------------------------
@@ -606,13 +607,13 @@ class _Tally:
         )
 
 
-def _run_suite(checks, margin, seed: int, trials: int, degree_max: int, order: int,
+def _run_suite(checks, seed: int, trials: int, degree_max: int, order: int,
                config: dict, max_reports: int = _MAX_REPORTS) -> VerificationReport:
-    """The report of kernel ``checks`` and its ``margin`` over the seeded samples,
-    whose ``degree_max`` and ``order`` the config records after the suite's own."""
+    """The report of kernel ``checks`` over the seeded samples, whose
+    ``degree_max`` and ``order`` the config records after the suite's own."""
     tally = _Tally(trials, max_reports)
     for omegas, described in _samples(seed, trials, degree_max, order, _workspace(order)):
-        tally.extend(*margin(checks, checks.f.compose(omegas), described))
+        tally.extend(*_tail_margin(checks, checks.f.compose(omegas), described))
     return tally.report(seed, {**config, "degree_max": degree_max, "order": order})
 
 
@@ -624,7 +625,7 @@ def run_tail_suite(psi_labels=DEFAULT_ORACLE_PSIS, trials: int = _TRIALS, seed: 
     specs = [parse_psi(label) for label in psi_labels]
     checks = _TailChecks([build_f0(spec, order) for spec in specs],
                          [spec.label for spec in specs], n_values, r_values)
-    return _run_suite(checks, _tail_margin, seed, trials, degree_max, order, {
+    return _run_suite(checks, seed, trials, degree_max, order, {
         "check": "tail-inequality",
         "psis": [spec.label for spec in specs],
         "N": list(n_values),
@@ -677,7 +678,7 @@ def run_weighted_suite(tau: float = 0.8, trials: int = _TRIALS, seed: int = 0,
     h_coeffs[:2] = tau / 2.0
     r = tau / 3.0
     check = _WeightedCheck(tau, fs, [spec.label for spec in specs], h_coeffs, N, r)
-    return _run_suite(check, _weighted_margin, seed, trials, degree_max, order, {
+    return _run_suite(check, seed, trials, degree_max, order, {
         "check": "weighted-tail",
         "tau": tau,
         "psis": [spec.label for spec in specs],
@@ -703,7 +704,7 @@ def run_br_suite(psi_label: str = DEFAULT_ORACLE_PSIS[0], family: Family = Famil
     pair = build_extremal_pair(spec, order)
     solved = solve(problem, pair)
     checks = _BRChecks(problem, pair, [frac * solved.rb for frac in (0.25, 0.5, 0.75, 1.0)])
-    return _run_suite(checks, _br_margin, seed, trials, degree_max, order, {
+    return _run_suite(checks, seed, trials, degree_max, order, {
         "check": "bohr-rogosinski",
         "psi": spec.label,
         "family": family.value,
@@ -713,6 +714,7 @@ def run_br_suite(psi_label: str = DEFAULT_ORACLE_PSIS[0], family: Family = Famil
         "r0": solved.r0,
         "rb": solved.rb,
         # At the identity sample g is the extremal bitwise, so its margin at
-        # rb is -G(rb) of the solver's own equation (-residual when rb = r0).
+        # rb is -G(rb) of the solver's own equation (-residual when rb = r0),
+        # which the sampled checks' product gives to within rounding.
         "identity_margin_at_rb": 0.0 - g_function(problem, pair, solved.rb),
     })

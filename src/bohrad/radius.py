@@ -22,14 +22,16 @@ one evaluation of G per step and ends certified by two more.  It solves a
 batch of equations, one row each, with one call to G per pass on the rows
 still open.  One function, ``_moduli_row``, builds the evaluator of one
 row from a list of moduli, evaluated by plain-float Horner passes, with no
-start; ``g_function`` and the oracle's Bohr-Rogosinski margins take it as
-it is.  ``_radius_equations`` makes the rows of a ``solve`` or a ``sweep``
-with their starts: one row by ``_moduli_row``, several by one array
-product per evaluation that gives G and G' together.  Each evaluator gives
-G with G' or, asked for values only, G alone, bitwise the same G; the
-solver's three closing evaluations, ``g_function`` and the oracle's margins
-read only G.  The one-row evaluator, ``_equation_row``, also serves the
-closed-form Janowski equation (E <= 0), with P and Q in closed form.  One
+start; ``g_function`` takes it as it is.  (The oracle's Bohr-Rogosinski
+margin r* - |g| @ W is the same equation built from the moduli of a
+subordinant g, taken as one array product.)  ``_radius_equations`` makes
+the rows of a ``solve`` or a ``sweep`` with their starts: one row by
+``_moduli_row``, several by one array product per evaluation that gives
+G and G' together.  Each evaluator gives G with G' or, asked for values
+only, G alone, bitwise the same G; the solver's three closing
+evaluations and ``g_function`` read only G.  The one-row evaluator,
+``_equation_row``, also serves the closed-form Janowski equation
+(E <= 0), with P and Q in closed form.  One
 function, ``_results``, turns the (m, N) of a solve, a sweep or the closed
 equation into results: it solves their distinct equations by one
 ``_newton`` call and decides rb and sharpness.
@@ -260,9 +262,10 @@ def _moduli_row(row: tuple[int | None, int], a: list[float], rstar: float) -> _R
     """The evaluator of the one radius equation ``row`` = (m, N) of
     ``_equation_index``, built from the moduli ``a`` of a series, with no
     certified start.  It is the one build of a lone row: ``_radius_equations``
-    adds the start that the solver needs, and ``g_function`` and the oracle
-    take it as it is.  Built from the moduli of a subordinant g, -G(r) is
-    the Bohr-Rogosinski margin of g at r.
+    adds the start that the solver needs, and ``g_function`` takes it as it
+    is.  Built from the moduli of a subordinant g, -G(r) is the
+    Bohr-Rogosinski margin of g at r, which the oracle takes as one product
+    r* - |g| @ W instead (``oracle._BRChecks``), equal to within rounding.
 
     Q is ``a`` with its terms of index < N zeroed.  P = ``a`` is summed into
     Q when m is 1, kept as its own Horner pass for any other m, and absent

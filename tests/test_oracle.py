@@ -557,6 +557,17 @@ def test_suites_reject_a_tail_index_past_the_order(run):
         run()
 
 
+@pytest.mark.parametrize("N", [1.5, 2.0, True])
+def test_checks_reject_a_tail_index_that_is_no_integer(N):
+    # A float would index the tail window, and True would run as N = 1.
+    f0 = build_extremal_pair(catalog.cardioid()).f0
+    for check in (lambda: verify_tail_inequality(f0, IDENTITY_SAMPLE, N, 0.25),
+                  lambda: run_tail_suite(trials=2, n_values=(N,)),
+                  lambda: verify_weighted(0.8, f0, IDENTITY_SAMPLE, _ramp_weight(0.8), N, 0.2)):
+        with pytest.raises(ValueError, match="N must be a nonnegative integer"):
+            check()
+
+
 def test_tally_leads_with_worst_even_past_the_cap():
     tally = _Tally(trials=1, cap=2)
     for margin in (-1.0, 0.5, -2.0, -3.0):
@@ -744,6 +755,12 @@ def test_weighted_precondition_on_h():
         verify_weighted(0.8, f0, IDENTITY_SAMPLE, _ramp_weight(0.8), 1, 0.3)
 
 
+def test_weighted_rejects_a_weight_of_another_order():
+    f0 = build_extremal_pair(catalog.cardioid()).f0
+    with pytest.raises(OrderMismatchError, match="order mismatch: 64 vs 1"):
+        verify_weighted(0.8, f0, IDENTITY_SAMPLE, _ramp_weight(0.8, order=1), 1, 0.2)
+
+
 def test_weighted_suite_clean_at_default_head_index():
     report = run_weighted_suite(tau=0.8, trials=120, seed=4)
     assert report.violations == 0
@@ -900,19 +917,22 @@ def test_br_suite_worst_margin_matches_public_check():
             margins += [_margin_or_violation(verify_br_inequality, prob, pair, sample, frac * rb)
                         for frac in (0.25, 0.5, 0.75, 1.0)]
         assert report.violations == 0, label
-        assert report.worst_margin == min(margins), label
+        assert abs(report.worst_margin - min(margins)) <= 1e-13 * pair.koebe_starlike, label
 
 
-@pytest.mark.parametrize("mode, N, reported_N", [
-    (Mode.BOHR_ROGOSINSKI, 2, 2),
-    (Mode.BOHR_LIMIT, 5, 1),
+@pytest.mark.parametrize("mode, m, N, reported_N", [
+    pytest.param(Mode.BOHR_ROGOSINSKI, 2, 2, 2, id="bohr-rogosinski-2-2"),
+    pytest.param(Mode.BOHR_LIMIT, 2, 5, 1, id="bohr-limit-5-1"),
+    pytest.param(Mode.BOHR_ROGOSINSKI, 1, 3, 3, id="bohr-rogosinski-m1-3"),
 ])
-def test_br_violation_report(mode, N, reported_N):
+def test_br_violation_report(mode, m, N, reported_N):
     # r = 0.6 lies above the solved radius, so the extremal itself violates
-    # the bound; the Bohr limit reports the N = 1 it solves.
+    # the bound; the Bohr limit reports the N = 1 it solves.  The margin is
+    # the solver's Horner pass at each shape of the check's weight column:
+    # P folded into Q (m = 1), P apart (m = 2) and P absent (Bohr limit).
     spec = catalog.cardioid()
     pair = build_extremal_pair(spec)
-    prob = RadiusProblem(psi=spec, m=2, N=N, mode=mode)
+    prob = RadiusProblem(psi=spec, m=m, N=N, mode=mode)
     with pytest.raises(InequalityViolation,
                        match="radius inequality violated for cardioid") as excinfo:
         verify_br_inequality(prob, pair, IDENTITY_SAMPLE, 0.6)
@@ -923,12 +943,13 @@ def test_br_violation_report(mode, N, reported_N):
         "psi": "cardioid",
         "family": "starlike",
         "sample": IDENTITY_SAMPLE.describe(),
-        "m": 2,
+        "m": m,
         "N": reported_N,
         "r": 0.6,
         "margin": report["margin"],
     }
-    assert report["margin"] == 0.0 - g_function(prob, pair, 0.6)
+    assert abs(report["margin"] - (0.0 - g_function(prob, pair, 0.6))) \
+        <= 1e-13 * pair.koebe_starlike
     assert report["margin"] < 0.0
 
 
@@ -951,7 +972,8 @@ def test_identity_margin_at_a_clamped_rb_is_the_identity_check():
         config = run_br_suite("cardioid", Family.STARLIKE, m, N, trials=1).config
         assert config["rb"] == 1 / 3 < config["r0"]
         margin = verify_br_inequality(prob, pair, IDENTITY_SAMPLE, config["rb"])
-        assert config["identity_margin_at_rb"] == margin > 0.0
+        assert abs(config["identity_margin_at_rb"] - margin) <= 1e-13 * pair.koebe_starlike
+        assert margin > 0.0
 
 
 @pytest.mark.parametrize("label", catalog.named_labels()
