@@ -39,25 +39,31 @@ class holds these, the message of a failed public check and the builder
 of a violation report.  The weighted kernel is the tail kernel
 (``_TailChecks``) at its one (N, r), its majorant tails and tolerances
 scaled by tau, so the two kernels share one window and one tolerance rule.
-The suites take the seeded stream of samples
-(``_samples``) a chunk at a time, in trial order, with the chunk sized by
-bytes (``_CHUNK_BYTES``).  A chunk's omegas are built as one stack
-(``_schwarz_chunk``), each from its own Blaschke factors only, their power
-tables by one stacked doubling, and the stack of extremals is composed
-with every omega by one product.  One workspace per suite call
-(``_workspace``) holds the chunk's Toeplitz factors and power tables, and
-every chunk is built in place in it.  Every margin of the chunk then
-comes from one product |T g| @ W, after one Toeplitz product where T is
-a weight's.
+
+They share one runner too.  One step (``_tally_chunk``) takes a chunk of
+samples to tallied margins: it builds the chunk's omegas as one stack
+(``_schwarz_chunk``), each from its own Blaschke factors only, and their
+power tables by one stacked doubling, all in a workspace (``_workspace``)
+of Toeplitz factors and power tables; it composes the stack of extremals
+with every omega by one product, takes every margin of the chunk by one
+product |T g| @ W (``_tail_margin``), after one Toeplitz product where T
+is a weight's, and extends a ``_Tally``.  A suite (``_run_suite``) feeds
+it the seeded stream of samples in trial order, a chunk at a time, with
+the chunk sized by bytes (``_CHUNK_BYTES``), every chunk built in place
+in the suite's one workspace.  A public check (``_checked``) feeds it its
+one sample, a chunk of one in a workspace of one, and raises on the
+tally's report or returns its worst margin.
 Margins run (sample, extremal, check); one scan over them finds the
 violated checks and gathers their values at once, the reports follow in
 that order, each built only when read, a sample described only when its
 first report is (``_Descriptions``), and ``_Tally.extend`` collects them
 into a serializable report; the axiom suite's definiteness check, which
 holds or fails with no margin between, takes the margin +inf or -inf and
-goes the same way.  Every product is taken a row at a time
+goes the same way.  Its axioms are written as their definitions, one
+``bohr_tail`` per sum.  Every product is taken a row at a time
 (``series._rowwise``), so a margin does not depend on the chunk it came
-in, and the public checks run the same kernels on a chunk of one.
+in, and a public check's margin is the one its sample gets in a suite of
+the same kernel.
 """
 
 from __future__ import annotations
@@ -225,13 +231,9 @@ def _tail_window(N: int, r: float, order: int) -> np.ndarray:
     return window
 
 
-def _windowed(f: TruncatedSeries, window: np.ndarray) -> float:
-    return float(np.dot(np.abs(f.coeffs), window))
-
-
 def bohr_tail(f: TruncatedSeries, N: int, r: float) -> float:
     """Tail functional sum_{n=N}^{K} |c_n| r^n; N = 0 is the full majorant."""
-    return _windowed(f, _tail_window(N, r, f.order))
+    return float(np.dot(np.abs(f.coeffs), _tail_window(N, r, f.order)))
 
 
 def _dropped_tail(f: TruncatedSeries, r: float) -> float:
@@ -259,18 +261,6 @@ def _reports(margins, limits, report, *values):
     columns = [axis.tolist() for axis in np.unravel_index(hits, margins.shape)]
     columns += [array.flat[hits].tolist() for array in values + (margins,)]
     return map(report, *columns)
-
-
-def _checked(checks, sample: SchwarzSample) -> float:
-    """The margin of a single check of the kernel's extremal composed with
-    the sampled omega, as a chunk of one, or raise on its violation report
-    with ``checks.message`` formatted by it."""
-    omega = _schwarz_chunk([sample], checks.f.order)
-    margins, reports = _tail_margin(checks, checks.f.compose(omega), _Descriptions([sample]))
-    report = next(reports, None)
-    if report is not None:
-        raise InequalityViolation(checks.message.format(**report), report)
-    return float(margins.flat[0])
 
 
 class _TailChecks:
@@ -372,21 +362,16 @@ def verify_bohr_operator_axioms(f: TruncatedSeries, g: TruncatedSeries,
     The product axiom fails for N >= 1 in general; see
     ``submultiplicativity_counterexample`` for the classic witness.
     """
-    at_n, at_0 = _tail_window(N, r, f.order), _tail_window(0, r, f.order)
-    m_f = _windowed(f, at_n)
-    m_g = _windowed(g, at_n)
-    window_zero = not f.coeffs[N:].any()
-    margins = {
+    m_f = bohr_tail(f, N, r)
+    return {
         "nonnegativity": m_f,
-        "definiteness_ok": (m_f == 0.0) == window_zero or r == 0.0,
-        "subadditivity": m_f + m_g - _windowed(f + g, at_n),
-        "homogeneity": -abs(_windowed(alpha * f, at_n) - abs(alpha) * m_f),
-        "submultiplicativity_n0": _windowed(f, at_0) * _windowed(g, at_0)
-        - _windowed(f * g, at_0),
-        # M0(1) = |1| r^0, the first weight of the window at 0.
-        "unit": -abs(float(at_0[0]) - 1.0),
+        "definiteness_ok": (m_f == 0.0) == (not f.coeffs[N:].any()) or r == 0.0,
+        "subadditivity": m_f + bohr_tail(g, N, r) - bohr_tail(f + g, N, r),
+        "homogeneity": -abs(bohr_tail(alpha * f, N, r) - abs(alpha) * m_f),
+        "submultiplicativity_n0": bohr_tail(f, 0, r) * bohr_tail(g, 0, r)
+        - bohr_tail(f * g, 0, r),
+        "unit": -abs(bohr_tail(TruncatedSeries([1.0]), 0, r) - 1.0),
     }
-    return margins
 
 
 def submultiplicativity_counterexample(r: float = 0.25) -> dict:
@@ -537,29 +522,13 @@ def _chunk_size(order: int) -> int:
     return max(1, _CHUNK_BYTES // (2 * 8 * (order + 1) ** 2))
 
 
-def _workspace(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """The memory of one suite call, reused by each of its chunks: power
-    tables for ``_chunk_size(order)`` samples, and a flat scratch block of as
-    many Toeplitz matrices of order + 1 rows."""
-    size = _chunk_size(order)
+def _workspace(order: int, size: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The memory of one suite call, reused by each of its chunks, or of one
+    single check: power tables for ``size`` samples, ``_chunk_size(order)``
+    unless given, and a flat scratch block of as many Toeplitz matrices of
+    order + 1 rows."""
+    size = _chunk_size(order) if size is None else size
     return np.empty((size, order + 1, order + 1)), np.empty(size * (order + 1) ** 2)
-
-
-def _samples(seed: int, trials: int, degree_max: int, order: int, workspace):
-    """The seeded stream of the suites, in chunks of ``_chunk_size(order)``:
-    per chunk, its omegas as one stacked series and the descriptions of
-    their samples, made as reports read them (``_Descriptions``).  The
-    samples are drawn in trial order.
-    Each chunk's Toeplitz factors and power tables are built in
-    ``workspace`` (``_workspace``), so its omegas' ``powers`` last until the
-    next chunk."""
-    rng = random.Random(seed)
-    tables, scratch = workspace
-    size = len(tables)
-    for start in range(0, trials, size):
-        chunk = [sample_schwarz(rng, degree_max) for _ in range(min(size, trials - start))]
-        omegas = _schwarz_chunk(chunk, order, scratch)._take_powers(tables[:len(chunk)], scratch)
-        yield omegas, _Descriptions(chunk)
 
 
 class _Tally:
@@ -607,13 +576,46 @@ class _Tally:
         )
 
 
-def _run_suite(checks, seed: int, trials: int, degree_max: int, order: int,
-               config: dict, max_reports: int = _MAX_REPORTS) -> VerificationReport:
-    """The report of kernel ``checks`` over the seeded samples, whose
-    ``degree_max`` and ``order`` the config records after the suite's own."""
+def _tally_chunk(tally: _Tally, checks, chunk: list[SchwarzSample], workspace) -> None:
+    """Extend ``tally`` by the margins and violation reports of kernel
+    ``checks`` over its extremals composed with the omegas of ``chunk``.
+
+    The chunk's Toeplitz factors and power tables are built in
+    ``workspace`` (``_workspace``), so its omegas' ``powers`` last until the
+    next chunk is built there.
+    """
+    tables, scratch = workspace
+    omegas = _schwarz_chunk(chunk, checks.f.order, scratch)
+    omegas = omegas._take_powers(tables[:len(chunk)], scratch)
+    tally.extend(*_tail_margin(checks, checks.f.compose(omegas), _Descriptions(chunk)))
+
+
+def _checked(checks, sample: SchwarzSample) -> float:
+    """The margin of a single check of the kernel's extremal composed with
+    the sampled omega, a chunk of one in a workspace of one, or raise on its
+    violation report with ``checks.message`` formatted by it."""
+    tally = _Tally(1, 1)
+    _tally_chunk(tally, checks, [sample], _workspace(checks.f.order, 1))
+    if tally.violations:
+        report = tally._kept[0]
+        raise InequalityViolation(checks.message.format(**report), report)
+    return tally.worst
+
+
+def _run_suite(checks, seed: int, trials: int, degree_max: int, config: dict,
+               max_reports: int = _MAX_REPORTS) -> VerificationReport:
+    """The report of kernel ``checks`` over the seeded stream of samples,
+    drawn in trial order and taken in chunks of ``_chunk_size``, all built
+    in one workspace; the config records ``degree_max`` and the kernel's
+    order after the suite's own."""
     tally = _Tally(trials, max_reports)
-    for omegas, described in _samples(seed, trials, degree_max, order, _workspace(order)):
-        tally.extend(*_tail_margin(checks, checks.f.compose(omegas), described))
+    order = checks.f.order
+    workspace = _workspace(order)
+    rng = random.Random(seed)
+    size = len(workspace[0])
+    for start in range(0, trials, size):
+        chunk = [sample_schwarz(rng, degree_max) for _ in range(min(size, trials - start))]
+        _tally_chunk(tally, checks, chunk, workspace)
     return tally.report(seed, {**config, "degree_max": degree_max, "order": order})
 
 
@@ -625,7 +627,7 @@ def run_tail_suite(psi_labels=DEFAULT_ORACLE_PSIS, trials: int = _TRIALS, seed: 
     specs = [parse_psi(label) for label in psi_labels]
     checks = _TailChecks([build_f0(spec, order) for spec in specs],
                          [spec.label for spec in specs], n_values, r_values)
-    return _run_suite(checks, seed, trials, degree_max, order, {
+    return _run_suite(checks, seed, trials, degree_max, {
         "check": "tail-inequality",
         "psis": [spec.label for spec in specs],
         "N": list(n_values),
@@ -678,7 +680,7 @@ def run_weighted_suite(tau: float = 0.8, trials: int = _TRIALS, seed: int = 0,
     h_coeffs[:2] = tau / 2.0
     r = tau / 3.0
     check = _WeightedCheck(tau, fs, [spec.label for spec in specs], h_coeffs, N, r)
-    return _run_suite(check, seed, trials, degree_max, order, {
+    return _run_suite(check, seed, trials, degree_max, {
         "check": "weighted-tail",
         "tau": tau,
         "psis": [spec.label for spec in specs],
@@ -704,7 +706,7 @@ def run_br_suite(psi_label: str = DEFAULT_ORACLE_PSIS[0], family: Family = Famil
     pair = build_extremal_pair(spec, order)
     solved = solve(problem, pair)
     checks = _BRChecks(problem, pair, [frac * solved.rb for frac in (0.25, 0.5, 0.75, 1.0)])
-    return _run_suite(checks, seed, trials, degree_max, order, {
+    return _run_suite(checks, seed, trials, degree_max, {
         "check": "bohr-rogosinski",
         "psi": spec.label,
         "family": family.value,

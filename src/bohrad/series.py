@@ -18,9 +18,9 @@ by doubling: rows n+1..2n are rows 1..n times row n, one product with the
 Toeplitz matrix of row n, so order K takes ceil(log2 K) products, each
 over the whole stack.  Row n vanishes below index n, so each product skips
 that zero triangle.  One kernel (``_fill_powers``) builds a table in place,
-in memory it is given: ``powers`` gives it fresh memory, and the oracle
-suites give it one workspace per suite call, reused by every chunk of
-samples (``_take_powers``).  Composing a stack of S series with a stack of
+in memory it is given: ``powers`` gives it fresh memory, and the oracle's
+runner gives it one workspace per suite or single check, reused by every
+chunk of samples (``_take_powers``).  Composing a stack of S series with a stack of
 T inner series gives a (T, S) stack in one product, taken one row at a time
 (``_rowwise``): BLAS rounds a row the same however many rows come with it,
 so a composed row does not depend on the stack it was composed in.

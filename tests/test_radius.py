@@ -741,6 +741,23 @@ def test_newton_rows_are_independent():
     assert len(set(iterations)) > 2
 
 
+@pytest.mark.parametrize("end", ["lower", "upper"])
+def test_newton_raises_when_a_widened_end_has_the_wrong_sign(end):
+    # G(r) = r - 1/2 with G(0) = -1/2: one Newton step from 0.9 closes the
+    # bracket on the root.  The values-only answers, which the three
+    # closing evaluations read, give the widened lower end G > 0 or the
+    # upper end G < 0, so the final bracket shows no sign change.
+    flip = {"lower": lambda r: abs(r - 0.5), "upper": lambda r: -abs(r - 0.5)}[end]
+
+    def evaluate(rows, radii, slopes=True):
+        if slopes:
+            return [(r - 0.5, 1.0) for r in radii]
+        return [flip(r) for r in radii]
+
+    with pytest.raises(radius.BracketError, match="no sign change on the final bracket"):
+        radius._newton(evaluate, 1e-10, [0.9], -0.5)
+
+
 @pytest.mark.parametrize("label", ["sine", "cardioid", "classical-starlike"])
 def test_a_start_on_the_root_falls_back_to_the_top(label, newton_runs):
     # At order 1 the Bohr-limit equation is G = |a_1| r - r*: its certified

@@ -467,3 +467,16 @@ def test_exp_derivative_identity(a):
 def test_majorant_dominates_signed_evaluation(a, r):
     f = TruncatedSeries(a)
     assert bohr_tail(f, 0, r) >= abs(npoly.polyval(r, f.coeffs)) - 1e-12
+
+
+@pytest.mark.parametrize("operation, error", [
+    (lambda: TruncatedSeries([]), ValueError),
+    (lambda: delattr(TruncatedSeries([0.0, 1.0]), "coeffs"), AttributeError),
+    (lambda: TruncatedSeries([0.0, 1.0]) + 1, TypeError),
+    (lambda: TruncatedSeries([0.0, 1.0]) * "x", TypeError),
+], ids=["empty", "del-coeffs", "add-a-number", "times-a-string"])
+def test_series_reject_what_they_do_not_define(operation, error):
+    # No coefficients, a deleted field, and a sum or product with what is
+    # neither a series nor (for the product) a real scalar.
+    with pytest.raises(error):
+        operation()
