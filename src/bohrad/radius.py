@@ -14,10 +14,16 @@ for the Bohr limit.  Apart from its constant -rs every
 coefficient of G is a modulus, so on [0, 1) G is increasing and convex
 with exactly one root; G(0) = -rs exactly, so the solvers take it without
 evaluating G.  Since a_1 = 1, G(r) >= r^m + |a_N| r^N - rs (r - rs in the
-Bohr limit), so the root lies below min(rs^(1/m), (rs/|a_N|)^(1/N))
-(``_certified_top``).  One solver, ``_newton``, starts Newton's method
-there, from the right; by convexity the zero of the secant through
-(0, G(0)) and each Newton iterate is a lower bound, so the bracket costs
+Bohr limit), so the root lies below min(rs^(1/m), (rs/|a_N|)^(1/N)).
+From there Newton's method on the head H of G, its terms of degree at
+most L = max(m, N) + 8, walks down towards the root of H - rs; the terms
+that H leaves out are nonnegative, so G >= H - rs and each iterate still
+bounds G's root from above (``_certified_top``).  These head steps are
+cheap, short Horner passes, and are not counted among the evaluations of
+G that a result's ``iterations`` reports; they take about a third of
+those evaluations off a solve.  One solver, ``_newton``, starts Newton's
+method on G there, from the right; by convexity the zero of the secant
+through (0, G(0)) and each Newton iterate is a lower bound, so the bracket costs
 one evaluation of G per step and ends certified by two more.  It solves a
 batch of equations, one row each, with one call to G per pass on the rows
 still open.  One function, ``_moduli_row``, builds the evaluator of one
@@ -193,20 +199,74 @@ def _equation_index(mode: Mode, m: int, N: int) -> tuple[int | None, int]:
     return (None, 1) if mode == Mode.BOHR_LIMIT else (m, N)
 
 
+def _head_degree(m: int | None, N: int) -> int:
+    """The degree L = max(m, N) + 8 of the head of the equation (m, N) of
+    ``_equation_index`` (N + 8 where m is None): its terms a_1 r^m and
+    a_N r^N and the next eight degrees.
+
+    The 8 was measured on 2516 solves: 16 entries, both families and
+    modes, m in {1,2,3,5,24,100} and N in {1,2,3,5,10,30}, at orders 64
+    and 256, and the closed Janowski equation of the four janowski:
+    entries with E <= 0.  From the monomial bound alone they made 22315 evaluations of
+    G.  A head start with L = max(m, N) + 0, 4, 8, 16 or 32 made 17171,
+    15671, 14779, 14141 or 13627, and no solve made more than before.
+    Past 4 the solves of ``param-scan`` (m, N <= 3) took the same time:
+    each head step costs more as the evaluations of G fall.
+    """
+    return max(m or 1, N) + 8
+
+
 def _certified_top(rstar: float, a: list[float], m: int | None, N: int) -> float:
     """Newton start: an upper bound on the root of the equation (m, N) of
-    ``_equation_index`` from its terms a_1 r^m and a_N r^N, or a_N r^N alone
-    where m is None (the Bohr limit, whose a_N r^N is a_1 r).
+    ``_equation_index``, near the root of its head.
 
-    Every coefficient of G + r* is nonnegative, so at the root each of these
-    terms a r^k is at most r*, and the root is at most (r*/a)^(1/k).  Terms
-    with a = 0 bound nothing.  A bound of 1 or more is replaced by
-    1 - 1e-9; one below 1 is kept even above 1 - 1e-9, where the root of a
-    large m can lie.
+    First the monomial bound, from the terms a_1 r^m and a_N r^N, or a_N r^N
+    alone where m is None (the Bohr limit, whose a_N r^N is a_1 r).  Every
+    coefficient of G + r* is nonnegative, so at the root each of these terms
+    a r^k is at most r*, and the root is at most (r*/a)^(1/k).  Terms with
+    a = 0 bound nothing.  A bound of 1 or more is replaced by 1 - 1e-9; one
+    below 1 is kept even above 1 - 1e-9, where the root of a large m can lie.
+
+    Then the head H of the equation: its terms of degree at most
+    L = max(m, N) + 8 (``_head_degree``) among the moduli ``a``, so Q's
+    a_k r^k for N <= k <= L and P's a_k r^(mk) for mk <= L.  Every term
+    that H leaves out is nonnegative, so G >= H - r*, and the root of H - r*
+    bounds G's root from above.  Newton's method on the convex H - r*,
+    from the monomial bound, decreases towards that root with every iterate
+    above it; the steps stop where H - r* is not positive, once a step
+    lowers r by less than 0.1%, or after 12.  A last iterate that rounding
+    puts below G's root is what ``_newton``'s restart from 1 - 1e-9 is for.
+    The head steps evaluate H, not G: a result's ``iterations`` does not
+    count them.
     """
     terms = [(a[N], N)] if m is None else [(a[1], m), (a[N], N)]
     top = min([math.inf] + [(rstar / c) ** (1.0 / k) for c, k in terms if c > 0.0])
-    return top if top < 1.0 else _BRACKET_HI
+    top = top if top < 1.0 else _BRACKET_HI
+    # H as one polynomial in r, but for P's terms past the last modulus of
+    # Q (a large m), which are kept as (coefficient, degree).
+    degree = _head_degree(m, N)
+    near = [0.0] * N + a[N:degree + 1]
+    far = []
+    last = 0 if m is None else min(degree // m, len(a) - 1)
+    for k in range(1, last + 1):
+        if m * k < len(near):
+            near[m * k] += a[k]
+        else:
+            far.append((a[k], m * k))
+    head = _polynomial(near)
+    for _ in range(12):
+        value, slope = head(top)
+        for c, k in far:
+            value += c * top**k
+            slope += k * c * top ** (k - 1)
+        value -= rstar
+        if not value > 0.0:
+            break
+        step = value / slope
+        top -= step
+        if step < 1e-3 * (top + step):
+            break
+    return top
 
 
 def _equation_row(p: _ValueSlope | None, q: _ValueSlope, m: int, rstar: float
@@ -474,23 +534,24 @@ def solve_janowski_exact(d: float, e: float, m: int = 1, N: int = 1,
 
     With f0(z) = z (1 + E z)^((D-E)/E), or z e^(Dz) at E = 0, the equation is
 
-        f0(r^m) + f0(r) - H(r) - r* = 0,        r* = -f0(-1),
+        f0(r^m) + f0(r) - T(r) - r* = 0,        r* = -f0(-1),
 
-    where H removes the head of the second sum: H = 0 for N = 1, H = r for
-    N = 2, and H = r + sum_{n=2}^{N-1} a_n r^n for N >= 3, with a_n from
-    the entry's recurrence a_1 = 1, a_{k+1} = a_k (D - kE)/k, read as
-    ``solve`` reads them, through ``_f0_coefficients``.
+    where T removes the first terms of the second sum: T = 0 for N = 1,
+    T = r for N = 2, and T = r + sum_{n=2}^{N-1} a_n r^n for N >= 3, with
+    a_n from the entry's recurrence a_1 = 1, a_{k+1} = a_k (D - kE)/k, read
+    as ``solve`` reads them, through ``_f0_coefficients``, which also gives
+    the start its head's coefficients.
     ``_results`` maps (m, N) to the equation's own (``_equation_index``),
-    as for ``solve``: in the Bohr limit the f0(r^m) term is dropped and the
-    head is that of N = 1, and the result echoes the given N.
+    as for ``solve``: in the Bohr limit the f0(r^m) term is dropped and T
+    is that of N = 1, and the result echoes the given N.
 
     Only E <= 0 is accepted.  For E > 0 the extremal coefficients change
     sign, so the radius equation needs the majorant fhat0(r^m), not the
     signed closed form; ``solve`` handles that case from the series.
     Every extremal coefficient is positive for E <= 0, so f0 is its own
-    majorant, f0(r) - H(r) is the tail sum_{n>=N} a_n r^n, and G is
+    majorant, f0(r) - T(r) is the tail sum_{n>=N} a_n r^n, and G is
     increasing and convex as in ``solve``.  It is G = P(r^m) + Q(r) - r*
-    with P = f0 and Q = f0 - H, evaluated by the one-row evaluator of
+    with P = f0 and Q = f0 - T, evaluated by the one-row evaluator of
     ``solve`` and solved by the same Newton solver from the same certified
     start, with a_1 = 1 and a_N from the same recurrence; the result is
     sharp wherever ``_results`` keeps rb = r0.
@@ -515,17 +576,19 @@ def solve_janowski_exact(d: float, e: float, m: int = 1, N: int = 1,
 
     def equation(rows: list[tuple[int | None, int]]) -> tuple[_RowEquations, list[float]]:
         # The one row (m_row, n) of the closed equation: P = f0, absent where
-        # m_row is None, and Q = f0 - H, the sum of a_k r^k over k >= n.
+        # m_row is None, and Q = f0 - T, the sum of a_k r^k over k >= n.
+        # Its start reads the coefficients to the degree of its head, but no
+        # further than a default-order solve reads them.
         ((m_row, n),) = rows
-        coeffs = _f0_coefficients(spec, n)
-        head = _polynomial(coeffs[:n])
+        coeffs = _f0_coefficients(spec, max(n, min(_head_degree(m_row, n), DEFAULT_ORDER)))
+        removed = _polynomial(coeffs[:n])
 
         def tail(r: float, slope: bool = True) -> tuple[float, float] | float:
             if not slope:
-                return f0_closed(r, False) - head(r, False)
+                return f0_closed(r, False) - removed(r, False)
             value, derivative = f0_closed(r)
-            head_value, head_derivative = head(r)
-            return value - head_value, derivative - head_derivative
+            removed_value, removed_derivative = removed(r)
+            return value - removed_value, derivative - removed_derivative
 
         return (_equation_row(None if m_row is None else f0_closed, tail, m_row, rstar),
                 [_certified_top(rstar, coeffs, m_row, n)])

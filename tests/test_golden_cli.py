@@ -3,7 +3,8 @@ compared with their checked-in output, ``tests/golden/cli.txt``.
 
 The commands are the README's, the benchmark ``cli`` workload's eleven at
 fixed seeds, the CI ``installed`` job's, one booth call far out in k,
-and one call for each nonzero exit code.  Each record of the corpus is the command, its exit code and
+one call for each nonzero exit code, and the two calls at the least tol.
+Each record of the corpus is the command, its exit code and
 its stdout, one line per result row: text output (tables and CSV) line
 for line as printed, and each JSON object on one line, with every list
 of objects in it (a report's counterexamples, a sweep's results, the
@@ -83,6 +84,9 @@ COMMANDS = (
     "radius --psi booth:",
     "radius --psi janowski:D=1,E=0 --m 50 --N 3 --method exact --tol 1e-15",
     "verify --N 2 --trials 30",
+    # The other call at the floor tol = 1e-15 whose final brackets can show
+    # no sign change: the rounding of G near a root decides it, not a bound.
+    "sweep --psi janowski:D=0.8,E=0.65 --N 1..24 --tol 1e-15",
 )
 
 _HEADER = "$ bohrad "
