@@ -55,8 +55,8 @@ one sample, a chunk of one in a workspace of one, and raises on the
 tally's report or returns its worst margin.
 Margins run (sample, extremal, check); one scan over them finds the
 violated checks and gathers their values at once, the reports follow in
-that order, each built only when read, a sample described only when its
-first report is (``_Descriptions``), and ``_Tally.extend`` collects them
+that order, each built only when read and holding the one description
+the chunk makes of its sample, and ``_Tally.extend`` collects them
 into a serializable report; the axiom suite's definiteness check, which
 holds or fails with no margin between, takes the margin +inf or -inf and
 goes the same way.  Its axioms are written as their definitions, one
@@ -147,19 +147,6 @@ class SchwarzSample(_SampleFields):
 
 
 IDENTITY_SAMPLE = SchwarzSample(degree=0, zeros=(), sign=1)
-
-
-class _Descriptions(dict):
-    """The descriptions of a chunk's samples by index, each made when a
-    report first reads it: most samples break no check and are never
-    described, and the reports of one sample share its description."""
-
-    def __init__(self, samples: list[SchwarzSample]):
-        super().__init__()
-        self.samples = samples
-
-    def __missing__(self, t: int) -> dict:
-        return self.setdefault(t, self.samples[t].describe())
 
 
 def sample_schwarz(rng: random.Random, degree_max: int = _DEGREE_MAX) -> SchwarzSample:
@@ -296,7 +283,7 @@ class _TailChecks:
         # As floats, so that the reports at one grid point share one object.
         self.majorant_tails = self.majorant.tolist()
 
-    def report(self, samples: _Descriptions, t: int, s: int, p: int, composed_tail: float,
+    def report(self, samples: list[dict], t: int, s: int, p: int, composed_tail: float,
                margin: float) -> dict:
         return {
             "check": "tail-inequality",
@@ -311,11 +298,11 @@ class _TailChecks:
 
 
 def _tail_margin(checks, g: TruncatedSeries,
-                 samples: _Descriptions) -> tuple[np.ndarray, Iterator[dict]]:
+                 samples: list[dict]) -> tuple[np.ndarray, Iterator[dict]]:
     """Margins bound - |T g| @ W of the kernel ``checks`` for the stack g
     of composed rows, and the violation reports, built by ``checks.report``
     from the indices, the tested sum |T g| @ W and the margin of each
-    violated check; ``samples`` describes the omega behind each row of g.
+    violated check; ``samples[t]`` describes the omega behind row t of g.
 
     T is ``checks.transform``, the Toeplitz matrix of a weight h or None
     for the identity, W is ``checks.weights`` and the bound
@@ -424,7 +411,7 @@ class _WeightedCheck(_TailChecks):
         self.majorant, self.tol = tau * self.majorant, tau * self.tol
         self.majorant_tails = self.majorant.tolist()
 
-    def report(self, samples: _Descriptions, t: int, s: int, p: int, weighted_tail: float,
+    def report(self, samples: list[dict], t: int, s: int, p: int, weighted_tail: float,
                margin: float) -> dict:
         return {
             "check": "weighted-tail",
@@ -474,7 +461,7 @@ class _BRChecks:
         self.weights = np.array(columns).T
         self.tol = _REL_TOL * max(self.majorant, 1.0)
 
-    def report(self, samples: _Descriptions, t: int, k: int, tested: float,
+    def report(self, samples: list[dict], t: int, k: int, tested: float,
                margin: float) -> dict:
         # The margin says all that the tested sum would: r* - margin.
         return {
@@ -597,7 +584,8 @@ def _tally_chunk(tally: _Tally, checks, chunk: list[SchwarzSample], workspace) -
     tables, scratch = workspace
     omegas = _schwarz_chunk(chunk, checks.f.order, scratch)
     omegas = omegas._take_powers(tables[:len(chunk)], scratch)
-    tally.extend(*_tail_margin(checks, checks.f.compose(omegas), _Descriptions(chunk)))
+    tally.extend(*_tail_margin(checks, checks.f.compose(omegas),
+                               [sample.describe() for sample in chunk]))
 
 
 def _checked(checks, sample: SchwarzSample) -> float:

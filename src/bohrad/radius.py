@@ -235,7 +235,8 @@ def _certified_top(rstar: float, a: list[float], m: int | None, N: int) -> float
     from the monomial bound, decreases towards that root with every iterate
     above it; the steps stop where H - r* is not positive, once a step
     lowers r by less than 0.1%, or after 12.  A last iterate that rounding
-    puts below G's root is what ``_newton``'s restart from 1 - 1e-9 is for.
+    puts at or below G's root is what ``_newton``'s restart, tol/5 above
+    it, is for.
     The head steps evaluate H, not G: a result's ``iterations`` does not
     count them.
     """
@@ -413,9 +414,11 @@ def _newton(evaluate: _RowEquations, tol: float, tops: list[float], g_lo: float
     ``_certified_top``, and ``g_lo`` is G(0) = -r*, which every row takes
     exactly, so it is not evaluated.
     Fourier's condition holds at the start (G'' >= 0) whenever G(hi) > 0; if
-    rounding leaves G(hi) <= 0 at a start below 1 - 1e-9, the start falls
-    back to 1 - 1e-9.  Newton's iterates from the start decrease
-    monotonically to the root and each is an upper bound.  The secant through (0, G(0)) and the current iterate
+    rounding leaves G(hi) <= 0 at a start below 1 - 1e-9, the start is
+    raised by tol/5, the widening of the closing checks, and where G is
+    still not positive there, to 1 - 1e-9; each try is an evaluation of G.
+    Newton's iterates from the start decrease monotonically to the root and
+    each is an upper bound.  The secant through (0, G(0)) and the current iterate
     lies above a convex G on [0, hi], so its zero -G(0) hi / (G(hi) - G(0))
     is a lower bound, and each pass costs one evaluation of G per open row.
     A Newton step too small to lower hi by rounding bisects [lo, hi]
@@ -433,11 +436,13 @@ def _newton(evaluate: _RowEquations, tol: float, tops: list[float], g_lo: float
     rows = range(len(hi))
     at_hi = evaluate(rows, hi)
     evaluations = [1] * len(hi)
-    restart = [v for v in rows if at_hi[v][0] <= 0.0 and hi[v] < _BRACKET_HI]
-    if restart:
-        for v, at_top in zip(restart, evaluate(restart, [_BRACKET_HI] * len(restart))):
-            hi[v], at_hi[v] = _BRACKET_HI, at_top
-            evaluations[v] += 1
+    for widen in (0.2 * tol, math.inf):
+        restart = [v for v in rows if at_hi[v][0] <= 0.0 and hi[v] < _BRACKET_HI]
+        if restart:
+            raised = [min(hi[v] + widen, _BRACKET_HI) for v in restart]
+            for v, top, at_top in zip(restart, raised, evaluate(restart, raised)):
+                hi[v], at_hi[v] = top, at_top
+                evaluations[v] += 1
     for v in rows:
         if not g_lo < 0.0 < at_hi[v][0]:
             raise BracketError(

@@ -3,7 +3,9 @@ compared with their checked-in output, ``tests/golden/cli.txt``.
 
 The commands are the README's, the benchmark ``cli`` workload's eleven at
 fixed seeds, the CI ``installed`` job's, one booth call far out in k,
-one call for each nonzero exit code, and the two calls at the least tol.
+one call for each nonzero exit code, the two calls at the least tol, the
+calls that reject an order below 1 or an N past the order, and one solve
+whose certified start is its root to rounding.
 Each record of the corpus is the command, its exit code and
 its stdout, one line per result row: text output (tables and CSV) line
 for line as printed, and each JSON object on one line, with every list
@@ -87,6 +89,15 @@ COMMANDS = (
     # The other call at the floor tol = 1e-15 whose final brackets can show
     # no sign change: the rounding of G near a root decides it, not a bound.
     "sweep --psi janowski:D=0.8,E=0.65 --N 1..24 --tol 1e-15",
+    # Truncation orders below 1, and an N past the order, each exit 2.
+    "radius --psi cardioid --order 0",
+    "radius --psi cardioid --order -5",
+    "radius --psi cardioid --N 65",
+    "sweep --psi cardioid --N 60..65",
+    "verify --order 0 --trials 5",
+    "verify --lemma br --psi cardioid --N 65 --trials 5",
+    # A certified start that is the root to rounding, restarted just above.
+    "radius --psi classical-starlike --m 1000 --N 64",
 )
 
 _HEADER = "$ bohrad "

@@ -342,16 +342,25 @@ def test_tail_suite_reports_worst_counterexample_first():
     assert len(report.counterexamples) <= 5
 
 
-def test_only_samples_that_break_a_check_are_described(monkeypatch):
-    # A sample is described when its first report is read, once, and the
+def test_each_sample_is_described_once(monkeypatch):
+    # Every sample of the suite is described once, in trial order, and the
     # reports of one sample share that description.
-    described = []
-    describe = SchwarzSample.describe
-    monkeypatch.setattr(SchwarzSample, "describe",
-                        lambda sample: described.append(sample) or describe(sample))
+    described, descriptions = [], []
+    original = SchwarzSample.describe
+
+    def describe(sample):
+        described.append(sample)
+        descriptions.append(original(sample))
+        return descriptions[-1]
+
+    monkeypatch.setattr(SchwarzSample, "describe", describe)
     report = run_tail_suite(trials=40, seed=0, max_reports=10**6)
+    rng = random.Random(0)
+    assert described == [sample_schwarz(rng) for _ in range(40)]
     shared = {id(ce["sample"]) for ce in report.counterexamples}
-    assert 0 < len(described) == len(shared) < min(40, report.violations)
+    broken = {json.dumps(ce["sample"]) for ce in report.counterexamples}
+    assert shared <= {id(d) for d in descriptions}
+    assert 1 < len(shared) == len(broken) < report.violations
 
 
 def test_tail_suite_is_deterministic():

@@ -824,7 +824,8 @@ def test_newton_rows_are_independent():
         equations.append(evaluate)
         tops.append(hi)
     equations.append(equations[0])
-    tops.append(0.01)  # G(0.01) < 0: the start falls back to 1 - 1e-9
+    # G < 0 at 0.01 and tol/5 above it: the start falls back to 1 - 1e-9.
+    tops.append(0.01)
 
     def rows_of(chosen):
         # Row v of the batch is the one row of the evaluator chosen[v].
@@ -858,10 +859,10 @@ def test_newton_raises_when_a_widened_end_has_the_wrong_sign(end):
 
 
 @pytest.mark.parametrize("label", ["sine", "cardioid", "classical-starlike"])
-def test_a_start_on_the_root_falls_back_to_the_top(label, newton_runs):
+def test_a_start_on_the_root_restarts_just_above_it(label, newton_runs):
     # At order 1 the Bohr-limit equation is G = |a_1| r - r*: its certified
     # start r*/|a_1| is the root itself, where G is not positive, so the
-    # solver starts again from 1 - 1e-9, for a lone solve and for sweeps
+    # solver starts again tol/5 above it, for a lone solve and for sweeps
     # whose repeated values share the one row alike.
     spec = catalog.parse_psi(label)
     pair = build_extremal_pair(spec, 1)
@@ -878,6 +879,46 @@ def test_a_start_on_the_root_falls_back_to_the_top(label, newton_runs):
         newton_runs.clear()
         for res in results:
             assert abs(res.r0 - rstar / a1) <= base.tol and res.iterations == 6, (family, res)
+
+
+def test_a_failed_start_is_raised_by_the_widening_then_to_the_top():
+    # G(r) = r - 1/2: a start on the root is raised by tol/5 once, and a
+    # start far below it tries tol/5 higher first and then 1 - 1e-9.
+    tol, asked = 1e-10, []
+
+    def evaluate(rows, radii, slopes=True):
+        asked.append(list(radii))
+        return [(r - 0.5, 1.0) if slopes else r - 0.5 for r in radii]
+
+    (root, bracket, iterations, _), (far_root, _, far_iterations, _) = \
+        radius._newton(evaluate, tol, [0.5, 0.1], -0.5)
+    assert asked[:3] == [[0.5, 0.1], [0.5 + 0.2 * tol, 0.1 + 0.2 * tol], [1.0 - 1e-9]]
+    assert bracket[0] < root < bracket[1] and root == far_root == 0.5
+    assert (iterations, far_iterations) == (6, 7)
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-15])
+def test_a_start_on_the_root_costs_a_few_evaluations(tol, newton_runs):
+    # classical-starlike at order 64 and N = 64: G = P(r^m) + 64 r^64 - 1/4
+    # with P(r^m) negligible at m = 1000, so the start (r*/64)^(1/64) is the
+    # root to rounding and G is not positive there.  Restarted tol/5 above
+    # it, the solve makes at most 6 evaluations of G, the lone solve and
+    # the N = 64 row of a sweep alike, and each bracket holds a sign change
+    # of G summed term by term apart from the solver.
+    spec = catalog.parse_psi("classical-starlike")
+    pair = build_extremal_pair(spec, 64)
+    moduli = [abs(float(c)) for c in pair.f0.coeffs]
+    g = fsum_equation(moduli, pair.koebe_starlike, 1000, 64, Mode.BOHR_ROGOSINSKI)
+    base = RadiusProblem(psi=spec, m=1000, N=64, tol=tol)
+    lone = solve(base)
+    assert lone_run(newton_runs)["g_hi"] <= 0.0
+    swept = sweep(base, n_values=range(60, 65)).results
+    assert newton_runs.pop()["g_hi"][-1] <= 0.0
+    for res in (lone, swept[-1]):
+        lo, hi = res.bracket
+        assert res.iterations <= 6 and res.N == 64, res
+        assert g(lo) < 0.0 < g(hi) and lo < res.r0 < hi and hi - lo <= tol, res
+        assert res.r0 == pytest.approx(0.917004043205, abs=1e-12)
 
 
 @pytest.mark.parametrize("label", SOLVER_GRID_LABELS)
