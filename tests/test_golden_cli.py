@@ -98,6 +98,13 @@ COMMANDS = (
     "verify --lemma br --psi cardioid --N 65 --trials 5",
     # A certified start that is the root to rounding, restarted just above.
     "radius --psi classical-starlike --m 1000 --N 64",
+    # The edges of the oracle's chunk step: a last chunk of 91 after one of
+    # 809, degrees 0..7 in three chunks, the samples +-z alone, and the
+    # Bohr-Rogosinski suite over degrees 0..7.
+    "verify --order 8 --trials 900",
+    "verify --degree-max 7 --trials 40",
+    "verify --degree-max 0 --trials 20",
+    "verify --lemma br --psi classical-starlike --m 24 --N 10 --degree-max 7 --trials 40",
 )
 
 _HEADER = "$ bohrad "
