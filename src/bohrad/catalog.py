@@ -180,15 +180,16 @@ def classical_convex() -> PsiSpec:
 def starlike_alpha(alpha: float) -> PsiSpec:
     """Starlike functions of order alpha: Janowski with D = 1-2a, E = -1.
 
-    Its own closed f0 and -f0(-1) stay: for some alpha the Janowski forms
-    differ from them by a few ulps."""
+    Its closed f0 is the Janowski one, r (1 - r)^(2a - 2); the closed convex
+    r* leaves no quadrature to read it.  Its own -f0(-1) = 4^(a-1) stays:
+    for some alpha the Janowski form differs from it by a few ulps, and the
+    printed r* reads it."""
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
     d = 1.0 - 2.0 * alpha
     return janowski(d, -1.0)._replace(
         label=f"alpha:{_label_number(alpha)}",
         params={"alpha": alpha, "D": d, "E": -1.0},
-        f0_closed=lambda r: r * np.power(1.0 - r, -2.0 * (1.0 - alpha)),
         koebe_closed=4.0 ** (alpha - 1.0),
     )
 

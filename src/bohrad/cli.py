@@ -236,8 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_mn=True):
-        p.add_argument("--psi", default=None, help="catalog label, e.g. cardioid, "
+    def common(p, with_mn=True, psi_required=True):
+        p.add_argument("--psi", required=psi_required, help="catalog label, e.g. cardioid, "
                        "janowski:D=0.5,E=-0.5, alpha:0.25, booth, sine")
         p.add_argument("--family", choices=[f.value for f in Family], default=None,
                        help="starlike or convex (default: the entry's natural family)")
@@ -255,14 +255,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_radius.add_argument("--method", choices=["series", "exact"], default="series",
                           help="series path, or the closed Janowski equation")
     p_radius.add_argument("--format", choices=["table", "csv", "json"], default="table")
-    p_radius.set_defaults(func=_cmd_radius, needs_psi=True)
+    p_radius.set_defaults(func=_cmd_radius)
 
     p_sweep = sub.add_parser("sweep", help="solve over a range of N or m")
     common(p_sweep, with_mn=False)
     p_sweep.add_argument("--m", default="1", help="fixed value or range a..b")
     p_sweep.add_argument("--N", default="1", help="fixed value or range a..b")
     p_sweep.add_argument("--format", choices=["table", "csv", "json"], default="csv")
-    p_sweep.set_defaults(func=_cmd_sweep, needs_psi=True)
+    p_sweep.set_defaults(func=_cmd_sweep)
 
     for p in (p_radius, p_sweep):
         p.add_argument("--tol", type=float, default=None,
@@ -270,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a Monte-Carlo verification suite",
                               description="A flag not given takes the suite's default.")
-    common(p_verify)
+    common(p_verify, psi_required=False)
     p_verify.add_argument("--lemma", choices=["tail", "bohr-operator", "weighted", "br"],
                           default=None, help="lemma to check (default: tail)")
     p_verify.add_argument("--weighted", action="store_true",
@@ -281,11 +281,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=None)
     p_verify.add_argument("--degree-max", type=int, default=None, dest="degree_max",
                           help="largest Blaschke degree sampled")
-    p_verify.set_defaults(func=_cmd_verify, needs_psi=False)
+    p_verify.set_defaults(func=_cmd_verify)
 
     p_catalog = sub.add_parser("catalog", help="list catalog entries")
     p_catalog.add_argument("--format", choices=["table", "json"], default="table")
-    p_catalog.set_defaults(func=_cmd_catalog, needs_psi=False)
+    p_catalog.set_defaults(func=_cmd_catalog)
 
     return parser
 
@@ -293,9 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "needs_psi", False) and not args.psi:
-        print("error: --psi is required", file=sys.stderr)
-        return EXIT_USAGE
     try:
         return args.func(args)
     except ValueError as exc:

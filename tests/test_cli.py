@@ -253,7 +253,7 @@ def test_radius_exact_method_takes_n_past_the_series_order(capsys):
 
 
 def test_radius_invalid_psi_exits_2(capsys):
-    for label in ("heart", "janowski:D=1,E=-1,X=3", "booth:k=inf", "janowski:D,E",
+    for label in ("", "heart", "janowski:D=1,E=-1,X=3", "booth:k=inf", "janowski:D,E",
                   "janowski:D=1=2,E=0", "booth:k", "booth:", "sine:", "cardioid:",
                   "zexpz:", "classical-starlike:"):
         code, out, err = run_cli(capsys, "radius", "--psi", label)
@@ -262,9 +262,20 @@ def test_radius_invalid_psi_exits_2(capsys):
         assert "error" in err and repr(label) in err
 
 
+def _assert_usage_error_names_psi(capsys, *argv):
+    # radius and sweep require --psi: argparse exits on its usage error.
+    with pytest.raises(SystemExit) as excinfo:
+        main(list(argv))
+    assert excinfo.value.code == 2
+    assert "--psi" in capsys.readouterr().err
+
+
 def test_radius_missing_psi_exits_2(capsys):
-    code, _, err = run_cli(capsys, "radius")
-    assert code == 2
+    _assert_usage_error_names_psi(capsys, "radius")
+
+
+def test_sweep_missing_psi_exits_2(capsys):
+    _assert_usage_error_names_psi(capsys, "sweep", "--N", "1..3")
 
 
 def test_radius_csv_format(capsys):

@@ -2,10 +2,11 @@
 compared with their checked-in output, ``tests/golden/cli.txt``.
 
 The commands are the README's, the benchmark ``cli`` workload's eleven at
-fixed seeds, the CI ``installed`` job's, one booth call far out in k,
-one call for each nonzero exit code, the two calls at the least tol, the
-calls that reject an order below 1 or an N past the order, and one solve
-whose certified start is its root to rounding.
+fixed seeds, one call for each suite and solver path, one booth
+call far out in k, one call for each nonzero exit code, the two calls at
+the least tol, the calls that reject an order below 1 or an N past the
+order, one solve whose certified start is its root to rounding, and the
+verify calls at the edges of the oracle's chunk step.
 Each record of the corpus is the command, its exit code and
 its stdout, one line per result row: text output (tables and CSV) line
 for line as printed, and each JSON object on one line, with every list
@@ -20,6 +21,13 @@ the command's checks: r* for radius rows and Bohr-Rogosinski reports, the
 largest majorant tail M(f, N, r) of a tail or weighted suite (times tau),
 and 1 for the axiom suite, whose sums are of that size.  An absolute bound
 so scaled holds for margins near zero, where a relative one cannot.
+
+The CI ``installed`` job replays this test against the installed package,
+without the checkout's ``src`` on the path:
+
+    python -m pytest -q -o pythonpath= tests/test_golden_cli.py
+
+so the corpus is the one pin of printed output, checkout and install alike.
 
 The test never writes the corpus.  A change that moves printed output on
 purpose rewrites it with
@@ -63,8 +71,10 @@ COMMANDS = (
     "verify --lemma br --psi cardioid --trials 200 --seed 794772",
     "radius --psi janowski:D=1,E=-1 --format csv",
     "radius --psi classical-convex --method exact",
-    # The CI installed job's commands, but the 3000-row sweep into a
-    # closed pipe, whose CI check is its exit status alone.
+    # Each suite and solver path once: chunked tail and weighted suites,
+    # the Bohr-Rogosinski suite in both modes and at order 256, rb capped
+    # at 1/3 and rb = r0 > 1/3, the Bohr limit on the series and closed
+    # paths, and booth's convex r* from a quadrature of its closed f0.
     "verify --lemma bohr-operator --trials 20",
     "verify --psi cardioid --N 1 --trials 50",
     "verify --weighted --trials 30",
