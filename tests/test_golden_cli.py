@@ -5,8 +5,9 @@ The commands are the README's, the benchmark ``cli`` workload's eleven at
 fixed seeds, one call for each suite and solver path, one booth
 call far out in k, one call for each nonzero exit code, the two calls at
 the least tol, the calls that reject an order below 1 or an N past the
-order, one solve whose certified start is its root to rounding, and the
-verify calls at the edges of the oracle's chunk step.
+order, one solve whose certified start is its root to rounding, the
+verify calls at the edges of the oracle's chunk step, and the calls that
+take the Bohr-Rogosinski suite's default psi or an entry's default family.
 Each record of the corpus is the command, its exit code and
 its stdout, one line per result row: text output (tables and CSV) line
 for line as printed, and each JSON object on one line, with every list
@@ -115,6 +116,11 @@ COMMANDS = (
     "verify --degree-max 7 --trials 40",
     "verify --degree-max 0 --trials 20",
     "verify --lemma br --psi classical-starlike --m 24 --N 10 --degree-max 7 --trials 40",
+    # The Bohr-Rogosinski suite's default psi, and the entry's default family
+    # where no --family is given, for the suite and for a sweep.
+    "verify --lemma br --trials 20",
+    "verify --lemma br --psi classical-convex --trials 20",
+    "sweep --psi classical-convex --N 1..3",
 )
 
 _HEADER = "$ bohrad "
