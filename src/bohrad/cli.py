@@ -14,6 +14,7 @@ import argparse
 import csv
 import gc
 import json
+import os
 import signal
 import sys
 
@@ -26,6 +27,7 @@ from .radius import (
     Mode,
     RadiusProblem,
     RadiusResult,
+    _family,
     solve,
     solve_janowski_exact,
     sweep,
@@ -94,10 +96,6 @@ def _parse_range(text: str) -> list[int]:
     return [int(text)]
 
 
-def _family(args, spec) -> Family:
-    return Family(args.family or spec.default_family)
-
-
 def _given(**options) -> dict:
     """The options whose flag was given; the library call applies its own
     default to the others."""
@@ -117,7 +115,6 @@ def _cmd_radius(args) -> int:
     spec = catalog.parse_psi(args.psi)
     options = _given(m=args.m, N=args.N, mode=_mode(args, args.m, args.N),
                      order=args.order, tol=args.tol)
-    family = _family(args, spec)
     if args.method == "exact":
         if "order" in options:
             raise ValueError("--order: the closed equation of --method exact has no "
@@ -125,13 +122,13 @@ def _cmd_radius(args) -> int:
         params = spec.params
         if "D" not in params or "E" not in params:
             raise ValueError(f"--method exact needs a Janowski-family psi, got {spec.label}")
-        if family == Family.CONVEX:
+        if _family(spec, args.family) == Family.CONVEX:
             raise ValueError("--method exact solves the starlike Janowski equation only; "
                              "there is no closed convex equation")
         res = solve_janowski_exact(params["D"], params["E"], **options)._replace(
             psi=spec.label)
     else:
-        res = solve(RadiusProblem(psi=spec, family=family, **options))
+        res = solve(RadiusProblem(psi=spec, **options, **_given(family=args.family)))
     _print_result(res, args.format)
     return EXIT_OK
 
@@ -146,10 +143,9 @@ def _cmd_sweep(args) -> int:
         raise ValueError("sweep needs a range in exactly one of --N and --m (use a..b)")
     if not n_range or not m_range:
         raise ValueError("empty sweep range")
-    problem = RadiusProblem(
-        psi=spec, family=_family(args, spec), m=m_range[0], N=n_range[0],
-        **_given(mode=_mode(args, *n_range, *m_range), order=args.order, tol=args.tol),
-    )
+    problem = RadiusProblem(psi=spec, m=m_range[0], N=n_range[0], **_given(
+        family=args.family, mode=_mode(args, *n_range, *m_range), order=args.order,
+        tol=args.tol))
     swept = sweep(problem,
                   n_values=n_range if n_is_range else None,
                   m_values=m_range if m_is_range else None)
@@ -187,23 +183,22 @@ def _cmd_verify(args) -> int:
               if getattr(args, name) is not None and name not in _VERIFY_READS[lemma]]
     if unread:
         raise ValueError(f"{', '.join(unread)}: not read by --lemma {lemma}")
-    psis = [args.psi] if args.psi else list(oracle.DEFAULT_ORACLE_PSIS)
+    psis = _given(psi_labels=None if args.psi is None else (args.psi,))
     seeded = _given(trials=args.trials, seed=args.seed)
     sampled = _given(degree_max=args.degree_max, order=args.order, **seeded)
     if lemma == "tail":
         # A given --N restricts the suite's grid of head indices to it.
-        report = oracle.run_tail_suite(psi_labels=psis, **sampled,
+        report = oracle.run_tail_suite(**psis, **sampled,
                                        **_given(n_values=None if args.N is None else (args.N,)))
     elif lemma == "bohr-operator":
         report = oracle.run_axiom_suite(**seeded)
     elif lemma == "weighted":
-        report = oracle.run_weighted_suite(psi_labels=psis, **sampled,
+        report = oracle.run_weighted_suite(**psis, **sampled,
                                            **_given(tau=args.tau, N=args.N))
     else:
-        spec = catalog.parse_psi(psis[0])
-        report = oracle.run_br_suite(psi_label=psis[0], family=_family(args, spec), **sampled,
-                                     **_given(m=args.m, N=args.N,
-                                              mode=_mode(args, args.m, args.N)))
+        report = oracle.run_br_suite(**sampled, **_given(
+            psi_label=args.psi, family=args.family, m=args.m, N=args.N,
+            mode=_mode(args, args.m, args.N)))
     _emit_json(report.to_json_dict())
     return EXIT_OK if report.violations == 0 else EXIT_VIOLATIONS
 
@@ -313,6 +308,11 @@ def run() -> None:
     # and the freeze is process-wide.  So is a signal handler: Python ignores
     # SIGPIPE and raises BrokenPipeError instead, and only here is the
     # default restored, under which a closed reader ends bohrad quietly.
+    # Likewise the BLAS thread count, read once when numpy loads, which no
+    # module has done yet: a second OpenBLAS thread takes about 60% more CPU
+    # on the order-256 power tables and little or no wall time off the call
+    # (the README gives both), so one serves unless the caller set a count.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     gc.freeze()
     if hasattr(signal, "SIGPIPE"):
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)

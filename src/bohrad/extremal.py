@@ -8,8 +8,9 @@ for the Janowski family (classical and alpha entries included), two for
 cardioid and booth.  Only zexpz and sine take the dense one; one helper,
 ``_f0_coefficients``, chooses for ``build_f0`` and the radius solver
 alike.  The convex extremal l0 is linked by the Alexander relation
-z l0'(z) = f0(z), i.e. l_n = t_n / n: l0 = int_0^z f0(t)/t dt, which is
-``f0.integrate_over_t()``.
+z l0'(z) = f0(z): l0 = int_0^z f0(t)/t dt, i.e. l_n = t_n / n, which one
+helper, ``_l0_coefficients``, states for ``build_extremal_pair`` and the
+radius solver alike.
 
 The boundary distance (Koebe radius) is -f0(-1) for the starlike family
 and -l0(-1) for the convex one.  The catalog gives it in closed form where
@@ -95,6 +96,14 @@ def build_f0(psi: PsiSpec, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     return TruncatedSeries(_f0_coefficients(psi, order))
 
 
+def _l0_coefficients(t: list[float]) -> list[float]:
+    """Taylor coefficients l_0..l_K of the convex extremal l0 from those
+    t_0..t_K of f0 (t_0 = 0): the Alexander relation l_n = t_n / n, and
+    l_0 = 0.  The one statement of it, for ``build_extremal_pair`` and the
+    radius solver alike."""
+    return [0.0] + [x / n for n, x in enumerate(t[1:], 1)]
+
+
 def _koebe_estimate(psi: PsiSpec, family: str, nodes: np.ndarray, weights: np.ndarray) -> float:
     if family == "starlike":
         return float(np.exp(((psi.psi_eval(-nodes) - 1.0) / nodes) @ weights))
@@ -142,7 +151,7 @@ def build_extremal_pair(psi: PsiSpec, order: int = DEFAULT_ORDER) -> ExtremalPai
     f0 = build_f0(psi, order)
     return ExtremalPair(
         f0=f0,
-        l0=f0.integrate_over_t(),
+        l0=TruncatedSeries(_l0_coefficients(f0.coeffs.tolist())),
         koebe_starlike=koebe_radius(psi, "starlike"),
         koebe_convex=koebe_radius(psi, "convex"),
     )

@@ -687,7 +687,7 @@ def run_weighted_suite(tau: float = 0.8, trials: int = _TRIALS, seed: int = 0,
     })
 
 
-def run_br_suite(psi_label: str = DEFAULT_ORACLE_PSIS[0], family: Family = Family.STARLIKE,
+def run_br_suite(psi_label: str = DEFAULT_ORACLE_PSIS[0], family: Family | None = None,
                  m: int = 1, N: int = 1, trials: int = _TRIALS, seed: int = 0,
                  degree_max: int = _DEGREE_MAX, order: int = DEFAULT_ORDER,
                  mode: Mode = Mode.BOHR_ROGOSINSKI) -> VerificationReport:
@@ -696,8 +696,9 @@ def run_br_suite(psi_label: str = DEFAULT_ORACLE_PSIS[0], family: Family = Famil
     Sampled subordinants are tested at fractions of rb, the radius that
     ``solve`` reports as covered.  The margin of the identity sample at rb
     itself, where the extremal function should attain the bound, is reported
-    as ``identity_margin_at_rb``.  ``bohrad verify --lemma br`` takes these
-    defaults for the flags not given, and the entry's ``default_family``.
+    as ``identity_margin_at_rb``.  A ``family`` of None is the entry's
+    ``default_family``, as in ``RadiusProblem``.  ``bohrad verify --lemma
+    br`` takes these defaults for the flags not given.
     """
     spec = parse_psi(psi_label)
     problem = RadiusProblem(psi=spec, family=family, m=m, N=N, mode=mode, order=order)
@@ -707,7 +708,7 @@ def run_br_suite(psi_label: str = DEFAULT_ORACLE_PSIS[0], family: Family = Famil
     return _run_suite(checks, seed, trials, degree_max, {
         "check": "bohr-rogosinski",
         "psi": spec.label,
-        "family": family.value,
+        "family": problem.family.value,
         "m": m,
         "N": N,
         "mode": mode.value,

@@ -50,7 +50,7 @@ from enum import Enum
 from typing import Callable, NamedTuple
 
 from .catalog import PsiSpec, janowski
-from .extremal import ExtremalPair, _f0_coefficients, koebe_radius
+from .extremal import ExtremalPair, _f0_coefficients, _l0_coefficients, koebe_radius
 from .series import DEFAULT_ORDER, OrderMismatchError, _integer, _truncation_order, np
 
 _BRACKET_HI = 1.0 - 1e-9
@@ -98,6 +98,13 @@ def _check_problem(m: int, N: int, tol: float, order: int | None = None
     return m, N, order
 
 
+def _family(psi: PsiSpec, family: Family | str | None) -> Family:
+    """``family``, or where it is None the entry's ``default_family``: the
+    one statement of the rule, for ``RadiusProblem`` and for the CLI's
+    closed equation, which builds no problem."""
+    return Family(psi.default_family if family is None else family)
+
+
 class _ProblemFields(NamedTuple):
     psi: PsiSpec
     family: Family
@@ -109,13 +116,16 @@ class _ProblemFields(NamedTuple):
 
 
 class RadiusProblem(_ProblemFields):
+    """One radius equation to solve.  A ``family`` of None is the entry's
+    ``default_family`` (``_family``), so classical-convex is convex."""
+
     __slots__ = ()
 
-    def __new__(cls, psi: PsiSpec, family: Family = Family.STARLIKE, m: int = 1, N: int = 1,
+    def __new__(cls, psi: PsiSpec, family: Family | None = None, m: int = 1, N: int = 1,
                 mode: Mode = Mode.BOHR_ROGOSINSKI, order: int = DEFAULT_ORDER,
                 tol: float = DEFAULT_TOL) -> "RadiusProblem":
         m, N, order = _check_problem(m, N, tol, order)
-        return super().__new__(cls, psi, family, m, N, mode, order, tol)
+        return super().__new__(cls, psi, _family(psi, family), m, N, mode, order, tol)
 
     @classmethod
     def _make(cls, iterable) -> "RadiusProblem":
@@ -153,13 +163,15 @@ def _family_extremal(problem: RadiusProblem, pair: ExtremalPair | None = None
     ``problem.order`` (another order gives another G); else only the
     family's own are built, by the extremal layer's one route to f0's
     coefficients (``_f0_coefficients``, which needs no array where the
-    catalog has a short recurrence), with l_n = t_n / n (Alexander).
+    catalog has a short recurrence) and, for l0, its one statement of the
+    Alexander relation (``_l0_coefficients``), as ``build_extremal_pair``
+    builds them.
     """
     if pair is None:
         psi = problem.psi
         t = _f0_coefficients(psi, problem.order)
         if problem.family == Family.CONVEX:
-            t = [0.0] + [x / n for n, x in enumerate(t[1:], 1)]
+            t = _l0_coefficients(t)
         return t, koebe_radius(psi, problem.family.value)
     if pair.f0.order != problem.order:
         raise OrderMismatchError(f"order mismatch: the pair has order {pair.f0.order}, "

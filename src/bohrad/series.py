@@ -4,8 +4,7 @@ A series is a coefficient vector c[0..K] for a fixed truncation order K;
 index n holds the coefficient of z^n.  Every operation keeps the order
 fixed (uniform truncation), so a result is the exact Taylor data of the
 represented operation up to z^K whenever that is well defined (it is for
-sums, Cauchy products, composition with series vanishing at 0, and the
-t-weighted integral).
+sums, Cauchy products and composition with series vanishing at 0).
 
 A ``TruncatedSeries`` may also hold a stack of series of one order, with
 leading axes in front of the coefficient axis.  Composition and power
@@ -260,16 +259,3 @@ class TruncatedSeries:
         tables = w.powers.reshape(w.coeffs.shape[:-1] + (1,) * (self.coeffs.ndim - 1)
                                   + w.powers.shape[-2:])
         return TruncatedSeries(_rowwise(self.coeffs, tables))
-
-    def integrate_over_t(self) -> "TruncatedSeries":
-        """int_0^z self(t)/t dt: divides coefficient n by n, constant stays 0.
-
-        Requires a zero constant term so the integrand has no pole.
-        """
-        self._check_single()
-        if self.coeffs[0] != 0.0:
-            raise ValueError("integrate_over_t requires zero constant term")
-        out = np.zeros(self.order + 1)
-        n = np.arange(1, self.order + 1)
-        out[1:] = self.coeffs[1:] / n
-        return TruncatedSeries(out)

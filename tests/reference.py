@@ -44,12 +44,24 @@ def times_z(f):
     return TruncatedSeries(out)
 
 
+def integrate_over_t(f):
+    """int_0^z f(t)/t dt for a single series f with zero constant term:
+    coefficient n divided by n, the constant 0, as a numpy array division
+    (the program states l_n = t_n / n on lists of floats)."""
+    f._check_single()
+    if f.coeffs[0] != 0.0:
+        raise ValueError("integrate_over_t requires zero constant term")
+    out = np.zeros(f.order + 1)
+    out[1:] = f.coeffs[1:] / np.arange(1, f.order + 1)
+    return TruncatedSeries(out)
+
+
 def integral_f0(psi, order):
     """The starlike extremal f0 = z exp(int_0^z (psi(t)-1)/t dt), from psi's
     series: the route ``build_f0``'s recurrences are checked against."""
     c = psi.series(order).coeffs
     psi_minus_1 = TruncatedSeries(np.concatenate(([0.0], c[1:])))
-    return times_z(exp(psi_minus_1.integrate_over_t()))
+    return times_z(exp(integrate_over_t(psi_minus_1)))
 
 
 def janowski_coeff_bound(d, e, n):

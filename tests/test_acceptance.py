@@ -54,9 +54,7 @@ def report(number, description, ok, detail=""):
 
 
 def problem(label, family=None, **kwargs):
-    spec = catalog.parse_psi(label)
-    fam = family or Family(spec.default_family)
-    return RadiusProblem(psi=spec, family=fam, **kwargs)
+    return RadiusProblem(psi=catalog.parse_psi(label), family=family, **kwargs)
 
 
 def test_criterion_01_cardioid_bohr_radius():

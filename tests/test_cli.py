@@ -169,6 +169,22 @@ def test_entry_point_freezes_and_main_does_not(capsys):
     assert gc.get_freeze_count() == frozen
 
 
+def test_entry_point_sets_one_blas_thread_and_main_does_not(capsys, monkeypatch):
+    # The process entry asks for one OpenBLAS thread before numpy loads,
+    # unless the caller chose a count; main() sets nothing process-wide.
+    stub = ("import os, bohrad.cli as cli; "
+            "cli.main = lambda: print(os.environ.get('OPENBLAS_NUM_THREADS')) or 0; cli.run()")
+    env = {k: v for k, v in child_env().items() if k != "OPENBLAS_NUM_THREADS"}
+    for given, seen in ((None, "1"), ("2", "2")):
+        child = subprocess.run([sys.executable, "-c", stub], capture_output=True, text=True,
+                               env=env if given is None else dict(env, OPENBLAS_NUM_THREADS=given))
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.strip() == seen
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    assert run_cli(capsys, "catalog")[0] == 0
+    assert "OPENBLAS_NUM_THREADS" not in os.environ
+
+
 def test_entry_point_freezes_what_the_command_loaded():
     # verify imports numpy inside main(); the freeze after main() keeps its
     # objects out of the shutdown collections too.
@@ -666,6 +682,38 @@ def test_a_flag_not_given_takes_the_library_default(capsys, argv, library_call):
     _, out, _ = run_cli(capsys, *argv)
     expected = cli._round12(library_call().to_json_dict())
     assert out == json.dumps(expected, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("lemma, runner, exit_code", [
+    ("tail", "run_tail_suite", 4),
+    ("weighted", "run_weighted_suite", 0),
+    ("br", "run_br_suite", 0),
+    ("bohr-operator", "run_axiom_suite", 0),
+])
+def test_verify_passes_on_no_psi_or_family_that_was_not_given(capsys, monkeypatch, lemma,
+                                                              runner, exit_code):
+    # The suites hold the default labels and the entry's default family;
+    # with no optional flag given, the CLI passes its runner no keyword.
+    calls = []
+    original = getattr(cli.oracle, runner)
+
+    def record(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli.oracle, runner, record)
+    assert run_cli(capsys, "verify", "--lemma", lemma)[0] == exit_code
+    assert calls == [((), {})]
+
+
+@pytest.mark.parametrize("lemma_args", [(), ("--weighted",), ("--lemma", "br"),
+                                        ("--lemma", "bohr-operator")])
+def test_verify_rejects_an_empty_psi(capsys, lemma_args):
+    # An empty label is a label, which no suite knows; it is not "no --psi".
+    code, out, err = run_cli(capsys, "verify", "--psi", "", *lemma_args, "--trials", "3")
+    assert code == 2
+    assert out == ""
+    assert ("--psi" if "bohr-operator" in lemma_args else "''") in err
 
 
 def readme_commands():

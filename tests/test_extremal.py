@@ -16,6 +16,7 @@ from bohrad.extremal import (
     koebe_radius,
     koebe_radius_quadrature,
 )
+from bohrad.radius import Family, RadiusProblem, _family_extremal
 
 CATALOG_LABELS = [
     "classical-starlike",
@@ -158,7 +159,7 @@ def test_two_term_coefficients_against_mpmath_and_the_dense_recurrence(spec, ord
 def test_closed_coefficients_keep_the_classical_extremals_exact():
     f0 = build_f0(catalog.classical_starlike(), 1024)
     assert np.array_equal(f0.coeffs, np.arange(1025.0))
-    l0 = build_f0(catalog.classical_convex(), 1024).integrate_over_t()
+    l0 = build_extremal_pair(catalog.classical_convex(), 1024).l0
     assert np.array_equal(l0.coeffs[1:], np.ones(1024))
 
 
@@ -230,19 +231,19 @@ def test_unknown_method():
 
 def test_classical_l0_is_half_plane_map():
     # l0 = z/(1-z): all coefficients 1 from index 1 on.
-    l0 = build_f0(catalog.classical_starlike(), 24).integrate_over_t()
+    l0 = build_extremal_pair(catalog.classical_starlike(), 24).l0
     np.testing.assert_allclose(l0.coeffs[1:], np.ones(24), rtol=1e-13)
 
 
 def test_cardioid_l0_low_coefficients():
-    l0 = build_f0(catalog.cardioid(), 8).integrate_over_t()
+    l0 = build_extremal_pair(catalog.cardioid(), 8).l0
     assert l0.coeffs[2] == pytest.approx(2 / 3, rel=1e-15)
     assert l0.coeffs[3] == pytest.approx(11 / 27, rel=1e-15)
 
 
 def test_zexpz_l0_coefficients():
     order = 12
-    l0 = build_f0(catalog.z_exp_z(), order).integrate_over_t()
+    l0 = build_extremal_pair(catalog.z_exp_z(), order).l0
     for n in range(order):
         expected = int(sympy.bell(n)) / (math.factorial(n) * (n + 1))
         assert l0.coeffs[n + 1] == pytest.approx(expected, rel=1e-12)
@@ -250,10 +251,23 @@ def test_zexpz_l0_coefficients():
 
 @pytest.mark.parametrize("label", CATALOG_LABELS)
 def test_alexander_relation_exact(label):
-    f0 = build_f0(catalog.parse_psi(label), 48)
-    l0 = f0.integrate_over_t()
+    f0, l0, _, _ = build_extremal_pair(catalog.parse_psi(label), 48)
     n = np.arange(1, 49)
     np.testing.assert_allclose(n * l0.coeffs[1:], f0.coeffs[1:], rtol=2e-16, atol=0)
+
+
+@pytest.mark.parametrize("order", [1, 8, 64, 256, 1024])
+@pytest.mark.parametrize("label", catalog.named_labels()
+                         + ["alpha:0.25", "janowski:D=0.5,E=-0.5", "booth:k=1.6"])
+def test_both_routes_to_l0_divide_f0_by_n_bitwise(label, order):
+    # The pair's l0 and the radius solver's own, built without a pair, are
+    # f0's coefficients divided by their index, to the last bit.
+    spec = catalog.parse_psi(label)
+    pair = build_extremal_pair(spec, order)
+    want = reference.integrate_over_t(pair.f0).coeffs
+    np.testing.assert_array_equal(pair.l0.coeffs, want)
+    alone, _ = _family_extremal(RadiusProblem(psi=spec, family=Family.CONVEX, order=order))
+    np.testing.assert_array_equal(alone, want)
 
 
 # -- coefficient equality for the Janowski family -----------------------------

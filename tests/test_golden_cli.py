@@ -7,7 +7,8 @@ call far out in k, one call for each nonzero exit code, the two calls at
 the least tol, the calls that reject an order below 1 or an N past the
 order, one solve whose certified start is its root to rounding, the
 verify calls at the edges of the oracle's chunk step, and the calls that
-take the Bohr-Rogosinski suite's default psi or an entry's default family.
+take the Bohr-Rogosinski suite's default psi or an entry's default family,
+and verify calls given an empty --psi.
 Each record of the corpus is the command, its exit code and
 its stdout, one line per result row: text output (tables and CSV) line
 for line as printed, and each JSON object on one line, with every list
@@ -50,7 +51,7 @@ from bohrad import cli
 from bohrad.catalog import parse_psi
 from bohrad.extremal import build_extremal_pair, build_f0
 from bohrad.oracle import bohr_tail
-from bohrad.radius import Family
+from bohrad.radius import Family, _family
 
 CORPUS = Path(__file__).resolve().parent / "golden" / "cli.txt"
 
@@ -121,6 +122,9 @@ COMMANDS = (
     "verify --lemma br --trials 20",
     "verify --lemma br --psi classical-convex --trials 20",
     "sweep --psi classical-convex --N 1..3",
+    # An empty label is a label, unknown to the catalog: exit 2.
+    'verify --psi "" --trials 3',
+    'verify --lemma br --psi "" --trials 3',
 )
 
 _HEADER = "$ bohrad "
@@ -174,7 +178,7 @@ def _bound(command: str, record: list[str]) -> float:
     args = cli.build_parser().parse_args(shlex.split(command))
     if args.command != "verify":
         spec = parse_psi(args.psi)
-        return _r_star(spec.label, cli._family(args, spec))
+        return _r_star(spec.label, _family(spec, args.family))
     config = json.loads(record[1])["config"]
     if config["check"] == "bohr-operator-axioms":
         return 1.0

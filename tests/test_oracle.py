@@ -843,6 +843,13 @@ def test_br_suite_convex_clean():
     assert report.violations == 0
 
 
+def test_br_suite_takes_the_entry_s_default_family():
+    report = run_br_suite("classical-convex")
+    assert report.config["family"] == "convex"
+    given = run_br_suite("classical-convex", family=Family.CONVEX)
+    assert report.to_json_dict() == given.to_json_dict()
+
+
 @pytest.mark.parametrize("label, family, m, N, worst, identity", [
     ("cardioid", Family.STARLIKE, 2, 3, "0x1.71a26e30eba41p-3", "0x1.71a26e30eba41p-3"),
     ("sine", Family.CONVEX, 1, 2, "0x1.728343c19d2f4p-3", "0x1.728343c19d2f4p-3"),

@@ -33,9 +33,7 @@ CATALOG_PROBLEMS = [
 
 
 def problem(label, family=None, **kwargs):
-    spec = catalog.parse_psi(label)
-    fam = family or Family(spec.default_family)
-    return RadiusProblem(psi=spec, family=fam, **kwargs)
+    return RadiusProblem(psi=catalog.parse_psi(label), family=family, **kwargs)
 
 
 # -- problem validation --------------------------------------------------
@@ -55,6 +53,13 @@ def test_problem_validation():
     RadiusProblem(psi=spec, tol=1e-15)
     with pytest.raises(ValueError):
         RadiusProblem(psi=spec, N=100, order=64)
+
+
+def test_problem_family_defaults_to_the_entry_s():
+    assert RadiusProblem(psi=catalog.classical_convex()).family is Family.CONVEX
+    assert RadiusProblem(psi=catalog.cardioid()).family is Family.STARLIKE
+    given = RadiusProblem(psi=catalog.classical_convex(), family=Family.STARLIKE)
+    assert given.family is Family.STARLIKE
 
 
 @pytest.mark.parametrize("index", [{"m": 2.5}, {"N": 2.0}, {"m": True}, {"N": False},
