@@ -8,7 +8,8 @@ the least tol, the calls that reject an order below 1 or an N past the
 order, one solve whose certified start is its root to rounding, the
 verify calls at the edges of the oracle's chunk step, and the calls that
 take the Bohr-Rogosinski suite's default psi or an entry's default family,
-and verify calls given an empty --psi.
+the verify calls given an empty --psi, the closed equation past the series
+order, a sweep in JSON and as a table, and the Bohr limit given an N.
 Each record of the corpus is the command, its exit code and
 its stdout, one line per result row: text output (tables and CSV) line
 for line as printed, and each JSON object on one line, with every list
@@ -125,6 +126,13 @@ COMMANDS = (
     # An empty label is a label, unknown to the catalog: exit 2.
     'verify --psi "" --trials 3',
     'verify --lemma br --psi "" --trials 3',
+    # The closed equation has no truncation order, so its N may pass the
+    # series order; a sweep's JSON and table output; and the Bohr limit
+    # given an N other than 1, exit 2.
+    "radius --psi janowski:D=1,E=0 --N 65 --method exact",
+    "sweep --psi cardioid --m 1..4 --N 2 --format json",
+    "sweep --psi sine --N 1..3 --format table",
+    "radius --psi cardioid --mode bohr-limit --N 2",
 )
 
 _HEADER = "$ bohrad "
