@@ -102,13 +102,14 @@ def _given(**options) -> dict:
     return {name: value for name, value in options.items() if value is not None}
 
 
-def _mode(args, *indices) -> Mode | None:
-    """The requested mode, if given; the Bohr limit (m -> infinity at N = 1)
-    takes no other m or N, so any of ``indices`` other than 1 is an error."""
+def _mode(args, *indices) -> str | None:
+    """The requested mode's value, if given, which the library reads as it
+    reads a family's; the Bohr limit (m -> infinity at N = 1) takes no other
+    m or N, so any of ``indices`` other than 1 is an error."""
     if args.mode == "bohr-limit" and any(v not in (None, 1) for v in indices):
         raise ValueError("--mode bohr-limit is the m -> infinity limit at N = 1; "
                          "it takes no --N or --m other than 1")
-    return None if args.mode is None else Mode(args.mode)
+    return args.mode
 
 
 def _cmd_radius(args) -> int:

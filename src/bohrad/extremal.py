@@ -6,11 +6,12 @@ with c the coefficients of psi.  Where psi is rational the catalog gives
 a short recurrence on h = f0/z instead: one term, t_{k+1} = t_k (D - kE)/k,
 for the Janowski family (classical and alpha entries included), two for
 cardioid and booth.  Only zexpz and sine take the dense one; one helper,
-``_f0_coefficients``, chooses for ``build_f0`` and the radius solver
-alike.  The convex extremal l0 is linked by the Alexander relation
-z l0'(z) = f0(z): l0 = int_0^z f0(t)/t dt, i.e. l_n = t_n / n, which one
-helper, ``_l0_coefficients``, states for ``build_extremal_pair`` and the
-radius solver alike.
+``_f0_coefficients``, chooses for ``build_f0``, ``build_extremal_pair``
+and the radius solver alike.  The convex extremal l0 is linked by the
+Alexander relation z l0'(z) = f0(z): l0 = int_0^z f0(t)/t dt, i.e.
+l_n = t_n / n, which one helper, ``_l0_coefficients``, states for
+``build_extremal_pair`` and the radius solver alike; both apply it to the
+one list of f0's coefficients that ``_f0_coefficients`` gives.
 
 The boundary distance (Koebe radius) is -f0(-1) for the starlike family
 and -l0(-1) for the convex one.  The catalog gives it in closed form where
@@ -148,10 +149,12 @@ def koebe_radius(psi: PsiSpec, family: str = "starlike") -> float:
 
 
 def build_extremal_pair(psi: PsiSpec, order: int = DEFAULT_ORDER) -> ExtremalPair:
-    f0 = build_f0(psi, order)
+    """f0 and l0 from one list of f0's coefficients, as the radius solver
+    builds its own without a pair, and both boundary distances."""
+    t = _f0_coefficients(psi, order)
     return ExtremalPair(
-        f0=f0,
-        l0=TruncatedSeries(_l0_coefficients(f0.coeffs.tolist())),
+        f0=TruncatedSeries(t),
+        l0=TruncatedSeries(_l0_coefficients(t)),
         koebe_starlike=koebe_radius(psi, "starlike"),
         koebe_convex=koebe_radius(psi, "convex"),
     )

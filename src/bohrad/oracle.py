@@ -59,8 +59,10 @@ that order, each built only when read and holding the one description
 the chunk makes of its sample, and ``_Tally.extend`` collects them
 into a serializable report; the axiom suite's definiteness check, which
 holds or fails with no margin between, takes the margin +inf or -inf and
-goes the same way.  Its axioms are written as their definitions, one
-``bohr_tail`` per sum.  Every product is taken a row at a time
+goes the same way.  Its axioms are written as their definitions, each
+sum ``bohr_tail``'s, taken through a window cache that builds each tail
+window once per call and order (``verify_bohr_operator_axioms``): at most
+three windows per call.  Every product is taken a row at a time
 (``series._rowwise``), so a margin does not depend on the chunk it came
 in, and a public check's margin is the one its sample gets in a suite of
 the same kernel.
@@ -276,6 +278,9 @@ class _TailChecks:
             if r > _LEMMA_RADIUS:
                 raise ValueError(f"tail inequality is only claimed for r <= 1/3, got {r}")
         columns = [_tail_window(n, r, order) for n, r in self.grid]
+        # Each N is checked by now; kept as an int for the reports and configs.
+        self.n_values = [_integer(n) for n in n_values]
+        self.grid = [(n, r) for n in self.n_values for r in r_values]
         self.weights = np.array(columns).reshape(len(self.grid), order + 1).T
         self.majorant = _rowwise(np.abs(self.f.coeffs), self.weights)
         self.tol = _REL_TOL * self.majorant + [[_dropped_tail(f, r) for _, r in self.grid]
@@ -628,7 +633,7 @@ def run_tail_suite(psi_labels=DEFAULT_ORACLE_PSIS, trials: int = _TRIALS, seed: 
     return _run_suite(checks, seed, trials, degree_max, {
         "check": "tail-inequality",
         "psis": [spec.label for spec in specs],
-        "N": list(n_values),
+        "N": checks.n_values,
         "r": list(r_values),
     }, max_reports)
 
@@ -682,23 +687,25 @@ def run_weighted_suite(tau: float = 0.8, trials: int = _TRIALS, seed: int = 0,
         "check": "weighted-tail",
         "tau": tau,
         "psis": [spec.label for spec in specs],
-        "N": N,
+        "N": check.n_values[0],
         "r": r,
     })
 
 
-def run_br_suite(psi_label: str = DEFAULT_ORACLE_PSIS[0], family: Family | None = None,
+def run_br_suite(psi_label: str = DEFAULT_ORACLE_PSIS[0], family: Family | str | None = None,
                  m: int = 1, N: int = 1, trials: int = _TRIALS, seed: int = 0,
                  degree_max: int = _DEGREE_MAX, order: int = DEFAULT_ORDER,
-                 mode: Mode = Mode.BOHR_ROGOSINSKI) -> VerificationReport:
+                 mode: Mode | str = Mode.BOHR_ROGOSINSKI) -> VerificationReport:
     """Full radius inequality on sampled subordinants below the solved radius.
 
     Sampled subordinants are tested at fractions of rb, the radius that
     ``solve`` reports as covered.  The margin of the identity sample at rb
     itself, where the extremal function should attain the bound, is reported
-    as ``identity_margin_at_rb``.  A ``family`` of None is the entry's
-    ``default_family``, as in ``RadiusProblem``.  ``bohrad verify --lemma
-    br`` takes these defaults for the flags not given.
+    as ``identity_margin_at_rb``.  ``family`` and ``mode`` are read as
+    ``RadiusProblem`` reads them, so a ``family`` of None is the entry's
+    ``default_family``, and the config echoes the problem's checked m, N
+    and mode.  ``bohrad verify --lemma br`` takes these defaults for the
+    flags not given.
     """
     spec = parse_psi(psi_label)
     problem = RadiusProblem(psi=spec, family=family, m=m, N=N, mode=mode, order=order)
@@ -709,9 +716,9 @@ def run_br_suite(psi_label: str = DEFAULT_ORACLE_PSIS[0], family: Family | None 
         "check": "bohr-rogosinski",
         "psi": spec.label,
         "family": problem.family.value,
-        "m": m,
-        "N": N,
-        "mode": mode.value,
+        "m": problem.m,
+        "N": problem.N,
+        "mode": problem.mode.value,
         "r0": solved.r0,
         "rb": solved.rb,
         # At the identity sample g is the extremal bitwise, so its margin at

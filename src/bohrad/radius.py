@@ -33,14 +33,20 @@ margin r* - |g| @ W is the same equation built from the moduli of a
 subordinant g, taken as one array product.)  ``_radius_equations`` makes
 the rows of a ``solve`` or a ``sweep`` with their starts: one row by
 ``_moduli_row``, several by one array product per evaluation that gives
-G and G' together.  Each evaluator gives G with G' or, asked for values
+G and G' together.  Several rows always carry the r^m term: every
+Bohr-limit problem solves the one equation (None, 1), and each distinct
+equation is one row.  Each evaluator gives G with G' or, asked for values
 only, G alone, bitwise the same G; the solver's three closing
 evaluations and ``g_function`` read only G.  The one-row evaluator,
 ``_equation_row``, also serves the closed-form Janowski equation
-(E <= 0), with P and Q in closed form.  One
-function, ``_results``, turns the (m, N) of a solve, a sweep or the closed
-equation into results: it solves their distinct equations by one
-``_newton`` call and decides rb and sharpness.
+(E <= 0), with P and Q in closed form.
+
+Every solve starts from one checked ``RadiusProblem``; the closed
+equation's has no truncation order.  One function, ``_results``, turns the
+(m, N) of a solve, a sweep or the closed equation into results: it solves
+their distinct equations by one ``_newton`` call and decides rb and
+sharpness.  ``solve`` and ``sweep`` reach it by one route,
+``_solve_grid``, which reads the family extremal once.
 """
 
 from __future__ import annotations
@@ -83,9 +89,9 @@ class BracketError(RuntimeError):
 
 def _check_problem(m: int, N: int, tol: float, order: int | None = None
                    ) -> tuple[int, int, int | None]:
-    """The checks of a ``RadiusProblem``, also made on each value of a sweep
-    and by the closed equation, which truncates nothing (``order`` None).
-    Returns m, N and order as ints."""
+    """The checks of a ``RadiusProblem``, also made on each value of a
+    sweep.  An ``order`` of None, the closed equation's, which truncates
+    nothing, is not checked.  Returns m, N and order as ints."""
     m, N = _integer(m), _integer(N)
     if m is None or N is None or m < 1 or N < 1:
         raise ValueError("m and N must be positive integers")
@@ -101,7 +107,7 @@ def _check_problem(m: int, N: int, tol: float, order: int | None = None
 def _family(psi: PsiSpec, family: Family | str | None) -> Family:
     """``family``, or where it is None the entry's ``default_family``: the
     one statement of the rule, for ``RadiusProblem`` and for the CLI's
-    closed equation, which builds no problem."""
+    closed equation, which must reject a convex family before it solves."""
     return Family(psi.default_family if family is None else family)
 
 
@@ -111,21 +117,27 @@ class _ProblemFields(NamedTuple):
     m: int
     N: int
     mode: Mode
-    order: int
+    order: int | None
     tol: float
 
 
 class RadiusProblem(_ProblemFields):
-    """One radius equation to solve.  A ``family`` of None is the entry's
-    ``default_family`` (``_family``), so classical-convex is convex."""
+    """One radius equation to solve, the one record that every solve path
+    builds and reads.  ``family`` and ``mode`` each take the enum or its
+    value (``"convex"``, ``"bohr-limit"``), and a mistyped value raises
+    ``ValueError`` here.  A ``family`` of None is the entry's
+    ``default_family`` (``_family``), so classical-convex is convex.  An
+    ``order`` of None is the closed Janowski equation's, which truncates
+    nothing (``solve_janowski_exact``); ``solve``, ``sweep`` and
+    ``g_function`` need a truncation order and reject it."""
 
     __slots__ = ()
 
-    def __new__(cls, psi: PsiSpec, family: Family | None = None, m: int = 1, N: int = 1,
-                mode: Mode = Mode.BOHR_ROGOSINSKI, order: int = DEFAULT_ORDER,
-                tol: float = DEFAULT_TOL) -> "RadiusProblem":
+    def __new__(cls, psi: PsiSpec, family: Family | str | None = None, m: int = 1,
+                N: int = 1, mode: Mode | str = Mode.BOHR_ROGOSINSKI,
+                order: int | None = DEFAULT_ORDER, tol: float = DEFAULT_TOL) -> "RadiusProblem":
         m, N, order = _check_problem(m, N, tol, order)
-        return super().__new__(cls, psi, _family(psi, family), m, N, mode, order, tol)
+        return super().__new__(cls, psi, _family(psi, family), m, N, Mode(mode), order, tol)
 
     @classmethod
     def _make(cls, iterable) -> "RadiusProblem":
@@ -168,11 +180,10 @@ def _family_extremal(problem: RadiusProblem, pair: ExtremalPair | None = None
     builds them.
     """
     if pair is None:
-        psi = problem.psi
-        t = _f0_coefficients(psi, problem.order)
+        t = _f0_coefficients(problem.psi, problem.order)
         if problem.family == Family.CONVEX:
             t = _l0_coefficients(t)
-        return t, koebe_radius(psi, problem.family.value)
+        return t, koebe_radius(problem.psi, problem.family.value)
     if pair.f0.order != problem.order:
         raise OrderMismatchError(f"order mismatch: the pair has order {pair.f0.order}, "
                                  f"the problem {problem.order}")
@@ -356,8 +367,10 @@ def _radius_equations(indices: list[tuple[int | None, int]], coeffs: list[float]
     """The radius equations at the given (m, N), one row each, as one
     evaluator over rows, and each row's certified start.  Each (m, N) is an
     equation's own, from ``_equation_index``, so the mode is decided before:
-    m is None where the equation has no r^m term (the Bohr limit), and the
-    rows of one call either all have that term or all lack it.
+    m is None where the equation has no r^m term (the Bohr limit).  Every
+    Bohr-limit problem solves the one equation (None, 1), and ``_results``
+    asks for each distinct equation once, so several rows always carry the
+    r^m term.
 
     Row v holds G_v(r) = P(r^(m_v)) + Q_v(r) - r* from the moduli fhat of
     ``coeffs``: P = fhat and Q_v is fhat with its terms of index < N_v
@@ -376,15 +389,14 @@ def _radius_equations(indices: list[tuple[int | None, int]], coeffs: list[float]
         return _moduli_row(row, a, rstar), [_certified_top(rstar, a, *row)]
     tops = [_certified_top(rstar, a, m, N) for m, N in indices]
     ms, heads = zip(*indices)
-    # The rows all have the r^m term or all lack it (m None).
-    fold = ms[0] == 1 == max(ms)
+    fold = max(ms) == 1
     moduli = np.array(a)
     order = moduli.size - 1
     q = np.where(np.arange(order + 1) < np.array(heads)[:, None], 0.0, moduli)
     if fold:
         q = q + moduli
     q_rows = np.stack([q, _slope_coeffs(q)], axis=1)
-    p_cols = None if ms[0] is None or fold else np.stack([moduli, _slope_coeffs(moduli)], axis=1)
+    p_cols = None if fold else np.stack([moduli, _slope_coeffs(moduli)], axis=1)
     ms = np.array(ms)
 
     def evaluate(rows: list[int], r: list[float], slopes: bool = True) -> list:
@@ -493,12 +505,12 @@ def _newton(evaluate: _RowEquations, tol: float, tops: list[float], g_lo: float
     return [(roots[v], (ends[v], ends[n + v]), evaluations[v] + 3, values[v]) for v in rows]
 
 
-def _results(problem: _ProblemFields, indices: list[tuple[int, int]],
+def _results(problem: RadiusProblem, indices: list[tuple[int, int]],
              equations: Callable[[list], tuple[_RowEquations, list[float]]], rstar: float,
              nonnegative: bool) -> list[RadiusResult]:
     """The results of ``problem``'s radius equation at each given (m, N), in
-    the given order: the one path from equations to results of ``solve``,
-    ``sweep`` and ``solve_janowski_exact``.
+    the given order: the one path from equations to results of
+    ``_solve_grid`` (``solve`` and ``sweep``) and ``solve_janowski_exact``.
 
     Each (m, N) is mapped to the (m, N) of the equation it solves
     (``_equation_index``, where the Bohr limit is decided); the distinct
@@ -532,21 +544,30 @@ def _results(problem: _ProblemFields, indices: list[tuple[int, int]],
     return results
 
 
+def _solve_grid(problem: RadiusProblem, grid: list[tuple[int, int]],
+                pair: ExtremalPair | None = None) -> list[RadiusResult]:
+    """The results of ``problem``'s series equation at each (m, N) of the
+    checked ``grid``, in its order: the family extremal is read once
+    (``_family_extremal``, from ``pair`` when given), and its equations are
+    built by ``_radius_equations``.  The one route of ``solve`` and
+    ``sweep`` to ``_results``."""
+    coeffs, rstar = _family_extremal(problem, pair)
+    # The coefficients are finite, so no NaN upsets min.
+    return _results(problem, grid, lambda rows: _radius_equations(rows, coeffs, rstar), rstar,
+                    min(coeffs) >= 0.0)
+
+
 def solve(problem: RadiusProblem, pair: ExtremalPair | None = None) -> RadiusResult:
     """Solve the radius equation for the given problem.
 
     A given ``pair`` must be built at ``problem.order``.
     """
-    coeffs, rstar = _family_extremal(problem, pair)
-    # The coefficients are finite, so no NaN upsets min.
-    return _results(problem, [(problem.m, problem.N)],
-                    lambda rows: _radius_equations(rows, coeffs, rstar), rstar,
-                    min(coeffs) >= 0.0)[0]
+    return _solve_grid(problem, [(problem.m, problem.N)], pair)[0]
 
 
 def solve_janowski_exact(d: float, e: float, m: int = 1, N: int = 1,
                          tol: float = DEFAULT_TOL,
-                         mode: Mode = Mode.BOHR_ROGOSINSKI) -> RadiusResult:
+                         mode: Mode | str = Mode.BOHR_ROGOSINSKI) -> RadiusResult:
     """Solve the closed-form Janowski radius equation.
 
     With f0(z) = z (1 + E z)^((D-E)/E), or z e^(Dz) at E = 0, the equation is
@@ -571,13 +592,15 @@ def solve_janowski_exact(d: float, e: float, m: int = 1, N: int = 1,
     with P = f0 and Q = f0 - T, evaluated by the one-row evaluator of
     ``solve`` and solved by the same Newton solver from the same certified
     start, with a_1 = 1 and a_N from the same recurrence; the result is
-    sharp wherever ``_results`` keeps rb = r0.
+    sharp wherever ``_results`` keeps rb = r0.  Its ``RadiusProblem`` has
+    no order: the closed equation truncates nothing, so N may pass any
+    series order.
     """
     spec = janowski(d, e)
     if e > 0.0:
         raise ValueError(f"the closed Janowski equation needs E <= 0, got E={e:g}; "
                          "the series path (--method series) solves E > 0")
-    m, N, _ = _check_problem(m, N, tol)
+    problem = RadiusProblem(spec, Family.STARLIKE, m, N, mode, None, tol)
     p = None if e == 0.0 else (d - e) / e
     rstar = spec.koebe_closed
 
@@ -610,9 +633,7 @@ def solve_janowski_exact(d: float, e: float, m: int = 1, N: int = 1,
         return (_equation_row(None if m_row is None else f0_closed, tail, m_row, rstar),
                 [_certified_top(rstar, coeffs, m_row, n)])
 
-    # The closed equation truncates nothing: its problem has no order.
-    problem = _ProblemFields(spec, Family.STARLIKE, m, N, mode, None, tol)
-    return _results(problem, [(m, N)], equation, rstar, True)[0]
+    return _results(problem, [(problem.m, problem.N)], equation, rstar, True)[0]
 
 
 class Sweep(NamedTuple):
@@ -626,7 +647,7 @@ def sweep(problem: RadiusProblem, n_values=None, m_values=None) -> Sweep:
     """Solve over a grid in N or in m; the family's extremal is built once.
 
     Every value is checked, and taken as an int, before anything is
-    solved.  The grid then goes to ``_results``, as a lone ``solve``'s
+    solved.  The grid then goes to ``_solve_grid``, as a lone ``solve``'s
     (m, N) does: its distinct equations are solved together by one
     ``_newton`` call, one row each, and each result's ``iterations`` counts
     its own row's evaluations of G.  In the Bohr limit every value has the
@@ -646,9 +667,7 @@ def sweep(problem: RadiusProblem, n_values=None, m_values=None) -> Sweep:
     if not grid:
         raise ValueError(f"empty sweep range for {axis}")
     values = tuple(m if axis == "m" else N for m, N in grid)
-    coeffs, rstar = _family_extremal(problem)
-    results = tuple(_results(problem, grid, lambda rows: _radius_equations(rows, coeffs, rstar),
-                             rstar, min(coeffs) >= 0.0))
+    results = tuple(_solve_grid(problem, grid))
     radii = [res.r0 for res in results]
     monotone = all(b >= a - 1e-12 for a, b in zip(radii, radii[1:]))
     return Sweep(axis=axis, values=values, results=results,

@@ -850,6 +850,29 @@ def test_br_suite_takes_the_entry_s_default_family():
     assert report.to_json_dict() == given.to_json_dict()
 
 
+def test_br_suite_takes_a_string_mode():
+    given = run_br_suite("cardioid", mode="bohr-limit", trials=20)
+    assert given.config["mode"] == "bohr-limit"
+    assert given == run_br_suite("cardioid", mode=Mode.BOHR_LIMIT, trials=20)
+    with pytest.raises(ValueError, match="bohr_limit"):
+        run_br_suite("cardioid", mode="bohr_limit", trials=20)
+
+
+@pytest.mark.parametrize("suite, given, plain", [
+    (run_br_suite, {"m": np.int64(2), "N": np.int32(3)}, {"m": 2, "N": 3}),
+    (run_tail_suite, {"n_values": (np.int64(1), np.int64(2))}, {"n_values": (1, 2)}),
+    (run_tail_suite, {"n_values": np.arange(1, 3)}, {"n_values": (1, 2)}),
+    (run_weighted_suite, {"N": np.int64(1)}, {"N": 1}),
+])
+def test_suites_given_numpy_integers_echo_ints(suite, given, plain):
+    # The configs once echoed the numpy integers, and the tail reports held
+    # them, which json cannot write.  At N = 2 the tail suite reports
+    # counterexamples.
+    report = suite(trials=30, **given)
+    json.dumps(report.to_json_dict())
+    assert report.to_json_dict() == suite(trials=30, **plain).to_json_dict()
+
+
 @pytest.mark.parametrize("label, family, m, N, worst, identity", [
     ("cardioid", Family.STARLIKE, 2, 3, "0x1.71a26e30eba41p-3", "0x1.71a26e30eba41p-3"),
     ("sine", Family.CONVEX, 1, 2, "0x1.728343c19d2f4p-3", "0x1.728343c19d2f4p-3"),

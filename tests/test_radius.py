@@ -97,6 +97,47 @@ def test_numpy_integer_indices_solve_as_ints():
     assert type(exact.m) is int and type(exact.N) is int
 
 
+def test_a_string_mode_solves_as_the_enum():
+    # The record once kept its mode raw, and every solve of a string mode
+    # failed in _results on mode.value.
+    spec = catalog.cardioid()
+    given = RadiusProblem(psi=spec, mode="bohr-limit")
+    assert given == RadiusProblem(psi=spec, mode=Mode.BOHR_LIMIT)
+    assert given.mode is Mode.BOHR_LIMIT
+    base = RadiusProblem(psi=spec)
+    assert base._replace(mode="bohr-limit").mode is Mode.BOHR_LIMIT
+    enum = RadiusProblem(psi=spec, mode=Mode.BOHR_LIMIT)
+    assert solve(given) == solve(enum)
+    for axis in ("n_values", "m_values"):
+        assert sweep(given, **{axis: [1, 2, 3]}) == sweep(enum, **{axis: [1, 2, 3]})
+    assert (solve_janowski_exact(1.0, 0.0, mode="bohr-limit")
+            == solve_janowski_exact(1.0, 0.0, mode=Mode.BOHR_LIMIT))
+
+
+def test_a_mistyped_mode_is_rejected_where_the_record_is_built():
+    with pytest.raises(ValueError, match="bohr_limit"):
+        RadiusProblem(psi=catalog.cardioid(), mode="bohr_limit")
+    with pytest.raises(ValueError, match="bohr_limit"):
+        RadiusProblem(psi=catalog.cardioid())._replace(mode="bohr_limit")
+    with pytest.raises(ValueError, match="bohr_limit"):
+        solve_janowski_exact(1.0, 0.0, mode="bohr_limit")
+
+
+def test_an_order_none_problem_is_the_closed_equation_s_only():
+    # Order None is the closed equation's record, which truncates nothing;
+    # the series paths need an order and reject it as before.
+    given = RadiusProblem(psi=catalog.cardioid(), order=None)
+    with pytest.raises(ValueError, match=r"^order must be an integer$"):
+        solve(given)
+    with pytest.raises(ValueError, match=r"^order must be an integer$"):
+        sweep(given, n_values=[1, 2])
+    pair = build_extremal_pair(catalog.cardioid())
+    with pytest.raises(OrderMismatchError):
+        solve(given, pair)
+    with pytest.raises(OrderMismatchError):
+        g_function(given, pair, 0.1)
+
+
 # -- the radius equation ---------------------------------------------------
 
 
@@ -1000,7 +1041,8 @@ def test_catalog_list_equals_the_pair(label, order, monkeypatch):
                   (problems[0], "n_values", (1, 3))]
         listed = [repr(sweep(base, **{keyword: values})) for base, keyword, values in sweeps]
         with monkeypatch.context() as patch:
-            patch.setattr(radius, "_family_extremal", lambda prob: from_list(prob, pair))
+            # A sweep asks for the extremal without a pair; this gives it one.
+            patch.setattr(radius, "_family_extremal", lambda prob, _=None: from_list(prob, pair))
             paired = [repr(sweep(base, **{keyword: values})) for base, keyword, values in sweeps]
         assert listed == paired
 
