@@ -24,6 +24,10 @@ the tests' check of every closed -f0(-1) independent of the closed f0.
 One pair of rules, 48 and 96 nodes on [0, 1], serves every entry; where
 the two disagree (a singularity of psi or f0 too near t = -1) the
 quadrature raises ``QuadratureError`` rather than return either value.
+``_unit_rules`` builds the pair on first use from numpy's core alone:
+Newton's method on the Legendre recurrence for the nodes, and weights
+from a double-double recurrence, which hold every convex radius by
+quadrature to 1 ulp.
 """
 
 from __future__ import annotations
@@ -41,17 +45,106 @@ from .series import DEFAULT_ORDER, TruncatedSeries, _truncation_order, np
 _NODES = (48, 96)
 _REL_TOL = 1e-13
 
+# Dekker's splitter 2^27 + 1: it cuts a double into two halves of at most 26
+# bits, whose products with the halves of another double are exact.
+_SPLIT = 134217729.0
+
+
+def _split(a):
+    c = _SPLIT * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _legendre(x, n):
+    """Q_{n-1}(x) and Q_n(x) at each node x of the rule of n nodes (arrays of
+    one shape: one pass serves every rule of ``_NODES``), where Q_k = k! P_k:
+    (k+1) P_{k+1} = (2k+1) x P_k - k P_{k-1} becomes Q_{k+1} = (2k+1) x Q_k
+    - k^2 Q_{k-1}, with no division.  |Q_k| <= k!, finite up to k = 170."""
+    q0, q1 = np.ones_like(x), x
+    kept = (q0, q1)
+    for k in range(1, max(_NODES)):
+        q0, q1 = q1, (2 * k + 1) * x * q1 - (k * k) * q0
+        if k + 1 in _NODES:
+            kept = _keep(n == k + 1, kept, (q0, q1))
+    return kept
+
+
+def _legendre_dd(x, n):
+    """Q_{n-1}(x) and Q_n(x) of ``_legendre`` to the last bit: the same
+    recurrence in double-double arithmetic, each value carrying the rounding
+    error of its products and difference (Dekker's exact product, Knuth's
+    two-sum), added in at the end."""
+    xh, xl = _split(x)
+    q0, e0, h0, l0 = np.ones_like(x), np.zeros_like(x), 1.0, 0.0  # h0 + l0 splits q0
+    q1, e1 = x, e0
+    kept = (q0, e0, q1, e1)
+    for k in range(1, max(_NODES)):
+        c, kk = 2.0 * k + 1.0, float(k * k)
+        h1, l1 = _split(q1)
+        u = x * q1
+        eu = ((xh * h1 - u) + xh * l1 + xl * h1) + xl * l1 + x * e1
+        uh, ul = _split(u)
+        v = c * u
+        ev = (uh * c - v) + (ul + eu) * c
+        w = kk * q0
+        ew = (h0 * kk - w) + (l0 + e0) * kk
+        s = v - w
+        t = s - v
+        es = (v - (s - t)) - (w + t) + (ev - ew)
+        q0, e0, h0, l0 = q1, e1, h1, l1
+        q1, e1 = s, es
+        if k + 1 in _NODES:
+            kept = _keep(n == k + 1, kept, (q0, e0, q1, e1))
+    q0, e0, q1, e1 = kept
+    return q0 + e0, q1 + e1
+
+
+def _keep(done, kept, state):
+    """``kept``, with ``state`` at the nodes of the rule whose degree the
+    recurrence has just reached."""
+    return tuple(np.where(done, new, old) for new, old in zip(state, kept))
+
 
 @functools.cache
 def _unit_rules() -> tuple:
-    """(nodes, weights) of each rule, built on first use: only a Koebe
-    radius by quadrature needs them, and a caller that never computes one
-    (the oracle suites) skips their eigen-solves."""
-    rules = []
-    for n in _NODES:
-        x, w = np.polynomial.legendre.leggauss(n)
-        rules.append((0.5 * (x + 1.0), 0.5 * w))
-    return tuple(rules)
+    """(nodes, weights) of each rule on [0, 1], built on first use: only a
+    Koebe radius by quadrature needs them, and a caller that never computes
+    one (the oracle suites) skips their recurrences.
+
+    Newton's method on P_n finds the nodes x on [-1, 1] from Tricomi's
+    asymptotic starts, for every rule's nodes at once.  The weight is
+    w = 2 / ((1 - x^2) P_n'(x)^2), where (1 - x^2) P_n' = n (P_{n-1} - x P_n),
+    from values of P_{n-1} and P_n that the double-double recurrence gives
+    to the last bit.  They also give the distance d = P_n/P_n' from the
+    double x to the true node, which a last Newton step takes into account:
+    the node on [0, 1] is ((1 + x) - d)/2, exact to its last bit even near
+    0, and w is moved by the factor 1 + 2xd/(1 - x^2), since
+    (log w)' = -2x/(1 - x^2) at a node (Legendre's equation).  Nodes hold
+    to 1 ulp and weights to a few, and every convex Koebe radius by
+    quadrature to 1 ulp; numpy's eigen-solved rule had weights 1e-12 off,
+    which left those radii a few ulps low.  Hale and Townsend (SIAM J. Sci.
+    Comput. 35, 2013) build both by Newton's method.
+    """
+    n = np.repeat(np.array(_NODES, dtype=float), _NODES)
+    k = np.concatenate([np.arange(m, 0, -1) for m in _NODES])
+    x = (1.0 - (n - 1.0) / (8.0 * n ** 3)) * np.cos(np.pi * (4 * k - 1) / (4 * n + 2))
+    for _ in range(2):
+        q0, q1 = _legendre(x, n)
+        x = x - q1 * (1.0 - x) * (1.0 + x) / (n * (n * q0 - x * q1))
+    q0, q1 = _legendre_dd(x, n)
+    one_minus_x2 = (1.0 - x) * (1.0 + x)
+    dq = n * q0 - x * q1
+    # (1 - x^2) P_n' = dq / (n-1)!, with (n-1)! = fh + fl to 106 bits
+    f = [math.factorial(m - 1) for m in _NODES]
+    fh = np.repeat([float(v) for v in f], _NODES)
+    fl = np.repeat([float(v - int(float(v))) for v in f], _NODES)
+    dp = dq / fh
+    dp = dp - dp * (fl / fh)
+    d = q1 * one_minus_x2 / (n * dq)
+    w = 2.0 * one_minus_x2 / (dp * dp) * (1.0 + 2.0 * x * d / one_minus_x2)
+    cuts = np.cumsum(_NODES)[:-1]
+    return tuple(zip(np.split(0.5 * ((1.0 + x) - d), cuts), np.split(0.5 * w, cuts)))
 
 
 class QuadratureError(RuntimeError):

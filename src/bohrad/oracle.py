@@ -151,12 +151,26 @@ class SchwarzSample(_SampleFields):
 IDENTITY_SAMPLE = SchwarzSample(degree=0, zeros=(), sign=1)
 
 
+def _as_int(name: str, value) -> int:
+    """``value`` as an int, taken as ``RadiusProblem`` takes m and N: an int
+    or a numpy integer, where a bool or a float raises ``ValueError``."""
+    whole = _integer(value)
+    if whole is None:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return whole
+
+
+def _degree_max(degree_max) -> int:
+    degree_max = _as_int("degree_max", degree_max)
+    if degree_max < 0:
+        raise ValueError("degree_max must be nonnegative")
+    return degree_max
+
+
 def sample_schwarz(rng: random.Random, degree_max: int = _DEGREE_MAX) -> SchwarzSample:
     """Draw a sample: degree uniform on 0..degree_max, zeros uniform in
     (-0.95, 0.95), sign uniform on {-1, +1}."""
-    if degree_max < 0:
-        raise ValueError("degree_max must be nonnegative")
-    degree = rng.randint(0, degree_max)
+    degree = rng.randint(0, _degree_max(degree_max))
     # tuple() of a list, not of a generator: that one resizes its tuple
     # outside CPython's tuple free list, and a long suite then grows the
     # free list, and its peak memory, with every trial.
@@ -542,6 +556,7 @@ class _Tally:
     """
 
     def __init__(self, trials: int, cap: int = _MAX_REPORTS):
+        trials = _as_int("trials", trials)
         if trials < 1:
             raise ValueError("--trials must be at least 1")
         if cap < 0:
@@ -612,6 +627,7 @@ def _run_suite(checks, seed: int, trials: int, degree_max: int, config: dict,
     in one workspace; the config records ``degree_max`` and the kernel's
     order after the suite's own."""
     tally = _Tally(trials, max_reports)
+    trials, seed, degree_max = tally.trials, _as_int("seed", seed), _degree_max(degree_max)
     order = checks.f.order
     workspace = _workspace(order)
     rng = random.Random(seed)
@@ -644,14 +660,15 @@ def run_axiom_suite(trials: int = _TRIALS, seed: int = 0) -> VerificationReport:
     and r, which the report's config records.  ``bohrad verify --lemma
     bohr-operator`` takes these defaults for the flags not given."""
     order, n_values, r = 16, (0, 1, 3), 0.2
-    rng = random.Random(seed)
     tally = _Tally(trials)
+    seed = _as_int("seed", seed)
+    rng = random.Random(seed)
 
     def random_series() -> TruncatedSeries:
         return TruncatedSeries([rng.uniform(-1.0, 1.0) for _ in range(order + 1)])
 
     margins, keys = [], []
-    for _ in range(trials):
+    for _ in range(tally.trials):
         f, g = random_series(), random_series()
         alpha = rng.uniform(-2.0, 2.0)
         for n in n_values:

@@ -128,6 +128,21 @@ def test_a_call_without_arrays_leaves_numpy_unloaded(argv, exit_code):
     assert child.stderr.splitlines()[-1] == "False"
 
 
+@pytest.mark.parametrize("argv", [
+    "radius --psi cardioid --family convex",
+    "verify --lemma br --psi cardioid --trials 20",
+])
+def test_a_convex_radius_by_quadrature_leaves_numpy_polynomial_unloaded(argv):
+    # The Gauss-Legendre rules come from numpy's core: no eigen-solve, and
+    # none of numpy.polynomial's modules.
+    code = ("import atexit, sys; atexit.register(lambda: print('numpy' in sys.modules, "
+            "'numpy.polynomial' in sys.modules, file=sys.stderr)); from bohrad import cli; "
+            "cli.run()")
+    child = run_python("-c", code, *argv.split())
+    assert child.returncode == 0, child.stderr
+    assert child.stderr.splitlines()[-1] == "True False"
+
+
 @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
 def test_closed_reader_ends_the_process_on_sigpipe():
     # Some 290 kB of CSV, more than a pipe holds: the child is still writing

@@ -386,10 +386,10 @@ def test_janowski_convex_koebe_never_reaches_quadrature(monkeypatch):
 # koebe_radius_quadrature's values as repr: how the rules are built and
 # applied must not move a bit.
 QUADRATURE_PINS = {
-    "cardioid": (0.3678794411714424, 0.5986912298550321),
-    "zexpz": (0.5314636053866157, 0.7038344231538607),
-    "booth": (0.5099690078517072, 0.6935792104753028),
-    "sine": (0.3882588314625181, 0.6384220393527344),
+    "cardioid": (0.3678794411714424, 0.5986912298550324),
+    "zexpz": (0.5314636053866155, 0.7038344231538609),
+    "booth": (0.5099690078517071, 0.6935792104753031),
+    "sine": (0.38825883146251805, 0.6384220393527347),
 }
 
 
@@ -398,6 +398,24 @@ def test_quadrature_is_pinned_bitwise(label):
     spec = catalog.parse_psi(label)
     for family, want in zip(("starlike", "convex"), QUADRATURE_PINS[label]):
         assert repr(koebe_radius_quadrature(spec, family)) == repr(want)
+
+
+@pytest.mark.parametrize("n", extremal._NODES)
+def test_unit_rules_against_mpmath_at_40_digits(n):
+    # mpmath's Gauss-Legendre rule of degree j has 3 * 2^(j-1) nodes on
+    # [-1, 1].  Measured: nodes within 0.72 ulp and weights within 5.21 ulps
+    # for 48 nodes, 0.65 and 3.55 for 96.  numpy's leggauss, moved to [0, 1]
+    # in the same way, was 391 ulps off at a node near 0 and 12743 in a weight.
+    import mpmath
+
+    nodes, weights = dict(zip(extremal._NODES, extremal._unit_rules()))[n]
+    with mpmath.workdps(40):
+        gauss = mpmath.calculus.quadrature.GaussLegendre(mpmath.mp)
+        rule = sorted(gauss.calc_nodes(round(math.log2(n / 3)) + 1, mpmath.mp.prec))
+        assert len(rule) == len(nodes) == n
+        for t, w, (x, v) in zip(nodes, weights, rule):
+            assert abs(t - (x + 1) / 2) <= math.ulp(t), (t, x)
+            assert abs(w - v / 2) <= 6 * math.ulp(w), (w, v)
 
 
 @pytest.mark.parametrize("label", catalog.named_labels() + [
@@ -503,7 +521,7 @@ def test_convex_quadrature_against_psi_at_40_digits(label):
 
     got = koebe_radius_quadrature(catalog.parse_psi(label), "convex")
     want = psi_convex_koebe(label)
-    assert abs(mpmath.mpf(got) - want) <= 4 * math.ulp(got), (got, want)
+    assert abs(mpmath.mpf(got) - want) <= math.ulp(got), (got, want)
 
 
 @pytest.mark.parametrize("k", BOOTH_KS)
